@@ -18,6 +18,7 @@ from . import experiments as ex
 from .driver import EnergyAuditError, audit_ede, run
 from .grid import Grid
 from .io import (
+    STEP_KEYS,
     ConfigError,
     DirectoryLock,
     _reject_unknown,
@@ -25,23 +26,14 @@ from .io import (
     echo_config,
     parse_config,
     parse_config_file,
+    parse_step,
     write_csv,
     write_summary,
     write_timeseries,
 )
-from .step import StepNonconvergenceError, StepParams
+from .step import StepNonconvergenceError
 
 __all__ = ["main"]
-
-
-def _step_from(data, h):
-    kwargs = {"h": float(h)}
-    for key in ("eps0", "eps_min", "rho", "tol_grad", "armijo_c", "tau_boundary"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    if "max_newton" in data:
-        kwargs["max_newton"] = int(data["max_newton"])
-    return StepParams(**kwargs)
 
 
 def _simulate_audits(series):
@@ -123,11 +115,7 @@ def _cmd_rates(data, outdir, threads, seed):
     return report.classification != "inconclusive"
 
 
-_LIFTOFF_KEYS = {
-    "L", "N", "h", "T", "M", "n", "alpha", "deltas", "record_every",
-    "eps0", "eps_min", "rho", "tol_grad", "max_newton", "armijo_c",
-    "tau_boundary",
-}
+_LIFTOFF_KEYS = {"L", "N", "T", "M", "n", "alpha", "deltas", "record_every"} | STEP_KEYS
 
 
 def _cmd_sweep_liftoff(data, outdir, threads, seed):
@@ -139,7 +127,7 @@ def _cmd_sweep_liftoff(data, outdir, threads, seed):
             f"lift-off requires 2(alpha+1) > n; got alpha={alpha}, n={n}"
         )
     grid = Grid(L=float(data.get("L", 1.0)), N=int(_require(data, "N", "liftoff config")))
-    step = _step_from(data, _require(data, "h", "liftoff config"))
+    step = parse_step(data, "liftoff config")
     report = ex.liftoff_sweep(
         deltas=_require(data, "deltas", "liftoff config"),
         M=float(_require(data, "M", "liftoff config")),
@@ -161,8 +149,8 @@ def _cmd_sweep_liftoff(data, outdir, threads, seed):
         "deltas": list(report.deltas),
         "sigma": report.sigma,
         "t_half": [None if t is None else t for t in report.t_half],
-        "t0_hat": report.t0_hat,
-        "median_t_half": report.median_t_half,
+        "t0_hat": None if math.isinf(report.t0_hat) else report.t0_hat,
+        "median_t_half": None if math.isinf(report.median_t_half) else report.median_t_half,
         "energy_v": report.energy_v,
         "energies": list(report.energies),
         "audits": {

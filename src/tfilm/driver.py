@@ -159,8 +159,8 @@ class EnergyAuditError(RuntimeError):
     """A step violated the energy-dissipation inequality beyond tolerance."""
 
 
-def _diag_row(g, t, u, mp, res=None, slack=0.0):
-    e = energy(g, u, mp)
+def _diag_row(g, t, u, e, res=None, slack=0.0):
+    """Diagnostics of height u at time t, given its energy breakdown e."""
     return StepDiagnostics(
         t=t,
         mass=integrate(g, u),
@@ -185,14 +185,13 @@ def run(cfg):
     Solver nonconvergence propagates with the failing step index.
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
-    mp = model.modified()
     u = cfg.initial.build(g)
-    e0 = energy(g, u, mp)
+    e0 = energy(g, u, model.modified())
     if not math.isfinite(e0.total):
         raise ValueError("initial height has infinite energy under the barrier")
 
     series = TimeSeries(config=cfg)
-    series.diagnostics.append(_diag_row(g, 0.0, u, mp))
+    series.diagnostics.append(_diag_row(g, 0.0, u, e0))
     series.snapshots[0.0] = u.copy()
 
     e_prev = e0.total
@@ -213,7 +212,7 @@ def run(cfg):
                 f"step {k + 1}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
             )
         u = res.u_next
-        series.diagnostics.append(_diag_row(g, t, u, mp, res, slack))
+        series.diagnostics.append(_diag_row(g, t, u, res.energy_after, res, slack))
         if (k + 1) % cfg.record_every == 0 or k + 1 == cfg.n_steps:
             series.snapshots[t] = u.copy()
         e_prev = res.energy_after.total
@@ -281,7 +280,6 @@ def audit_ede(series, s_idx, t_idx):
 class ContinuationReport:
     sigmas: tuple
     mass_drifts: tuple          # 2 sigma |domain| per sigma
-    h1_shifts: tuple            # 2 sigma |domain|^(1/2) per sigma
     sup_distances: tuple        # between consecutive sigma solutions
     limit_edi_min_slack: tuple  # min over time of E[u0^s] - E[u](t) - strong diss
     tol_audit: float
@@ -349,7 +347,6 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
     return ContinuationReport(
         sigmas=sigmas,
         mass_drifts=tuple(2.0 * s * g.L for s in sigmas),
-        h1_shifts=tuple(2.0 * s * math.sqrt(g.L) for s in sigmas),
         sup_distances=tuple(sup_distances),
         limit_edi_min_slack=tuple(edi_slacks),
         tol_audit=cfg.tol_audit,

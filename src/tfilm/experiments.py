@@ -285,7 +285,6 @@ class PointWitness:
     required_grad: float     # (D - delta)/2
     required_curv: float     # (D - delta)^2 / (4 log(D/delta))
     tol_fd: float
-    hamiltonian: np.ndarray  # 0.5 |u'|^2 + log u at cells
 
 
 def point_lemma_check(u, g, tol_fd=None):
@@ -303,11 +302,10 @@ def point_lemma_check(u, g, tol_fd=None):
     D = float(np.max(u))
     du = gradient(g, u)
     d2u = laplacian_neumann(g, u)
-    ham = 0.5 * 0.5 * (du[:-1] ** 2 + du[1:] ** 2) + np.log(u)
 
     if D <= delta * (1.0 + 1e-14):
         return PointWitness(True, float(g.cell_centers()[0]), 0, 0.0, 0.0,
-                            0.0, 0.0, 0.0, ham)
+                            0.0, 0.0, 0.0)
 
     req_grad = 0.5 * (D - delta)
     req_curv = (D - delta) ** 2 / (4.0 * math.log(D / delta))
@@ -322,13 +320,13 @@ def point_lemma_check(u, g, tol_fd=None):
         best = candidates[np.argmax(prod[candidates])]
         return PointWitness(True, float(g.cell_centers()[best]), int(best),
                             float(adj[best]), float(prod[best]),
-                            req_grad, req_curv, tol_fd, ham)
+                            req_grad, req_curv, tol_fd)
     # report the nearest miss for diagnosis
     steep_idx = np.nonzero(steep)[0]
     best = steep_idx[np.argmax(prod[steep_idx])] if steep_idx.size else int(np.argmax(prod))
     return PointWitness(False, float(g.cell_centers()[best]), int(best),
                         float(adj[best]), float(prod[best]),
-                        req_grad, req_curv, tol_fd, ham)
+                        req_grad, req_curv, tol_fd)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "zero_flux",
-    "is_flux_typed",
     "divergence",
     "gradient",
     "laplacian_neumann",
@@ -72,11 +71,6 @@ def _check_face(g, j):
 def zero_flux(g):
     """Flux-typed face field of zeros."""
     return np.zeros(g.N + 1)
-
-
-def is_flux_typed(g, j):
-    j = _check_face(g, j)
-    return j[0] == 0.0 and j[-1] == 0.0
 
 
 def divergence(g, j):

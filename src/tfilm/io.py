@@ -31,6 +31,8 @@ from .step import StepParams
 __all__ = [
     "ConfigError",
     "parse_config",
+    "parse_step",
+    "STEP_KEYS",
     "parse_config_file",
     "echo_config",
     "write_timeseries",
@@ -46,13 +48,12 @@ DIAGNOSTICS_HEADER = (
     "diss_flux,diss_strong,ede_slack,el_residual,newton_iters"
 )
 
-_RUN_KEYS = {
-    "L", "N", "h", "T", "alpha", "mobility", "potential", "sigma",
-    "record_every", "eps0", "eps_min", "rho", "tol_grad", "max_newton",
-    "armijo_c", "tau_boundary", "initial",
-}
+STEP_KEYS = {"h", "eps0", "eps_min", "rho", "tol_grad", "max_newton", "armijo_c",
+             "tau_boundary"}
 
-_STEP_DEFAULTS = StepParams(h=1.0)
+_RUN_KEYS = {
+    "L", "N", "T", "alpha", "mobility", "potential", "sigma", "record_every", "initial",
+} | STEP_KEYS
 
 
 class ConfigError(ValueError):
@@ -144,6 +145,16 @@ def _parse_initial(raw):
     return InitialDataSpec(kind, **kwargs)
 
 
+def parse_step(data, where="config"):
+    """StepParams from the STEP_KEYS entries of a config dict; "h" is required."""
+    _require(data, "h", where)
+    try:
+        return StepParams(**{k: int(data[k]) if k == "max_newton" else float(data[k])
+                             for k in STEP_KEYS if k in data})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(data):
     """Validate a simulate-style config dict into a RunConfig."""
     if not isinstance(data, dict):
@@ -166,19 +177,10 @@ def parse_config(data):
         if not 0.0 < sigma < 1.0:
             raise ConfigError("sigma must be in (0,1)")
 
-    h = float(_require(data, "h", "config"))
-    if h <= 0:
-        raise ConfigError("h must be positive")
+    step = parse_step(data)
     T = float(_require(data, "T", "config"))
 
-    step_kwargs = {"h": h}
-    for key in ("eps0", "eps_min", "rho", "tol_grad", "armijo_c", "tau_boundary"):
-        if key in data:
-            step_kwargs[key] = float(data[key])
-    if "max_newton" in data:
-        step_kwargs["max_newton"] = int(data["max_newton"])
     try:
-        step = StepParams(**step_kwargs)
         model = ModelParams(
             alpha=alpha,
             mobility=_parse_mobility(_require(data, "mobility", "config")),
@@ -295,7 +297,7 @@ def _json_default(obj):
 
 def write_summary(outdir, payload):
     path = Path(outdir) / "summary.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                                default=_json_default) + "\n")
     return path
 

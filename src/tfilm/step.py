@@ -24,15 +24,20 @@ Newton's method needs two regularisations, one per rheology branch:
 The barrier in G_sigma keeps iterates positive; a fraction-to-boundary
 cap on the line search only prevents trial points from overshooting
 past the singularity.
+
+Each accepted iterate's energy and chemical potential are evaluated
+once and carried into ``StepResult``; ``reduced_objective`` and
+``el_residual`` are the standalone reference evaluations.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
-from .grid import divergence, gradient, integrate, laplacian_neumann, zero_flux
+from .grid import divergence, integrate, laplacian_neumann, zero_flux
 from .models import INFINITE_ENERGY, energy, mobility_face, psi, psi_inverse
 
 __all__ = [
@@ -124,6 +129,20 @@ def _check_preconditions(g, u_star, model, mp):
     return m_faces, e_before
 
 
+def _functional(g, model, mp, w, h, eps, q, u, e=None):
+    """(step functional, energy of u) at interior fluxes q and u = u* - h div(q).
+
+    w = m(u*)^(-1/alpha) on interior faces.  A known energy e of u is
+    reused, so that only the dissipation term is added.
+    """
+    if e is None:
+        e = energy(g, u, mp)
+    if not math.isfinite(e.total):
+        return INFINITE_ENERGY, e
+    coeff = model.alpha / (model.alpha + 1.0)
+    return e.total + h * coeff * g.dx * float(np.sum(w * _psi_eps(q, model.p, eps))), e
+
+
 def reduced_objective(g, j, u_star, model, step, eps):
     """Value of the step functional at a flux-typed face field j.
 
@@ -134,74 +153,75 @@ def reduced_objective(g, j, u_star, model, step, eps):
     mp = model.modified()
     m_faces, _ = _check_preconditions(g, u_star, model, mp)
     u = u_star - step.h * divergence(g, j)
-    e = energy(g, u, mp)
-    if not math.isfinite(e.total):
-        return INFINITE_ENERGY
     w = m_faces[1:-1] ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
-    diss = step.h * (model.alpha / (model.alpha + 1.0)) * g.dx * float(
-        np.sum(w * _psi_eps(q, model.p, eps))
-    )
-    return e.total + diss
+    return _functional(g, model, mp, w, step.h, eps, q, u)[0]
 
 
 def _chemical_potential(g, u, mp):
     return -laplacian_neumann(g, u) + mp.dg_sigma(u)
 
 
-def _newton(g, q, u_star, model, mp, w, step, eps, tol):
-    """Damped Newton at fixed smoothing eps.  Returns (q, iters, grad_norm)."""
+def _el_defect(g, q, mu, m_int, alpha):
+    """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior faces."""
+    r = q - m_int * psi(alpha, -np.diff(mu) / g.dx)
+    pprime = alpha + 1.0
+    return float((g.dx * np.sum(np.abs(r) ** pprime)) ** (1.0 / pprime))
+
+
+def _height(g, u_star, h, q):
+    j = zero_flux(g)
+    j[1:-1] = q
+    return u_star - h * divergence(g, j)
+
+
+class _Iterate(NamedTuple):
+    """An accepted iterate and the quantities evaluated at it."""
+
+    q: np.ndarray            # interior face fluxes
+    u: np.ndarray            # u_star - h div(q)
+    energy: tuple            # EnergyBreakdown of u
+    mu: np.ndarray           # chemical potential of u
+    f: float                 # step functional at the current eps
+
+
+def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
+    """Damped Newton at fixed smoothing eps from the accepted iterate `state`.
+
+    Returns (iterate, iters, grad_norm).
+    """
     N, dx, h, p = g.N, g.dx, step.h, model.p
-    alpha = model.alpha
-    coeff = alpha / (alpha + 1.0)
+    lap_diag, ao, d2 = bands
+    q, u, e, mu, f = state
 
-    def height(qv):
-        jv = np.zeros(N + 1)
-        jv[1:-1] = qv
-        return u_star - h * divergence(g, jv)
-
-    def objective(qv, uv):
-        if mp.has_barrier and np.any(uv <= 0.0):
-            return INFINITE_ENERGY
-        e = energy(g, uv, mp)
-        if not math.isfinite(e.total):
-            return INFINITE_ENERGY
-        return e.total + h * coeff * dx * float(np.sum(w * _psi_eps(qv, p, eps)))
-
-    u = height(q)
-    f = objective(q, u)
-    if not math.isfinite(f):
-        raise ValueError("initial flux leaves the barrier domain")
-
-    # -Delta_h matrix bands (cells): ad = diag, ao = superdiag
-    lap_diag = np.full(N, 2.0) / dx**2
-    lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
-    lap_off = np.full(N - 1, -1.0) / dx**2
-
-    for it in range(step.max_newton):
-        mu = _chemical_potential(g, u, mp)
-        grad_mu = np.diff(mu) / dx
-        g_scaled = grad_mu + w * _psi_tilde(q, p, eps)
+    for it in range(step.max_newton + 1):
+        g_scaled = np.diff(mu) / dx + w * _psi_tilde(q, p, eps)
         grad_norm = math.sqrt(dx * float(np.sum(g_scaled * g_scaled)))
         # Converged on the gradient norm.  A first iterate that is merely
-        # under tol still gets one polishing iteration: without it,
-        # modes whose driving gradient has decayed below tol would
-        # freeze instead of keeping their relative accuracy.
-        if grad_norm <= tol and (it >= 1 or grad_norm == 0.0):
-            return q, it, grad_norm
+        # under tol still gets one polishing iteration (unless the cap
+        # allows none): without it, modes whose driving gradient has
+        # decayed below tol would freeze instead of keeping their
+        # relative accuracy.
+        if grad_norm <= tol and (it >= 1 or grad_norm == 0.0 or step.max_newton == 0):
+            return _Iterate(q, u, e, mu, f), it, grad_norm
+        if it == step.max_newton:
+            raise StepNonconvergenceError(
+                f"Newton did not reach tol_grad={tol:g} in {step.max_newton} iterations "
+                f"(grad norm {grad_norm:.3e}, eps {eps:g})",
+                u_last=u,
+                j_last=q,
+                grad_norm=grad_norm,
+            )
 
         grad_raw = h * dx * g_scaled
 
         # Hessian bands in the interior-face index: energy block
         # h^2 D^T H_E D (pentadiagonal) plus the dissipation diagonal.
         ad = dx * (lap_diag + mp.d2g_sigma(u))
-        ao = dx * lap_off
         d0 = (ad[:-1] - 2.0 * ao + ad[1:]) / dx**2
         d1 = (ao[:-1] - ad[1:-1] + ao[1:]) / dx**2
-        d2 = -ao[1:-1] / dx**2
         d0 = h * h * d0 + h * dx * w * _psi_tilde_prime(q, p, eps)
         d1 = h * h * d1
-        d2 = h * h * d2
         if p > 2.0:
             d0 = d0 + 1e-12 * (1.0 + np.abs(d0))
 
@@ -229,7 +249,7 @@ def _newton(g, q, u_star, model, mp, w, step, eps, tol):
 
         t = 1.0
         if mp.has_barrier:
-            jd = np.zeros(N + 1)
+            jd = zero_flux(g)
             jd[1:-1] = delta
             du_dir = -h * divergence(g, jd)
             shrink = du_dir < 0.0
@@ -245,8 +265,8 @@ def _newton(g, q, u_star, model, mp, w, step, eps, tol):
         accepted = False
         for _ in range(60):
             q_try = q + t * delta
-            u_try = height(q_try)
-            f_try = objective(q_try, u_try)
+            u_try = _height(g, u_star, h, q_try)
+            f_try, e_try = _functional(g, model, mp, w, h, eps, q_try, u_try)
             decrease_ok = f_try <= f + step.armijo_c * t * dd
             unmeasurable = -t * dd <= granularity and math.isfinite(f_try)
             if decrease_ok or unmeasurable:
@@ -256,7 +276,7 @@ def _newton(g, q, u_star, model, mp, w, step, eps, tol):
         if not accepted:
             if grad_norm <= tol:
                 # stalled while polishing an already-converged iterate
-                return q, it, grad_norm
+                return _Iterate(q, u, e, mu, f), it, grad_norm
             raise StepNonconvergenceError(
                 f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
                 "tol_grad is below the roundoff floor of this problem",
@@ -264,20 +284,8 @@ def _newton(g, q, u_star, model, mp, w, step, eps, tol):
                 j_last=q,
                 grad_norm=grad_norm,
             )
-        q, u, f = q_try, u_try, f_try
-
-    mu = _chemical_potential(g, u, mp)
-    g_scaled = np.diff(mu) / dx + w * _psi_tilde(q, p, eps)
-    grad_norm = math.sqrt(dx * float(np.sum(g_scaled * g_scaled)))
-    if grad_norm <= tol:
-        return q, step.max_newton, grad_norm
-    raise StepNonconvergenceError(
-        f"Newton did not reach tol_grad={tol:g} in {step.max_newton} iterations "
-        f"(grad norm {grad_norm:.3e}, eps {eps:g})",
-        u_last=u,
-        j_last=q,
-        grad_norm=grad_norm,
-    )
+        q, u, e, f = q_try, u_try, e_try, f_try
+        mu = _chemical_potential(g, u, mp)
 
 
 def solve_step(g, u_star, model, step, j0=None):
@@ -291,7 +299,8 @@ def solve_step(g, u_star, model, step, j0=None):
     u_star = np.asarray(u_star, dtype=float)
     mp = model.modified()
     m_faces, e_before = _check_preconditions(g, u_star, model, mp)
-    w = m_faces[1:-1] ** (-1.0 / model.alpha)
+    m_int = m_faces[1:-1]
+    w = m_int ** (-1.0 / model.alpha)
 
     if j0 is None:
         q = np.zeros(g.N - 1)
@@ -309,48 +318,59 @@ def solve_step(g, u_star, model, step, j0=None):
     else:
         ladder = [step.eps_min]
 
+    u = _height(g, u_star, step.h, q)
+    # from zero flux the height is u_star bit for bit, and so is its energy
+    state = _Iterate(q, u, e_before if j0 is None else energy(g, u, mp),
+                     _chemical_potential(g, u, mp), None)
+    if not math.isfinite(state.energy.total):
+        raise ValueError("initial flux leaves the barrier domain")
+    # -Delta_h bands on cells (diagonal, dx * superdiagonal) and the outer
+    # band h^2 D^T (-Delta_h) D of the Newton matrix: fixed for the step
+    dx = g.dx
+    lap_diag = np.full(g.N, 2.0) / dx**2
+    lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
+    ao = dx * (np.full(g.N - 1, -1.0) / dx**2)
+    bands = (lap_diag, ao, step.h * step.h * (-ao[1:-1] / dx**2))
+
     total_iters = 0
     grad_norm = math.inf
     for eps in ladder:
         tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
-        q, iters, grad_norm = _newton(g, q, u_star, model, mp, w, step, eps, tol)
+        # a new level keeps the energy and mu and re-adds only the dissipation
+        f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
+        state, iters, grad_norm = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
+                                          state._replace(f=f))
         total_iters += iters
 
+    q, u_next = state.q, state.u
     j = zero_flux(g)
     j[1:-1] = q
-    u_next = u_star - step.h * divergence(g, j)
 
     mass_star = integrate(g, u_star)
     mass_next = integrate(g, u_next)
     if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
         raise AssertionError("mass drifted beyond roundoff in a single step")
 
-    e_after = energy(g, u_next, mp)
-    f_final = e_after.total + step.h * (model.alpha / (model.alpha + 1.0)) * g.dx * float(
-        np.sum(w * _psi_eps(q, model.p, step.eps_min))
-    )
-    if f_final > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
+    # the last ladder level is eps_min, so state.f is the functional there
+    if state.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
         raise AssertionError("step objective exceeds the zero-flux comparison value")
 
     p = model.p
     diss_flux = g.dx * float(np.sum(w * np.abs(q) ** p))
-    m_int = m_faces[1:-1]
     xi = psi_inverse(model.alpha, q / m_int)
     diss_strong = g.dx * float(np.sum(m_int * np.abs(xi) ** (model.alpha + 1.0)))
 
-    result = StepResult(
+    return StepResult(
         u_next=u_next,
         j=j,
         newton_iters=total_iters,
         final_grad_norm=grad_norm,
-        el_residual_norm=0.0,
+        el_residual_norm=_el_defect(g, q, state.mu, m_int, model.alpha),
         energy_before=e_before,
-        energy_after=e_after,
+        energy_after=state.energy,
         dissipation_flux_term=diss_flux,
         dissipation_strong_term=diss_strong,
     )
-    result.el_residual_norm = el_residual(g, result, u_star, model)
-    return result
 
 
 def el_residual(g, res, u_star, model):
@@ -360,11 +380,9 @@ def el_residual(g, res, u_star, model):
     the defect is measured in the face-weighted l^(alpha+1) norm.  At
     convergence it sits at the level tol_grad + eps_min^(p-1) up to a
     reported constant, because the reduced gradient is exactly this
-    relation passed through the smoothed power.
+    relation passed through the smoothed power.  This recomputes from
+    scratch what solve_step reports from its carried state.
     """
-    mp = model.modified()
-    mu = _chemical_potential(g, res.u_next, mp)
+    mu = _chemical_potential(g, res.u_next, model.modified())
     m_faces = mobility_face(model.mobility, u_star, g)
-    r = res.j[1:-1] - m_faces[1:-1] * psi(model.alpha, -np.diff(mu) / g.dx)
-    pprime = model.alpha + 1.0
-    return float((g.dx * np.sum(np.abs(r) ** pprime)) ** (1.0 / pprime))
+    return _el_defect(g, res.j[1:-1], mu, m_faces[1:-1], model.alpha)

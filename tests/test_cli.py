@@ -51,6 +51,11 @@ def test_alpha_and_h_validation():
         parse_config(dict(MINIMAL, h=0))
 
 
+def test_step_key_of_wrong_type_rejected():
+    with pytest.raises(ConfigError, match="NoneType"):
+        parse_config(dict(MINIMAL, rho=None))
+
+
 def test_parse_error_reports_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{\n "L": 1,\n "N": }\n')
@@ -212,3 +217,30 @@ def test_cli_rates_inconclusive_exit_2(tmp_path):
     out = tmp_path / "out"
     assert main(["rates", "--config", str(p), "--out", str(out)]) == 2
     assert (out / "summary.json").exists()
+
+
+# a sweep in which no member lifts off before T
+NO_LIFTOFF = {"N": 64, "h": 1e-5, "T": 2e-5, "M": 1.0, "n": 2, "alpha": 1,
+              "deltas": [0.1, 0.01]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_liftoff_unreached_writes_standard_json(tmp_path):
+    p = write_json(tmp_path / "lift.json", NO_LIFTOFF)
+    out = tmp_path / "out"
+    assert main(["sweep-liftoff", "--config", str(p), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["t0_hat"] is None
+    assert summary["median_t_half"] is None
+    assert summary["t_half"] == [None, None]
+
+
+def test_cli_liftoff_step_keys_validated(tmp_path, capsys):
+    p = write_json(tmp_path / "bad.json", dict(NO_LIFTOFF, rho=1.5))
+    assert main(["sweep-liftoff", "--config", str(p), "--out", str(tmp_path / "o1")]) == 1
+    assert "tfilm: error: rho must be in (0, 1)" in capsys.readouterr().err
+    p = write_json(tmp_path / "ok.json", dict(NO_LIFTOFF, max_newton=60))
+    assert main(["sweep-liftoff", "--config", str(p), "--out", str(tmp_path / "o2")]) == 2
