@@ -40,6 +40,7 @@ from .models import (
     zero_potential,
 )
 from .step import (
+    StepCheckError,
     StepNonconvergenceError,
     StepParams,
     StepResult,

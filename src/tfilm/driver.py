@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import Grid, integrate
 from .models import ModelParams, energy, unmodified_potential
-from .step import StepNonconvergenceError, StepParams, solve_step
+from .step import StepCheckError, StepNonconvergenceError, StepParams, solve_step
 
 __all__ = [
     "InitialDataSpec",
@@ -181,8 +181,10 @@ def run(cfg):
     """March the scheme from the configured initial height.
 
     Diagnostics are recorded every step; snapshots every
-    ``record_every`` steps (plus the initial and final states).
-    Solver nonconvergence propagates with the failing step index.
+    ``record_every`` steps (plus the initial and final states).  Each
+    step after the first is warm-started from the previous step's flux.
+    Solver nonconvergence and failed step checks propagate with the
+    failing step index.
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
     u = cfg.initial.build(g)
@@ -195,15 +197,23 @@ def run(cfg):
     series.snapshots[0.0] = u.copy()
 
     e_prev = e0.total
+    j_prev = None
     for k in range(cfg.n_steps):
         try:
-            res = solve_step(g, u, model, sp)
+            res = solve_step(g, u, model, sp, j0=j_prev)
         except StepNonconvergenceError as exc:
             raise StepNonconvergenceError(
                 f"step {k + 1} (t = {(k + 1) * sp.h:g}) failed: {exc}",
                 u_last=exc.u_last,
                 j_last=exc.j_last,
                 grad_norm=exc.grad_norm,
+                iters=exc.iters,
+            ) from exc
+        except StepCheckError as exc:
+            raise StepCheckError(
+                f"step {k + 1} (t = {(k + 1) * sp.h:g}) failed: {exc}",
+                u_last=exc.u_last,
+                j_last=exc.j_last,
             ) from exc
         t = (k + 1) * sp.h
         slack = e_prev - res.energy_after.total - sp.h * res.dissipation_flux_term
@@ -216,6 +226,7 @@ def run(cfg):
         if (k + 1) % cfg.record_every == 0 or k + 1 == cfg.n_steps:
             series.snapshots[t] = u.copy()
         e_prev = res.energy_after.total
+        j_prev = res.j
     return series
 
 

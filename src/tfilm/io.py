@@ -145,13 +145,22 @@ def _parse_initial(raw):
     return InitialDataSpec(kind, **kwargs)
 
 
+def _number(kind, value, key):
+    """int(value) or float(value); a ConfigError for null or non-numeric values."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def parse_step(data, where="config"):
     """StepParams from the STEP_KEYS entries of a config dict; "h" is required."""
     _require(data, "h", where)
+    values = {k: _number(int if k == "max_newton" else float, data[k], k)
+              for k in STEP_KEYS if k in data}
     try:
-        return StepParams(**{k: int(data[k]) if k == "max_newton" else float(data[k])
-                             for k in STEP_KEYS if k in data})
-    except (TypeError, ValueError) as exc:
+        return StepParams(**values)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -161,24 +170,24 @@ def parse_config(data):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(data, _RUN_KEYS, "config")
 
-    N = int(_require(data, "N", "config"))
-    L = float(data.get("L", 1.0))
+    N = _number(int, _require(data, "N", "config"), "N")
+    L = _number(float, data.get("L", 1.0), "L")
     if N < 4:
         raise ConfigError("N must be at least 4")
     if L <= 0:
         raise ConfigError("L must be positive")
 
-    alpha = float(_require(data, "alpha", "config"))
+    alpha = _number(float, _require(data, "alpha", "config"), "alpha")
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
     sigma = _require(data, "sigma", "config")
     if sigma is not None:
-        sigma = float(sigma)
+        sigma = _number(float, sigma, "sigma")
         if not 0.0 < sigma < 1.0:
             raise ConfigError("sigma must be in (0,1)")
 
     step = parse_step(data)
-    T = float(_require(data, "T", "config"))
+    T = _number(float, _require(data, "T", "config"), "T")
 
     try:
         model = ModelParams(
@@ -192,7 +201,7 @@ def parse_config(data):
             model=model,
             step=step,
             T=T,
-            record_every=int(data.get("record_every", 1)),
+            record_every=_number(int, data.get("record_every", 1), "record_every"),
             initial=_parse_initial(data.get("initial")),
         )
     except ConfigError:

@@ -28,6 +28,13 @@ past the singularity.
 Each accepted iterate's energy and chemical potential are evaluated
 once and carried into ``StepResult``; ``reduced_objective`` and
 ``el_residual`` are the standalone reference evaluations.
+
+A step can be warm-started from a flux j0 (``run`` passes the previous
+step's).  The warm start skips the eps ladder and solves at eps_min
+directly, where the functional is strictly convex, so it reaches the
+cold start's minimiser up to the Newton tolerance.  A warm flux that
+leaves the barrier domain, or a Newton failure from it, falls back to
+the cold solve: zero flux down the full ladder.
 """
 
 import math
@@ -44,6 +51,7 @@ __all__ = [
     "StepParams",
     "StepResult",
     "StepNonconvergenceError",
+    "StepCheckError",
     "reduced_objective",
     "solve_step",
     "el_residual",
@@ -92,13 +100,27 @@ class StepResult:
 
 
 class StepNonconvergenceError(RuntimeError):
-    """Newton iteration cap exceeded; carries the last iterate."""
+    """Newton iteration cap exceeded; carries the last iterate.
 
-    def __init__(self, message, u_last=None, j_last=None, grad_norm=None):
+    ``iters`` is the number of Newton iterations spent before giving up.
+    """
+
+    def __init__(self, message, u_last=None, j_last=None, grad_norm=None, iters=0):
         super().__init__(message)
         self.u_last = u_last
         self.j_last = j_last
         self.grad_norm = grad_norm
+        self.iters = iters
+
+
+class StepCheckError(RuntimeError):
+    """A solved step broke mass conservation or the zero-flux comparison;
+    carries the offending iterate."""
+
+    def __init__(self, message, u_last=None, j_last=None):
+        super().__init__(message)
+        self.u_last = u_last
+        self.j_last = j_last
 
 
 # --- smoothed p-power and its derivatives scaled by alpha/(alpha+1) --------
@@ -211,6 +233,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
                 u_last=u,
                 j_last=q,
                 grad_norm=grad_norm,
+                iters=it,
             )
 
         grad_raw = h * dx * g_scaled
@@ -283,9 +306,26 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
                 u_last=u,
                 j_last=q,
                 grad_norm=grad_norm,
+                iters=it,
             )
         q, u, e, f = q_try, u_try, e_try, f_try
         mu = _chemical_potential(g, u, mp)
+
+
+def _descend(g, u_star, model, mp, w, bands, step, ladder, state):
+    """Newton down the eps ladder from the accepted iterate `state`.
+
+    Returns (iterate, iters, grad_norm) at the last level.
+    """
+    total_iters = 0
+    for eps in ladder:
+        tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
+        # a new level keeps the energy and mu and re-adds only the dissipation
+        f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
+        state, iters, grad_norm = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
+                                          state._replace(f=f))
+        total_iters += iters
+    return state, total_iters, grad_norm
 
 
 def solve_step(g, u_star, model, step, j0=None):
@@ -295,6 +335,12 @@ def solve_step(g, u_star, model, step, j0=None):
     equation exactly.  The objective at the solution never exceeds the
     value of the feasible pair (u_star, 0), which is the one-step weak
     energy-dissipation inequality.
+
+    A warm start j0 (a face field or its interior values) is solved at
+    eps_min directly.  If it leaves the barrier domain, or Newton fails
+    from it, the step is solved cold: from zero flux down the full eps
+    ladder, exactly as without j0.  ``newton_iters`` then also counts the
+    iterations of the failed warm attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
     mp = model.modified()
@@ -302,28 +348,6 @@ def solve_step(g, u_star, model, step, j0=None):
     m_int = m_faces[1:-1]
     w = m_int ** (-1.0 / model.alpha)
 
-    if j0 is None:
-        q = np.zeros(g.N - 1)
-    else:
-        j0 = np.asarray(j0, dtype=float)
-        q = j0[1:-1].copy() if j0.shape == (g.N + 1,) else j0.copy()
-
-    if model.alpha > 1.0 and step.eps0 > step.eps_min:
-        ladder = []
-        e = step.eps0
-        while e > step.eps_min * (1.0 + 1e-12):
-            ladder.append(e)
-            e *= step.rho
-        ladder.append(step.eps_min)
-    else:
-        ladder = [step.eps_min]
-
-    u = _height(g, u_star, step.h, q)
-    # from zero flux the height is u_star bit for bit, and so is its energy
-    state = _Iterate(q, u, e_before if j0 is None else energy(g, u, mp),
-                     _chemical_potential(g, u, mp), None)
-    if not math.isfinite(state.energy.total):
-        raise ValueError("initial flux leaves the barrier domain")
     # -Delta_h bands on cells (diagonal, dx * superdiagonal) and the outer
     # band h^2 D^T (-Delta_h) D of the Newton matrix: fixed for the step
     dx = g.dx
@@ -331,15 +355,36 @@ def solve_step(g, u_star, model, step, j0=None):
     lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
     ao = dx * (np.full(g.N - 1, -1.0) / dx**2)
     bands = (lap_diag, ao, step.h * step.h * (-ao[1:-1] / dx**2))
+    args = (g, u_star, model, mp, w, bands, step)
 
-    total_iters = 0
-    grad_norm = math.inf
-    for eps in ladder:
-        tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
-        # a new level keeps the energy and mu and re-adds only the dissipation
-        f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
-        state, iters, grad_norm = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
-                                          state._replace(f=f))
+    state, total_iters = None, 0
+    if j0 is not None:
+        j0 = np.asarray(j0, dtype=float)
+        q = j0[1:-1].copy() if j0.shape == (g.N + 1,) else j0.copy()
+        u = _height(g, u_star, step.h, q)
+        e = energy(g, u, mp)
+        if math.isfinite(e.total):  # else the warm flux leaves the barrier domain
+            try:
+                state, total_iters, grad_norm = _descend(
+                    *args, [step.eps_min], _Iterate(q, u, e, _chemical_potential(g, u, mp), None))
+            except StepNonconvergenceError as exc:
+                total_iters = exc.iters
+
+    if state is None:
+        if model.alpha > 1.0 and step.eps0 > step.eps_min:
+            ladder = []
+            eps = step.eps0
+            while eps > step.eps_min * (1.0 + 1e-12):
+                ladder.append(eps)
+                eps *= step.rho
+            ladder.append(step.eps_min)
+        else:
+            ladder = [step.eps_min]
+        q = np.zeros(g.N - 1)
+        u = _height(g, u_star, step.h, q)
+        # from zero flux the height is u_star bit for bit, and so is its energy
+        state, iters, grad_norm = _descend(
+            *args, ladder, _Iterate(q, u, e_before, _chemical_potential(g, u, mp), None))
         total_iters += iters
 
     q, u_next = state.q, state.u
@@ -349,11 +394,13 @@ def solve_step(g, u_star, model, step, j0=None):
     mass_star = integrate(g, u_star)
     mass_next = integrate(g, u_next)
     if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
-        raise AssertionError("mass drifted beyond roundoff in a single step")
+        raise StepCheckError("mass drifted beyond roundoff in a single step",
+                             u_last=u_next, j_last=q)
 
     # the last ladder level is eps_min, so state.f is the functional there
     if state.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
-        raise AssertionError("step objective exceeds the zero-flux comparison value")
+        raise StepCheckError("step objective exceeds the zero-flux comparison value",
+                             u_last=u_next, j_last=q)
 
     p = model.p
     diss_flux = g.dx * float(np.sum(w * np.abs(q) ** p))

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import tfilm.step
 from tfilm.cli import main
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.grid import Grid
@@ -244,3 +246,25 @@ def test_cli_liftoff_step_keys_validated(tmp_path, capsys):
     assert "tfilm: error: rho must be in (0, 1)" in capsys.readouterr().err
     p = write_json(tmp_path / "ok.json", dict(NO_LIFTOFF, max_newton=60))
     assert main(["sweep-liftoff", "--config", str(p), "--out", str(tmp_path / "o2")]) == 2
+
+
+# sigma: null is valid (no barrier), so sigma gets a non-numeric value instead
+@pytest.mark.parametrize("key,value", [
+    ("N", None), ("L", None), ("alpha", None), ("T", None), ("record_every", None),
+    ("sigma", [0.01]),
+])
+def test_cli_non_numeric_config_value_exit_1(tmp_path, capsys, key, value):
+    p = write_json(tmp_path / "bad.json", dict(MINIMAL, **{key: value}))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert f"tfilm: error: {key}:" in capsys.readouterr().err
+
+
+def test_cli_step_check_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # every mass evaluation inside the step differs from the last one
+    counter = itertools.count()
+    monkeypatch.setattr(tfilm.step, "integrate", lambda g, f: float(next(counter)))
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=48, T=2e-4, tol_grad=1e-8))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "tfilm: error: step 1 (t = 0.0001) failed: mass drifted" in err
+    assert "Traceback" not in err

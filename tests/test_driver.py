@@ -19,7 +19,7 @@ from tfilm.models import (
     quadratic_potential,
     zero_potential,
 )
-from tfilm.step import StepNonconvergenceError, StepParams
+from tfilm.step import StepNonconvergenceError, StepParams, solve_step
 
 
 def simple_config(alpha=1.0, n=2.0, sigma=0.05, N=48, h=1e-5, T=None,
@@ -233,3 +233,17 @@ def test_holder_needs_two_snapshots():
     s.snapshots = {0.0: s.snapshots[0.0]}
     with pytest.raises(ValueError):
         holder_quotient(s, 1.0)
+
+
+def test_warm_started_run_takes_fewer_newton_iterations():
+    # alpha = 2 climbs the whole eps ladder from a cold start
+    cfg = simple_config(alpha=2.0, h=1e-5)
+    series = run(cfg)
+    warm_iters = int(np.sum(series.column("newton_iters")))
+    times = sorted(series.snapshots)
+    cold_iters = sum(
+        solve_step(cfg.grid, series.snapshots[t], cfg.model, cfg.step).newton_iters
+        for t in times[:-1]
+    )
+    assert len(times) == cfg.n_steps + 1
+    assert warm_iters < cold_iters

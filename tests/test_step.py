@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import tfilm.step
 from tfilm.grid import Grid, divergence, integrate, laplacian_neumann, zero_flux
 from tfilm.models import (
     ModelParams,
@@ -12,6 +15,7 @@ from tfilm.models import (
     zero_potential,
 )
 from tfilm.step import (
+    StepCheckError,
     StepNonconvergenceError,
     StepParams,
     _psi_eps,
@@ -227,3 +231,69 @@ def test_el_residual_recompute_matches():
     model = barrier_model(alpha=1.0)
     res = solve_step(g, u, model, StepParams(h=1e-4))
     assert el_residual(g, res, u, model) == pytest.approx(res.el_residual_norm)
+
+
+def test_mass_check_raises_typed_error(monkeypatch):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    counter = itertools.count()
+    monkeypatch.setattr(tfilm.step, "integrate", lambda g, f: float(next(counter)))
+    with pytest.raises(StepCheckError, match="mass drifted") as info:
+        solve_step(g, u, barrier_model(), StepParams(h=1e-4))
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.u_last.shape == (32,)
+    assert info.value.j_last.shape == (31,)
+
+
+def test_comparison_check_raises_typed_error(monkeypatch):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    real = tfilm.step._check_preconditions
+
+    def lowered(*args):
+        # a comparison value one unit below the true energy of u_star
+        m_faces, e = real(*args)
+        return m_faces, e._replace(total=e.total - 1.0)
+
+    monkeypatch.setattr(tfilm.step, "_check_preconditions", lowered)
+    with pytest.raises(StepCheckError, match="zero-flux comparison"):
+        solve_step(g, u, barrier_model(), StepParams(h=1e-4))
+
+
+def test_warm_start_outside_barrier_domain_falls_back_to_cold():
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    model = barrier_model(alpha=2.0)
+    sp = StepParams(h=1e-4, tol_grad=1e-8)
+    j0 = zero_flux(g)
+    j0[16] = 1.0 / sp.h  # empties cell 15 far below zero
+    assert np.min(u - sp.h * divergence(g, j0)) < 0.0
+    cold = solve_step(g, u, model, sp)
+    warm = solve_step(g, u, model, sp, j0=j0)
+    assert np.array_equal(warm.u_next, cold.u_next)
+    assert np.array_equal(warm.j, cold.j)
+    assert warm.newton_iters == cold.newton_iters
+    assert warm.energy_after == cold.energy_after
+
+
+def test_failed_warm_start_reruns_the_cold_ladder(monkeypatch):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    model = barrier_model(alpha=2.0)
+    sp = StepParams(h=1e-4, tol_grad=1e-8)
+    cold = solve_step(g, u, model, sp)
+    real = tfilm.step._descend
+    ladders = []
+
+    def failing_at_eps_min_only(*args):
+        ladder = args[-2]
+        ladders.append(list(ladder))
+        if len(ladder) == 1:
+            raise StepNonconvergenceError("forced", iters=5)
+        return real(*args)
+
+    monkeypatch.setattr(tfilm.step, "_descend", failing_at_eps_min_only)
+    warm = solve_step(g, u, model, sp, j0=cold.j)
+    assert ladders[0] == [sp.eps_min] and len(ladders[1]) == 7
+    assert np.array_equal(warm.u_next, cold.u_next)
+    assert warm.newton_iters == cold.newton_iters + 5
