@@ -1,11 +1,13 @@
 """Command-line surface.
 
-    tfilm <command> --config <path> --out <dir> [--threads K] [--seed S]
+    tfilm <command> --config <path> --out <dir> [--threads K] [--seed S] [--break-lock]
 
 Commands: simulate, sweep-liftoff, dissipation-bound, bb-action, rates,
 audit-ede, point-lemma.  Exit code 0 means every audit in the command's
 report passed, 2 means some audit failed (reports are still written),
-1 means the command errored out.
+1 means the command errored out.  A directory locked by another run is
+refused with exit 1; --break-lock removes a lock whose recorded holder is
+no longer running, never one held by a live process.
 """
 
 import argparse
@@ -282,6 +284,8 @@ def main(argv=None):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--break-lock", action="store_true",
+                       help="remove a lock left by a run that is no longer running")
     args = parser.parse_args(argv)
 
     from pathlib import Path
@@ -289,7 +293,7 @@ def main(argv=None):
     try:
         data = parse_config_file(args.config)
         outdir = Path(args.out)
-        with DirectoryLock(outdir):
+        with DirectoryLock(outdir, break_stale=args.break_lock):
             outdir.mkdir(parents=True, exist_ok=True)
             ok = _COMMANDS[args.command](data, outdir, args.threads, args.seed)
     except (ConfigError, StepNonconvergenceError, EnergyAuditError,

@@ -425,25 +425,80 @@ def _lump_to_atoms(g, dens, z):
     return weights
 
 
-def _place_balls(g, centers, weights, radius):
-    """Density with mass weights[k] spread uniformly over |x - c_k| < radius.
+# Cap, in bytes, on every float64 or int64 temporary of the transport path:
+# substeps are processed in chunks of at most this size whatever N is, and
+# the few temporaries of one chunk stay within a core's L2 cache.
+_CHUNK_BYTES = 1 << 17
 
+
+def _chunk_rows(width):
+    """Rows of `width` eight-byte entries that fit in _CHUNK_BYTES (at least 1)."""
+    return max(1, _CHUNK_BYTES // (8 * width))
+
+
+def _ball_window(g, radius):
+    """Cells evaluated per ball: a ball covers at most ceil(2r/dx) + 1 cells."""
+    return min(int(math.ceil(2.0 * radius / g.dx)) + 2, g.N)
+
+
+def _place_balls(g, centers, weights, radius):
+    """Densities with mass weights[k] spread uniformly over |x - centers[s, k]| < radius.
+
+    `centers` is (S, P): S substeps of P balls; `weights` is (P,) or
+    (S, P); the result is (S, N).
     Cells are weighted by their exact overlap with the ball, so the
     discrete mass equals the atom weight to roundoff and the profile
     varies continuously as the center slides (whole-cell quantisation
-    would make a translating bump "breathe" and pollute the flux).
+    would make a translating bump "breathe" and pollute the flux).  A
+    ball cut off by 0 or L is normalised by its clipped width
+    min(c + r, L) - max(c - r, 0), so it keeps its mass.
+
+    Only a window of ``_ball_window`` cells from the cell holding the
+    left edge is evaluated per ball, and all windows are scatter-added by
+    one bincount in ball order, so each cell sums its balls in the same
+    order as a loop over the balls would.
     """
-    faces = g.faces()
-    out = np.zeros(g.N)
-    for c, wgt in zip(centers, weights):
-        if wgt == 0.0:
-            continue
-        left = max(c - radius, 0.0)
-        right = min(c + radius, g.L)
-        overlap = np.minimum(faces[1:], right) - np.maximum(faces[:-1], left)
-        np.clip(overlap, 0.0, None, out=overlap)
-        out += wgt * overlap / ((right - left) * g.dx)
-    return out
+    centers = np.asarray(centers, dtype=float)
+    S, P = centers.shape
+    K = _ball_window(g, radius)
+    left = np.maximum(centers - radius, 0.0)
+    right = np.minimum(centers + radius, g.L)
+    first = np.minimum(np.searchsorted(g.faces(), left, side="right") - 1, g.N - K)
+    # the ball's mass profile clip(x, left, right) sampled at the window's
+    # faces (equal to g.faces() there); its differences are the overlaps
+    ramp = (first[..., None] + np.arange(K + 1)) * g.dx
+    np.maximum(ramp, left[..., None], out=ramp)
+    np.minimum(ramp, right[..., None], out=ramp)
+    dens = weights[..., None] * np.diff(ramp) / ((right - left) * g.dx)[..., None]
+    cells = (first + np.arange(S)[:, None] * g.N)[..., None] + np.arange(K)
+    return np.bincount(cells.ravel(), weights=dens.ravel(),
+                       minlength=S * g.N).reshape(S, g.N)
+
+
+def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
+    """Action of a piecewise-linear-in-time path of n_sub substeps.
+
+    `blocks` yields the n_sub + 1 states in order as (S, N) arrays; the
+    last state of each block is carried into the next, so no more than
+    one block is held at once.  The flux of each substep comes from the
+    continuity equation by a cumulative sum, so every interpolated pair
+    satisfies the discrete flow equation exactly, and the integrand
+    |j|^p / m(u)^(1/alpha) is taken at the substep midpoint.
+    """
+    dt = duration / n_sub
+    total = 0.0
+    last = None
+    for block in blocks:
+        states = block if last is None else np.concatenate((last[None], block))
+        last = states[-1].copy()
+        ua, ub = states[:-1], states[1:]
+        dudt = (ub - ua) / dt
+        j = -np.cumsum(dudt[:, :-1], axis=1) * g.dx
+        m_faces = mobility_face(mob, 0.5 * (ua + ub), g)[:, 1:-1]
+        rows = np.sum(np.abs(j) ** p / m_faces ** (1.0 / alpha), axis=1)
+        for r in rows:
+            total += dt * g.dx * float(r)
+    return total
 
 
 def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
@@ -455,8 +510,14 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     continuity equation by cumulative sums, so every interpolated pair
     satisfies the discrete flow equation exactly; the action integrand
     |j|^((alpha+1)/alpha) / m(u)^(1/alpha) is integrated by midpoint
-    quadrature in time.
+    quadrature in time.  Each stage is streamed in substep chunks of at
+    most ``_CHUNK_BYTES`` per temporary.
     """
+    M_values = tuple(float(M) for M in M_sweep)
+    if not M_values:
+        raise ValueError("M_sweep is empty")
+    if not all(0.0 < M < math.inf for M in M_values):
+        raise ValueError(f"every M must be positive and finite, got {M_values}")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     if np.min(u0) <= 0 or np.min(u1) <= 0:
@@ -470,9 +531,9 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
         # the constant curve is admissible and free
         zero = (0.0, 0.0, 0.0)
         return BBActionReport(
-            eta=eta, M_values=tuple(float(M) for M in M_sweep),
-            actions=(0.0,) * len(M_sweep),
-            stage_actions=(zero,) * len(M_sweep),
+            eta=eta, M_values=M_values,
+            actions=(0.0,) * len(M_values),
+            stage_actions=(zero,) * len(M_values),
             strictly_decreasing=False, final_over_initial=1.0,
             degeneracy_expected=n > 1.0, mass=mass0, n=n, alpha=alpha,
         )
@@ -488,54 +549,42 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     mtot = float(np.sum(a_w))
     gamma = np.outer(a_w, b_w) / mtot  # mass-normalised product coupling
 
-    pairs = [(zi, zj, gamma[i, j])
-             for i, zi in enumerate(z) for j, zj in enumerate(z)
-             if gamma[i, j] > 0.0]
-    max_travel = max(abs(zj - zi) for zi, zj, _ in pairs)
-
-    def segment_action(states, duration):
-        """Action of a piecewise-linear-in-time path through `states`."""
-        dt = duration / (len(states) - 1)
-        total = 0.0
-        for ua, ub in zip(states, states[1:]):
-            dudt = (ub - ua) / dt
-            j = np.zeros(g.N + 1)
-            j[1:-1] = -np.cumsum(dudt[:-1]) * g.dx
-            umid_faces = mobility_face(mob, 0.5 * (ua + ub), g)
-            total += dt * g.dx * float(
-                np.sum(np.abs(j[1:-1]) ** p / umid_faces[1:-1] ** (1.0 / alpha))
-            )
-        return total
+    # coupled pairs (z_i -> z_j) with their transported masses
+    src, dst = np.nonzero(gamma > 0.0)
+    z_from, z_to, weights = z[src], z[dst], gamma[src, dst]
+    max_travel = float(np.max(np.abs(z_to - z_from)))
 
     # transported bumps must not hop more than about a cell per substep,
     # or the sampled flux turns bursty and the p-norm overcharges it
     transport_steps = max(stage_steps, int(math.ceil(2.0 * max_travel / g.dx)))
+    s_morph = np.linspace(0.0, 1.0, stage_steps + 1)
+    s_move = np.linspace(0.0, 1.0, transport_steps + 1)
+    morph_rows = _chunk_rows(g.N + 1)
+
+    def stage_action(s_grid, rows, state):
+        blocks = (state(s_grid[lo:lo + rows, None])
+                  for lo in range(0, s_grid.size, rows))
+        return _path_action(g, mob, p, alpha, blocks, s_grid.size - 1, 1.0 / 3.0)
 
     actions = []
     stage_split = []
-    for M in M_sweep:
+    for M in M_values:
         radius = eta / M
-        P0 = delta + _place_balls(g, z, a_w, radius)
-        P1 = delta + _place_balls(g, z, b_w, radius)
-
-        s_grid = np.linspace(0.0, 1.0, stage_steps + 1)
-        stage1 = [u0 + s * (P0 - u0) for s in s_grid]
-        stage3 = [P1 + s * (u1 - P1) for s in s_grid]
-        weights = np.array([wgt for _, _, wgt in pairs])
-        stage2 = []
-        for s in np.linspace(0.0, 1.0, transport_steps + 1):
-            centers = np.array([zi + s * (zj - zi) for zi, zj, _ in pairs])
-            stage2.append(delta + _place_balls(g, centers, weights, radius))
-        parts = (segment_action(stage1, 1.0 / 3.0),
-                 segment_action(stage2, 1.0 / 3.0),
-                 segment_action(stage3, 1.0 / 3.0))
+        P0, P1 = delta + _place_balls(g, np.stack((z, z)), np.stack((a_w, b_w)), radius)
+        move_rows = _chunk_rows(max(g.N + 1, weights.size * (_ball_window(g, radius) + 1)))
+        parts = (
+            stage_action(s_morph, morph_rows, lambda s: u0 + s * (P0 - u0)),
+            stage_action(s_move, move_rows, lambda s: delta + _place_balls(
+                g, z_from + s * (z_to - z_from), weights, radius)),
+            stage_action(s_morph, morph_rows, lambda s: P1 + s * (u1 - P1)),
+        )
         stage_split.append(parts)
         actions.append(sum(parts))
 
     decreasing = all(b < a for a, b in zip(actions, actions[1:]))
     return BBActionReport(
         eta=eta,
-        M_values=tuple(float(M) for M in M_sweep),
+        M_values=M_values,
         actions=tuple(actions),
         stage_actions=tuple(stage_split),
         strictly_decreasing=decreasing,

@@ -4,11 +4,15 @@ Configs are flat JSON with a strict schema: unknown keys are rejected
 so a typo in a sweep cannot silently fall back to a default.  All
 floating-point output carries 17 significant digits, which round-trips
 doubles exactly, and re-running a config byte-reproduces
-diagnostics.csv.
+diagnostics.csv.  Every artifact is written to a temporary file beside
+its target and renamed over it, so a failed write leaves the previous
+file (or none) and never a partial one.
 """
 
 import json
 import os
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +269,28 @@ def echo_config(cfg):
 # ---------------------------------------------------------------------------
 # artifact writers
 
+@contextmanager
+def _atomic_text(path):
+    """Text file to write in place of `path`, renamed over it on success.
+
+    On any failure the temporary file is removed and `path` is untouched.
+    No fsync: the rename makes the file whole, not durable.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "x")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _atomic_text(path) as f:
+        f.write("\n".join([header] + [",".join(fmt(v) for v in row) for row in rows]) + "\n")
 
 
 def write_timeseries(series, outdir):
@@ -306,8 +327,9 @@ def _json_default(obj):
 
 def write_summary(outdir, payload):
     path = Path(outdir) / "summary.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                               default=_json_default) + "\n")
+    with _atomic_text(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                           default=_json_default) + "\n")
     return path
 
 
@@ -339,7 +361,19 @@ def line_plot_svg(path, xs, ys, xlabel, ylabel, width=640, height=400):
         f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end">{y1:.4g}</text>\n'
         "</svg>\n"
     )
-    Path(path).write_text(svg)
+    with _atomic_text(path) as f:
+        f.write(svg)
+
+
+def _pid_alive(pid):
+    """Whether a process with this PID exists (signal 0 probes without sending)."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # exists, owned by another user
+        pass
+    return True
 
 
 class DirectoryLock:
@@ -347,23 +381,54 @@ class DirectoryLock:
 
     Concurrent runs must target distinct directories; a second runner
     pointed at a locked directory fails fast instead of interleaving
-    artifacts.
+    artifacts.  The lock file holds the holder's PID.  A refusal names
+    that PID and whether it is alive; with ``break_stale`` a lock whose
+    holder is no longer running is removed and taken.  A lock held by a
+    live process, or whose PID cannot be read, is never broken.  Breaking
+    is not atomic: two runs that break the same stale lock at the same
+    moment can both proceed.
     """
 
-    def __init__(self, outdir):
+    def __init__(self, outdir, break_stale=False):
         self.path = Path(outdir) / ".tfilm.lock"
+        self.break_stale = break_stale
+
+    def _holder(self):
+        """(PID, alive) recorded in the lock file; (None, None) if it holds no valid PID."""
+        try:
+            pid = int(self.path.read_text().strip())
+        except (OSError, ValueError):
+            pid = 0
+        return (pid, _pid_alive(pid)) if pid > 0 else (None, None)
+
+    def _acquire(self):
+        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._acquire()
+            return self
         except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return self
+            pid, alive = self._holder()
+        if alive is False and self.break_stale:
+            self.path.unlink(missing_ok=True)
+            try:
+                self._acquire()
+                return self
+            except FileExistsError:  # another run took it first
+                pid, alive = self._holder()
+        if pid is None:
+            holder = "no valid holder PID in the lock file"
+        else:
+            holder = f"holder PID {pid} is {'alive' if alive else 'not running'}"
+        if alive is False and not self.break_stale:
+            holder += "; pass --break-lock to remove it"
+        raise RuntimeError(
+            f"output directory is locked by another run: {self.path} ({holder})"
+        ) from None
 
     def __exit__(self, *exc):
         try:

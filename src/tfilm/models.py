@@ -75,13 +75,10 @@ class MobilitySpec:
         if self.kind == "constant_one":
             return np.ones_like(s)
         pos = s > 0
-        out = np.zeros_like(s)
         sp = np.where(pos, s, 1.0)
         if self.kind == "power":
-            out[pos] = (sp**self.n)[pos]
-        else:
-            out[pos] = (self.lam * sp ** (self.alpha + 1) + sp ** (self.alpha + 2))[pos]
-        return out
+            return np.where(pos, sp**self.n, 0.0)
+        return np.where(pos, self.lam * sp ** (self.alpha + 1) + sp ** (self.alpha + 2), 0.0)
 
 
 def power_mobility(n):
@@ -335,13 +332,14 @@ def mobility_face(m, u, g):
 
     Interior face f: m of the arithmetic mean of the two neighbour
     cells.  Boundary faces carry m of the adjacent cell; the flux is
-    pinned to zero there so the value never enters the dynamics.
+    pinned to zero there so the value never enters the dynamics.  A
+    stack of heights (..., N) gives faces (..., N + 1).
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty(g.N + 1)
-    out[1:-1] = m(0.5 * (u[:-1] + u[1:]))
-    out[0] = m(u[:1])[0]
-    out[-1] = m(u[-1:])[0]
+    out = np.empty(u.shape[:-1] + (g.N + 1,))
+    out[..., 1:-1] = m(0.5 * (u[..., :-1] + u[..., 1:]))
+    out[..., 0] = m(u[..., 0])
+    out[..., -1] = m(u[..., -1])
     return out
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the PASS/FAIL
-lines; the whole suite takes a couple of minutes, dominated by the
-transport-action sweep and the shear-thinning decay run.
+lines; the module takes about 20 seconds, most of it in the shared
+randomized runs and the transport-action sweep.
 """
 
 import itertools

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +12,15 @@ from tfilm.cli import main
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.grid import Grid
 from tfilm.io import (
+    DIAGNOSTICS_HEADER,
     ConfigError,
     DirectoryLock,
     echo_config,
     fmt,
     parse_config,
     parse_config_file,
+    write_csv,
+    write_summary,
     write_timeseries,
 )
 from tfilm.models import ModelParams, power_mobility, zero_potential
@@ -139,6 +145,103 @@ def test_directory_lock(tmp_path):
         pass
 
 
+def test_diagnostics_bytes_unchanged_by_atomic_write(tmp_path):
+    s = small_series()
+    write_timeseries(s, tmp_path)
+    rows = [",".join(fmt(getattr(d, k)) for k in DIAGNOSTICS_HEADER.split(","))
+            for d in s.diagnostics]
+    expected = "\n".join([DIAGNOSTICS_HEADER] + rows) + "\n"
+    assert (tmp_path / "diagnostics.csv").read_bytes() == expected.encode()
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_failed_writes_leave_no_partial_file(tmp_path, monkeypatch):
+    def rows():
+        yield (1.0, 2.0)
+        raise OSError("disk full")
+
+    target = tmp_path / "a.csv"
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(target, "x,y", rows())
+    assert list(tmp_path.iterdir()) == []
+
+    # a failed rewrite keeps the previous file whole
+    write_csv(target, "x,y", [(1.0, 2.0)])
+    before = target.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(target, "x,y", rows())
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
+
+    with pytest.raises(ValueError):
+        write_summary(tmp_path, {"value": float("nan")})
+    assert list(tmp_path.iterdir()) == [target]
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_summary(tmp_path, {"value": 1.0})
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def dead_pid():
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+def test_lock_refusal_names_holder(tmp_path):
+    lock = tmp_path / ".tfilm.lock"
+    lock.write_text(str(os.getpid()))
+    with pytest.raises(RuntimeError, match=f"holder PID {os.getpid()} is alive"):
+        with DirectoryLock(tmp_path):
+            pass
+    pid = dead_pid()
+    lock.write_text(str(pid))
+    with pytest.raises(RuntimeError, match=f"holder PID {pid} is not running.*--break-lock"):
+        with DirectoryLock(tmp_path):
+            pass
+    lock.write_text("")
+    with pytest.raises(RuntimeError, match="no valid holder PID"):
+        with DirectoryLock(tmp_path):
+            pass
+    assert lock.read_text() == ""
+
+
+def test_break_lock_removes_only_stale_locks(tmp_path):
+    lock = tmp_path / ".tfilm.lock"
+    lock.write_text(str(dead_pid()))
+    with DirectoryLock(tmp_path, break_stale=True):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
+    lock.write_text(str(2**70))  # beyond any platform's PID range
+    with DirectoryLock(tmp_path, break_stale=True):
+        pass
+    for content in (str(os.getpid()), str(os.getppid()), "garbage", "0", "-1"):
+        lock.write_text(content)
+        with pytest.raises(RuntimeError, match="locked"):
+            with DirectoryLock(tmp_path, break_stale=True):
+                pass
+        assert lock.read_text() == content
+
+
+def test_cli_break_lock(tmp_path):
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=48, T=2e-4, tol_grad=1e-8))
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".tfilm.lock"
+    lock.write_text(str(os.getpid()))
+    assert main(["simulate", "--config", str(p), "--out", str(out), "--break-lock"]) == 1
+    assert lock.read_text() == str(os.getpid())
+    lock.write_text(str(dead_pid()))
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert main(["simulate", "--config", str(p), "--out", str(out), "--break-lock"]) == 0
+    assert not lock.exists()
+    assert (out / "diagnostics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # end-to-end CLI
 
@@ -180,6 +283,16 @@ def test_cli_locked_directory_exit_1(tmp_path):
     out.mkdir()
     (out / ".tfilm.lock").write_text("123")
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("sweep", [[], [2, 0]])
+def test_cli_bb_action_bad_sweep_exit_1(tmp_path, capsys, sweep):
+    bump = {"kind": "cos_bumps", "background": 0.1, "amplitude": 1.0, "width": 0.05}
+    cfg = {"N": 64, "eta": 0.25, "M_sweep": sweep, "n": 2.0, "alpha": 1.0,
+           "u0": dict(bump, centers=[0.3]), "u1": dict(bump, centers=[0.7])}
+    p = write_json(tmp_path / "bb.json", cfg)
+    assert main(["bb-action", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert "tfilm: error:" in capsys.readouterr().err
 
 
 def test_cli_point_lemma(tmp_path):

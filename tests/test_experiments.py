@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.experiments import (
+    _place_balls,
     bb_action_demo,
     build_parabola_v,
     build_w_l,
@@ -302,3 +305,85 @@ def test_bb_flux_continuity_is_exact():
     resid = dudt + np.diff(j) / g.dx
     assert np.max(np.abs(resid[:-1])) < 1e-12
     assert abs(resid[-1]) < 1e-9 / dt  # closes up to the mass roundoff
+
+
+def place_balls_loop(g, centers, weights, radius):
+    """Reference: one substep of balls, placed one ball at a time."""
+    faces = g.faces()
+    out = np.zeros(g.N)
+    for c, wgt in zip(centers, weights):
+        if wgt == 0.0:
+            continue
+        left = max(c - radius, 0.0)
+        right = min(c + radius, g.L)
+        overlap = np.minimum(faces[1:], right) - np.maximum(faces[:-1], left)
+        np.clip(overlap, 0.0, None, out=overlap)
+        out += wgt * overlap / ((right - left) * g.dx)
+    return out
+
+
+@st.composite
+def ball_sets(draw):
+    """(grid, (S, P) centres, (P,) weights, radius), with centres at, near and
+    away from both ends so that clipped balls are common."""
+    N = draw(st.integers(4, 300))
+    g = Grid(draw(st.floats(0.5, 3.0)), N)
+    S, P = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    radius = g.L * draw(st.floats(1e-4, 1.5))
+    edge = st.tuples(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 1.5]), st.booleans()).map(
+        lambda t: t[0] * g.dx if t[1] else g.L - t[0] * g.dx)
+    centre = st.one_of(st.floats(0.0, g.L), edge)
+    centers = np.array([[draw(centre) for _ in range(P)] for _ in range(S)])
+    weights = np.array([draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+                        for _ in range(P)])
+    return g, centers, weights, radius
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ball_sets())
+def test_place_balls_matches_loop_and_keeps_mass(case):
+    g, centers, weights, radius = case
+    dens = _place_balls(g, centers, weights, radius)
+    assert dens.shape == (centers.shape[0], g.N)
+    for s, row in enumerate(centers):
+        ref = place_balls_loop(g, row, weights, radius)
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(dens[s] - ref)) <= 1e-12 * scale
+        for c, wgt in zip(row, weights):
+            mass = float(np.sum(_place_balls(g, np.array([[c]]), np.array([wgt]),
+                                             radius))) * g.dx
+            assert mass == pytest.approx(wgt, rel=1e-12, abs=1e-300)
+
+
+# stage actions (concentrate, transport, spread) of the loop implementation
+# for the criterion-9 endpoints at N=128; M = 1/2 clips the outer balls
+STAGE_ACTIONS_N128 = {
+    2.0: [(0.2170810078046959, 0.5528141679340001, 0.21708100780469552),
+          (0.024175915319912596, 0.3163184131315122, 0.024175915319912464),
+          (0.003055110290429656, 0.24926207345683768, 0.0030551102904297373)],
+    1.0: [(0.008320621275842193, 0.13543964096167813, 0.008320621275842198),
+          (0.0012291730069152176, 0.16655645582086173, 0.001229173006915215),
+          (0.00018781971729301853, 0.1729092229839281, 0.00018781971729301894)],
+}
+
+
+@pytest.mark.parametrize("n", [2.0, 1.0])
+def test_bb_stage_actions_fixed_inputs(n):
+    g = Grid(1.0, 128)
+    u0, u1 = (InitialDataSpec("cos_bumps", background=0.01, amplitude=6.0, width=0.012,
+                              centers=centers).build(g)
+              for centers in ((0.125, 0.25), (0.75, 0.875)))
+    rep = bb_action_demo(g, u0, u1, eta=1 / 8, M_sweep=[0.5, 2, 4], n=n, alpha=1.0)
+    got = np.array(rep.stage_actions)
+    want = np.array(STAGE_ACTIONS_N128[n])
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert rep.actions == tuple(sum(parts) for parts in rep.stage_actions)
+
+
+@pytest.mark.parametrize("sweep", [[], [0], [2, -1], [2, float("nan")]])
+def test_bb_rejects_bad_sweep(sweep):
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match="M_sweep is empty|every M"):
+        bb_action_demo(g, u, u + 0.1 * np.cos(np.pi * g.cell_centers()), eta=0.25,
+                       M_sweep=sweep, n=2.0, alpha=1.0)

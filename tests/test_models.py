@@ -54,6 +54,16 @@ def test_mobility_positive_for_positive_field():
         assert np.all(mobility_face(m, u, g)[1:-1] > 0.0)
 
 
+def test_mobility_face_of_stacked_heights_is_row_wise():
+    g = Grid(1.0, 16)
+    u = np.random.default_rng(1).uniform(-0.2, 1.5, (3, 16))
+    for m in (power_mobility(2.0), navier_slip_mobility(1.0, 0.7), constant_mobility()):
+        faces = mobility_face(m, u, g)
+        assert faces.shape == (3, 17)
+        for row, f in zip(u, faces):
+            assert np.array_equal(f, mobility_face(m, row, g))
+
+
 def test_modified_potential_rejects_bad_sigma():
     for s in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
