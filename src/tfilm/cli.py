@@ -1,9 +1,12 @@
 """Command-line surface.
 
-    tfilm <command> --config <path> --out <dir> [--threads K] [--seed S] [--break-lock]
+    tfilm <command> --config <path> --out <dir> [--break-lock]
 
 Commands: simulate, sweep-liftoff, dissipation-bound, bb-action, rates,
-audit-ede, point-lemma.  Exit code 0 means every audit in the command's
+audit-ede, point-lemma.  The config is checked against the command's
+schema in `io.COMMAND_SCHEMAS` before anything runs, and the command
+takes the checked values; point-lemma takes its random seed from the
+config key "seed".  Exit code 0 means every audit in the command's
 report passed, 2 means some audit failed (reports are still written),
 1 means the command errored out.  A directory locked by another run is
 refused with exit 1; --break-lock removes a lock whose recorded holder is
@@ -13,22 +16,19 @@ no longer running, never one held by a live process.
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import experiments as ex
 from .driver import EnergyAuditError, audit_ede, run
-from .grid import Grid
 from .io import (
-    STEP_KEYS,
+    COMMAND_SCHEMAS,
     ConfigError,
     DirectoryLock,
-    _reject_unknown,
-    _require,
     echo_config,
-    parse_config,
+    parse,
     parse_config_file,
-    parse_step,
     write_csv,
     write_summary,
     write_timeseries,
@@ -60,8 +60,7 @@ def _simulate_audits(series):
     }
 
 
-def _cmd_simulate(data, outdir, threads, seed):
-    cfg = parse_config(data)
+def _cmd_simulate(cfg, outdir):
     series = run(cfg)
     write_timeseries(series, outdir)
     audits = _simulate_audits(series)
@@ -74,13 +73,10 @@ def _cmd_simulate(data, outdir, threads, seed):
     return all(v for k, v in audits.items() if isinstance(v, bool))
 
 
-def _cmd_audit_ede(data, outdir, threads, seed):
-    extra = {k: data.pop(k) for k in ("s_idx", "t_idx") if k in data}
-    cfg = parse_config(data)
+def _cmd_audit_ede(values, outdir):
+    cfg = values["cfg"]
     series = run(cfg)
-    s_idx = int(extra.get("s_idx", 0))
-    t_idx = int(extra.get("t_idx", len(series.diagnostics) - 1))
-    report = audit_ede(series, s_idx, t_idx)
+    report = audit_ede(series, values["s_idx"], values["t_idx"])
     write_timeseries(series, outdir)
     write_summary(outdir, {
         "command": "audit-ede",
@@ -97,11 +93,10 @@ def _cmd_audit_ede(data, outdir, threads, seed):
     return report.ok
 
 
-def _cmd_rates(data, outdir, threads, seed):
-    tol_extinct = float(data.pop("tol_extinct", 1e-10))
-    cfg = parse_config(data)
+def _cmd_rates(values, outdir):
+    cfg = values["cfg"]
     series = run(cfg)
-    report = ex.rate_fit(series, cfg.model.alpha, tol_extinct=tol_extinct)
+    report = ex.rate_fit(series, cfg.model.alpha, tol_extinct=values["tol_extinct"])
     write_timeseries(series, outdir)
     write_summary(outdir, {
         "command": "rates",
@@ -117,30 +112,8 @@ def _cmd_rates(data, outdir, threads, seed):
     return report.classification != "inconclusive"
 
 
-_LIFTOFF_KEYS = {"L", "N", "T", "M", "n", "alpha", "deltas", "record_every"} | STEP_KEYS
-
-
-def _cmd_sweep_liftoff(data, outdir, threads, seed):
-    _reject_unknown(data, _LIFTOFF_KEYS, "liftoff config")
-    n = float(_require(data, "n", "liftoff config"))
-    alpha = float(_require(data, "alpha", "liftoff config"))
-    if 2.0 * (alpha + 1.0) <= n:
-        raise ConfigError(
-            f"lift-off requires 2(alpha+1) > n; got alpha={alpha}, n={n}"
-        )
-    grid = Grid(L=float(data.get("L", 1.0)), N=int(_require(data, "N", "liftoff config")))
-    step = parse_step(data, "liftoff config")
-    report = ex.liftoff_sweep(
-        deltas=_require(data, "deltas", "liftoff config"),
-        M=float(_require(data, "M", "liftoff config")),
-        n=n,
-        alpha=alpha,
-        grid=grid,
-        step=step,
-        T=float(_require(data, "T", "liftoff config")),
-        record_every=int(data.get("record_every", 1)),
-        threads=threads,
-    )
+def _cmd_sweep_liftoff(values, outdir):
+    report = ex.liftoff_sweep(**values)
     write_csv(outdir / "liftoff.csv", "delta,t_half,energy_u0",
               [(d, math.nan if t is None else t, e)
                for d, t, e in zip(report.deltas, report.t_half, report.energies)])
@@ -164,20 +137,8 @@ def _cmd_sweep_liftoff(data, outdir, threads, seed):
     return report.all_reached and report.uniform_ok and report.ordering_ok
 
 
-_DISS_KEYS = {"L", "N", "M", "n", "alpha", "deltas", "slope_tol"}
-
-
-def _cmd_dissipation_bound(data, outdir, threads, seed):
-    _reject_unknown(data, _DISS_KEYS, "dissipation config")
-    grid = Grid(L=float(data.get("L", 1.0)), N=int(_require(data, "N", "dissipation config")))
-    report = ex.dissipation_scaling_fit(
-        deltas=_require(data, "deltas", "dissipation config"),
-        M=float(_require(data, "M", "dissipation config")),
-        n=float(_require(data, "n", "dissipation config")),
-        alpha=float(_require(data, "alpha", "dissipation config")),
-        g=grid,
-        slope_tol=float(data.get("slope_tol", 0.15)),
-    )
+def _cmd_dissipation_bound(values, outdir):
+    report = ex.dissipation_scaling_fit(**values)
     write_csv(outdir / "dissipation.csv", "delta,D,f_lower",
               zip(report.deltas, report.values, report.lower_bound))
     write_summary(outdir, {
@@ -192,24 +153,9 @@ def _cmd_dissipation_bound(data, outdir, threads, seed):
     return report.slope_ok and report.c_fit > 0.0
 
 
-_BB_KEYS = {"L", "N", "eta", "M_sweep", "n", "alpha", "u0", "u1", "stage_steps"}
-
-
-def _cmd_bb_action(data, outdir, threads, seed):
-    from .io import _parse_initial
-
-    _reject_unknown(data, _BB_KEYS, "bb-action config")
-    grid = Grid(L=float(data.get("L", 1.0)), N=int(_require(data, "N", "bb config")))
-    u0 = _parse_initial(_require(data, "u0", "bb config")).build(grid)
-    u1 = _parse_initial(_require(data, "u1", "bb config")).build(grid)
-    report = ex.bb_action_demo(
-        grid, u0, u1,
-        eta=float(_require(data, "eta", "bb config")),
-        M_sweep=_require(data, "M_sweep", "bb config"),
-        n=float(_require(data, "n", "bb config")),
-        alpha=float(_require(data, "alpha", "bb config")),
-        stage_steps=int(data.get("stage_steps", 48)),
-    )
+def _cmd_bb_action(values, outdir):
+    g = values["g"]
+    report = ex.bb_action_demo(**dict(values, u0=values["u0"].build(g), u1=values["u1"].build(g)))
     write_csv(outdir / "bb_action.csv", "M,action,concentrate,transport,spread",
               [(M, a, s[0], s[1], s[2])
                for M, a, s in zip(report.M_values, report.actions, report.stage_actions)])
@@ -227,24 +173,17 @@ def _cmd_bb_action(data, outdir, threads, seed):
     return ok
 
 
-_POINT_KEYS = {"L", "N", "profiles", "seed", "modes", "floor", "amplitude"}
-
-
-def _cmd_point_lemma(data, outdir, threads, seed):
-    _reject_unknown(data, _POINT_KEYS, "point-lemma config")
-    grid = Grid(L=float(data.get("L", 1.0)), N=int(_require(data, "N", "point config")))
-    n_profiles = int(data.get("profiles", 50))
-    modes = int(data.get("modes", 6))
-    floor = float(data.get("floor", 0.1))
-    rng = np.random.default_rng(seed if seed is not None else int(data.get("seed", 0)))
+def _cmd_point_lemma(values, outdir):
+    grid, modes = values["grid"], values["modes"]
+    rng = np.random.default_rng(values["seed"])
     x = grid.cell_centers()
     rows = []
     all_found = True
-    for trial in range(n_profiles):
+    for trial in range(values["profiles"]):
         coeffs = rng.standard_normal(modes) / np.arange(1, modes + 1) ** 1.5
         prof = sum(c * np.cos((k + 1) * np.pi * x / grid.L)
                    for k, c in enumerate(coeffs))
-        prof = prof - prof.min() + floor
+        prof = prof - prof.min() + values["floor"]
         w = ex.point_lemma_check(prof, grid)
         all_found &= w.found
         rows.append((trial, int(w.found), w.x0, w.grad_at, w.curv_product,
@@ -254,7 +193,7 @@ def _cmd_point_lemma(data, outdir, threads, seed):
               rows)
     write_summary(outdir, {
         "command": "point-lemma",
-        "profiles": n_profiles,
+        "profiles": values["profiles"],
         "found": sum(r[1] for r in rows),
         "audits": {"all_found": all_found},
     })
@@ -282,20 +221,15 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--break-lock", action="store_true",
                        help="remove a lock left by a run that is no longer running")
     args = parser.parse_args(argv)
 
-    from pathlib import Path
-
+    outdir = Path(args.out)
     try:
-        data = parse_config_file(args.config)
-        outdir = Path(args.out)
+        values = parse(parse_config_file(args.config), COMMAND_SCHEMAS[args.command])
         with DirectoryLock(outdir, break_stale=args.break_lock):
-            outdir.mkdir(parents=True, exist_ok=True)
-            ok = _COMMANDS[args.command](data, outdir, args.threads, args.seed)
+            ok = _COMMANDS[args.command](values, outdir)
     except (ConfigError, StepNonconvergenceError, EnergyAuditError,
             RuntimeError, ValueError) as exc:
         print(f"tfilm: error: {exc}", file=sys.stderr)

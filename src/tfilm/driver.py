@@ -107,14 +107,17 @@ class RunConfig:
     initial: InitialDataSpec = InitialDataSpec("constant")
 
     def __post_init__(self):
-        if self.T < self.step.h:
-            raise ValueError("final time must cover at least one step")
+        steps = self.T / self.step.h
+        n = round(steps) if math.isfinite(steps) else 0
+        if n < 1 or abs(steps - n) > 1e-9 * steps:
+            raise ValueError(f"T must be a whole number (at least 1) of steps h; "
+                             f"got T={self.T!r}, h={self.step.h!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
     @property
     def n_steps(self):
-        return int(math.ceil(self.T / self.step.h - 1e-9))
+        return round(self.T / self.step.h)
 
     @property
     def tol_audit(self):

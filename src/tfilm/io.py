@@ -1,7 +1,9 @@
 """Configuration parsing and run artifacts (CSV, JSON, SVG).
 
-Configs are flat JSON with a strict schema: unknown keys are rejected
-so a typo in a sweep cannot silently fall back to a default.  All
+Configs are flat JSON, and each CLI command has one schema in
+COMMAND_SCHEMAS that `parse` checks a config against: unknown keys are
+rejected so a typo in a sweep cannot silently fall back to a default,
+and a null or wrongly typed value is a ConfigError naming its key.  All
 floating-point output carries 17 significant digits, which round-trips
 doubles exactly, and re-running a config byte-reproduces
 diagnostics.csv.  Every artifact is written to a temporary file beside
@@ -10,33 +12,27 @@ file (or none) and never a partial one.
 """
 
 import json
+import numbers
 import os
 import secrets
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .driver import InitialDataSpec, RunConfig
 from .grid import Grid
-from .models import (
-    MobilitySpec,
-    PotentialSpec,
-    constant_mobility,
-    navier_slip_mobility,
-    power_mobility,
-    quadratic_potential,
-    strong_singular_potential,
-    zero_potential,
-)
-from .models import ModelParams
+from .models import ModelParams, MobilitySpec, PotentialSpec
 from .step import StepParams
 
 __all__ = [
     "ConfigError",
+    "COMMAND_SCHEMAS",
+    "parse",
+    "config_keys",
     "parse_config",
-    "parse_step",
-    "STEP_KEYS",
     "parse_config_file",
     "echo_config",
     "write_timeseries",
@@ -52,13 +48,6 @@ DIAGNOSTICS_HEADER = (
     "diss_flux,diss_strong,ede_slack,el_residual,newton_iters"
 )
 
-STEP_KEYS = {"h", "eps0", "eps_min", "rho", "tol_grad", "max_newton", "armijo_c",
-             "tau_boundary"}
-
-_RUN_KEYS = {
-    "L", "N", "T", "alpha", "mobility", "potential", "sigma", "record_every", "initial",
-} | STEP_KEYS
-
 
 class ConfigError(ValueError):
     """Invalid or unparsable configuration."""
@@ -71,147 +60,239 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def _reject_unknown(d, allowed, where):
-    unknown = set(d) - set(allowed)
+# ---------------------------------------------------------------------------
+# config schemas
+#
+# A schema maps each config key to (converter, default).  A converter
+# takes the raw JSON value and returns the checked value or raises
+# TypeError, ValueError or OverflowError, which `parse` reports as
+# "<key>: <message>".
+# Defaults are used as given, not converted.
+
+_REQUIRED = object()  # the default of a key that must be given
+
+
+class Schema(NamedTuple):
+    """Config keys combined by `build(**values)` into one value.
+
+    `keys` maps a key to (converter, default), or to a nested Schema whose
+    keys are read from the same level of the config, such as the grid's L
+    and N, and whose built value is passed under that name.
+    """
+
+    build: Callable
+    keys: dict
+
+
+def config_keys(schema):
+    """Every config key of a schema, nested schemas included."""
+    keys = set()
+    for key, entry in schema.keys.items():
+        keys |= config_keys(entry) if isinstance(entry, Schema) else {key}
+    return keys
+
+
+def parse(data, schema, where="config"):
+    """Checked value of the config dict `data` under `schema`.
+
+    Rejects unknown keys, names a missing required key, raises
+    ConfigError("<key>: ...") for a value its converter refuses, and
+    turns a ValueError of a build into a ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(data) - config_keys(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    return _build(data, schema, where)
 
 
-def _require(d, key, where):
-    if key not in d:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return d[key]
-
-
-def _parse_mobility(raw):
-    if isinstance(raw, str):
-        raw = {"kind": raw}
-    if not isinstance(raw, dict):
-        raise ConfigError("mobility must be an object or a kind string")
-    kind = _require(raw, "kind", "mobility")
-    if kind == "power":
-        _reject_unknown(raw, {"kind", "n"}, "mobility")
-        return power_mobility(_require(raw, "n", "mobility(power)"))
-    if kind == "navier_slip":
-        _reject_unknown(raw, {"kind", "lambda", "alpha"}, "mobility")
-        return navier_slip_mobility(
-            _require(raw, "lambda", "mobility(navier_slip)"),
-            _require(raw, "alpha", "mobility(navier_slip)"),
-        )
-    if kind == "constant_one":
-        _reject_unknown(raw, {"kind"}, "mobility")
-        return constant_mobility()
-    raise ConfigError(f"unknown mobility kind {kind!r}")
-
-
-def _parse_potential(raw):
-    if isinstance(raw, str):
-        raw = {"kind": raw}
-    if not isinstance(raw, dict):
-        raise ConfigError("potential must be an object or a kind string")
-    kind = _require(raw, "kind", "potential")
-    if kind == "zero":
-        _reject_unknown(raw, {"kind"}, "potential")
-        return zero_potential()
-    if kind == "quadratic":
-        _reject_unknown(raw, {"kind", "a"}, "potential")
-        return quadratic_potential(_require(raw, "a", "potential(quadratic)"))
-    if kind == "strong_singular":
-        _reject_unknown(raw, {"kind", "A"}, "potential")
-        return strong_singular_potential(_require(raw, "A", "potential(strong_singular)"))
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
-_INITIAL_KEYS = {
-    "constant": {"kind", "M"},
-    "cosine": {"kind", "M", "amplitude", "mode"},
-    "parabola": {"kind", "M"},
-    "lifted_parabola": {"kind", "M", "delta"},
-    "cos_bumps": {"kind", "background", "amplitude", "width", "centers"},
-    "values": {"kind", "values"},
-}
-
-
-def _parse_initial(raw):
-    if raw is None:
-        return InitialDataSpec("constant", M=1.0)
-    if not isinstance(raw, dict):
-        raise ConfigError("initial must be an object")
-    kind = _require(raw, "kind", "initial")
-    if kind not in _INITIAL_KEYS:
-        raise ConfigError(f"unknown initial kind {kind!r}")
-    _reject_unknown(raw, _INITIAL_KEYS[kind], "initial")
-    kwargs = {k: v for k, v in raw.items() if k != "kind"}
-    if "centers" in kwargs:
-        kwargs["centers"] = tuple(kwargs["centers"])
-    if "values" in kwargs:
-        kwargs["values"] = tuple(kwargs["values"])
-    return InitialDataSpec(kind, **kwargs)
-
-
-def _number(kind, value, key):
-    """int(value) or float(value); a ConfigError for null or non-numeric values."""
+def _build(data, schema, where):
+    values = {}
+    for key, entry in schema.keys.items():
+        if isinstance(entry, Schema):
+            values[key] = _build(data, entry, where)
+            continue
+        convert, default = entry
+        if key in data:
+            try:
+                values[key] = convert(data[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        else:
+            values[key] = default
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def parse_step(data, where="config"):
-    """StepParams from the STEP_KEYS entries of a config dict; "h" is required."""
-    _require(data, "h", where)
-    values = {k: _number(int if k == "max_newton" else float, data[k], k)
-              for k in STEP_KEYS if k in data}
-    try:
-        return StepParams(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def parse_config(data):
-    """Validate a simulate-style config dict into a RunConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(data, _RUN_KEYS, "config")
-
-    N = _number(int, _require(data, "N", "config"), "N")
-    L = _number(float, data.get("L", 1.0), "L")
-    if N < 4:
-        raise ConfigError("N must be at least 4")
-    if L <= 0:
-        raise ConfigError("L must be positive")
-
-    alpha = _number(float, _require(data, "alpha", "config"), "alpha")
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    sigma = _require(data, "sigma", "config")
-    if sigma is not None:
-        sigma = _number(float, sigma, "sigma")
-        if not 0.0 < sigma < 1.0:
-            raise ConfigError("sigma must be in (0,1)")
-
-    step = parse_step(data)
-    T = _number(float, _require(data, "T", "config"), "T")
-
-    try:
-        model = ModelParams(
-            alpha=alpha,
-            mobility=_parse_mobility(_require(data, "mobility", "config")),
-            potential=_parse_potential(_require(data, "potential", "config")),
-            sigma=sigma,
-        )
-        return RunConfig(
-            grid=Grid(L=L, N=N),
-            model=model,
-            step=step,
-            T=T,
-            record_every=_number(int, data.get("record_every", 1), "record_every"),
-            initial=_parse_initial(data.get("initial")),
-        )
+        return schema.build(**values)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _real(v):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a real number, got {type(v).__name__}")
+    return float(v)
+
+
+def _real_or_null(v):
+    return None if v is None else _real(v)
+
+
+def _integer(v):
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, float):
+        raise ValueError(f"expected an integer, got {v!r}")
+    raise TypeError(f"expected an integer, got {type(v).__name__}")
+
+
+def _reals(v):
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list of real numbers, got {type(v).__name__}")
+    return tuple(_real(x) for x in v)
+
+
+_CONVERTERS = {float: _real, int: _integer, Optional[tuple]: _reals}
+
+
+def _dataclass_keys(cls, names=None):
+    """Schema keys for the fields of a dataclass (or the named ones), with its defaults."""
+    return {f.name: (_CONVERTERS[f.type], _REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls) if names is None or f.name in names}
+
+
+class _Kind:
+    """Converter of an object {"kind": k, <field>: ...} into cls(k, **fields).
+
+    `kinds` maps each kind to the schema keys of its fields; `names`
+    renames a config field to the attribute of cls.  With `shorthand` a
+    bare kind string stands for {"kind": k}.
+    """
+
+    def __init__(self, cls, kinds, names=None, shorthand=False):
+        self.cls, self.kinds, self.names, self.shorthand = cls, kinds, names or {}, shorthand
+
+    def __call__(self, raw):
+        if self.shorthand and isinstance(raw, str):
+            raw = {"kind": raw}
+        if not isinstance(raw, dict):
+            raise TypeError(f"expected an object, got {type(raw).__name__}")
+        if "kind" not in raw:
+            raise ValueError("missing required key 'kind'")
+        kind = raw["kind"]
+        if not isinstance(kind, str) or kind not in self.kinds:
+            raise ValueError(f"unknown kind {kind!r}, expected one of {', '.join(self.kinds)}")
+
+        def build(**values):
+            return self.cls(kind, **{self.names.get(k, k): v for k, v in values.items()})
+
+        given = {k: v for k, v in raw.items() if k != "kind"}
+        return parse(given, Schema(build, self.kinds[kind]), f"kind {kind!r}")
+
+    def echo(self, spec):
+        """The config object of `spec`: its kind and every field that is set."""
+        out = {"kind": spec.kind}
+        for key in self.kinds[spec.kind]:
+            val = getattr(spec, self.names.get(key, key))
+            if val is not None:
+                out[key] = list(val) if isinstance(val, tuple) else val
+        return out
+
+
+_MOBILITY = _Kind(MobilitySpec, {
+    "power": {"n": (_real, _REQUIRED)},
+    "navier_slip": {"lambda": (_real, _REQUIRED), "alpha": (_real, _REQUIRED)},
+    "constant_one": {},
+}, names={"lambda": "lam"}, shorthand=True)
+
+_POTENTIAL = _Kind(PotentialSpec, {
+    "zero": {},
+    "quadratic": {"a": (_real, _REQUIRED)},
+    "strong_singular": {"A": (_real, _REQUIRED)},
+}, shorthand=True)
+
+_INITIAL = _Kind(InitialDataSpec, {
+    kind: _dataclass_keys(InitialDataSpec, names) for kind, names in {
+        "constant": {"M"},
+        "cosine": {"M", "amplitude", "mode"},
+        "parabola": {"M"},
+        "lifted_parabola": {"M", "delta"},
+        "cos_bumps": {"background", "amplitude", "width", "centers"},
+        "values": {"values"},
+    }.items()
+})
+
+_GRID = Schema(Grid, {"L": (_real, 1.0), "N": (_integer, _REQUIRED)})
+
+_STEP = Schema(StepParams, _dataclass_keys(StepParams))
+
+
+def _run_config(grid, step, T, alpha, mobility, potential, sigma, record_every, initial):
+    if sigma is not None and not 0.0 < sigma < 1.0:
+        raise ConfigError("sigma must be in (0,1)")
+    model = ModelParams(alpha=alpha, mobility=mobility, potential=potential, sigma=sigma)
+    return RunConfig(grid=grid, model=model, step=step, T=T, record_every=record_every,
+                     initial=initial)
+
+
+_RUN = Schema(_run_config, {
+    "grid": _GRID,
+    "step": _STEP,
+    "T": (_real, _REQUIRED),
+    "alpha": (_real, _REQUIRED),
+    "mobility": (_MOBILITY, _REQUIRED),
+    "potential": (_POTENTIAL, _REQUIRED),
+    "sigma": (_real_or_null, _REQUIRED),  # null: no barrier
+    "record_every": (_integer, 1),
+    "initial": (_INITIAL, InitialDataSpec("constant", M=1.0)),
+})
+
+
+def _audit_span(cfg, s_idx, t_idx):
+    if t_idx is None:
+        t_idx = cfg.n_steps
+    if not 0 <= s_idx < t_idx <= cfg.n_steps:
+        raise ConfigError(f"s_idx, t_idx: need 0 <= s_idx < t_idx <= {cfg.n_steps} "
+                          f"(the number of steps), got {s_idx}, {t_idx}")
+    return {"cfg": cfg, "s_idx": s_idx, "t_idx": t_idx}
+
+
+# the checked values each command of the CLI takes
+COMMAND_SCHEMAS = {
+    "simulate": _RUN,
+    "audit-ede": Schema(_audit_span, {
+        "cfg": _RUN, "s_idx": (_integer, 0), "t_idx": (_integer, None),  # None: last step
+    }),
+    "rates": Schema(dict, {"cfg": _RUN, "tol_extinct": (_real, 1e-10)}),
+    "sweep-liftoff": Schema(dict, {
+        "grid": _GRID, "step": _STEP, "T": (_real, _REQUIRED), "M": (_real, _REQUIRED),
+        "n": (_real, _REQUIRED), "alpha": (_real, _REQUIRED), "deltas": (_reals, _REQUIRED),
+        "record_every": (_integer, 1),
+    }),
+    "dissipation-bound": Schema(dict, {
+        "g": _GRID, "M": (_real, _REQUIRED), "n": (_real, _REQUIRED),
+        "alpha": (_real, _REQUIRED), "deltas": (_reals, _REQUIRED), "slope_tol": (_real, 0.15),
+    }),
+    "bb-action": Schema(dict, {
+        "g": _GRID, "u0": (_INITIAL, _REQUIRED), "u1": (_INITIAL, _REQUIRED),
+        "eta": (_real, _REQUIRED), "M_sweep": (_reals, _REQUIRED), "n": (_real, _REQUIRED),
+        "alpha": (_real, _REQUIRED), "stage_steps": (_integer, 48),
+    }),
+    "point-lemma": Schema(dict, {
+        "grid": _GRID, "profiles": (_integer, 50), "seed": (_integer, 0),
+        "modes": (_integer, 6), "floor": (_real, 0.1),
+    }),
+}
+
+
+def parse_config(data):
+    """Validate a simulate-style config dict into a RunConfig."""
+    return parse(data, _RUN)
 
 
 def parse_config_file(path):
@@ -228,41 +309,18 @@ def parse_config_file(path):
 
 def echo_config(cfg):
     """Normalised dict representation; parse_config(echo_config(c)) == c."""
-    model, step, init = cfg.model, cfg.step, cfg.initial
-    mob = {"kind": model.mobility.kind}
-    if model.mobility.kind == "power":
-        mob["n"] = model.mobility.n
-    elif model.mobility.kind == "navier_slip":
-        mob["lambda"] = model.mobility.lam
-        mob["alpha"] = model.mobility.alpha
-    pot = {"kind": model.potential.kind}
-    if model.potential.kind == "quadratic":
-        pot["a"] = model.potential.a
-    elif model.potential.kind == "strong_singular":
-        pot["A"] = model.potential.A
-    initial = {"kind": init.kind}
-    for key in sorted(_INITIAL_KEYS[init.kind] - {"kind"}):
-        val = getattr(init, key)
-        if val is not None:
-            initial[key] = list(val) if isinstance(val, tuple) else val
+    model = cfg.model
     return {
         "L": cfg.grid.L,
         "N": cfg.grid.N,
-        "h": step.h,
         "T": cfg.T,
         "alpha": model.alpha,
-        "mobility": mob,
-        "potential": pot,
+        "mobility": _MOBILITY.echo(model.mobility),
+        "potential": _POTENTIAL.echo(model.potential),
         "sigma": model.sigma,
         "record_every": cfg.record_every,
-        "eps0": step.eps0,
-        "eps_min": step.eps_min,
-        "rho": step.rho,
-        "tol_grad": step.tol_grad,
-        "max_newton": step.max_newton,
-        "armijo_c": step.armijo_c,
-        "tau_boundary": step.tau_boundary,
-        "initial": initial,
+        "initial": _INITIAL.echo(cfg.initial),
+        **{key: getattr(cfg.step, key) for key in _STEP.keys},
     }
 
 

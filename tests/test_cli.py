@@ -12,11 +12,14 @@ from tfilm.cli import main
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.grid import Grid
 from tfilm.io import (
+    COMMAND_SCHEMAS,
     DIAGNOSTICS_HEADER,
     ConfigError,
     DirectoryLock,
+    config_keys,
     echo_config,
     fmt,
+    parse,
     parse_config,
     parse_config_file,
     write_csv,
@@ -264,9 +267,38 @@ def test_cli_simulate_end_to_end(tmp_path):
     assert echo_config(parse_config(summary["config"])) == summary["config"]
 
 
-def test_cli_bad_config_exit_1(tmp_path):
-    p = write_json(tmp_path / "bad.json", dict(MINIMAL, sigma=1.5))
-    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+def test_cli_bad_config_exit_1(tmp_path, capsys):
+    audit = dict(MINIMAL, T=5e-4)  # 5 steps
+    point = {"N": 64, "profiles": 2}
+    bb = VALID_CONFIGS["bb-action"]
+    cases = [
+        ("simulate", dict(MINIMAL, sigma=1.5), "sigma must be in (0,1)"),
+        # T must be a whole number of steps: 2.5 steps would run to t = 3e-4
+        ("simulate", dict(MINIMAL, T=2.5e-4), "T must be a whole number"),
+        ("simulate", dict(MINIMAL, T=0.5e-4), "T must be a whole number"),
+        ("simulate", dict(MINIMAL, initial={"kind": "cosine", "mode": 1.5}), "initial: mode:"),
+        ("simulate", dict(MINIMAL, initial={"kind": "constant", "M": "2"}), "initial: M:"),
+        ("simulate", dict(MINIMAL, mobility={"kind": "power", "n": True}), "mobility: n:"),
+        ("audit-ede", dict(audit, t_idx=99), "s_idx, t_idx:"),
+        ("audit-ede", dict(audit, s_idx=3, t_idx=2), "s_idx, t_idx:"),
+        ("audit-ede", dict(audit, s_idx=-1), "s_idx, t_idx:"),
+        ("audit-ede", dict(audit, t_idx=2.5), "t_idx:"),
+        ("audit-ede", dict(audit, s_idx=True), "s_idx:"),
+        ("point-lemma", dict(point, seed=1.5), "seed:"),
+        ("point-lemma", dict(point, profiles=True), "profiles:"),
+        ("point-lemma", dict(point, modes=6.5), "modes:"),
+        ("bb-action", dict(bb, stage_steps=48.5), "stage_steps:"),
+        ("bb-action", dict(bb, M_sweep=[1, "2"]), "M_sweep:"),
+        ("sweep-liftoff", dict(NO_LIFTOFF, record_every=False), "record_every:"),
+        ("sweep-liftoff", dict(NO_LIFTOFF, deltas=0.1), "deltas:"),
+        ("rates", dict(MINIMAL, tol_extinct="1e-10"), "tol_extinct:"),
+    ]
+    for i, (command, cfg, message) in enumerate(cases):
+        p = write_json(tmp_path / f"bad{i}.json", cfg)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / f"o{i}")]) == 1
+        err = capsys.readouterr().err
+        assert f"tfilm: error: {message}" in err, (command, cfg, err)
+        assert not (tmp_path / f"o{i}").exists()  # refused before the run
 
 
 def test_cli_liftoff_hypothesis_exit_1(tmp_path):
@@ -365,6 +397,10 @@ def test_cli_liftoff_step_keys_validated(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("N", None), ("L", None), ("alpha", None), ("T", None), ("record_every", None),
     ("sigma", [0.01]),
+    # integer keys refuse non-integral values and booleans; real keys refuse
+    # booleans and strings
+    ("N", 32.7), ("N", True), ("record_every", 1.5), ("max_newton", 2.5),
+    ("alpha", True), ("alpha", "1"), ("h", False), ("sigma", "0.01"),
 ])
 def test_cli_non_numeric_config_value_exit_1(tmp_path, capsys, key, value):
     p = write_json(tmp_path / "bad.json", dict(MINIMAL, **{key: value}))
@@ -380,4 +416,50 @@ def test_cli_step_check_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "tfilm: error: step 1 (t = 0.0001) failed: mass drifted" in err
+    assert "Traceback" not in err
+
+
+# one valid config per command; every key of the command's schema is
+# set to null in turn below
+VALID_CONFIGS = {
+    "simulate": dict(MINIMAL, potential={"kind": "quadratic", "a": 0.5},
+                     initial={"kind": "cosine", "M": 1.0, "amplitude": 0.2, "mode": 1}),
+    "audit-ede": dict(MINIMAL, s_idx=0, t_idx=5),
+    "rates": dict(MINIMAL, tol_extinct=1e-10,
+                  initial={"kind": "lifted_parabola", "M": 1.0, "delta": 0.01}),
+    "sweep-liftoff": NO_LIFTOFF,
+    "dissipation-bound": {"N": 40000, "M": 1.0, "n": 2.0, "alpha": 1.0,
+                          "deltas": [0.1, 0.03, 0.01, 0.003, 1e-3], "slope_tol": 0.15},
+    "bb-action": {"N": 64, "eta": 0.25, "M_sweep": [1, 2], "n": 2.0, "alpha": 1.0,
+                  "stage_steps": 8,
+                  "u0": {"kind": "cos_bumps", "background": 0.1, "amplitude": 1.0,
+                         "width": 0.05, "centers": [0.3]},
+                  "u1": {"kind": "values", "values": [1.0] * 64}},
+    "point-lemma": {"N": 64, "profiles": 2, "seed": 3, "modes": 6, "floor": 0.1},
+}
+
+# null means "no barrier" for sigma and is refused everywhere else
+NULL_CASES = [
+    (command, key) for command, schema in COMMAND_SCHEMAS.items()
+    for key in sorted(config_keys(schema)) if key != "sigma"
+] + [
+    (command, f"{key}.{field}") for command in COMMAND_SCHEMAS
+    for key, value in VALID_CONFIGS.get(command, {}).items() if isinstance(value, dict)
+    for field in value
+]
+
+
+@pytest.mark.parametrize("command,key", NULL_CASES, ids=[f"{c}-{k}" for c, k in NULL_CASES])
+def test_cli_null_value_exit_1(tmp_path, capsys, command, key):
+    cfg = json.loads(json.dumps(VALID_CONFIGS[command]))
+    parse(cfg, COMMAND_SCHEMAS[command])
+    top, _, field = key.partition(".")
+    if field:
+        cfg[top][field] = None
+    else:
+        cfg[top] = None
+    p = write_json(tmp_path / "null.json", cfg)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"tfilm: error: {top}:" in err
     assert "Traceback" not in err
