@@ -6,9 +6,11 @@ rejected so a typo in a sweep cannot silently fall back to a default,
 and a null or wrongly typed value is a ConfigError naming its key.  All
 floating-point output carries 17 significant digits, which round-trips
 doubles exactly, and re-running a config byte-reproduces
-diagnostics.csv.  Every artifact is written to a temporary file beside
-its target and renamed over it, so a failed write leaves the previous
-file (or none) and never a partial one.
+diagnostics.csv.  `fmt` is the rule for one value; the writers produce
+the same text with one `%` call per CSV row, and one per snapshot file
+on a template that holds the run's x column.  Every artifact is written
+to a temporary file beside its target and renamed over it, so a failed
+write leaves the previous file (or none) and never a partial one.
 """
 
 import json
@@ -38,6 +40,7 @@ __all__ = [
     "write_timeseries",
     "write_summary",
     "write_csv",
+    "csv_lines",
     "fmt",
     "DirectoryLock",
     "line_plot_svg",
@@ -346,9 +349,29 @@ def _atomic_text(path):
         raise
 
 
+def csv_lines(rows):
+    """Each row as the CSV line `",".join(fmt(v) for v in row)`.
+
+    A row is formatted by one `%` call on the template of its cell types,
+    `%d` for an integer (or boolean) cell and `%.17g` for any other real
+    one, which is the text `fmt` gives each cell.
+    """
+    templates = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types)
+        lines.append(template % row)
+    return lines
+
+
 def write_csv(path, header, rows):
     with _atomic_text(path) as f:
-        f.write("\n".join([header] + [",".join(fmt(v) for v in row) for row in rows]) + "\n")
+        f.write("\n".join([header, *csv_lines(rows)]) + "\n")
 
 
 def write_timeseries(series, outdir):
@@ -363,9 +386,12 @@ def write_timeseries(series, outdir):
     ]
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
 
-    x = series.config.grid.cell_centers()
+    # the x column is the same in every snapshot: format it once per run
+    x = series.config.grid.cell_centers().tolist()
+    snapshot = "x,u\n" + "".join(f"{xi:.17g},%.17g\n" for xi in x)
     for t, u in series.snapshots.items():
-        write_csv(outdir / f"u_t{t:.9g}.csv", "x,u", zip(x, u))
+        with _atomic_text(outdir / f"u_t{t:.9g}.csv") as f:
+            f.write(snapshot % tuple(u.tolist()))
 
     times = series.times
     line_plot_svg(outdir / "energy.svg", times, series.column("E_total"),

@@ -1,12 +1,17 @@
 import itertools
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tfilm.experiments
 import tfilm.step
 from tfilm.cli import main
 from tfilm.driver import InitialDataSpec, RunConfig, run
@@ -17,8 +22,10 @@ from tfilm.io import (
     ConfigError,
     DirectoryLock,
     config_keys,
+    csv_lines,
     echo_config,
     fmt,
+    line_plot_svg,
     parse,
     parse_config,
     parse_config_file,
@@ -88,12 +95,12 @@ def test_fmt_round_trips_doubles():
         assert float(fmt(x)) == x
 
 
-def small_series(T=5e-4, initial=None):
+def small_series(T=5e-4, initial=None, N=32, record_every=2):
     model = ModelParams(alpha=1.0, mobility=power_mobility(2.0),
                         potential=zero_potential(), sigma=0.05)
-    cfg = RunConfig(grid=Grid(1.0, 32), model=model,
+    cfg = RunConfig(grid=Grid(1.0, N), model=model,
                     step=StepParams(h=1e-4, tol_grad=1e-8), T=T,
-                    record_every=2,
+                    record_every=record_every,
                     initial=initial or InitialDataSpec("cosine", M=1.0,
                                                        amplitude=0.2, mode=1))
     return run(cfg)
@@ -136,6 +143,107 @@ def test_rerun_byte_reproduces(tmp_path):
     write_timeseries(small_series(), a)
     write_timeseries(small_series(), b)
     assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the template writers against the `fmt` rule
+
+def reference_csv(header, rows):
+    """CSV text with every cell serialised by its own `fmt` call."""
+    return "\n".join([header] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def reference_write_timeseries(series, outdir):
+    """write_timeseries as one `fmt` call per cell and a plain write per file."""
+    outdir.mkdir()
+    rows = [[getattr(d, k) for k in DIAGNOSTICS_HEADER.split(",")] for d in series.diagnostics]
+    (outdir / "diagnostics.csv").write_text(reference_csv(DIAGNOSTICS_HEADER, rows))
+    x = series.config.grid.cell_centers()
+    for t, u in series.snapshots.items():
+        (outdir / f"u_t{t:.9g}.csv").write_text(reference_csv("x,u", zip(x, u)))
+    line_plot_svg(outdir / "energy.svg", series.times, series.column("E_total"), "t", "E_total")
+    line_plot_svg(outdir / "minu.svg", series.times, series.column("min_u"), "t", "min_u")
+
+
+def tree_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("series", [small_series, lambda: small_series(T=1e-3, N=37,
+                                                                       record_every=3)],
+                         ids=["small", "N37-every3"])
+def test_write_timeseries_matches_fmt_reference(tmp_path, series):
+    s = series()
+    write_timeseries(s, tmp_path / "new")
+    reference_write_timeseries(s, tmp_path / "ref")
+    written = tree_bytes(tmp_path / "new")
+    assert written == tree_bytes(tmp_path / "ref")
+    assert len(written) == 1 + len(s.snapshots) + 2
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_to_float),  # any 64-bit pattern, nan payloads too
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+                     10**17 - 1, 2**63 - 1, -(2**63), np.int64(10**17 - 1)]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    INT64,
+    INT64.map(np.int64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(CELLS, max_size=12), max_size=8))
+def test_csv_lines_match_fmt(rows):
+    assert csv_lines(rows) == [",".join(fmt(v) for v in row) for row in rows]
+
+
+def test_command_csvs_match_fmt_reference(tmp_path, monkeypatch):
+    reports = {}
+
+    def record(name):
+        fn = getattr(tfilm.experiments, name)
+
+        def wrapper(*args, **kwargs):
+            reports.setdefault(name, []).append(fn(*args, **kwargs))
+            return reports[name][-1]
+
+        monkeypatch.setattr(tfilm.experiments, name, wrapper)
+
+    for name in ("liftoff_sweep", "bb_action_demo", "point_lemma_check"):
+        record(name)
+    for command, cfg in [("sweep-liftoff", NO_LIFTOFF), ("bb-action", VALID_CONFIGS["bb-action"]),
+                         ("point-lemma", {"N": 64, "profiles": 3, "seed": 3})]:
+        p = write_json(tmp_path / f"{command}.json", cfg)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / command)]) in (0, 2)
+
+    (lift,), (bb,), witnesses = (reports[k] for k in ("liftoff_sweep", "bb_action_demo",
+                                                      "point_lemma_check"))
+    expected = {
+        "sweep-liftoff/liftoff.csv": reference_csv(
+            "delta,t_half,energy_u0",
+            [(d, math.nan if t is None else t, e)
+             for d, t, e in zip(lift.deltas, lift.t_half, lift.energies)]),
+        **{f"sweep-liftoff/minu_delta{i}.csv": reference_csv("t,min_u", zip(times, min_u))
+           for i, (times, min_u) in enumerate(lift.min_u_trajectories)},
+        "bb-action/bb_action.csv": reference_csv(
+            "M,action,concentrate,transport,spread",
+            [(M, a, *s) for M, a, s in zip(bb.M_values, bb.actions, bb.stage_actions)]),
+        "point-lemma/point_lemma.csv": reference_csv(
+            "trial,found,x0,grad,curv_product,required_grad,required_curv,tol_fd",
+            [(i, int(w.found), w.x0, w.grad_at, w.curv_product, w.required_grad,
+              w.required_curv, w.tol_fd) for i, w in enumerate(witnesses)]),
+    }
+    assert "nan" in expected["sweep-liftoff/liftoff.csv"]  # no member lifted off
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text() == text, name
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*.csv")}
+    assert written == set(expected)
 
 
 def test_directory_lock(tmp_path):
