@@ -1,19 +1,18 @@
 """Time `tfilm simulate` per rheology branch and grid size.
 
-    python3 tools/simulate_scaling.py [--repeats 3] [--steps 20]
+    python3 tools/simulate_scaling.py
 
 For alpha 0.5 (shear-thinning), 1 (Newtonian) and 2 (shear-thickening),
-and N in 128, 512 and 2048, runs `tfilm simulate` in-process `--repeats`
-times, each call into a fresh temporary directory and recording every
-step.  Prints one line per case with the median wall time of the run
-(`cli.run`) and of the artifact writing (`cli.write_timeseries`) per
-call, and the Newton iterations per step.  Times are unscaled wall-clock
-seconds on the host it runs on.  tfilm is imported from `src/` beside
-this directory.  tol_grad is max(1e-7, 1000 x the roundoff floor
+and N in 128, 512 and 2048, runs `tfilm simulate` in-process REPEATS
+times, each call STEPS time steps long, into a fresh temporary directory
+and recording every step.  Prints one line per case with the median wall
+time of the run (`cli.run`) and of the artifact writing
+(`cli.write_timeseries`) per call, and the Newton iterations per step.
+Times are unscaled wall-clock seconds on the host it runs on.  tfilm is
+imported from `src/` beside this directory.  tol_grad is max(1e-7, 1000 x the roundoff floor
 eps * max|u0| / dx^3), so that the solver can reach it at every N.
 """
 
-import argparse
 import json
 import statistics
 import sys
@@ -31,6 +30,8 @@ from tfilm.io import parse_config  # noqa: E402
 
 ALPHAS = (0.5, 1.0, 2.0)
 SIZES = (128, 512, 2048)
+STEPS = 20
+REPEATS = 5
 
 # one film per rheology branch (the benchmark's films for alpha 0.5 and 2)
 BRANCHES = {
@@ -43,8 +44,8 @@ BRANCHES = {
 }
 
 
-def config(alpha, N, steps):
-    data = {"L": 1.0, "N": N, "T": steps * BRANCHES[alpha]["h"], "alpha": alpha,
+def config(alpha, N):
+    data = {"L": 1.0, "N": N, "T": STEPS * BRANCHES[alpha]["h"], "alpha": alpha,
             "potential": "zero", "sigma": 0.01, "tol_grad": 1e-7, **BRANCHES[alpha]}
     cfg = parse_config(data)
     u0 = cfg.initial.build(cfg.grid)
@@ -68,14 +69,14 @@ def timed(name, spent):
     return fn
 
 
-def measure(data, repeats, workdir):
+def measure(data, workdir):
     run_s, write_s = [], []
     originals = {name: timed(name, spent)
                  for name, spent in (("run", run_s), ("write_timeseries", write_s))}
     try:
         path = Path(workdir) / "config.json"
         path.write_text(json.dumps(data))
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             out = tempfile.mkdtemp(dir=workdir)
             code = tfilm.cli.main(["simulate", "--config", str(path), "--out", out])
             if code != 0:
@@ -88,19 +89,12 @@ def measure(data, repeats, workdir):
     return statistics.median(run_s), statistics.median(write_s), float(np.mean(iters))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3, help="calls per case (median)")
-    parser.add_argument("--steps", type=int, default=20, help="time steps per call")
-    args = parser.parse_args(argv)
-    if args.repeats < 1 or args.steps < 1:
-        parser.error("--repeats and --steps must be at least 1")
+def main():
     print(f"{'alpha':>5} {'N':>5} {'run_s':>9} {'write_s':>9} {'newton/step':>11}")
     with tempfile.TemporaryDirectory() as workdir:
         for alpha in ALPHAS:
             for N in SIZES:
-                run_s, write_s, iters = measure(config(alpha, N, args.steps), args.repeats,
-                                                workdir)
+                run_s, write_s, iters = measure(config(alpha, N), workdir)
                 print(f"{alpha:>5} {N:>5} {run_s:>9.4f} {write_s:>9.4f} {iters:>11.2f}",
                       flush=True)
 
