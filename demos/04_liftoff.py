@@ -19,7 +19,6 @@ report = liftoff_sweep(
     step=StepParams(h=1e-5, tol_grad=1e-8),
     T=0.008,
     record_every=20,
-    threads=3,
 )
 
 print(f"barrier sigma = {report.sigma}")

@@ -13,7 +13,6 @@ stopping error); anything worse raises.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -150,10 +149,6 @@ class TimeSeries:
     def times(self):
         return np.array([d.t for d in self.diagnostics])
 
-    @property
-    def snapshot_times(self):
-        return list(self.snapshots.keys())
-
     def column(self, name):
         return np.array([getattr(d, name) for d in self.diagnostics])
 
@@ -234,11 +229,12 @@ def run(cfg):
 
 
 def run_many(configs, threads=None):
-    """Run independent configurations in parallel, preserving order."""
-    if threads is None or threads <= 1:
-        return [run(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, configs))
+    """Run independent configurations one after another, in order.
+
+    ``threads`` is accepted for existing callers and ignored: a thread pool
+    ran slower than this serial loop, because a step is Python-bound.
+    """
+    return [run(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class LiftoffReport:
     series: tuple
 
 
-def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1, threads=None):
+def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1):
     """Run the lift-off family u0 = delta + (1 - delta/M) v and time min_u.
 
     Requires the superlinearity window 2(alpha+1) > n.  The barrier is
@@ -121,7 +121,7 @@ def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1, threads=No
         )
         for d in deltas
     ]
-    series = run_many(configs, threads=threads)
+    series = run_many(configs)
 
     t_half = []
     trajectories = []
@@ -162,7 +162,6 @@ class WlProfile:
     l: float
     values: np.ndarray       # w at cell centers, >= 0, touching at x = 1/2
     beta: float              # int w dx (-> (1-l)^2/12)
-    w2: np.ndarray           # the prescribed second derivative at centers
     w3_faces: np.ndarray     # first difference of w2 at interior faces
     slope_left: float        # discrete w'(0), O(dx)
     slope_right: float       # discrete w'(1), O(dx)
@@ -204,7 +203,6 @@ def build_w_l(l, g):
         l=l,
         values=w,
         beta=integrate(g, w),
-        w2=w2,
         w3_faces=np.diff(w2) / g.dx,
         slope_left=float(slope[0]),
         slope_right=float(slope[-1]),
@@ -279,7 +277,6 @@ def dissipation_scaling_fit(deltas, M, n, alpha, g, slope_tol=0.15):
 class PointWitness:
     found: bool
     x0: float
-    index: int
     grad_at: float
     curv_product: float      # u(x0) u''(x0)
     required_grad: float     # (D - delta)/2
@@ -287,13 +284,14 @@ class PointWitness:
     tol_fd: float
 
 
-def point_lemma_check(u, g, tol_fd=None):
+def point_lemma_check(u, g):
     """Search for a cell with steep slope and large height-curvature product.
 
     For a positive Neumann profile with range [delta, D] there is a
     point with |u'| >= (D - delta)/2 and u u'' >= (D - delta)^2 /
     (4 log(D/delta)); the discrete search allows the O(dx) slack
-    tol_fd.  A constant profile passes trivially with zero bounds.
+    tol_fd = 5 dx times that curvature bound.  A constant profile passes
+    trivially with zero bounds.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
@@ -304,13 +302,11 @@ def point_lemma_check(u, g, tol_fd=None):
     d2u = laplacian_neumann(g, u)
 
     if D <= delta * (1.0 + 1e-14):
-        return PointWitness(True, float(g.cell_centers()[0]), 0, 0.0, 0.0,
-                            0.0, 0.0, 0.0)
+        return PointWitness(True, float(g.cell_centers()[0]), 0.0, 0.0, 0.0, 0.0, 0.0)
 
     req_grad = 0.5 * (D - delta)
     req_curv = (D - delta) ** 2 / (4.0 * math.log(D / delta))
-    if tol_fd is None:
-        tol_fd = 5.0 * g.dx * req_curv
+    tol_fd = 5.0 * g.dx * req_curv
 
     adj = np.maximum(np.abs(du[:-1]), np.abs(du[1:]))
     steep = adj >= req_grad
@@ -318,13 +314,13 @@ def point_lemma_check(u, g, tol_fd=None):
     candidates = np.nonzero(steep & (prod >= req_curv - tol_fd))[0]
     if candidates.size:
         best = candidates[np.argmax(prod[candidates])]
-        return PointWitness(True, float(g.cell_centers()[best]), int(best),
+        return PointWitness(True, float(g.cell_centers()[best]),
                             float(adj[best]), float(prod[best]),
                             req_grad, req_curv, tol_fd)
     # report the nearest miss for diagnosis
     steep_idx = np.nonzero(steep)[0]
     best = steep_idx[np.argmax(prod[steep_idx])] if steep_idx.size else int(np.argmax(prod))
-    return PointWitness(False, float(g.cell_centers()[best]), int(best),
+    return PointWitness(False, float(g.cell_centers()[best]),
                         float(adj[best]), float(prod[best]),
                         req_grad, req_curv, tol_fd)
 
@@ -338,8 +334,12 @@ class RateReport:
     rate: float              # amplitude rate (alpha = 1) or log-log exponent (alpha > 1)
     r_squared: float
     t_star: float            # extinction time (alpha < 1), inf otherwise
-    window: tuple            # (first index, last index) of the fit window
     note: str = ""
+
+
+# Energies below this fraction of the tail's first energy are roundoff and
+# are left out of the fits
+_ENERGY_FLOOR = 1e-13
 
 
 def _r_squared(y, yhat):
@@ -348,9 +348,10 @@ def _r_squared(y, yhat):
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def rate_fit(series, alpha, M=None, tol_extinct=1e-10, floor=1e-13):
+def rate_fit(series, alpha, tol_extinct=1e-10):
     """Classify the energy decay on the lifted-off tail of a run.
 
+    The tail starts where min u reaches half the mean height.
     alpha = 1: least-squares slope of log E vs t; the reported rate is
     half the energy rate, i.e. the amplitude rate, which for the
     constant-mobility single-mode oracle equals log(1 + h lam_k^2)/h.
@@ -359,13 +360,11 @@ def rate_fit(series, alpha, M=None, tol_extinct=1e-10, floor=1e-13):
     """
     times = series.times
     E = series.column("E_total")
-    if M is None:
-        M = series.diagnostics[0].mass / series.config.grid.L
+    M = series.diagnostics[0].mass / series.config.grid.L
     min_u = series.column("min_u")
     lifted = np.nonzero(min_u >= 0.5 * M)[0]
     if lifted.size == 0:
-        return RateReport("inconclusive", math.nan, 0.0, math.inf, (0, 0),
-                          "run never lifted off")
+        return RateReport("inconclusive", math.nan, 0.0, math.inf, "run never lifted off")
     start = int(lifted[0])
 
     if alpha < 1.0:
@@ -373,30 +372,26 @@ def rate_fit(series, alpha, M=None, tol_extinct=1e-10, floor=1e-13):
         below = below[below >= start]
         if below.size == 0:
             return RateReport("inconclusive", math.nan, 0.0, math.inf,
-                              (start, len(E) - 1), "energy never reached tol_extinct")
+                              "energy never reached tol_extinct")
         first = int(below[0])
         if np.all(E[first:] <= tol_extinct):
-            return RateReport("finite_time", math.nan, 1.0, float(times[first]),
-                              (start, len(E) - 1))
+            return RateReport("finite_time", math.nan, 1.0, float(times[first]))
         return RateReport("inconclusive", math.nan, 0.0, float(times[first]),
-                          (start, len(E) - 1), "energy resurfaced above tol_extinct")
+                          "energy resurfaced above tol_extinct")
 
-    scale = max(E[start], floor)
-    usable = np.nonzero((np.arange(len(E)) >= max(start, 1)) & (E > floor * scale))[0]
+    scale = max(E[start], _ENERGY_FLOOR)
+    usable = np.nonzero((np.arange(len(E)) >= max(start, 1)) & (E > _ENERGY_FLOOR * scale))[0]
     if usable.size < 5:
-        return RateReport("inconclusive", math.nan, 0.0, math.inf,
-                          (start, len(E) - 1), "fit window too short")
+        return RateReport("inconclusive", math.nan, 0.0, math.inf, "fit window too short")
     t, logE = times[usable], np.log(E[usable])
 
     if alpha == 1.0:
         coef = np.polyfit(t, logE, 1)
         r2 = _r_squared(logE, np.polyval(coef, t))
-        return RateReport("exponential", -0.5 * float(coef[0]), r2,
-                          math.inf, (int(usable[0]), int(usable[-1])))
+        return RateReport("exponential", -0.5 * float(coef[0]), r2, math.inf)
     coef = np.polyfit(np.log(t), logE, 1)
     r2 = _r_squared(logE, np.polyval(coef, np.log(t)))
-    return RateReport("algebraic", float(coef[0]), r2,
-                      math.inf, (int(usable[0]), int(usable[-1])))
+    return RateReport("algebraic", float(coef[0]), r2, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ write leaves the previous file (or none) and never a partial one.
 
 import json
 import numbers
+import operator
 import os
 import secrets
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import InitialDataSpec, RunConfig
+from .driver import InitialDataSpec, RunConfig, StepDiagnostics
 from .grid import Grid
 from .models import ModelParams, MobilitySpec, PotentialSpec
 from .step import StepParams
@@ -46,10 +47,9 @@ __all__ = [
     "line_plot_svg",
 ]
 
-DIAGNOSTICS_HEADER = (
-    "t,mass,min_u,max_u,E_dirichlet,E_potential,E_total,"
-    "diss_flux,diss_strong,ede_slack,el_residual,newton_iters"
-)
+# diagnostics.csv has one column per StepDiagnostics field, in field order
+_DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(StepDiagnostics))
+DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -379,12 +379,8 @@ def write_timeseries(series, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = [
-        (d.t, d.mass, d.min_u, d.max_u, d.E_dirichlet, d.E_potential, d.E_total,
-         d.diss_flux, d.diss_strong, d.ede_slack, d.el_residual, d.newton_iters)
-        for d in series.diagnostics
-    ]
-    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
+    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER,
+              map(operator.attrgetter(*_DIAGNOSTICS_FIELDS), series.diagnostics))
 
     # the x column is the same in every snapshot: format it once per run
     x = series.config.grid.cell_centers().tolist()
@@ -417,11 +413,11 @@ def write_summary(outdir, payload):
     return path
 
 
-def line_plot_svg(path, xs, ys, xlabel, ylabel, width=640, height=400):
-    """Bare-bones polyline plot; no plotting dependency."""
+def line_plot_svg(path, xs, ys, xlabel, ylabel):
+    """Bare-bones 640 x 400 polyline plot; no plotting dependency."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    pad = 50
+    width, height, pad = 640, 400, 50
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     if x1 == x0:

@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+# Fixed ingredients of the scheme: the ratio of the eps ladder, the
+# Armijo sufficient-decrease constant and the fraction-to-boundary factor.
+_RHO = 0.1
+_ARMIJO_C = 1e-4
+_TAU_BOUNDARY = 0.9
+
+
 @dataclass(frozen=True)
 class StepParams:
     """Time step size and Newton/continuation knobs."""
@@ -65,25 +72,16 @@ class StepParams:
     h: float
     eps0: float = 1e-2
     eps_min: float = 1e-8
-    rho: float = 0.1
     tol_grad: float = 1e-9
     max_newton: int = 80
-    armijo_c: float = 1e-4
-    tau_boundary: float = 0.9
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("h must be positive")
         if not 0.0 < self.eps_min <= self.eps0:
             raise ValueError("need 0 < eps_min <= eps0")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
         if self.tol_grad <= 0:
             raise ValueError("tol_grad must be positive")
-        if not 0.0 < self.armijo_c < 0.5:
-            raise ValueError("armijo_c must be in (0, 1/2)")
-        if not 0.0 < self.tau_boundary < 1.0:
-            raise ValueError("tau_boundary must be in (0, 1)")
 
 
 @dataclass
@@ -91,7 +89,6 @@ class StepResult:
     u_next: np.ndarray
     j: np.ndarray
     newton_iters: int
-    final_grad_norm: float
     el_residual_norm: float
     energy_before: tuple
     energy_after: tuple
@@ -210,7 +207,7 @@ class _Iterate(NamedTuple):
 def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
     """Damped Newton at fixed smoothing eps from the accepted iterate `state`.
 
-    Returns (iterate, iters, grad_norm).
+    Returns (iterate, iters).
     """
     N, dx, h, p = g.N, g.dx, step.h, model.p
     lap_diag, ao, d2 = bands
@@ -225,7 +222,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
         # decayed below tol would freeze instead of keeping their
         # relative accuracy.
         if grad_norm <= tol and (it >= 1 or grad_norm == 0.0 or step.max_newton == 0):
-            return _Iterate(q, u, e, mu, f), it, grad_norm
+            return _Iterate(q, u, e, mu, f), it
         if it == step.max_newton:
             raise StepNonconvergenceError(
                 f"Newton did not reach tol_grad={tol:g} in {step.max_newton} iterations "
@@ -277,7 +274,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
             du_dir = -h * divergence(g, jd)
             shrink = du_dir < 0.0
             if np.any(shrink):
-                t = min(t, step.tau_boundary * float(np.min(u[shrink] / -du_dir[shrink])))
+                t = min(t, _TAU_BOUNDARY * float(np.min(u[shrink] / -du_dir[shrink])))
 
         # Predicted decreases below the objective's floating-point
         # granularity cannot be verified by comparing values; the
@@ -290,7 +287,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
             q_try = q + t * delta
             u_try = _height(g, u_star, h, q_try)
             f_try, e_try = _functional(g, model, mp, w, h, eps, q_try, u_try)
-            decrease_ok = f_try <= f + step.armijo_c * t * dd
+            decrease_ok = f_try <= f + _ARMIJO_C * t * dd
             unmeasurable = -t * dd <= granularity and math.isfinite(f_try)
             if decrease_ok or unmeasurable:
                 accepted = True
@@ -299,7 +296,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
         if not accepted:
             if grad_norm <= tol:
                 # stalled while polishing an already-converged iterate
-                return _Iterate(q, u, e, mu, f), it, grad_norm
+                return _Iterate(q, u, e, mu, f), it
             raise StepNonconvergenceError(
                 f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
                 "tol_grad is below the roundoff floor of this problem",
@@ -315,17 +312,17 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
 def _descend(g, u_star, model, mp, w, bands, step, ladder, state):
     """Newton down the eps ladder from the accepted iterate `state`.
 
-    Returns (iterate, iters, grad_norm) at the last level.
+    Returns (iterate, iters) at the last level.
     """
     total_iters = 0
     for eps in ladder:
         tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
         # a new level keeps the energy and mu and re-adds only the dissipation
         f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
-        state, iters, grad_norm = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
-                                          state._replace(f=f))
+        state, iters = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
+                               state._replace(f=f))
         total_iters += iters
-    return state, total_iters, grad_norm
+    return state, total_iters
 
 
 def solve_step(g, u_star, model, step, j0=None):
@@ -365,7 +362,7 @@ def solve_step(g, u_star, model, step, j0=None):
         e = energy(g, u, mp)
         if math.isfinite(e.total):  # else the warm flux leaves the barrier domain
             try:
-                state, total_iters, grad_norm = _descend(
+                state, total_iters = _descend(
                     *args, [step.eps_min], _Iterate(q, u, e, _chemical_potential(g, u, mp), None))
             except StepNonconvergenceError as exc:
                 total_iters = exc.iters
@@ -376,14 +373,14 @@ def solve_step(g, u_star, model, step, j0=None):
             eps = step.eps0
             while eps > step.eps_min * (1.0 + 1e-12):
                 ladder.append(eps)
-                eps *= step.rho
+                eps *= _RHO
             ladder.append(step.eps_min)
         else:
             ladder = [step.eps_min]
         q = np.zeros(g.N - 1)
         u = _height(g, u_star, step.h, q)
         # from zero flux the height is u_star bit for bit, and so is its energy
-        state, iters, grad_norm = _descend(
+        state, iters = _descend(
             *args, ladder, _Iterate(q, u, e_before, _chemical_potential(g, u, mp), None))
         total_iters += iters
 
@@ -411,7 +408,6 @@ def solve_step(g, u_star, model, step, j0=None):
         u_next=u_next,
         j=j,
         newton_iters=total_iters,
-        final_grad_norm=grad_norm,
         el_residual_norm=_el_defect(g, q, state.mu, m_int, model.alpha),
         energy_before=e_before,
         energy_after=state.energy,

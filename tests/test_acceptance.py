@@ -98,7 +98,7 @@ def liftoff_report():
     return liftoff_sweep(
         [1e-1, 1e-2, 1e-3], M=1.0, n=2.0, alpha=1.0,
         grid=Grid(1.0, 256), step=StepParams(h=1e-5, tol_grad=1e-8),
-        T=0.008, record_every=20, threads=3,
+        T=0.008, record_every=20,
     )
 
 

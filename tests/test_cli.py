@@ -71,7 +71,7 @@ def test_alpha_and_h_validation():
 
 def test_step_key_of_wrong_type_rejected():
     with pytest.raises(ConfigError, match="NoneType"):
-        parse_config(dict(MINIMAL, rho=None))
+        parse_config(dict(MINIMAL, eps0=None))
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -494,9 +494,9 @@ def test_cli_liftoff_unreached_writes_standard_json(tmp_path):
 
 
 def test_cli_liftoff_step_keys_validated(tmp_path, capsys):
-    p = write_json(tmp_path / "bad.json", dict(NO_LIFTOFF, rho=1.5))
+    p = write_json(tmp_path / "bad.json", dict(NO_LIFTOFF, eps_min=0.5))
     assert main(["sweep-liftoff", "--config", str(p), "--out", str(tmp_path / "o1")]) == 1
-    assert "tfilm: error: rho must be in (0, 1)" in capsys.readouterr().err
+    assert "tfilm: error: need 0 < eps_min <= eps0" in capsys.readouterr().err
     p = write_json(tmp_path / "ok.json", dict(NO_LIFTOFF, max_newton=60))
     assert main(["sweep-liftoff", "--config", str(p), "--out", str(tmp_path / "o2")]) == 2
 
@@ -514,6 +514,18 @@ def test_cli_non_numeric_config_value_exit_1(tmp_path, capsys, key, value):
     p = write_json(tmp_path / "bad.json", dict(MINIMAL, **{key: value}))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert f"tfilm: error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("rho", 0.1), ("armijo_c", 1e-4), ("tau_boundary", 0.9)])
+def test_cli_fixed_step_constant_is_unknown_key(tmp_path, capsys, key, value):
+    # the ladder ratio, Armijo constant and boundary factor are fixed by the scheme
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, **{key: value}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"tfilm: error: unknown key(s) in config: {key}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_step_check_failure_exit_1(tmp_path, capsys, monkeypatch):
