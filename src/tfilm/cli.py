@@ -40,11 +40,10 @@ __all__ = ["main"]
 
 def _simulate_audits(series):
     cfg = series.config
-    mass0 = series.diagnostics[0].mass
-    u0 = series.snapshots[0.0]
-    mass_scale = max(abs(mass0),
-                     float(np.sum(np.abs(u0))) * cfg.grid.dx, 1e-300)
-    mass_ok = bool(np.all(np.abs(series.column("mass") - mass0) <= 1e-13 * mass_scale))
+    mass = series.column("mass")
+    mass_scale = max(abs(mass[0]),
+                     float(np.sum(np.abs(series.snapshots[0]))) * cfg.grid.dx, 1e-300)
+    mass_ok = bool(np.all(np.abs(mass - mass[0]) <= 1e-13 * mass_scale))
     slack_ok = bool(np.all(series.column("ede_slack")[1:] >= -cfg.tol_audit))
     E = series.column("E_total")
     mono_ok = bool(np.all(np.diff(E) <= 1e-12 * (1.0 + np.abs(E[:-1]))))

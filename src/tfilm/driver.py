@@ -12,6 +12,7 @@ eps_min^p * |domain| + 10 * tol_grad (smoothing bias plus the gradient
 stopping error); anything worse raises.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -71,6 +72,10 @@ class InitialDataSpec:
     centers: Optional[tuple] = None
     values: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.kind == "cos_bumps" and self.centers and not self.width > 0.0:
+            raise ValueError(f"cos_bumps width must be positive, got {self.width!r}")
+
     def build(self, g):
         if self.kind == "constant":
             return np.full(g.N, self.M)
@@ -123,34 +128,34 @@ class RunConfig:
         return self.step.eps_min ** self.model.p * self.grid.L + 10.0 * self.step.tol_grad
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    t: float
-    mass: float
-    min_u: float
-    max_u: float
-    E_dirichlet: float
-    E_potential: float
-    E_total: float
-    diss_flux: float
-    diss_strong: float
-    ede_slack: float
-    el_residual: float
-    newton_iters: int
+# One row of a run's record: the columns of diagnostics.csv, in order
+StepDiagnostics = np.dtype([(name, float) for name in (
+    "t", "mass", "min_u", "max_u", "E_dirichlet", "E_potential", "E_total",
+    "diss_flux", "diss_strong", "ede_slack", "el_residual")] + [("newton_iters", np.int64)])
 
 
 @dataclass
 class TimeSeries:
+    """A run's record and snapshots.
+
+    `diagnostics` is a record array of dtype StepDiagnostics whose row k
+    is the state after step k (row 0 the initial one); `snapshots` maps a
+    step index k to the height after step k, at time k*h.
+    """
+
     config: RunConfig
-    diagnostics: list = field(default_factory=list)
+    diagnostics: np.recarray
     snapshots: dict = field(default_factory=dict)
 
     @property
     def times(self):
-        return np.array([d.t for d in self.diagnostics])
+        return self.column("t")
 
     def column(self, name):
-        return np.array([getattr(d, name) for d in self.diagnostics])
+        """Read-only view of one field of the record."""
+        col = self.diagnostics[name]
+        col.flags.writeable = False
+        return col
 
 
 class EnergyAuditError(RuntimeError):
@@ -158,21 +163,19 @@ class EnergyAuditError(RuntimeError):
 
 
 def _diag_row(g, t, u, e, res=None, slack=0.0):
-    """Diagnostics of height u at time t, given its energy breakdown e."""
-    return StepDiagnostics(
-        t=t,
-        mass=integrate(g, u),
-        min_u=float(np.min(u)),
-        max_u=float(np.max(u)),
-        E_dirichlet=e.dirichlet,
-        E_potential=e.potential,
-        E_total=e.total,
-        diss_flux=0.0 if res is None else res.dissipation_flux_term,
-        diss_strong=0.0 if res is None else res.dissipation_strong_term,
-        ede_slack=slack,
-        el_residual=0.0 if res is None else res.el_residual_norm,
-        newton_iters=0 if res is None else res.newton_iters,
-    )
+    """Record row of height u at time t, given its energy breakdown e."""
+    flux, strong, el, iters = (0.0, 0.0, 0.0, 0) if res is None else (
+        res.dissipation_flux_term, res.dissipation_strong_term, res.el_residual_norm,
+        res.newton_iters)
+    return (t, integrate(g, u), u.min(), u.max(), *e, flux, strong, slack, el, iters)
+
+
+def _prefixed(exc, prefix):
+    """A copy of the step error exc whose message starts with prefix; the
+    iterate and counters it carries are kept."""
+    err = copy.copy(exc)
+    err.args = (prefix + str(exc),)
+    return err
 
 
 def run(cfg):
@@ -190,39 +193,27 @@ def run(cfg):
     if not math.isfinite(e0.total):
         raise ValueError("initial height has infinite energy under the barrier")
 
-    series = TimeSeries(config=cfg)
-    series.diagnostics.append(_diag_row(g, 0.0, u, e0))
-    series.snapshots[0.0] = u.copy()
+    rec = np.zeros(cfg.n_steps + 1, StepDiagnostics).view(np.recarray)
+    rec[0] = _diag_row(g, 0.0, u, e0)
+    series = TimeSeries(config=cfg, diagnostics=rec, snapshots={0: u.copy()})
 
     e_prev = e0.total
     j_prev = None
-    for k in range(cfg.n_steps):
+    for k in range(1, cfg.n_steps + 1):
+        t = k * sp.h
         try:
             res = solve_step(g, u, model, sp, j0=j_prev)
-        except StepNonconvergenceError as exc:
-            raise StepNonconvergenceError(
-                f"step {k + 1} (t = {(k + 1) * sp.h:g}) failed: {exc}",
-                u_last=exc.u_last,
-                j_last=exc.j_last,
-                grad_norm=exc.grad_norm,
-                iters=exc.iters,
-            ) from exc
-        except StepCheckError as exc:
-            raise StepCheckError(
-                f"step {k + 1} (t = {(k + 1) * sp.h:g}) failed: {exc}",
-                u_last=exc.u_last,
-                j_last=exc.j_last,
-            ) from exc
-        t = (k + 1) * sp.h
+        except (StepNonconvergenceError, StepCheckError) as exc:
+            raise _prefixed(exc, f"step {k} (t = {t:g}) failed: ") from exc
         slack = e_prev - res.energy_after.total - sp.h * res.dissipation_flux_term
         if slack < -cfg.tol_audit:
             raise EnergyAuditError(
-                f"step {k + 1}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
+                f"step {k}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
             )
         u = res.u_next
-        series.diagnostics.append(_diag_row(g, t, u, res.energy_after, res, slack))
-        if (k + 1) % cfg.record_every == 0 or k + 1 == cfg.n_steps:
-            series.snapshots[t] = u.copy()
+        rec[k] = _diag_row(g, t, u, res.energy_after, res, slack)
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            series.snapshots[k] = u.copy()
         e_prev = res.energy_after.total
         j_prev = res.j
     return series
@@ -264,14 +255,12 @@ def audit_ede(series, s_idx, t_idx):
         raise IndexError(f"need 0 <= s_idx < t_idx < {n}")
     cfg = series.config
     alpha = cfg.model.alpha
-    h = cfg.step.h
-    dsum = 0.0
-    for k in range(s_idx + 1, t_idx + 1):
-        d = series.diagnostics[k]
-        dsum += h * (
-            alpha / (alpha + 1.0) * d.diss_flux + 1.0 / (alpha + 1.0) * d.diss_strong
-        )
-    slack = series.diagnostics[t_idx].E_total + dsum - series.diagnostics[s_idx].E_total
+    span = slice(s_idx + 1, t_idx + 1)
+    terms = cfg.step.h * (alpha / (alpha + 1.0) * series.column("diss_flux")[span]
+                          + 1.0 / (alpha + 1.0) * series.column("diss_strong")[span])
+    E = series.column("E_total")
+    # cumsum adds in step order, as a running sum does (np.sum adds pairwise)
+    slack = float(E[t_idx] + np.cumsum(terms)[-1] - E[s_idx])
     tol = cfg.tol_audit * (t_idx - s_idx)
     return AuditReport(
         s_idx=s_idx,
@@ -312,7 +301,8 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
     sigmas = tuple(float(s) for s in sigmas)
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
-    g = cfg.grid
+    g, h = cfg.grid, cfg.step.h
+    base_mp = unmodified_potential(cfg.model.potential)
 
     all_series = []
     min_heights = []
@@ -323,36 +313,28 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
         c = replace(cfg, model=model, initial=InitialDataSpec("values", values=tuple(u0)))
         try:
             series = run(c)
-        except StepNonconvergenceError as exc:
-            raise StepNonconvergenceError(f"sigma={s:g}: {exc}") from exc
+        except (StepNonconvergenceError, StepCheckError) as exc:
+            raise _prefixed(exc, f"sigma={s:g}: ") from exc
         all_series.append(series)
-        min_heights.append(min(d.min_u for d in series.diagnostics))
+        min_heights.append(float(np.min(series.column("min_u"))))
 
-        base_mp = unmodified_potential(cfg.model.potential)
         e0 = energy(g, u0, base_mp).total
-        h = cfg.step.h
-        diss_cum = 0.0
+        # the Dirichlet term does not depend on the potential, so the
+        # record's is the unmodified energy's; row 0 carries no dissipation
+        du_sq = series.column("E_dirichlet")
+        diss_cum = np.cumsum(h * series.column("diss_strong"))
         worst = math.inf
-        for k, d in enumerate(series.diagnostics):
-            if k > 0:
-                diss_cum += h * d.diss_strong
-            ut = series.snapshots.get(d.t)
-            if ut is None:
-                continue
-            du_sq = energy(g, ut, base_mp).dirichlet
+        for k, ut in series.snapshots.items():
             pot_vals = cfg.model.potential.g(ut)
             pot = float(np.sum(pot_vals[ut >= 2.0 * s]) * g.dx)
-            worst = min(worst, e0 - (du_sq + pot) - diss_cum)
-        edi_slacks.append(worst)
+            worst = min(worst, e0 - (du_sq[k] + pot) - diss_cum[k])
+        edi_slacks.append(float(worst))
 
-    sup_distances = []
-    for sa, sb in zip(all_series, all_series[1:]):
-        shared = sorted(set(sa.snapshots) & set(sb.snapshots))
-        if not shared:
-            raise ValueError("no matched snapshot times between consecutive runs")
-        sup_distances.append(
-            max(float(np.max(np.abs(sa.snapshots[t] - sb.snapshots[t]))) for t in shared)
-        )
+    # the runs differ only in sigma, so their snapshots share step indices
+    sup_distances = [
+        max(float(np.max(np.abs(sa.snapshots[k] - sb.snapshots[k]))) for k in sa.snapshots)
+        for sa, sb in zip(all_series, all_series[1:])
+    ]
 
     return ContinuationReport(
         sigmas=sigmas,
@@ -372,7 +354,8 @@ def holder_quotient(series, alpha):
     energy bound; the pairing constant is E^sigma[u0]^(1/2), available
     from the first diagnostics row.
     """
-    items = sorted(series.snapshots.items())
+    h = series.config.step.h
+    items = [(k * h, series.snapshots[k]) for k in sorted(series.snapshots)]
     if len(items) < 2:
         raise ValueError("need at least two snapshots")
     expo = 1.0 / (5.0 * alpha + 3.0)

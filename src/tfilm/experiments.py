@@ -360,7 +360,7 @@ def rate_fit(series, alpha, tol_extinct=1e-10):
     """
     times = series.times
     E = series.column("E_total")
-    M = series.diagnostics[0].mass / series.config.grid.L
+    M = series.column("mass")[0] / series.config.grid.L
     min_u = series.column("min_u")
     lifted = np.nonzero(min_u >= 0.5 * M)[0]
     if lifted.size == 0:

@@ -15,7 +15,6 @@ write leaves the previous file (or none) and never a partial one.
 
 import json
 import numbers
-import operator
 import os
 import secrets
 from contextlib import contextmanager
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 # diagnostics.csv has one column per StepDiagnostics field, in field order
-_DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(StepDiagnostics))
-DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_FIELDS)
+DIAGNOSTICS_HEADER = ",".join(StepDiagnostics.names)
 
 
 class ConfigError(ValueError):
@@ -379,14 +377,14 @@ def write_timeseries(series, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER,
-              map(operator.attrgetter(*_DIAGNOSTICS_FIELDS), series.diagnostics))
+    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, series.diagnostics.tolist())
 
     # the x column is the same in every snapshot: format it once per run
     x = series.config.grid.cell_centers().tolist()
     snapshot = "x,u\n" + "".join(f"{xi:.17g},%.17g\n" for xi in x)
-    for t, u in series.snapshots.items():
-        with _atomic_text(outdir / f"u_t{t:.9g}.csv") as f:
+    h = series.config.step.h
+    for k, u in series.snapshots.items():
+        with _atomic_text(outdir / f"u_t{k * h:.9g}.csv") as f:
             f.write(snapshot % tuple(u.tolist()))
 
     times = series.times

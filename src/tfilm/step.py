@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
-from .grid import divergence, integrate, laplacian_neumann, zero_flux
+from .grid import _check_face, divergence, integrate, laplacian_neumann, zero_flux
 from .models import INFINITE_ENERGY, energy, mobility_face, psi, psi_inverse
 
 __all__ = [
@@ -333,10 +333,9 @@ def solve_step(g, u_star, model, step, j0=None):
     value of the feasible pair (u_star, 0), which is the one-step weak
     energy-dissipation inequality.
 
-    A warm start j0 (a face field or its interior values) is solved at
-    eps_min directly.  If it leaves the barrier domain, or Newton fails
-    from it, the step is solved cold: from zero flux down the full eps
-    ladder, exactly as without j0.  ``newton_iters`` then also counts the
+    A warm start j0 (a face field) is solved at eps_min directly.  If it
+    leaves the barrier domain, or Newton fails from it, the step is solved
+    cold: from zero flux down the full eps ladder, exactly as without j0.  ``newton_iters`` then also counts the
     iterations of the failed warm attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
@@ -356,8 +355,7 @@ def solve_step(g, u_star, model, step, j0=None):
 
     state, total_iters = None, 0
     if j0 is not None:
-        j0 = np.asarray(j0, dtype=float)
-        q = j0[1:-1].copy() if j0.shape == (g.N + 1,) else j0.copy()
+        q = _check_face(g, j0)[1:-1].copy()
         u = _height(g, u_star, step.h, q)
         e = energy(g, u, mp)
         if math.isfinite(e.total):  # else the warm flux leaves the barrier domain

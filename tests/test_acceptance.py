@@ -178,7 +178,7 @@ def test_criterion_01_biharmonic_oracle(biharmonic_series):
     mode = np.cos(k * np.pi * g.cell_centers() / g.L)
     worst = 0.0
     for step_idx in range(1, 201):
-        u = s.snapshots[step_idx * h]
+        u = s.snapshots[step_idx]
         amp = 2.0 * float(np.mean(u * mode))
         pred = (1.0 + h * lam**2) ** (-step_idx)
         worst = max(worst, abs(amp - pred) / pred)

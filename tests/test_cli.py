@@ -159,7 +159,8 @@ def reference_write_timeseries(series, outdir):
     rows = [[getattr(d, k) for k in DIAGNOSTICS_HEADER.split(",")] for d in series.diagnostics]
     (outdir / "diagnostics.csv").write_text(reference_csv(DIAGNOSTICS_HEADER, rows))
     x = series.config.grid.cell_centers()
-    for t, u in series.snapshots.items():
+    for k, u in series.snapshots.items():
+        t = k * series.config.step.h
         (outdir / f"u_t{t:.9g}.csv").write_text(reference_csv("x,u", zip(x, u)))
     line_plot_svg(outdir / "energy.svg", series.times, series.column("E_total"), "t", "E_total")
     line_plot_svg(outdir / "minu.svg", series.times, series.column("min_u"), "t", "min_u")
@@ -524,6 +525,21 @@ def test_cli_fixed_step_constant_is_unknown_key(tmp_path, capsys, key, value):
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"tfilm: error: unknown key(s) in config: {key}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+BUMP_AT_HALF = {"kind": "cos_bumps", "background": 0.5, "amplitude": 0.5, "centers": [0.5]}
+
+
+@pytest.mark.parametrize("N,width", [(32, None), (33, None), (32, -0.1)])
+def test_cli_cos_bumps_width_must_be_positive(tmp_path, capsys, N, width):
+    initial = BUMP_AT_HALF if width is None else dict(BUMP_AT_HALF, width=width)
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=N, T=2e-4, initial=initial))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "tfilm: error: initial: cos_bumps width must be positive" in err
     assert "Traceback" not in err
     assert not out.exists()
 

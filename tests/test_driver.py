@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tfilm.driver
 from tfilm.driver import (
     InitialDataSpec,
     RunConfig,
@@ -19,7 +20,7 @@ from tfilm.models import (
     quadratic_potential,
     zero_potential,
 )
-from tfilm.step import StepNonconvergenceError, StepParams, solve_step
+from tfilm.step import StepCheckError, StepNonconvergenceError, StepParams, solve_step
 
 
 def simple_config(alpha=1.0, n=2.0, sigma=0.05, N=48, h=1e-5, T=None,
@@ -97,6 +98,41 @@ def test_nonconvergence_reports_step_index():
                     T=5e-5, initial=cfg.initial)
     with pytest.raises(StepNonconvergenceError, match="step 1"):
         run(cfg)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+def test_cos_bumps_width_must_be_positive(width):
+    with pytest.raises(ValueError, match="cos_bumps width must be positive"):
+        InitialDataSpec("cos_bumps", background=0.5, amplitude=0.5, width=width, centers=(0.5,))
+    # without bumps the width is never used
+    InitialDataSpec("cos_bumps", background=0.5, width=width)
+
+
+STEP_ERRORS = [
+    StepNonconvergenceError("boom", u_last=np.ones(3), j_last=np.zeros(2), grad_norm=0.5,
+                            iters=7),
+    StepCheckError("boom", u_last=np.ones(3), j_last=np.zeros(2)),
+]
+
+
+@pytest.mark.parametrize("error", STEP_ERRORS, ids=lambda e: type(e).__name__)
+def test_step_error_keeps_its_payload_through_added_context(monkeypatch, error):
+    def failing_step(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tfilm.driver, "solve_step", failing_step)
+    cfg = simple_config()  # h = 1e-5
+    for call, message in [
+        (lambda: run(cfg), "step 1 (t = 1e-05) failed: boom"),
+        (lambda: sigma_continuation(np.ones(cfg.grid.N), [1e-2], cfg),
+         "sigma=0.01: step 1 (t = 1e-05) failed: boom"),
+    ]:
+        with pytest.raises(type(error)) as info:
+            call()
+        assert str(info.value) == message
+        assert vars(info.value).keys() == vars(error).keys()
+        for name, value in vars(error).items():
+            assert getattr(info.value, name) is value
 
 
 def test_audit_ede_constant_run():

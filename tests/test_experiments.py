@@ -196,16 +196,12 @@ def test_rate_fit_synthetic_exponential():
                                     step=StepParams(h=1e-3), T=1e-3,
                                     initial=InitialDataSpec("constant"))
             from tfilm.driver import StepDiagnostics
-            self.diagnostics = [
-                StepDiagnostics(t=tt, mass=1.0, min_u=0.9, max_u=1.1,
-                                E_dirichlet=e, E_potential=0.0, E_total=e,
-                                diss_flux=0.0, diss_strong=0.0, ede_slack=0.0,
-                                el_residual=0.0, newton_iters=1)
-                for tt, e in zip(t, E)
-            ]
+            self.diagnostics = np.rec.fromrecords(
+                [(tt, 1.0, 0.9, 1.1, e, 0.0, e, 0.0, 0.0, 0.0, 0.0, 1)
+                 for tt, e in zip(t, E)], dtype=StepDiagnostics)
 
         def column(self, name):
-            return np.array([getattr(d, name) for d in self.diagnostics])
+            return self.diagnostics[name]
 
         @property
         def times(self):

@@ -176,6 +176,14 @@ def test_uniqueness_probe():
     assert np.max(np.abs(res_zero.j - res_pert.j)) <= 10.0 * sp.tol_grad
 
 
+@pytest.mark.parametrize("size", [31, 34])
+def test_warm_start_must_be_a_face_field(size):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
+    with pytest.raises(ValueError, match=r"face field must have shape \(33,\)"):
+        solve_step(g, u, barrier_model(), StepParams(h=1e-5), j0=np.zeros(size))
+
+
 def test_el_residual_zero_for_constant():
     g = Grid(1.0, 16)
     model = barrier_model()
