@@ -280,7 +280,7 @@ class ContinuationReport:
     sigmas: tuple
     mass_drifts: tuple          # 2 sigma |domain| per sigma
     sup_distances: tuple        # between consecutive sigma solutions
-    limit_edi_min_slack: tuple  # min over time of E[u0^s] - E[u](t) - strong diss
+    limit_edi_min_slack: tuple  # min over t > 0 of E[u0^s] - E[u](t) - strong diss
     tol_audit: float
     min_heights: tuple
     series: tuple
@@ -320,11 +320,15 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
 
         e0 = energy(g, u0, base_mp).total
         # the Dirichlet term does not depend on the potential, so the
-        # record's is the unmodified energy's; row 0 carries no dissipation
+        # record's is the unmodified energy's; row 0 carries no dissipation.
+        # The t = 0 slack is 0 by construction (u0 >= 2 sigma in every cell,
+        # nothing dissipated yet), so the minimum is over the later snapshots.
         du_sq = series.column("E_dirichlet")
         diss_cum = np.cumsum(h * series.column("diss_strong"))
         worst = math.inf
         for k, ut in series.snapshots.items():
+            if k == 0:
+                continue
             pot_vals = cfg.model.potential.g(ut)
             pot = float(np.sum(pot_vals[ut >= 2.0 * s]) * g.dx)
             worst = min(worst, e0 - (du_sq[k] + pot) - diss_cum[k])

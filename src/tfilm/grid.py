@@ -83,7 +83,7 @@ def divergence(g, j):
     j = _check_face(g, j)
     if j[0] != 0.0 or j[-1] != 0.0:
         raise ValueError("divergence requires a flux-typed field (zero boundary entries)")
-    return np.diff(j) / g.dx
+    return (j[1:] - j[:-1]) / g.dx
 
 
 def gradient(g, u):
@@ -96,7 +96,7 @@ def gradient(g, u):
     """
     u = _check_cell(g, u)
     out = np.zeros(g.N + 1)
-    out[1:-1] = np.diff(u) / g.dx
+    out[1:-1] = (u[1:] - u[:-1]) / g.dx
     return out
 
 
@@ -112,4 +112,4 @@ def laplacian_neumann(g, u):
 def integrate(g, f):
     """Midpoint quadrature sum(f_i) * dx."""
     f = _check_cell(g, f)
-    return float(np.sum(f) * g.dx)
+    return float(f.sum() * g.dx)

@@ -119,10 +119,10 @@ class PotentialSpec:
     def g(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(s)
+            return np.zeros(s.shape)
         if self.kind == "quadratic":
             return np.where(s > 0, 0.5 * self.a * s * s, 0.0)
-        out = np.zeros_like(s)
+        out = np.zeros(s.shape)
         pos = s > 0
         sp = np.where(pos, s, 1.0)
         with np.errstate(over="ignore", divide="ignore"):
@@ -133,24 +133,24 @@ class PotentialSpec:
         """G'(s); valid on s > 0 (0 returned elsewhere)."""
         s = np.asarray(s, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(s)
+            return np.zeros(s.shape)
         if self.kind == "quadratic":
             return np.where(s > 0, self.a * s, 0.0)
         pos = s > 0
         sp = np.where(pos, s, 1.0)
-        out = np.zeros_like(s)
+        out = np.zeros(s.shape)
         out[pos] = (-2.0 * self.A / sp**3)[pos]
         return out
 
     def d2g(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(s)
+            return np.zeros(s.shape)
         if self.kind == "quadratic":
             return np.where(s > 0, self.a, 0.0)
         pos = s > 0
         sp = np.where(pos, s, 1.0)
-        out = np.zeros_like(s)
+        out = np.zeros(s.shape)
         out[pos] = (6.0 * self.A / sp**4)[pos]
         return out
 
@@ -203,69 +203,59 @@ class ModifiedPotential:
     def has_barrier(self):
         return self.sigma is not None
 
-    def _base_ext(self, s):
-        """Base potential with C^2 Taylor extension below 2*sigma."""
-        s = np.asarray(s, dtype=float)
-        two_sigma = 2.0 * self.sigma
-        out = self.base.g(np.maximum(s, two_sigma))
-        low = s < two_sigma
-        if np.any(low):
-            d = s[low] - two_sigma
-            out[low] = self.g0 + self.g1 * d + 0.5 * self.g2 * d * d
-        return out
-
-    def _base_ext_d1(self, s):
-        s = np.asarray(s, dtype=float)
-        two_sigma = 2.0 * self.sigma
-        out = self.base.dg(np.maximum(s, two_sigma))
-        low = s < two_sigma
-        if np.any(low):
-            out[low] = self.g1 + self.g2 * (s[low] - two_sigma)
-        return out
-
-    def _base_ext_d2(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.base.d2g(np.maximum(s, 2.0 * self.sigma))
-        out[s < 2.0 * self.sigma] = self.g2
-        return out
-
     def g_sigma(self, s):
         """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
         s = np.asarray(s, dtype=float)
         if not self.has_barrier:
             return self.base.g(s)
-        out = self._base_ext(s)
-        glue = s < 2.0 * self.sigma
-        if np.any(glue):
-            sg = np.where(s > 0, s, 1.0)
-            phi = self.sigma**2 / sg**2 + self.a_phi * sg**2 + self.b_phi * sg + self.c_phi
-            out[glue] += phi[glue]
-        out[s <= 0] = INFINITE_ENERGY
+        two_sigma = 2.0 * self.sigma
+        low = s < two_sigma
+        if not low.any():
+            return self.base.g(s)
+        out = self.base.g(np.maximum(s, two_sigma))
+        sl = s[low]
+        d = sl - two_sigma
+        sg = np.where(sl > 0, sl, 1.0)
+        # the base's Taylor polynomial at 2*sigma plus the glue phi
+        vals = (self.g0 + self.g1 * d + 0.5 * self.g2 * d * d
+                + (self.sigma**2 / sg**2 + self.a_phi * sg**2 + self.b_phi * sg + self.c_phi))
+        vals[sl <= 0] = INFINITE_ENERGY
+        out[low] = vals
         return out
+
+    def derivatives(self, s):
+        """(G_sigma'(s), G_sigma''(s)) on s > 0, in one pass over the glue cells.
+
+        Below 2*sigma the base is replaced by its Taylor polynomial; the
+        glue derivatives are added where moreover s > 0.
+        """
+        s = np.asarray(s, dtype=float)
+        if not self.has_barrier:
+            return self.base.dg(s), self.base.d2g(s)
+        two_sigma = 2.0 * self.sigma
+        low = s < two_sigma
+        if not low.any():
+            return self.base.dg(s), self.base.d2g(s)
+        capped = np.maximum(s, two_sigma)
+        d1, d2 = self.base.dg(capped), self.base.d2g(capped)
+        sl = s[low]
+        d1_low = self.g1 + self.g2 * (sl - two_sigma)
+        d2_low = np.full(sl.shape, self.g2)
+        glue = sl > 0
+        sg = sl[glue]
+        d1_low[glue] += -2.0 * self.sigma**2 / sg**3 + 2.0 * self.a_phi * sg + self.b_phi
+        d2_low[glue] += 6.0 * self.sigma**2 / sg**4 + 2.0 * self.a_phi
+        d1[low] = d1_low
+        d2[low] = d2_low
+        return d1, d2
 
     def dg_sigma(self, s):
         """G_sigma'(s) on s > 0."""
-        s = np.asarray(s, dtype=float)
-        if not self.has_barrier:
-            return self.base.dg(s)
-        out = self._base_ext_d1(s)
-        glue = (s > 0) & (s < 2.0 * self.sigma)
-        if np.any(glue):
-            sg = s[glue]
-            out[glue] += -2.0 * self.sigma**2 / sg**3 + 2.0 * self.a_phi * sg + self.b_phi
-        return out
+        return self.derivatives(s)[0]
 
     def d2g_sigma(self, s):
         """G_sigma''(s) on s > 0."""
-        s = np.asarray(s, dtype=float)
-        if not self.has_barrier:
-            return self.base.d2g(s)
-        out = self._base_ext_d2(s)
-        glue = (s > 0) & (s < 2.0 * self.sigma)
-        if np.any(glue):
-            sg = s[glue]
-            out[glue] += 6.0 * self.sigma**2 / sg**4 + 2.0 * self.a_phi
-        return out
+        return self.derivatives(s)[1]
 
 
 def build_modified_potential(base, sigma):
@@ -369,11 +359,12 @@ def energy(g, u, mp):
     """
     u = np.asarray(u, dtype=float)
     du = gradient(g, u)
-    dirichlet = 0.5 * float(np.sum(du * du)) * g.dx
-    if mp.has_barrier and np.any(u <= 0.0):
+    dirichlet = 0.5 * float((du * du).sum()) * g.dx
+    if mp.has_barrier and (u <= 0.0).any():
         return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     pot_vals = mp.g_sigma(u)
-    if np.any(np.isinf(pot_vals)):
-        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     potential = integrate(g, pot_vals)
+    # a finite sum has no infinite term, so only a non-finite one is searched
+    if not math.isfinite(potential) and np.isinf(pot_vals).any():
+        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     return EnergyBreakdown(dirichlet, potential, dirichlet + potential)

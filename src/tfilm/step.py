@@ -25,9 +25,23 @@ The barrier in G_sigma keeps iterates positive; a fraction-to-boundary
 cap on the line search only prevents trial points from overshooting
 past the singularity.
 
-Each accepted iterate's energy and chemical potential are evaluated
-once and carried into ``StepResult``; ``reduced_objective`` and
-``el_residual`` are the standalone reference evaluations.
+Each accepted iterate's energy, chemical potential and barrier
+curvature G_sigma'' are evaluated once and carried: the curvature into
+the next Hessian, the rest into ``StepResult``.  ``reduced_objective``
+and ``el_residual`` are the standalone reference evaluations.
+
+A Newton iteration keeps its numpy calls few and the arithmetic order of
+the plain formulas, so its results are bit for bit theirs:
+
+* the direction is one LAPACK dpbsv call (band Cholesky) through
+  ``solveh_banded``, which raises like scipy's: ValueError for
+  non-finite input, LinAlgError when the matrix is not positive definite
+  (the step then solves by banded LU);
+* a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
+  face buffer allocated once per step, as are the boundary-cap direction
+  and the Laplacian inside the chemical potential;
+* G_sigma' and G_sigma'' come from one pass of
+  ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
 
 A step can be warm-started from a flux j0 (``run`` passes the previous
 step's).  The warm start skips the eps ladder and solves at eps_min
@@ -42,9 +56,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbsv
 
-from .grid import _check_face, divergence, integrate, laplacian_neumann, zero_flux
+from .grid import _check_face, divergence, integrate, zero_flux
 from .models import INFINITE_ENERGY, energy, mobility_face, psi, psi_inverse
 
 __all__ = [
@@ -140,7 +155,7 @@ def _psi_tilde_prime(s, p, eps):
 
 def _check_preconditions(g, u_star, model, mp):
     m_faces = mobility_face(model.mobility, u_star, g)
-    if np.any(m_faces[1:-1] <= 0.0):
+    if (m_faces[1:-1] <= 0.0).any():
         raise ValueError("mobility vanishes on an interior face; step is ill-posed")
     e_before = energy(g, u_star, mp)
     if not math.isfinite(e_before.total):
@@ -159,7 +174,7 @@ def _functional(g, model, mp, w, h, eps, q, u, e=None):
     if not math.isfinite(e.total):
         return INFINITE_ENERGY, e
     coeff = model.alpha / (model.alpha + 1.0)
-    return e.total + h * coeff * g.dx * float(np.sum(w * _psi_eps(q, model.p, eps))), e
+    return e.total + h * coeff * g.dx * float((w * _psi_eps(q, model.p, eps)).sum()), e
 
 
 def reduced_objective(g, j, u_star, model, step, eps):
@@ -177,21 +192,58 @@ def reduced_objective(g, j, u_star, model, step, eps):
     return _functional(g, model, mp, w, step.h, eps, q, u)[0]
 
 
-def _chemical_potential(g, u, mp):
-    return -laplacian_neumann(g, u) + mp.dg_sigma(u)
+def solveh_banded(ab, b):
+    """Solve A x = b for the SPD band matrix A in upper band storage ab.
+
+    One LAPACK dpbsv call (band Cholesky factorisation and solve), with
+    the checks of scipy.linalg.solveh_banded: non-finite input raises
+    ValueError, a matrix that is not positive definite raises LinAlgError
+    (info > 0) and an illegal argument raises ValueError (info < 0).
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, x, info = dpbsv(ab, b)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
+
+
+def _chemical_potential(g, u, mp, pad):
+    """(mu, G_sigma''(u)) with mu = -lap(u) + G_sigma'(u).
+
+    pad is a face buffer with zero boundary entries; the gradient of u is
+    written into its interior, so the Laplacian is its difference.
+    """
+    grad = pad[1:-1]
+    np.subtract(u[1:], u[:-1], out=grad)
+    grad /= g.dx
+    lap = pad[1:] - pad[:-1]
+    lap /= g.dx
+    dg, d2g = mp.derivatives(u)
+    return dg - lap, d2g
 
 
 def _el_defect(g, q, mu, m_int, alpha):
     """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior faces."""
-    r = q - m_int * psi(alpha, -np.diff(mu) / g.dx)
+    r = q - m_int * psi(alpha, -(mu[1:] - mu[:-1]) / g.dx)
     pprime = alpha + 1.0
-    return float((g.dx * np.sum(np.abs(r) ** pprime)) ** (1.0 / pprime))
+    return float((g.dx * (np.abs(r) ** pprime).sum()) ** (1.0 / pprime))
 
 
-def _height(g, u_star, h, q):
-    j = zero_flux(g)
-    j[1:-1] = q
-    return u_star - h * divergence(g, j)
+def _flux_change(pad, q, h, dx):
+    """h div(j) for the flux-typed j with interior values q, through the
+    zero-ended face buffer pad."""
+    pad[1:-1] = q
+    d = pad[1:] - pad[:-1]
+    d /= dx
+    d *= h
+    return d
+
+
+def _height(g, u_star, h, q, pad):
+    return u_star - _flux_change(pad, q, h, g.dx)
 
 
 class _Iterate(NamedTuple):
@@ -201,28 +253,49 @@ class _Iterate(NamedTuple):
     u: np.ndarray            # u_star - h div(q)
     energy: tuple            # EnergyBreakdown of u
     mu: np.ndarray           # chemical potential of u
+    d2g: np.ndarray          # G_sigma''(u), the barrier's Hessian diagonal
     f: float                 # step functional at the current eps
 
 
-def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
+class _Workspace(NamedTuple):
+    """What stays fixed through one step."""
+
+    lap_diag: np.ndarray     # diagonal of -Delta_h on cells
+    ao: float                # dx * its off-diagonal
+    d2: float                # outer band h^2 D^T (-Delta_h) D of the Newton matrix
+    ab: np.ndarray           # band storage of the Newton matrix, outer band set
+    pad: np.ndarray          # face buffer with zero boundary entries
+
+
+def _workspace(g, h):
+    dx = g.dx
+    lap_diag = np.full(g.N, 2.0 / dx**2)
+    lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
+    ao = dx * (-1.0 / dx**2)
+    d2 = h * h * (-ao / dx**2)
+    ab = np.zeros((3, g.N - 1))
+    ab[0, 2:] = d2
+    return _Workspace(lap_diag, ao, d2, ab, np.zeros(g.N + 1))
+
+
+def _newton(g, u_star, model, mp, w, ws, step, eps, tol, state):
     """Damped Newton at fixed smoothing eps from the accepted iterate `state`.
 
     Returns (iterate, iters).
     """
-    N, dx, h, p = g.N, g.dx, step.h, model.p
-    lap_diag, ao, d2 = bands
-    q, u, e, mu, f = state
+    dx, h, p = g.dx, step.h, model.p
+    q, u, e, mu, d2g, f = state
 
     for it in range(step.max_newton + 1):
-        g_scaled = np.diff(mu) / dx + w * _psi_tilde(q, p, eps)
-        grad_norm = math.sqrt(dx * float(np.sum(g_scaled * g_scaled)))
+        g_scaled = (mu[1:] - mu[:-1]) / dx + w * _psi_tilde(q, p, eps)
+        grad_norm = math.sqrt(dx * float((g_scaled * g_scaled).sum()))
         # Converged on the gradient norm.  A first iterate that is merely
         # under tol still gets one polishing iteration (unless the cap
         # allows none): without it, modes whose driving gradient has
         # decayed below tol would freeze instead of keeping their
         # relative accuracy.
         if grad_norm <= tol and (it >= 1 or grad_norm == 0.0 or step.max_newton == 0):
-            return _Iterate(q, u, e, mu, f), it
+            return _Iterate(q, u, e, mu, d2g, f), it
         if it == step.max_newton:
             raise StepNonconvergenceError(
                 f"Newton did not reach tol_grad={tol:g} in {step.max_newton} iterations "
@@ -237,28 +310,30 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
 
         # Hessian bands in the interior-face index: energy block
         # h^2 D^T H_E D (pentadiagonal) plus the dissipation diagonal.
-        ad = dx * (lap_diag + mp.d2g_sigma(u))
-        d0 = (ad[:-1] - 2.0 * ao + ad[1:]) / dx**2
-        d1 = (ao[:-1] - ad[1:-1] + ao[1:]) / dx**2
+        ad = dx * (ws.lap_diag + d2g)
+        d0 = ad[:-1] - 2.0 * ws.ao
+        d0 += ad[1:]
+        d0 /= dx**2
+        d1 = ws.ao - ad[1:-1]
+        d1 += ws.ao
+        d1 /= dx**2
         d0 = h * h * d0 + h * dx * w * _psi_tilde_prime(q, p, eps)
-        d1 = h * h * d1
+        d1 *= h * h
         if p > 2.0:
             d0 = d0 + 1e-12 * (1.0 + np.abs(d0))
 
-        M = N - 1
-        ab = np.zeros((3, M))
+        ab = ws.ab
         ab[2] = d0
         ab[1, 1:] = d1
-        ab[0, 2:] = d2
         try:
-            delta = solveh_banded(ab, -grad_raw, lower=False)
+            delta = solveh_banded(ab, -grad_raw)
         except np.linalg.LinAlgError:
-            full = np.zeros((5, M))
-            full[0, 2:] = d2
+            full = np.zeros((5, g.N - 1))
+            full[0, 2:] = ws.d2
             full[1, 1:] = d1
             full[2] = d0
             full[3, :-1] = d1
-            full[4, :-2] = d2
+            full[4, :-2] = ws.d2
             delta = solve_banded((2, 2), full, -grad_raw)
 
         dd = float(np.dot(grad_raw, delta))
@@ -269,12 +344,11 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
 
         t = 1.0
         if mp.has_barrier:
-            jd = zero_flux(g)
-            jd[1:-1] = delta
-            du_dir = -h * divergence(g, jd)
-            shrink = du_dir < 0.0
-            if np.any(shrink):
-                t = min(t, _TAU_BOUNDARY * float(np.min(u[shrink] / -du_dir[shrink])))
+            # the height moves by -dh along delta; cap the cells it lowers
+            dh = _flux_change(ws.pad, delta, h, dx)
+            shrink = dh > 0.0
+            if shrink.any():
+                t = min(t, _TAU_BOUNDARY * float((u[shrink] / dh[shrink]).min()))
 
         # Predicted decreases below the objective's floating-point
         # granularity cannot be verified by comparing values; the
@@ -285,7 +359,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
         accepted = False
         for _ in range(60):
             q_try = q + t * delta
-            u_try = _height(g, u_star, h, q_try)
+            u_try = _height(g, u_star, h, q_try, ws.pad)
             f_try, e_try = _functional(g, model, mp, w, h, eps, q_try, u_try)
             decrease_ok = f_try <= f + _ARMIJO_C * t * dd
             unmeasurable = -t * dd <= granularity and math.isfinite(f_try)
@@ -296,7 +370,7 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
         if not accepted:
             if grad_norm <= tol:
                 # stalled while polishing an already-converged iterate
-                return _Iterate(q, u, e, mu, f), it
+                return _Iterate(q, u, e, mu, d2g, f), it
             raise StepNonconvergenceError(
                 f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
                 "tol_grad is below the roundoff floor of this problem",
@@ -306,10 +380,10 @@ def _newton(g, u_star, model, mp, w, bands, step, eps, tol, state):
                 iters=it,
             )
         q, u, e, f = q_try, u_try, e_try, f_try
-        mu = _chemical_potential(g, u, mp)
+        mu, d2g = _chemical_potential(g, u, mp, ws.pad)
 
 
-def _descend(g, u_star, model, mp, w, bands, step, ladder, state):
+def _descend(g, u_star, model, mp, w, ws, step, ladder, state):
     """Newton down the eps ladder from the accepted iterate `state`.
 
     Returns (iterate, iters) at the last level.
@@ -317,9 +391,10 @@ def _descend(g, u_star, model, mp, w, bands, step, ladder, state):
     total_iters = 0
     for eps in ladder:
         tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
-        # a new level keeps the energy and mu and re-adds only the dissipation
+        # a new level keeps the energy, mu and G_sigma'' and re-adds only
+        # the dissipation
         f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
-        state, iters = _newton(g, u_star, model, mp, w, bands, step, eps, tol,
+        state, iters = _newton(g, u_star, model, mp, w, ws, step, eps, tol,
                                state._replace(f=f))
         total_iters += iters
     return state, total_iters
@@ -335,8 +410,9 @@ def solve_step(g, u_star, model, step, j0=None):
 
     A warm start j0 (a face field) is solved at eps_min directly.  If it
     leaves the barrier domain, or Newton fails from it, the step is solved
-    cold: from zero flux down the full eps ladder, exactly as without j0.  ``newton_iters`` then also counts the
-    iterations of the failed warm attempt.
+    cold: from zero flux down the full eps ladder, exactly as without j0.
+    ``newton_iters`` then also counts the iterations of the failed warm
+    attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
     mp = model.modified()
@@ -344,24 +420,19 @@ def solve_step(g, u_star, model, step, j0=None):
     m_int = m_faces[1:-1]
     w = m_int ** (-1.0 / model.alpha)
 
-    # -Delta_h bands on cells (diagonal, dx * superdiagonal) and the outer
-    # band h^2 D^T (-Delta_h) D of the Newton matrix: fixed for the step
-    dx = g.dx
-    lap_diag = np.full(g.N, 2.0) / dx**2
-    lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
-    ao = dx * (np.full(g.N - 1, -1.0) / dx**2)
-    bands = (lap_diag, ao, step.h * step.h * (-ao[1:-1] / dx**2))
-    args = (g, u_star, model, mp, w, bands, step)
+    ws = _workspace(g, step.h)
+    args = (g, u_star, model, mp, w, ws, step)
 
     state, total_iters = None, 0
     if j0 is not None:
         q = _check_face(g, j0)[1:-1].copy()
-        u = _height(g, u_star, step.h, q)
+        u = _height(g, u_star, step.h, q, ws.pad)
         e = energy(g, u, mp)
         if math.isfinite(e.total):  # else the warm flux leaves the barrier domain
             try:
                 state, total_iters = _descend(
-                    *args, [step.eps_min], _Iterate(q, u, e, _chemical_potential(g, u, mp), None))
+                    *args, [step.eps_min],
+                    _Iterate(q, u, e, *_chemical_potential(g, u, mp, ws.pad), None))
             except StepNonconvergenceError as exc:
                 total_iters = exc.iters
 
@@ -376,10 +447,10 @@ def solve_step(g, u_star, model, step, j0=None):
         else:
             ladder = [step.eps_min]
         q = np.zeros(g.N - 1)
-        u = _height(g, u_star, step.h, q)
+        u = _height(g, u_star, step.h, q, ws.pad)
         # from zero flux the height is u_star bit for bit, and so is its energy
         state, iters = _descend(
-            *args, ladder, _Iterate(q, u, e_before, _chemical_potential(g, u, mp), None))
+            *args, ladder, _Iterate(q, u, e_before, *_chemical_potential(g, u, mp, ws.pad), None))
         total_iters += iters
 
     q, u_next = state.q, state.u
@@ -398,9 +469,9 @@ def solve_step(g, u_star, model, step, j0=None):
                              u_last=u_next, j_last=q)
 
     p = model.p
-    diss_flux = g.dx * float(np.sum(w * np.abs(q) ** p))
+    diss_flux = g.dx * float((w * np.abs(q) ** p).sum())
     xi = psi_inverse(model.alpha, q / m_int)
-    diss_strong = g.dx * float(np.sum(m_int * np.abs(xi) ** (model.alpha + 1.0)))
+    diss_strong = g.dx * float((m_int * np.abs(xi) ** (model.alpha + 1.0)).sum())
 
     return StepResult(
         u_next=u_next,
@@ -424,6 +495,6 @@ def el_residual(g, res, u_star, model):
     relation passed through the smoothed power.  This recomputes from
     scratch what solve_step reports from its carried state.
     """
-    mu = _chemical_potential(g, res.u_next, model.modified())
+    mu, _ = _chemical_potential(g, res.u_next, model.modified(), zero_flux(g))
     m_faces = mobility_face(model.mobility, u_star, g)
     return _el_defect(g, res.j[1:-1], mu, m_faces[1:-1], model.alpha)

@@ -222,6 +222,15 @@ def test_continuation_touching_parabola_stays_positive():
     assert rep.mass_drifts == (2e-2, 1e-2)
 
 
+def test_continuation_reports_the_limit_edi_margin():
+    # the criterion-10 setup: the t = 0 slack is 0 by construction, so a
+    # minimum that took it in would report 0 for every sigma
+    g = Grid(1.0, 128)
+    template = _continuation_template(N=128, T=5e-4, record_every=10)
+    rep = sigma_continuation(parabola_profile(g, 1.0), [1e-2, 5e-3, 2.5e-3], template)
+    assert all(s > 0.0 for s in rep.limit_edi_min_slack)
+
+
 def test_continuation_single_sigma_degenerate():
     g = Grid(1.0, 64)
     u0 = parabola_profile(g, 1.0)

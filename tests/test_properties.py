@@ -3,8 +3,9 @@ iterate equal their standalone recomputations bit for bit, a warm start
 reaches the cold step's flux, and the discrete identities hold (mass
 telescoping, one-step EDI, summation by parts, barrier contact and
 convexity), over random rheology, mobility, potential, barrier, grid and
-height; and the run record's column reductions equal the row loops they
-replace."""
+height; the run record's column reductions equal the row loops they
+replace; and the Newton kernels (the dpbsv solve, the one-pass barrier
+terms, the carried mu and G_sigma'') equal the references they replace."""
 
 import math
 from dataclasses import replace
@@ -12,11 +13,13 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfilm.driver
+import tfilm.step
 from tfilm.driver import (
     InitialDataSpec,
     RunConfig,
@@ -25,8 +28,9 @@ from tfilm.driver import (
     run,
     sigma_continuation,
 )
-from tfilm.grid import Grid, divergence, gradient, integrate, zero_flux
+from tfilm.grid import Grid, divergence, gradient, integrate, laplacian_neumann, zero_flux
 from tfilm.models import (
+    INFINITE_ENERGY,
     ModelParams,
     build_modified_potential,
     energy,
@@ -36,7 +40,13 @@ from tfilm.models import (
     unmodified_potential,
     zero_potential,
 )
-from tfilm.step import StepNonconvergenceError, StepParams, el_residual, solve_step
+from tfilm.step import (
+    StepNonconvergenceError,
+    StepParams,
+    el_residual,
+    solve_step,
+    solveh_banded,
+)
 
 POTENTIALS = {
     "zero": lambda c: zero_potential(),
@@ -79,6 +89,26 @@ def test_step_carried_quantities_match_recomputation(case):
     tol_audit = sp.eps_min ** model.p * g.L + 10.0 * sp.tol_grad
     slack = res.energy_before.total - res.energy_after.total - sp.h * res.dissipation_flux_term
     assert slack >= -tol_audit
+
+
+@SETTINGS
+@given(cases())
+def test_newton_iterate_carries_its_mu_and_curvature(case):
+    g, model, sp, u = case
+    mp = model.modified()
+    states = []
+    real = tfilm.step._descend
+
+    def recording(*args):
+        state, iters = real(*args)
+        states.append(state)
+        return state, iters
+
+    with patch.object(tfilm.step, "_descend", recording):
+        solve_step(g, u, model, sp)
+    v = states[-1].u
+    assert np.array_equal(np.stack([states[-1].mu, states[-1].d2g]),
+                          np.stack([-laplacian_neumann(g, v) + mp.dg_sigma(v), mp.d2g_sigma(v)]))
 
 
 @SETTINGS
@@ -162,6 +192,125 @@ def test_barrier_c2_contact_and_convexity(kind, c, sigma, fractions):
 
 
 # ---------------------------------------------------------------------------
+# the Newton kernels against the references they replace
+
+@st.composite
+def spd_pentadiagonals(draw):
+    """(ab, b): a strictly diagonally dominant symmetric pentadiagonal
+    matrix in upper band storage, hence SPD, and a right-hand side."""
+    M = draw(st.integers(3, 300))
+    entries = st.floats(-1.0, 1.0)
+    ab = np.zeros((3, M))
+    ab[1, 1:] = draw(hnp.arrays(float, M - 1, elements=entries))
+    ab[0, 2:] = draw(hnp.arrays(float, M - 2, elements=entries))
+    off = np.zeros(M)
+    for k in (1, 2):
+        band = np.abs(ab[2 - k, k:])
+        off[k:] += band
+        off[:-k] += band
+    ab[2] = off + draw(hnp.arrays(float, M, elements=st.floats(1e-3, 10.0)))
+    b = draw(hnp.arrays(float, M, elements=st.floats(-1e3, 1e3)))
+    return ab, b
+
+
+@SETTINGS
+@given(spd_pentadiagonals())
+def test_dpbsv_wrapper_matches_scipy_solveh_banded(system):
+    ab, b = system
+    assert np.array_equal(solveh_banded(ab, b), scipy.linalg.solveh_banded(ab, b))
+
+
+@SETTINGS
+@given(spd_pentadiagonals(), st.data())
+def test_dpbsv_wrapper_refuses_an_indefinite_matrix(system, data):
+    ab, b = system
+    ab[2, data.draw(st.integers(0, ab.shape[1] - 1))] = -data.draw(st.floats(0.0, 10.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        solveh_banded(ab, b)
+
+
+@SETTINGS
+@given(spd_pentadiagonals(), st.booleans(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.data())
+def test_dpbsv_wrapper_refuses_non_finite_input(system, in_matrix, bad, data):
+    ab, b = system
+    target = ab if in_matrix else b
+    # every entry of ab counts, also the corner that the solve never reads
+    target.flat[data.draw(st.integers(0, target.size - 1))] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solveh_banded(ab, b)
+
+
+# G_sigma, G_sigma' and G_sigma'' as three separate passes (the formulas the
+# one-pass evaluation replaced), each a Taylor-extended base plus the glue
+
+def ref_base_ext(mp, s, order):
+    two_sigma = 2.0 * mp.sigma
+    fn = (mp.base.g, mp.base.dg, mp.base.d2g)[order]
+    out = fn(np.maximum(s, two_sigma))
+    low = s < two_sigma
+    if np.any(low):
+        d = s[low] - two_sigma
+        out[low] = (mp.g0 + mp.g1 * d + 0.5 * mp.g2 * d * d, mp.g1 + mp.g2 * d, mp.g2)[order]
+    return out
+
+
+def ref_g_sigma(mp, s):
+    if not mp.has_barrier:
+        return mp.base.g(s)
+    out = ref_base_ext(mp, s, 0)
+    glue = s < 2.0 * mp.sigma
+    if np.any(glue):
+        sg = np.where(s > 0, s, 1.0)
+        phi = mp.sigma**2 / sg**2 + mp.a_phi * sg**2 + mp.b_phi * sg + mp.c_phi
+        out[glue] += phi[glue]
+    out[s <= 0] = INFINITE_ENERGY
+    return out
+
+
+def ref_dg_sigma(mp, s):
+    if not mp.has_barrier:
+        return mp.base.dg(s)
+    out = ref_base_ext(mp, s, 1)
+    glue = (s > 0) & (s < 2.0 * mp.sigma)
+    if np.any(glue):
+        sg = s[glue]
+        out[glue] += -2.0 * mp.sigma**2 / sg**3 + 2.0 * mp.a_phi * sg + mp.b_phi
+    return out
+
+
+def ref_d2g_sigma(mp, s):
+    if not mp.has_barrier:
+        return mp.base.d2g(s)
+    out = ref_base_ext(mp, s, 2)
+    glue = (s > 0) & (s < 2.0 * mp.sigma)
+    if np.any(glue):
+        sg = s[glue]
+        out[glue] += 6.0 * mp.sigma**2 / sg**4 + 2.0 * mp.a_phi
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(POTENTIALS)), st.floats(0.0, 1.0),
+       st.one_of(st.none(), st.floats(0.005, 0.45)),
+       st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-1.0, -1e-3)),
+                min_size=1, max_size=40))
+def test_one_pass_barrier_terms_match_the_formulas(kind, c, sigma, fractions):
+    base = POTENTIALS[kind](c)
+    if sigma is None:
+        mp, s = unmodified_potential(base), np.array(fractions)
+    else:
+        # heights on both sides of 0 and of 2 sigma, and 2 sigma itself
+        mp = build_modified_potential(base, sigma)
+        two_sigma = 2.0 * sigma
+        edge = [two_sigma, np.nextafter(two_sigma, 0.0), np.nextafter(two_sigma, 1.0)]
+        s = np.array([two_sigma * f for f in fractions] + edge)
+    got = np.stack([mp.g_sigma(s), *mp.derivatives(s)])
+    ref = np.stack([ref_g_sigma(mp, s), ref_dg_sigma(mp, s), ref_d2g_sigma(mp, s)])
+    assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
 # the record's column reductions against the row loops they replace
 
 def short_config(n_steps=40, record_every=1):
@@ -194,8 +343,9 @@ def loop_limit_edi_slack(series, u0, sigma, cfg):
     e0 = energy(g, u0, base_mp).total
     diss_cum, worst = 0.0, math.inf
     for k, d in enumerate(series.diagnostics):
-        if k > 0:
-            diss_cum += h * d.diss_strong
+        if k == 0:
+            continue  # the t = 0 slack is 0 by construction and is left out
+        diss_cum += h * d.diss_strong
         ut = series.snapshots.get(k)
         if ut is None:
             continue
@@ -248,9 +398,8 @@ def test_limit_edi_slack_matches_row_loop(n_steps, record_every, factor):
     # non-negative, and below 2 sigma near x = 1, where the base potential is masked
     u0 = 0.5 * (1.0 + np.cos(np.pi * cfg.grid.cell_centers()))
 
-    # The slack at t = 0 is exactly 0 and the true later ones are not
-    # smaller, so the minimum would never read the dissipation sums; an
-    # inflated dissipation column makes the later snapshots decide it.
+    # The true slacks of this run are positive; an inflated dissipation
+    # column drives them below zero, the case the limit-EDI gate is for.
     def inflated_run(c):
         series = run(c)
         series.diagnostics["diss_strong"] *= factor

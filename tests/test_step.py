@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tfilm.step
+from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.grid import Grid, divergence, integrate, laplacian_neumann, zero_flux
 from tfilm.models import (
     ModelParams,
@@ -305,3 +306,54 @@ def test_failed_warm_start_reruns_the_cold_ladder(monkeypatch):
     assert ladders[0] == [sp.eps_min] and len(ladders[1]) == 7
     assert np.array_equal(warm.u_next, cold.u_next)
     assert warm.newton_iters == cold.newton_iters + 5
+
+
+def test_cholesky_failure_falls_back_to_lu(monkeypatch):
+    g = Grid(1.0, 64)
+    u = 0.2 + 0.8 * (1.0 + np.cos(np.pi * g.cell_centers()))
+    model = barrier_model(alpha=2.0, sigma=0.01)
+    sp = StepParams(h=1e-4, tol_grad=1e-8)
+    ref = solve_step(g, u, model, sp)
+    real_lu = tfilm.step.solve_banded
+    lu_calls = []
+
+    def not_positive_definite(ab, b):
+        raise np.linalg.LinAlgError("forced")
+
+    def counted_lu(*args, **kwargs):
+        lu_calls.append(1)
+        return real_lu(*args, **kwargs)
+
+    monkeypatch.setattr(tfilm.step, "solveh_banded", not_positive_definite)
+    monkeypatch.setattr(tfilm.step, "solve_banded", counted_lu)
+    res = solve_step(g, u, model, sp)
+    assert len(lu_calls) == res.newton_iters > 0
+    # tol_grad bounds the gradient; the flux error scales with the flux
+    scale = max(1.0, float(np.max(np.abs(ref.j))))
+    assert np.max(np.abs(res.j - ref.j)) <= 10.0 * sp.tol_grad * scale
+
+
+# the two films of the march benchmark: the alpha = 2 eps ladder and the
+# alpha = 0.5 diagonal shift
+MARCH_FILMS = [
+    (2.0, 2.0, StepParams(h=1e-4, tol_grad=1e-7, eps0=1e-3, eps_min=1e-9),
+     InitialDataSpec("lifted_parabola", M=1.0, delta=0.2)),
+    (0.5, 1.0, StepParams(h=1e-4, tol_grad=1e-7),
+     InitialDataSpec("cosine", M=1.0, amplitude=0.3)),
+]
+
+
+@pytest.mark.parametrize("alpha,n,sp,init", MARCH_FILMS, ids=["alpha2", "alpha0.5"])
+def test_every_newton_iteration_solves_through_the_wrapper(monkeypatch, alpha, n, sp, init):
+    cfg = RunConfig(grid=Grid(1.0, 64), model=barrier_model(alpha=alpha, n=n, sigma=0.01),
+                    step=sp, T=10 * sp.h, initial=init)
+    real = tfilm.step.solveh_banded
+    calls = []
+
+    def counted(ab, b):
+        calls.append(1)
+        return real(ab, b)
+
+    monkeypatch.setattr(tfilm.step, "solveh_banded", counted)
+    series = run(cfg)
+    assert len(calls) == int(np.sum(series.column("newton_iters"))) > 0
