@@ -26,7 +26,6 @@ from .models import (
     ModelParams,
     ModifiedPotential,
     PotentialSpec,
-    build_modified_potential,
     constant_mobility,
     energy,
     mobility_face,
@@ -36,7 +35,6 @@ from .models import (
     psi_inverse,
     quadratic_potential,
     strong_singular_potential,
-    unmodified_potential,
     zero_potential,
 )
 from .step import (

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, integrate
-from .models import ModelParams, energy, unmodified_potential
+from .models import ModelParams, ModifiedPotential, energy
 from .step import StepCheckError, StepNonconvergenceError, StepParams, solve_step
 
 __all__ = [
@@ -189,7 +189,7 @@ def run(cfg):
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
     u = cfg.initial.build(g)
-    e0 = energy(g, u, model.modified())
+    e0 = energy(g, u, model.modified)
     if not math.isfinite(e0.total):
         raise ValueError("initial height has infinite energy under the barrier")
 
@@ -302,7 +302,7 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     g, h = cfg.grid, cfg.step.h
-    base_mp = unmodified_potential(cfg.model.potential)
+    base_mp = ModifiedPotential(cfg.model.potential, None)
 
     all_series = []
     min_heights = []

@@ -40,7 +40,7 @@ class Grid:
     def __post_init__(self):
         if self.N < 4:
             raise ValueError(f"need at least 4 cells, got N={self.N}")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"domain length must be positive, got L={self.L}")
 
     @property

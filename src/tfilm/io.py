@@ -14,6 +14,7 @@ write leaves the previous file (or none) and never a partial one.
 """
 
 import json
+import math
 import numbers
 import os
 import secrets
@@ -135,7 +136,10 @@ def _build(data, schema, where):
 def _real(v):
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"expected a real number, got {type(v).__name__}")
-    return float(v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return v
 
 
 def _real_or_null(v):
@@ -234,8 +238,6 @@ _STEP = Schema(StepParams, _dataclass_keys(StepParams))
 
 
 def _run_config(grid, step, T, alpha, mobility, potential, sigma, record_every, initial):
-    if sigma is not None and not 0.0 < sigma < 1.0:
-        raise ConfigError("sigma must be in (0,1)")
     model = ModelParams(alpha=alpha, mobility=mobility, potential=potential, sigma=sigma)
     return RunConfig(grid=grid, model=model, step=step, T=T, record_every=record_every,
                      initial=initial)

@@ -4,7 +4,10 @@ The barrier turns the base potential G into a convex C^2 function
 G_sigma that agrees with G above 2*sigma, blows up like sigma^2/s^2 as
 s drops to 0, and is +inf for non-positive heights.  It is what keeps
 every iterate of the implicit step strictly positive without explicit
-constraints.
+constraints.  ``ModifiedPotential(base, sigma)`` is the one way to build
+G_sigma: it checks sigma and derives the glue and Taylor data itself.
+A ``ModelParams`` builds its G_sigma once, at construction, and carries
+it as ``model.modified``.
 
 Infinite energy is a value, not an error: it is reported through the
 ``INFINITE_ENERGY`` sentinel (IEEE +inf assigned directly, never reached
@@ -13,7 +16,7 @@ energy.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,8 +34,6 @@ __all__ = [
     "quadratic_potential",
     "strong_singular_potential",
     "ModifiedPotential",
-    "build_modified_potential",
-    "unmodified_potential",
     "ModelParams",
     "mobility_face",
     "psi",
@@ -172,10 +173,11 @@ def strong_singular_potential(A):
 
 @dataclass(frozen=True)
 class ModifiedPotential:
-    """Barrier-modified potential G_sigma.
+    """Barrier-modified potential G_sigma of a base potential.
 
     For sigma is None the base potential is used as-is (no barrier);
-    this variant exists for linear test oracles only.
+    this variant exists for linear test oracles only.  Otherwise sigma
+    must lie in (0, 1).
 
     With a barrier, on (0, 2*sigma] the base is replaced by its
     second-order Taylor polynomial at 2*sigma (identical to the base for
@@ -186,18 +188,38 @@ class ModifiedPotential:
     is added, with (a_phi, b_phi, c_phi) chosen so that phi and its
     first two derivatives vanish at s = 2*sigma.  phi'' > 0 on
     (0, 2*sigma), so G_sigma stays convex, matches G with C^2 contact at
-    2*sigma, and grows like sigma^2/s^2 near zero.
+    2*sigma, and grows like sigma^2/s^2 near zero.  The glue
+    coefficients and the base Taylor data (g0, g1, g2) are derived from
+    base and sigma at construction and cannot be passed in.
     """
 
     base: PotentialSpec
     sigma: Optional[float]
-    a_phi: float = 0.0
-    b_phi: float = 0.0
-    c_phi: float = 0.0
+    a_phi: float = field(init=False, default=0.0)
+    b_phi: float = field(init=False, default=0.0)
+    c_phi: float = field(init=False, default=0.0)
     # base Taylor data at 2*sigma
-    g0: float = 0.0
-    g1: float = 0.0
-    g2: float = 0.0
+    g0: float = field(init=False, default=0.0)
+    g1: float = field(init=False, default=0.0)
+    g2: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        if self.sigma is None:
+            return
+        if not 0.0 < self.sigma < 1.0:
+            raise ValueError(f"sigma must be in (0,1), got {self.sigma}")
+        sigma = float(self.sigma)
+        two_sigma = np.array([2.0 * sigma])
+        for name, value in (
+            ("sigma", sigma),
+            ("a_phi", -3.0 / (16.0 * sigma**2)),
+            ("b_phi", 1.0 / sigma),
+            ("c_phi", -1.5),
+            ("g0", float(self.base.g(two_sigma)[0])),
+            ("g1", float(self.base.dg(two_sigma)[0])),
+            ("g2", float(self.base.d2g(two_sigma)[0])),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def has_barrier(self):
@@ -258,29 +280,6 @@ class ModifiedPotential:
         return self.derivatives(s)[1]
 
 
-def build_modified_potential(base, sigma):
-    """Attach the sigma-barrier to a base potential; sigma must lie in (0, 1)."""
-    sigma = float(sigma)
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must be in (0, 1), got {sigma}")
-    two_sigma = 2.0 * sigma
-    return ModifiedPotential(
-        base=base,
-        sigma=sigma,
-        a_phi=-3.0 / (16.0 * sigma**2),
-        b_phi=1.0 / sigma,
-        c_phi=-1.5,
-        g0=float(base.g(np.array([two_sigma]))[0]),
-        g1=float(base.dg(np.array([two_sigma]))[0]),
-        g2=float(base.d2g(np.array([two_sigma]))[0]),
-    )
-
-
-def unmodified_potential(base):
-    """Base potential without barrier (oracle/testing use)."""
-    return ModifiedPotential(base=base, sigma=None)
-
-
 # ---------------------------------------------------------------------------
 # model parameters
 
@@ -289,24 +288,20 @@ class ModelParams:
     """Rheology exponent, mobility, potential, and barrier parameter.
 
     sigma=None disables the barrier (test oracles only); otherwise
-    sigma must lie in (0, 1).
+    sigma must lie in (0, 1).  ``modified`` is the model's G_sigma,
+    built once here; ``dataclasses.replace`` builds it anew.
     """
 
     alpha: float
     mobility: MobilitySpec
     potential: PotentialSpec
     sigma: Optional[float]
+    modified: ModifiedPotential = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.sigma is not None and not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-
-    def modified(self):
-        if self.sigma is None:
-            return unmodified_potential(self.potential)
-        return build_modified_potential(self.potential, self.sigma)
+        object.__setattr__(self, "modified", ModifiedPotential(self.potential, self.sigma))
 
     @property
     def p(self):
@@ -326,11 +321,10 @@ def mobility_face(m, u, g):
     stack of heights (..., N) gives faces (..., N + 1).
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape[:-1] + (g.N + 1,))
-    out[..., 1:-1] = m(0.5 * (u[..., :-1] + u[..., 1:]))
-    out[..., 0] = m(u[..., 0])
-    out[..., -1] = m(u[..., -1])
-    return out
+    if u.shape[-1:] != (g.N,):
+        raise ValueError(f"heights must have {g.N} cells on the last axis, got shape {u.shape}")
+    return m(np.concatenate((u[..., :1], 0.5 * (u[..., :-1] + u[..., 1:]), u[..., -1:]),
+                            axis=-1))
 
 
 def psi(alpha, s):

@@ -91,11 +91,11 @@ class StepParams:
     max_newton: int = 80
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("h must be positive")
         if not 0.0 < self.eps_min <= self.eps0:
             raise ValueError("need 0 < eps_min <= eps0")
-        if self.tol_grad <= 0:
+        if not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
 
 
@@ -153,11 +153,11 @@ def _psi_tilde_prime(s, p, eps):
     return q ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps * eps)
 
 
-def _check_preconditions(g, u_star, model, mp):
+def _check_preconditions(g, u_star, model):
     m_faces = mobility_face(model.mobility, u_star, g)
     if (m_faces[1:-1] <= 0.0).any():
         raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-    e_before = energy(g, u_star, mp)
+    e_before = energy(g, u_star, model.modified)
     if not math.isfinite(e_before.total):
         raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
     return m_faces, e_before
@@ -184,12 +184,11 @@ def reduced_objective(g, j, u_star, model, step, eps):
     infinite sentinel when the barrier is active and u has a
     non-positive cell.
     """
-    mp = model.modified()
-    m_faces, _ = _check_preconditions(g, u_star, model, mp)
+    m_faces, _ = _check_preconditions(g, u_star, model)
     u = u_star - step.h * divergence(g, j)
     w = m_faces[1:-1] ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
-    return _functional(g, model, mp, w, step.h, eps, q, u)[0]
+    return _functional(g, model, model.modified, w, step.h, eps, q, u)[0]
 
 
 def solveh_banded(ab, b):
@@ -415,8 +414,8 @@ def solve_step(g, u_star, model, step, j0=None):
     attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
-    mp = model.modified()
-    m_faces, e_before = _check_preconditions(g, u_star, model, mp)
+    mp = model.modified
+    m_faces, e_before = _check_preconditions(g, u_star, model)
     m_int = m_faces[1:-1]
     w = m_int ** (-1.0 / model.alpha)
 
@@ -495,6 +494,6 @@ def el_residual(g, res, u_star, model):
     relation passed through the smoothed power.  This recomputes from
     scratch what solve_step reports from its carried state.
     """
-    mu, _ = _chemical_potential(g, res.u_next, model.modified(), zero_flux(g))
+    mu, _ = _chemical_potential(g, res.u_next, model.modified, zero_flux(g))
     m_faces = mobility_face(model.mobility, u_star, g)
     return _el_defect(g, res.j[1:-1], mu, m_faces[1:-1], model.alpha)

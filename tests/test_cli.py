@@ -510,11 +510,15 @@ def test_cli_liftoff_step_keys_validated(tmp_path, capsys):
     # booleans and strings
     ("N", 32.7), ("N", True), ("record_every", 1.5), ("max_newton", 2.5),
     ("alpha", True), ("alpha", "1"), ("h", False), ("sigma", "0.01"),
+    # JSON parses NaN, Infinity and -Infinity; real keys refuse them
+    *((key, value) for key in ("alpha", "L", "h", "tol_grad", "T")
+      for value in (math.nan, math.inf, -math.inf)),
 ])
 def test_cli_non_numeric_config_value_exit_1(tmp_path, capsys, key, value):
     p = write_json(tmp_path / "bad.json", dict(MINIMAL, **{key: value}))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert f"tfilm: error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,value", [("rho", 0.1), ("armijo_c", 1e-4), ("tau_boundary", 0.9)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from tfilm.grid import Grid, integrate
 from tfilm.models import (
     INFINITE_ENERGY,
-    build_modified_potential,
+    ModelParams,
+    ModifiedPotential,
     constant_mobility,
     energy,
     mobility_face,
@@ -16,9 +18,9 @@ from tfilm.models import (
     psi_inverse,
     quadratic_potential,
     strong_singular_potential,
-    unmodified_potential,
     zero_potential,
 )
+from tfilm.step import StepParams
 
 
 def test_mobility_power_cube():
@@ -64,18 +66,80 @@ def test_mobility_face_of_stacked_heights_is_row_wise():
             assert np.array_equal(f, mobility_face(m, row, g))
 
 
+def test_mobility_face_evaluates_the_mobility_once():
+    g = Grid(1.0, 8)
+    calls = []
+
+    def m(s):
+        calls.append(np.shape(s))
+        return power_mobility(2.0)(s)
+
+    u = np.random.default_rng(2).uniform(0.1, 1.0, (2, 8))
+    faces = mobility_face(m, u, g)
+    assert calls == [(2, 9)]
+    assert np.array_equal(faces[:, 0], u[:, 0] ** 2)
+    assert np.array_equal(faces[:, -1], u[:, -1] ** 2)
+    assert np.array_equal(faces[:, 1:-1], (0.5 * (u[:, :-1] + u[:, 1:])) ** 2)
+    with pytest.raises(ValueError, match="8 cells"):
+        mobility_face(m, u[:, :7], g)
+
+
 def test_modified_potential_rejects_bad_sigma():
     for s in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
-            build_modified_potential(zero_potential(), s)
+            ModifiedPotential(zero_potential(), s)
+
+
+def test_modified_potential_derives_its_glue_and_taylor_data():
+    # only base and sigma are accepted; the rest is derived from them
+    with pytest.raises(TypeError):
+        ModifiedPotential(zero_potential(), 0.1, a_phi=0.0)
+    base = strong_singular_potential(0.2)
+    mp = ModifiedPotential(base, 0.1)
+    assert (mp.a_phi, mp.b_phi, mp.c_phi) == (-3.0 / (16.0 * 0.1**2), 1.0 / 0.1, -1.5)
+    assert (mp.g0, mp.g1, mp.g2) == (0.2 / 0.2**2, -2.0 * 0.2 / 0.2**3, 6.0 * 0.2 / 0.2**4)
+    # below 2 sigma: the base's Taylor polynomial at 2 sigma plus the glue
+    s = np.array([0.05, 0.15])
+    d = s - 0.2
+    taylor = 5.0 - 50.0 * d + 375.0 * d * d
+    glue = 0.01 / s**2 - 18.75 * s**2 + 10.0 * s - 1.5
+    assert mp.g_sigma(s) == pytest.approx(taylor + glue, rel=1e-14)
+    at_2sigma = np.array([0.2])
+    assert mp.g_sigma(at_2sigma) == base.g(at_2sigma)
+
+
+@pytest.mark.parametrize("base", [
+    zero_potential(), quadratic_potential(1.3), strong_singular_potential(0.2),
+])
+def test_model_rebuilds_its_barrier_on_replace(base):
+    model = ModelParams(alpha=2.0, mobility=power_mobility(2.0), potential=base, sigma=0.2)
+    assert model.modified == ModifiedPotential(base, 0.2)
+    for s in (0.05, None):
+        moved = dataclasses.replace(model, sigma=s)
+        assert moved.modified == ModifiedPotential(base, s)
+        assert moved.modified != model.modified
+    assert model.modified.sigma == 0.2  # the original keeps its own
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 0.0, -1.0])
+def test_positive_parameters_refuse_nonpositive_and_nan(value):
+    with pytest.raises(ValueError, match="domain length"):
+        Grid(value, 8)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ModelParams(alpha=value, mobility=power_mobility(2.0),
+                    potential=zero_potential(), sigma=0.1)
+    with pytest.raises(ValueError, match="h must be positive"):
+        StepParams(h=value)
+    with pytest.raises(ValueError, match="tol_grad must be positive"):
+        StepParams(h=1e-4, tol_grad=value)
 
 
 def test_barrier_agrees_with_base_above_2sigma():
     sigma = 0.1
-    mp = build_modified_potential(zero_potential(), sigma)
+    mp = ModifiedPotential(zero_potential(), sigma)
     s = np.array([3 * sigma, 2 * sigma, 5.0])
     assert np.allclose(mp.g_sigma(s), 0.0)
-    mpq = build_modified_potential(quadratic_potential(2.0), sigma)
+    mpq = ModifiedPotential(quadratic_potential(2.0), sigma)
     assert mpq.g_sigma(np.array([0.7]))[0] == pytest.approx(0.49)
 
 
@@ -93,7 +157,7 @@ def test_glue_junction_conditions():
 
 def test_barrier_leading_order_near_zero():
     sigma = 0.05
-    mp = build_modified_potential(zero_potential(), sigma)
+    mp = ModifiedPotential(zero_potential(), sigma)
     for s in (1e-3, 1e-5):
         val = mp.g_sigma(np.array([s]))[0]
         assert val * s**2 / sigma**2 == pytest.approx(1.0, rel=1e-2)
@@ -104,7 +168,7 @@ def test_barrier_leading_order_near_zero():
 ])
 def test_barrier_smooth_and_convex(base):
     sigma = 0.07
-    mp = build_modified_potential(base, sigma)
+    mp = ModifiedPotential(base, sigma)
     # the two branches agree at the junction itself: values one ulp to
     # either side differ only at machine level
     lo = np.array([np.nextafter(2 * sigma, 0.0)])
@@ -125,7 +189,7 @@ def test_barrier_smooth_and_convex(base):
 
 
 def test_barrier_infinite_for_nonpositive():
-    mp = build_modified_potential(zero_potential(), 0.1)
+    mp = ModifiedPotential(zero_potential(), 0.1)
     vals = mp.g_sigma(np.array([-1.0, 0.0, 1.0]))
     assert vals[0] == INFINITE_ENERGY and vals[1] == INFINITE_ENERGY
     assert math.isfinite(vals[2])
@@ -143,7 +207,7 @@ def test_psi_basics_and_roundtrip():
 
 def test_energy_constant_above_barrier():
     g = Grid(1.0, 32)
-    mp = build_modified_potential(zero_potential(), 0.05)
+    mp = ModifiedPotential(zero_potential(), 0.05)
     e = energy(g, np.full(32, 1.0), mp)
     assert e.total == pytest.approx(0.0, abs=1e-15)
 
@@ -160,7 +224,7 @@ def test_energy_parabola_dirichlet_limit():
         g = Grid(1.0, N)
         x = g.cell_centers()
         v = 1.5 * M * (1.0 - x * x)
-        e = energy(g, v, unmodified_potential(zero_potential()))
+        e = energy(g, v, ModifiedPotential(zero_potential(), None))
         err = abs(e.dirichlet - 0.5 * oracle)
         assert err < 10.0 * g.dx
         if prev_err is not None:
@@ -170,7 +234,7 @@ def test_energy_parabola_dirichlet_limit():
 
 def test_energy_infinite_sentinel():
     g = Grid(1.0, 8)
-    mp = build_modified_potential(zero_potential(), 0.05)
+    mp = ModifiedPotential(zero_potential(), 0.05)
     u = np.full(8, 1.0)
     u[3] = -0.2
     e = energy(g, u, mp)
@@ -180,7 +244,7 @@ def test_energy_infinite_sentinel():
 
 def test_energy_translation_invariance_flat_potential():
     g = Grid(1.0, 64)
-    mp = build_modified_potential(zero_potential(), 0.05)
+    mp = ModifiedPotential(zero_potential(), 0.05)
     rng = np.random.default_rng(5)
     u = 0.5 + 0.2 * rng.random(64)
     e1 = energy(g, u, mp)

@@ -32,12 +32,11 @@ from tfilm.grid import Grid, divergence, gradient, integrate, laplacian_neumann,
 from tfilm.models import (
     INFINITE_ENERGY,
     ModelParams,
-    build_modified_potential,
+    ModifiedPotential,
     energy,
     power_mobility,
     quadratic_potential,
     strong_singular_potential,
-    unmodified_potential,
     zero_potential,
 )
 from tfilm.step import (
@@ -81,8 +80,8 @@ def cases(draw):
 def test_step_carried_quantities_match_recomputation(case):
     g, model, sp, u = case
     res = solve_step(g, u, model, sp)
-    assert res.energy_before == energy(g, u, model.modified())
-    assert res.energy_after == energy(g, res.u_next, model.modified())
+    assert res.energy_before == energy(g, u, model.modified)
+    assert res.energy_after == energy(g, res.u_next, model.modified)
     assert res.el_residual_norm == el_residual(g, res, u, model)
     mass = integrate(g, u)
     assert abs(integrate(g, res.u_next) - mass) <= 1e-13 * mass
@@ -95,7 +94,7 @@ def test_step_carried_quantities_match_recomputation(case):
 @given(cases())
 def test_newton_iterate_carries_its_mu_and_curvature(case):
     g, model, sp, u = case
-    mp = model.modified()
+    mp = model.modified
     states = []
     real = tfilm.step._descend
 
@@ -119,7 +118,7 @@ def test_run_energy_columns_match_snapshots(case, record_every):
                     initial=InitialDataSpec("values", values=tuple(u)))
     series = run(cfg)
     for k, snap in series.snapshots.items():
-        e = energy(g, snap, model.modified())
+        e = energy(g, snap, model.modified)
         d = series.diagnostics[k]
         assert (d.E_dirichlet, d.E_potential, d.E_total) == e
         assert abs(d.mass - series.diagnostics[0].mass) <= 1e-13 * series.diagnostics[0].mass
@@ -168,7 +167,7 @@ def test_summation_by_parts(N, L, data):
        st.lists(st.floats(1e-3, 1.0 - 1e-6), min_size=1, max_size=20))
 def test_barrier_c2_contact_and_convexity(kind, c, sigma, fractions):
     base = POTENTIALS[kind](c)
-    mp = build_modified_potential(base, sigma)
+    mp = ModifiedPotential(base, sigma)
     two_sigma = np.array([2.0 * sigma])
     below = np.nextafter(two_sigma, 0.0)
     eps = np.finfo(float).eps
@@ -298,10 +297,10 @@ def ref_d2g_sigma(mp, s):
 def test_one_pass_barrier_terms_match_the_formulas(kind, c, sigma, fractions):
     base = POTENTIALS[kind](c)
     if sigma is None:
-        mp, s = unmodified_potential(base), np.array(fractions)
+        mp, s = ModifiedPotential(base, None), np.array(fractions)
     else:
         # heights on both sides of 0 and of 2 sigma, and 2 sigma itself
-        mp = build_modified_potential(base, sigma)
+        mp = ModifiedPotential(base, sigma)
         two_sigma = 2.0 * sigma
         edge = [two_sigma, np.nextafter(two_sigma, 0.0), np.nextafter(two_sigma, 1.0)]
         s = np.array([two_sigma * f for f in fractions] + edge)
@@ -339,7 +338,7 @@ def loop_audit_slack(series, s_idx, t_idx):
 
 def loop_limit_edi_slack(series, u0, sigma, cfg):
     g, h = cfg.grid, cfg.step.h
-    base_mp = unmodified_potential(cfg.model.potential)
+    base_mp = ModifiedPotential(cfg.model.potential, None)
     e0 = energy(g, u0, base_mp).total
     diss_cum, worst = 0.0, math.inf
     for k, d in enumerate(series.diagnostics):

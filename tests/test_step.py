@@ -39,7 +39,7 @@ def test_reduced_objective_zero_flux_is_energy():
     model = barrier_model()
     sp = StepParams(h=1e-4)
     f0 = reduced_objective(g, zero_flux(g), u, model, sp, eps=1e-6)
-    e = energy(g, u, model.modified())
+    e = energy(g, u, model.modified)
     assert f0 == pytest.approx(e.total, rel=1e-14)
 
 
@@ -53,7 +53,7 @@ def test_reduced_objective_quadratic_case():
     j = zero_flux(g)
     j[1:-1] = rng.standard_normal(15)
     w = mobility_face(model.mobility, u, g)[1:-1] ** -1.0
-    expected = energy(g, u - sp.h * divergence(g, j), model.modified()).total \
+    expected = energy(g, u - sp.h * divergence(g, j), model.modified).total \
         + sp.h * 0.5 * g.dx * np.sum(w * j[1:-1] ** 2)
     assert reduced_objective(g, j, u, model, sp, eps=0.0) == pytest.approx(expected, rel=1e-13)
 
@@ -88,7 +88,7 @@ def test_gradient_matches_finite_differences():
     j = zero_flux(g)
     j[1:-1] = 0.01 * rng.standard_normal(47)
 
-    mp = model.modified()
+    mp = model.modified
     uu = u - sp.h * divergence(g, j)
     mu = -laplacian_neumann(g, uu) + mp.dg_sigma(uu)
     w = mobility_face(model.mobility, u, g)[1:-1] ** (-1.0 / model.alpha)

@@ -2,7 +2,7 @@
 
     python3 tools/simulate_scaling.py
 
-For alpha 0.5 (shear-thinning), 1 (Newtonian) and 2 (shear-thickening),
+For alpha 0.5 (shear-thickening), 1 (Newtonian) and 2 (shear-thinning),
 and N in 128, 512 and 2048, runs `tfilm simulate` in-process REPEATS
 times, each call STEPS time steps long, into a fresh temporary directory
 and recording every step.  Prints one line per case with the median wall
