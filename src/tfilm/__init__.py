@@ -42,6 +42,7 @@ from .step import (
     StepNonconvergenceError,
     StepParams,
     StepResult,
+    StepState,
     el_residual,
     reduced_objective,
     solve_step,

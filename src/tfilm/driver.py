@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import Grid, integrate
 from .models import ModelParams, ModifiedPotential, energy
-from .step import StepCheckError, StepNonconvergenceError, StepParams, solve_step
+from .step import StepCheckError, StepNonconvergenceError, StepParams, StepState, solve_step
 
 __all__ = [
     "InitialDataSpec",
@@ -182,10 +182,12 @@ def run(cfg):
     """March the scheme from the configured initial height.
 
     Diagnostics are recorded every step; snapshots every
-    ``record_every`` steps (plus the initial and final states).  Each
-    step after the first is warm-started from the previous step's flux.
-    Solver nonconvergence and failed step checks propagate with the
-    failing step index.
+    ``record_every`` steps (plus the initial and final states).  One
+    ``StepState`` carries the workspace, the energy of the current height
+    and the last fluxes through the run, so each step after the first is
+    warm-started from the flux extrapolated in time.  Solver
+    nonconvergence and failed step checks propagate with the failing step
+    index.
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
     u = cfg.initial.build(g)
@@ -197,15 +199,16 @@ def run(cfg):
     rec[0] = _diag_row(g, 0.0, u, e0)
     series = TimeSeries(config=cfg, diagnostics=rec, snapshots={0: u.copy()})
 
-    e_prev = e0.total
-    j_prev = None
+    state = StepState(g, sp.h, e0)
     for k in range(1, cfg.n_steps + 1):
         t = k * sp.h
         try:
-            res = solve_step(g, u, model, sp, j0=j_prev)
+            res = solve_step(g, u, model, sp, state=state)
         except (StepNonconvergenceError, StepCheckError) as exc:
             raise _prefixed(exc, f"step {k} (t = {t:g}) failed: ") from exc
-        slack = e_prev - res.energy_after.total - sp.h * res.dissipation_flux_term
+        # energy_before is the state's carried energy: the last energy_after
+        slack = (res.energy_before.total - res.energy_after.total
+                 - sp.h * res.dissipation_flux_term)
         if slack < -cfg.tol_audit:
             raise EnergyAuditError(
                 f"step {k}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
@@ -214,8 +217,6 @@ def run(cfg):
         rec[k] = _diag_row(g, t, u, res.energy_after, res, slack)
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             series.snapshots[k] = u.copy()
-        e_prev = res.energy_after.total
-        j_prev = res.j
     return series
 
 

@@ -26,10 +26,12 @@ __all__ = [
     "ParabolaV",
     "build_parabola_v",
     "LiftoffReport",
+    "liftoff_configs",
     "liftoff_sweep",
     "WlProfile",
     "build_w_l",
     "DissipationScalingReport",
+    "dissipation_deltas",
     "dissipation_scaling_fit",
     "PointWitness",
     "point_lemma_check",
@@ -89,28 +91,25 @@ class LiftoffReport:
     series: tuple
 
 
-def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1):
-    """Run the lift-off family u0 = delta + (1 - delta/M) v and time min_u.
+def liftoff_configs(deltas, M, n, alpha, grid, step, T, record_every=1):
+    """The run configs of the lift-off family, one per delta.
 
-    Requires the superlinearity window 2(alpha+1) > n.  The barrier is
-    set to min(deltas)/10 so it is inert above that scale; every member
-    of the family has mass M and energy strictly below E[v].
+    Refuses, with a ValueError, a family outside the superlinearity
+    window 2(alpha+1) > n, a non-positive delta or M, a grid other than
+    the unit interval, and whatever its model and run configs refuse.
+    The barrier is set to min(deltas)/10 so it is inert above that scale.
     """
     deltas = tuple(float(d) for d in deltas)
     if 2.0 * (alpha + 1.0) <= n:
         raise ValueError(f"lift-off requires 2(alpha+1) > n, got alpha={alpha}, n={n}")
-    if any(d <= 0 for d in deltas):
-        raise ValueError("every delta must be positive")
-    sigma = min(deltas) / 10.0
-
-    pv = build_parabola_v(M, grid)
-    e_v = pv.energy
-    energies = tuple(0.5 * (1.0 - d / M) ** 2 * pv.grad_sq for d in deltas)
-    ordering_ok = all(e < e_v for e in energies)
-
+    if not deltas or any(d <= 0 for d in deltas):
+        raise ValueError("need at least one delta, and every delta must be positive")
+    if not M > 0:
+        raise ValueError(f"M must be positive, got {M}")
+    parabola_profile(grid, M)  # refuses a domain other than (0, 1)
     model = ModelParams(alpha=alpha, mobility=power_mobility(n),
-                        potential=zero_potential(), sigma=sigma)
-    configs = [
+                        potential=zero_potential(), sigma=min(deltas) / 10.0)
+    return [
         RunConfig(
             grid=grid,
             model=model,
@@ -121,6 +120,24 @@ def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1):
         )
         for d in deltas
     ]
+
+
+def liftoff_sweep(deltas, M, n, alpha, grid, step, T, record_every=1):
+    """Run the lift-off family u0 = delta + (1 - delta/M) v and time min_u.
+
+    The family is checked and built by ``liftoff_configs``.  Every member
+    has mass M and energy (1 - delta/M)^2 E[v], below E[v] for
+    0 < delta < 2M.
+    """
+    configs = liftoff_configs(deltas, M, n, alpha, grid, step, T, record_every)
+    deltas = tuple(c.initial.delta for c in configs)
+    sigma = configs[0].model.sigma
+
+    pv = build_parabola_v(M, grid)
+    e_v = pv.energy
+    energies = tuple(0.5 * (1.0 - d / M) ** 2 * pv.grad_sq for d in deltas)
+    ordering_ok = all(e < e_v for e in energies)
+
     series = run_many(configs)
 
     t_half = []
@@ -221,27 +238,40 @@ class DissipationScalingReport:
     n_cells: int
 
 
+def dissipation_deltas(deltas, M, g):
+    """The deltas of a dissipation-scaling fit, checked.
+
+    Refuses, with a ValueError, fewer than 4 deltas, a span of less than
+    two decades, a delta outside (0, M/2), deltas that do not strictly
+    decrease, a grid other than the unit interval, and a grid with
+    N < 32/min(delta), too coarse to resolve the narrowest bump.
+    """
+    deltas = tuple(float(d) for d in deltas)
+    if len(deltas) < 4:
+        raise ValueError("need at least 4 deltas for the slope fit")
+    if any(not 0.0 < d < 0.5 * M for d in deltas):
+        raise ValueError("each delta must lie in (0, M/2)")
+    if max(deltas) / min(deltas) < 100.0:
+        raise ValueError("deltas must span at least two decades")
+    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly decreasing")
+    if abs(g.L - 1.0) > 1e-12:
+        raise ValueError("w_l is defined on the unit interval")
+    required = int(math.ceil(32.0 / min(deltas)))
+    if g.N < required:
+        raise ValueError(f"grid too coarse to resolve the bump: need N >= {required}")
+    return deltas
+
+
 def dissipation_scaling_fit(deltas, M, n, alpha, g, slope_tol=0.15):
     """Evaluate D(u_delta) = int u^n |u'''|^(alpha+1) over the bump family.
 
     u_delta = delta + (M - delta)/beta_l * w_l with l = delta; |u'''| is
     the exact piecewise value (scale / l^2 on the bump) so the
-    quadrature only has to resolve u^n.  Needs at least 4 deltas over
-    two decades and a grid with N >= 32/min(delta).
+    quadrature only has to resolve u^n.  The deltas are checked by
+    ``dissipation_deltas``.
     """
-    deltas = tuple(float(d) for d in deltas)
-    if len(deltas) < 4:
-        raise ValueError("need at least 4 deltas for the slope fit")
-    if max(deltas) / min(deltas) < 100.0:
-        raise ValueError("deltas must span at least two decades")
-    if any(not 0.0 < d < 0.5 * M for d in deltas):
-        raise ValueError("each delta must lie in (0, M/2)")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
-    required = int(math.ceil(32.0 / min(deltas)))
-    if g.N < required:
-        raise ValueError(f"grid too coarse to resolve the bump: need N >= {required}")
-
+    deltas = dissipation_deltas(deltas, M, g)
     x = g.cell_centers()
     values = []
     fvals = []

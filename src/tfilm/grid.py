@@ -16,6 +16,7 @@ makes it the negative adjoint of ``divergence`` and keeps the discrete
 integration-by-parts identity exact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class Grid:
     def __post_init__(self):
         if self.N < 4:
             raise ValueError(f"need at least 4 cells, got N={self.N}")
-        if not self.L > 0:
-            raise ValueError(f"domain length must be positive, got L={self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got L={self.L}")
 
     @property
     def dx(self):

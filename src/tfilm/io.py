@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import experiments as ex
 from .driver import InitialDataSpec, RunConfig, StepDiagnostics
 from .grid import Grid
 from .models import ModelParams, MobilitySpec, PotentialSpec
@@ -265,6 +266,16 @@ def _audit_span(cfg, s_idx, t_idx):
     return {"cfg": cfg, "s_idx": s_idx, "t_idx": t_idx}
 
 
+def _liftoff_sweep(**values):
+    ex.liftoff_configs(**values)  # the sweep's own checks, before any output
+    return values
+
+
+def _dissipation_bound(**values):
+    ex.dissipation_deltas(values["deltas"], values["M"], values["g"])  # the fit's own checks
+    return values
+
+
 # the checked values each command of the CLI takes
 COMMAND_SCHEMAS = {
     "simulate": _RUN,
@@ -272,12 +283,12 @@ COMMAND_SCHEMAS = {
         "cfg": _RUN, "s_idx": (_integer, 0), "t_idx": (_integer, None),  # None: last step
     }),
     "rates": Schema(dict, {"cfg": _RUN, "tol_extinct": (_real, 1e-10)}),
-    "sweep-liftoff": Schema(dict, {
+    "sweep-liftoff": Schema(_liftoff_sweep, {
         "grid": _GRID, "step": _STEP, "T": (_real, _REQUIRED), "M": (_real, _REQUIRED),
         "n": (_real, _REQUIRED), "alpha": (_real, _REQUIRED), "deltas": (_reals, _REQUIRED),
         "record_every": (_integer, 1),
     }),
-    "dissipation-bound": Schema(dict, {
+    "dissipation-bound": Schema(_dissipation_bound, {
         "g": _GRID, "M": (_real, _REQUIRED), "n": (_real, _REQUIRED),
         "alpha": (_real, _REQUIRED), "deltas": (_reals, _REQUIRED), "slope_tol": (_real, 0.15),
     }),

@@ -38,20 +38,32 @@ the plain formulas, so its results are bit for bit theirs:
   non-finite input, LinAlgError when the matrix is not positive definite
   (the step then solves by banded LU);
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
-  face buffer allocated once per step, as are the boundary-cap direction
-  and the Laplacian inside the chemical potential;
+  face buffer of the workspace (built once per step, or once per run
+  with a ``StepState``), as are the boundary-cap direction and the
+  Laplacian inside the chemical potential;
 * G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
 
-A step can be warm-started from a flux j0 (``run`` passes the previous
-step's).  The warm start skips the eps ladder and solves at eps_min
-directly, where the functional is strictly convex, so it reaches the
-cold start's minimiser up to the Newton tolerance.  A warm flux that
-leaves the barrier domain, or a Newton failure from it, falls back to
-the cold solve: zero flux down the full ladder.
+A step can be warm-started from a flux j0.  The warm start skips the eps
+ladder and solves at eps_min directly, where the functional is strictly
+convex, so it reaches the cold start's minimiser up to the Newton
+tolerance.  A warm flux that leaves the barrier domain, or a Newton
+failure from it, falls back to the cold solve: zero flux down the full
+ladder.
+
+``run`` carries a ``StepState`` from step to step instead: the
+workspace of its grid and h, the energy of the height the next step
+starts from (the previous step's ``energy_after``), and the last three
+accepted fluxes.  Its warm start is the flux extrapolated in time,
+quadratic through the last three, j0 = 3 j_k - 3 j_{k-1} + j_{k-2}
+(linear through two, the last flux alone after one step): the step
+minimisers change smoothly in time, so the prediction starts Newton
+closer to the next one than the previous flux does.
 """
 
 import math
+import numbers
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,6 +77,7 @@ from .models import INFINITE_ENERGY, energy, mobility_face, psi, psi_inverse
 __all__ = [
     "StepParams",
     "StepResult",
+    "StepState",
     "StepNonconvergenceError",
     "StepCheckError",
     "reduced_objective",
@@ -91,12 +104,14 @@ class StepParams:
     max_newton: int = 80
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if not 0.0 < self.eps_min <= self.eps0:
+        for name in ("h", "eps0", "eps_min", "tol_grad"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.eps_min <= self.eps0:
             raise ValueError("need 0 < eps_min <= eps0")
-        if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+        if not isinstance(self.max_newton, numbers.Integral) or self.max_newton < 0:
+            raise ValueError(f"max_newton must be an integer >= 0, got {self.max_newton!r}")
 
 
 @dataclass
@@ -153,11 +168,14 @@ def _psi_tilde_prime(s, p, eps):
     return q ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps * eps)
 
 
-def _check_preconditions(g, u_star, model):
+def _check_preconditions(g, u_star, model, e_before=None):
+    """(face mobility, energy of u_star); a known energy e_before of u_star
+    is taken as given."""
     m_faces = mobility_face(model.mobility, u_star, g)
     if (m_faces[1:-1] <= 0.0).any():
         raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-    e_before = energy(g, u_star, model.modified)
+    if e_before is None:
+        e_before = energy(g, u_star, model.modified)
     if not math.isfinite(e_before.total):
         raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
     return m_faces, e_before
@@ -277,13 +295,45 @@ def _workspace(g, h):
     return _Workspace(lap_diag, ao, d2, ab, np.zeros(g.N + 1))
 
 
-def _newton(g, u_star, model, mp, w, ws, step, eps, tol, state):
-    """Damped Newton at fixed smoothing eps from the accepted iterate `state`.
+class StepState:
+    """What a run carries from one step into the next.
+
+    Built once per run for its grid g and step size h, from the energy
+    breakdown of the initial height.  ``solve_step(..., state=state)``
+    takes the workspace, the energy of u* and the predicted warm start
+    from it, and on success records the step's flux and energy_after,
+    so the state always describes the height the next step starts from.
+    """
+
+    def __init__(self, g, h, energy_star):
+        self.grid, self.h = g, h
+        self.ws = _workspace(g, h)
+        self.energy_star = energy_star
+        self.fluxes = deque(maxlen=3)  # accepted interior fluxes, oldest first
+
+    def predicted_flux(self):
+        """The next interior flux extrapolated in time from the kept ones:
+        quadratic through three, linear through two, the last flux alone
+        after one; None before the first step."""
+        f = self.fluxes
+        if len(f) == 3:
+            return 3.0 * (f[2] - f[1]) + f[0]
+        if len(f) == 2:
+            return 2.0 * f[1] - f[0]
+        return f[0] if f else None
+
+    def record(self, q, energy_after):
+        self.fluxes.append(q)
+        self.energy_star = energy_after
+
+
+def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
+    """Damped Newton at fixed smoothing eps from the accepted iterate `start`.
 
     Returns (iterate, iters).
     """
     dx, h, p = g.dx, step.h, model.p
-    q, u, e, mu, d2g, f = state
+    q, u, e, mu, d2g, f = start
 
     for it in range(step.max_newton + 1):
         g_scaled = (mu[1:] - mu[:-1]) / dx + w * _psi_tilde(q, p, eps)
@@ -382,8 +432,8 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, state):
         mu, d2g = _chemical_potential(g, u, mp, ws.pad)
 
 
-def _descend(g, u_star, model, mp, w, ws, step, ladder, state):
-    """Newton down the eps ladder from the accepted iterate `state`.
+def _descend(g, u_star, model, mp, w, ws, step, ladder, start):
+    """Newton down the eps ladder from the accepted iterate `start`.
 
     Returns (iterate, iters) at the last level.
     """
@@ -392,14 +442,14 @@ def _descend(g, u_star, model, mp, w, ws, step, ladder, state):
         tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
         # a new level keeps the energy, mu and G_sigma'' and re-adds only
         # the dissipation
-        f, _ = _functional(g, model, mp, w, step.h, eps, state.q, state.u, state.energy)
-        state, iters = _newton(g, u_star, model, mp, w, ws, step, eps, tol,
-                               state._replace(f=f))
+        f, _ = _functional(g, model, mp, w, step.h, eps, start.q, start.u, start.energy)
+        start, iters = _newton(g, u_star, model, mp, w, ws, step, eps, tol,
+                               start._replace(f=f))
         total_iters += iters
-    return state, total_iters
+    return start, total_iters
 
 
-def solve_step(g, u_star, model, step, j0=None):
+def solve_step(g, u_star, model, step, j0=None, state=None):
     """Solve one minimising-movement step from u_star.
 
     Returns a StepResult whose (u_next, j) satisfy the discrete flow
@@ -412,30 +462,44 @@ def solve_step(g, u_star, model, step, j0=None):
     cold: from zero flux down the full eps ladder, exactly as without j0.
     ``newton_iters`` then also counts the iterations of the failed warm
     attempt.
+
+    With a run's ``StepState`` (for this g and step.h, describing u_star)
+    the warm start is its predicted flux, and its workspace and energy of
+    u_star are used instead of being built again; the solved step is
+    recorded in it.  Passing both j0 and state is an error.
     """
+    if state is not None:
+        if j0 is not None:
+            raise ValueError("pass a warm start j0 or a run state, not both")
+        if state.grid != g or state.h != step.h:
+            raise ValueError("the step state belongs to another grid or step size")
     u_star = np.asarray(u_star, dtype=float)
     mp = model.modified
-    m_faces, e_before = _check_preconditions(g, u_star, model)
+    m_faces, e_before = _check_preconditions(
+        g, u_star, model, None if state is None else state.energy_star)
     m_int = m_faces[1:-1]
     w = m_int ** (-1.0 / model.alpha)
 
-    ws = _workspace(g, step.h)
+    if state is None:
+        ws = _workspace(g, step.h)
+        q = None if j0 is None else _check_face(g, j0)[1:-1].copy()
+    else:
+        ws, q = state.ws, state.predicted_flux()
     args = (g, u_star, model, mp, w, ws, step)
 
-    state, total_iters = None, 0
-    if j0 is not None:
-        q = _check_face(g, j0)[1:-1].copy()
+    sol, total_iters = None, 0
+    if q is not None:
         u = _height(g, u_star, step.h, q, ws.pad)
         e = energy(g, u, mp)
         if math.isfinite(e.total):  # else the warm flux leaves the barrier domain
             try:
-                state, total_iters = _descend(
+                sol, total_iters = _descend(
                     *args, [step.eps_min],
                     _Iterate(q, u, e, *_chemical_potential(g, u, mp, ws.pad), None))
             except StepNonconvergenceError as exc:
                 total_iters = exc.iters
 
-    if state is None:
+    if sol is None:
         if model.alpha > 1.0 and step.eps0 > step.eps_min:
             ladder = []
             eps = step.eps0
@@ -448,11 +512,11 @@ def solve_step(g, u_star, model, step, j0=None):
         q = np.zeros(g.N - 1)
         u = _height(g, u_star, step.h, q, ws.pad)
         # from zero flux the height is u_star bit for bit, and so is its energy
-        state, iters = _descend(
+        sol, iters = _descend(
             *args, ladder, _Iterate(q, u, e_before, *_chemical_potential(g, u, mp, ws.pad), None))
         total_iters += iters
 
-    q, u_next = state.q, state.u
+    q, u_next = sol.q, sol.u
     j = zero_flux(g)
     j[1:-1] = q
 
@@ -462,8 +526,8 @@ def solve_step(g, u_star, model, step, j0=None):
         raise StepCheckError("mass drifted beyond roundoff in a single step",
                              u_last=u_next, j_last=q)
 
-    # the last ladder level is eps_min, so state.f is the functional there
-    if state.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
+    # the last ladder level is eps_min, so sol.f is the functional there
+    if sol.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
         raise StepCheckError("step objective exceeds the zero-flux comparison value",
                              u_last=u_next, j_last=q)
 
@@ -472,13 +536,15 @@ def solve_step(g, u_star, model, step, j0=None):
     xi = psi_inverse(model.alpha, q / m_int)
     diss_strong = g.dx * float((m_int * np.abs(xi) ** (model.alpha + 1.0)).sum())
 
+    if state is not None:
+        state.record(q, sol.energy)
     return StepResult(
         u_next=u_next,
         j=j,
         newton_iters=total_iters,
-        el_residual_norm=_el_defect(g, q, state.mu, m_int, model.alpha),
+        el_residual_norm=_el_defect(g, q, sol.mu, m_int, model.alpha),
         energy_before=e_before,
-        energy_after=state.energy,
+        energy_after=sol.energy,
         dissipation_flux_term=diss_flux,
         dissipation_strong_term=diss_strong,
     )

@@ -603,3 +603,33 @@ def test_cli_null_value_exit_1(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     assert f"tfilm: error: {top}:" in err
     assert "Traceback" not in err
+
+
+# config errors that the experiments and the step parameters refuse, checked
+# by the command's schema before the output directory is made
+DISSIPATION = VALID_CONFIGS["dissipation-bound"]
+REFUSED_BEFORE_THE_LOCK = {
+    "liftoff-window": ("sweep-liftoff", dict(NO_LIFTOFF, n=4), "lift-off requires 2(alpha+1) > n"),
+    "liftoff-domain": ("sweep-liftoff", dict(NO_LIFTOFF, L=2.0),
+                       "the touching parabola is defined on the unit interval"),
+    "dissipation-span": ("dissipation-bound", dict(DISSIPATION, deltas=[0.1, 0.05, 0.02, 0.011]),
+                         "deltas must span at least two decades"),
+    "dissipation-zero-delta": ("dissipation-bound",
+                               dict(DISSIPATION, deltas=[0.1, 0.01, 1e-3, 0.0]),
+                               "each delta must lie in (0, M/2)"),
+    "dissipation-resolution": ("dissipation-bound", dict(DISSIPATION, N=1000),
+                               "grid too coarse to resolve the bump"),
+    "max-newton": ("simulate", dict(MINIMAL, max_newton=-1), "max_newton must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("command,cfg,message", REFUSED_BEFORE_THE_LOCK.values(),
+                         ids=REFUSED_BEFORE_THE_LOCK.keys())
+def test_cli_config_error_makes_no_output_directory(tmp_path, capsys, command, cfg, message):
+    p = write_json(tmp_path / "bad.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"tfilm: error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tfilm.driver
+import tfilm.step
 from tfilm.driver import (
     InitialDataSpec,
     RunConfig,
@@ -12,7 +13,7 @@ from tfilm.driver import (
     run_many,
     sigma_continuation,
 )
-from tfilm.grid import Grid
+from tfilm.grid import Grid, divergence, zero_flux
 from tfilm.models import (
     ModelParams,
     constant_mobility,
@@ -290,3 +291,44 @@ def test_warm_started_run_takes_fewer_newton_iterations():
     )
     assert len(times) == cfg.n_steps + 1
     assert warm_iters < cold_iters
+
+
+def test_predicted_start_outside_the_barrier_domain_is_solved_cold(monkeypatch):
+    cfg = simple_config(alpha=2.0, h=1e-4, T=6e-4)
+    g, sp = cfg.grid, cfg.step
+    real = tfilm.step.StepState.predicted_flux
+    emptied = []
+
+    def leaving_the_domain(state):
+        q = real(state)
+        if len(state.fluxes) == 3 and not emptied:
+            # step 4: empty cell 15 far below zero
+            q = q.copy()
+            q[15] = 1.0 / sp.h
+            emptied.append(q)
+        return q
+
+    monkeypatch.setattr(tfilm.step.StepState, "predicted_flux", leaving_the_domain)
+    series = run(cfg)
+    assert len(emptied) == 1
+    j = zero_flux(g)
+    j[1:-1] = emptied[0]
+    assert np.min(series.snapshots[3] - sp.h * divergence(g, j)) < 0.0
+    cold = solve_step(g, series.snapshots[3], cfg.model, sp)
+    assert np.array_equal(series.snapshots[4], cold.u_next)
+    assert series.diagnostics[4].newton_iters == cold.newton_iters
+
+
+def test_run_never_evaluates_the_energy_of_u_star_again(monkeypatch):
+    cfg = simple_config(alpha=2.0, h=1e-5, T=1e-4)
+    evaluated = []
+    for module in (tfilm.driver, tfilm.step):
+        def counted(g, u, mp, real=module.energy):
+            evaluated.append(np.array(u))
+            return real(g, u, mp)
+
+        monkeypatch.setattr(module, "energy", counted)
+    series = run(cfg)
+    # each height is evaluated once: u_0 by run, u_k as the accepted iterate of step k
+    for k, u in series.snapshots.items():
+        assert sum(np.array_equal(u, v) for v in evaluated) == 1, k

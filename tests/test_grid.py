@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ def test_grid_invariants():
         Grid(1.0, 3)
     with pytest.raises(ValueError):
         Grid(-1.0, 8)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(L, 8)
 
 
 def test_divergence_zero_flux():

@@ -1,6 +1,8 @@
 """Property tests: the quantities solve_step and run carry from the Newton
 iterate equal their standalone recomputations bit for bit, a warm start
-reaches the cold step's flux, and the discrete identities hold (mass
+reaches the cold step's flux, a run started from predicted fluxes
+reaches the heights of the previous-flux chain, and the discrete
+identities hold (mass
 telescoping, one-step EDI, summation by parts, barrier contact and
 convexity), over random rheology, mobility, potential, barrier, grid and
 height; the run record's column reductions equal the row loops they
@@ -146,6 +148,37 @@ def test_warm_start_reaches_the_cold_flux(case):
     tol_audit = sp.eps_min ** model.p * g.L + 10.0 * sp.tol_grad
     assert edi_slack(cold, sp) >= -tol_audit
     assert edi_slack(warm, sp) >= -tol_audit
+
+
+# one alpha range per rheology branch: shear-thickening, Newtonian, shear-thinning
+BRANCHES = {"thickening": st.floats(0.3, 0.95), "newtonian": st.just(1.0),
+            "thinning": st.floats(1.05, 3.0)}
+
+
+@SETTINGS
+@given(cases(), st.sampled_from(sorted(BRANCHES)), st.data())
+def test_predicted_run_matches_the_previous_flux_chain(case, branch, data):
+    g, model, sp, u = case
+    model = replace(model, alpha=data.draw(BRANCHES[branch]))
+    n_steps = 6  # the quadratic predictor starts steps 4 to 6
+    chain, j = [u], None
+    try:
+        for _ in range(n_steps):
+            res = solve_step(g, chain[-1], model, sp, j0=j)
+            chain.append(res.u_next)
+            j = res.j
+    except StepNonconvergenceError:
+        reject()  # the claim covers the runs that the previous-flux chain solves
+    cfg = RunConfig(grid=g, model=model, step=sp, T=n_steps * sp.h,
+                    initial=InitialDataSpec("values", values=tuple(u)))
+    series = run(cfg)
+    for k in range(1, n_steps + 1):
+        assert np.max(np.abs(series.snapshots[k] - chain[k])) <= 1e-7 * np.max(np.abs(chain[k]))
+    mass = series.column("mass")
+    assert np.max(np.abs(mass - mass[0])) <= 1e-13 * mass[0]
+    assert np.all(series.column("ede_slack")[1:] >= -cfg.tol_audit)
+    el_bound = 100.0 * (sp.tol_grad + sp.eps_min ** (model.p - 1.0))
+    assert np.all(series.column("el_residual")[1:] <= el_bound)
 
 
 @SETTINGS

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tfilm.step import (
     StepCheckError,
     StepNonconvergenceError,
     StepParams,
+    StepState,
     _psi_eps,
     _psi_tilde,
     el_residual,
@@ -357,3 +359,56 @@ def test_every_newton_iteration_solves_through_the_wrapper(monkeypatch, alpha, n
     monkeypatch.setattr(tfilm.step, "solveh_banded", counted)
     series = run(cfg)
     assert len(calls) == int(np.sum(series.column("newton_iters"))) > 0
+
+
+def test_predictor_extrapolates_a_quadratic_flux_sequence():
+    g = Grid(1.0, 16)
+    state = StepState(g, 1e-4, energy(g, np.ones(16), barrier_model().modified))
+    rng = np.random.default_rng(10)
+    a, b, c = rng.standard_normal((3, 15))
+
+    def flux(t):
+        return a + b * t + c * t * t
+
+    assert state.predicted_flux() is None
+    state.record(flux(0.0), state.energy_star)
+    assert np.array_equal(state.predicted_flux(), flux(0.0))
+    state.record(flux(1.0), state.energy_star)
+    assert np.array_equal(state.predicted_flux(), 2.0 * flux(1.0) - flux(0.0))
+    for t in (2.0, 3.0, 4.0):  # the oldest flux drops out after three
+        state.record(flux(t), state.energy_star)
+        assert np.allclose(state.predicted_flux(), flux(t + 1.0), rtol=0.0, atol=1e-12)
+
+
+def test_state_and_warm_start_are_exclusive():
+    g = Grid(1.0, 16)
+    u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
+    model, sp = barrier_model(), StepParams(h=1e-4)
+    state = StepState(g, sp.h, energy(g, u, model.modified))
+    with pytest.raises(ValueError, match="not both"):
+        solve_step(g, u, model, sp, j0=zero_flux(g), state=state)
+    with pytest.raises(ValueError, match="another grid or step size"):
+        solve_step(g, u, model, StepParams(h=2e-4), state=state)
+
+
+def test_step_with_state_records_its_flux_and_energy():
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    model, sp = barrier_model(alpha=2.0), StepParams(h=1e-4, tol_grad=1e-8)
+    state = StepState(g, sp.h, energy(g, u, model.modified))
+    res = solve_step(g, u, model, sp, state=state)
+    one_shot = solve_step(g, u, model, sp)
+    # the first step of a state has no flux to predict from, so it is the cold step
+    assert np.array_equal(res.u_next, one_shot.u_next)
+    assert res.energy_before == one_shot.energy_before
+    assert state.energy_star == res.energy_after
+    assert np.array_equal(state.fluxes[-1], res.j[1:-1])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h": math.inf}, {"h": math.nan}, {"h": 0.0}, {"eps0": math.inf}, {"eps_min": math.inf},
+    {"tol_grad": math.inf}, {"tol_grad": -1.0}, {"max_newton": -1}, {"max_newton": 2.5},
+])
+def test_step_params_refuse_non_finite_or_negative_values(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        StepParams(**dict({"h": 1e-4}, **kwargs))
