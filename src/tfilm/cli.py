@@ -153,8 +153,7 @@ def _cmd_dissipation_bound(values, outdir):
 
 
 def _cmd_bb_action(values, outdir):
-    g = values["g"]
-    report = ex.bb_action_demo(**dict(values, u0=values["u0"].build(g), u1=values["u1"].build(g)))
+    report = ex.bb_action_demo(**values)
     write_csv(outdir / "bb_action.csv", "M,action,concentrate,transport,spread",
               [(M, a, s[0], s[1], s[2])
                for M, a, s in zip(report.M_values, report.actions, report.stage_actions)])

@@ -38,6 +38,7 @@ __all__ = [
     "RateReport",
     "rate_fit",
     "BBActionReport",
+    "bb_action_inputs",
     "bb_action_demo",
 ]
 
@@ -526,17 +527,12 @@ def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
     return total
 
 
-def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
-    """Action of the three-stage concentrate/transport/spread path.
+def bb_action_inputs(g, u0, u1, eta, M_sweep):
+    """(u0, u1, M values, atoms) of a transport-action demo, checked.
 
-    Stage 1 morphs u0 linearly onto narrow bumps of width 2 eta/M at the
-    atom grid, stage 2 translates every coupled bump pair at constant
-    speed, stage 3 morphs onto u1.  Fluxes are recovered from the
-    continuity equation by cumulative sums, so every interpolated pair
-    satisfies the discrete flow equation exactly; the action integrand
-    |j|^((alpha+1)/alpha) / m(u)^(1/alpha) is integrated by midpoint
-    quadrature in time.  Each stage is streamed in substep chunks of at
-    most ``_CHUNK_BYTES`` per temporary.
+    Refuses, with a ValueError, an empty M_sweep, an M that is not
+    positive and finite, endpoints that are not strictly positive, and an
+    eta that leaves no interior atom z = eta, 2 eta, ... below L - eta.
     """
     M_values = tuple(float(M) for M in M_sweep)
     if not M_values:
@@ -547,6 +543,28 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     u1 = np.asarray(u1, dtype=float)
     if np.min(u0) <= 0 or np.min(u1) <= 0:
         raise ValueError("endpoints must be strictly positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    z = np.arange(eta, g.L - eta + 1e-12, eta)
+    if z.size == 0:
+        raise ValueError("eta too large: no interior atoms")
+    return u0, u1, M_values, z
+
+
+def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
+    """Action of the three-stage concentrate/transport/spread path.
+
+    Stage 1 morphs u0 linearly onto narrow bumps of width 2 eta/M at the
+    atom grid, stage 2 translates every coupled bump pair at constant
+    speed, stage 3 morphs onto u1.  Fluxes are recovered from the
+    continuity equation by cumulative sums, so every interpolated pair
+    satisfies the discrete flow equation exactly; the action integrand
+    |j|^((alpha+1)/alpha) / m(u)^(1/alpha) is integrated by midpoint
+    quadrature in time.  Each stage is streamed in substep chunks of at
+    most ``_CHUNK_BYTES`` per temporary.  The inputs are checked by
+    ``bb_action_inputs``.
+    """
+    u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep)
     mass0 = integrate(g, u0)
     u1 = u1 * (mass0 / integrate(g, u1))
     if abs(integrate(g, u1) - mass0) > 1e-12 * mass0:
@@ -566,9 +584,6 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     mob = power_mobility(n)
     p = (alpha + 1.0) / alpha
     delta = 0.5 * min(float(np.min(u0)), float(np.min(u1)))
-    z = np.arange(eta, g.L - eta + 1e-12, eta)
-    if z.size == 0:
-        raise ValueError("eta too large: no interior atoms")
     a_w = _lump_to_atoms(g, u0 - delta, z)
     b_w = _lump_to_atoms(g, u1 - delta, z)
     mtot = float(np.sum(a_w))

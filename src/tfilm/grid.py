@@ -55,10 +55,11 @@ class Grid:
         return np.arange(self.N + 1) * self.dx
 
 
-def _check_cell(g, u):
+def _check_cells(g, u):
+    """u as floats; a cell field or a stack of them (..., N)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (g.N,):
-        raise ValueError(f"cell field must have shape ({g.N},), got {u.shape}")
+    if u.ndim == 0 or u.shape[-1] != g.N:
+        raise ValueError(f"cell field must have {g.N} cells on the last axis, got shape {u.shape}")
     return u
 
 
@@ -93,11 +94,12 @@ def gradient(g, u):
     Interior face f: (u_f - u_{f-1}) / dx.  Boundary faces carry the
     homogeneous Neumann ghost value 0, which makes this operator the
     negative adjoint of ``divergence`` under the dx-weighted inner
-    products.
+    products.  A stack of cell fields (..., N) gives face fields
+    (..., N + 1).
     """
-    u = _check_cell(g, u)
-    out = np.zeros(g.N + 1)
-    out[1:-1] = (u[1:] - u[:-1]) / g.dx
+    u = _check_cells(g, u)
+    out = np.zeros(u.shape[:-1] + (g.N + 1,))
+    out[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / g.dx
     return out
 
 
@@ -111,6 +113,7 @@ def laplacian_neumann(g, u):
 
 
 def integrate(g, f):
-    """Midpoint quadrature sum(f_i) * dx."""
-    f = _check_cell(g, f)
-    return float(f.sum() * g.dx)
+    """Midpoint quadrature sum(f_i) * dx; (B,) sums of a stack (B, N)."""
+    f = _check_cells(g, f)
+    total = f.sum(axis=-1) * g.dx
+    return float(total) if f.ndim == 1 else total

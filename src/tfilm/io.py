@@ -271,6 +271,13 @@ def _liftoff_sweep(**values):
     return values
 
 
+def _bb_action(g, u0, u1, **values):
+    """The demo's arguments, with the endpoint heights built on g and checked."""
+    u0, u1 = u0.build(g), u1.build(g)
+    ex.bb_action_inputs(g, u0, u1, values["eta"], values["M_sweep"])  # before any output
+    return dict(values, g=g, u0=u0, u1=u1)
+
+
 def _dissipation_bound(**values):
     ex.dissipation_deltas(values["deltas"], values["M"], values["g"])  # the fit's own checks
     return values
@@ -292,7 +299,7 @@ COMMAND_SCHEMAS = {
         "g": _GRID, "M": (_real, _REQUIRED), "n": (_real, _REQUIRED),
         "alpha": (_real, _REQUIRED), "deltas": (_reals, _REQUIRED), "slope_tol": (_real, 0.15),
     }),
-    "bb-action": Schema(dict, {
+    "bb-action": Schema(_bb_action, {
         "g": _GRID, "u0": (_INITIAL, _REQUIRED), "u1": (_INITIAL, _REQUIRED),
         "eta": (_real, _REQUIRED), "M_sweep": (_reals, _REQUIRED), "n": (_real, _REQUIRED),
         "alpha": (_real, _REQUIRED), "stage_steps": (_integer, 48),

@@ -34,6 +34,7 @@ __all__ = [
     "quadratic_potential",
     "strong_singular_potential",
     "ModifiedPotential",
+    "PotentialStack",
     "ModelParams",
     "mobility_face",
     "psi",
@@ -225,6 +226,15 @@ class ModifiedPotential:
     def has_barrier(self):
         return self.sigma is not None
 
+    def _at(self, low):
+        """(sigma, g0, g1, g2, a_phi, b_phi, c_phi) at the cells of the mask
+        low: scalars as they are, (B, 1) columns of a stack broadcast over
+        their rows."""
+        values = (self.sigma, self.g0, self.g1, self.g2, self.a_phi, self.b_phi, self.c_phi)
+        if np.ndim(self.sigma) == 0:
+            return values
+        return tuple(np.broadcast_to(v, low.shape)[low] for v in values)
+
     def g_sigma(self, s):
         """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
         s = np.asarray(s, dtype=float)
@@ -236,11 +246,12 @@ class ModifiedPotential:
             return self.base.g(s)
         out = self.base.g(np.maximum(s, two_sigma))
         sl = s[low]
-        d = sl - two_sigma
+        sigma, g0, g1, g2, a_phi, b_phi, c_phi = self._at(low)
+        d = sl - 2.0 * sigma
         sg = np.where(sl > 0, sl, 1.0)
         # the base's Taylor polynomial at 2*sigma plus the glue phi
-        vals = (self.g0 + self.g1 * d + 0.5 * self.g2 * d * d
-                + (self.sigma**2 / sg**2 + self.a_phi * sg**2 + self.b_phi * sg + self.c_phi))
+        vals = (g0 + g1 * d + 0.5 * g2 * d * d
+                + (sigma**2 / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
         vals[sl <= 0] = INFINITE_ENERGY
         out[low] = vals
         return out
@@ -261,12 +272,15 @@ class ModifiedPotential:
         capped = np.maximum(s, two_sigma)
         d1, d2 = self.base.dg(capped), self.base.d2g(capped)
         sl = s[low]
-        d1_low = self.g1 + self.g2 * (sl - two_sigma)
-        d2_low = np.full(sl.shape, self.g2)
+        sigma, _, g1, g2, a_phi, b_phi, _ = self._at(low)
+        d1_low = g1 + g2 * (sl - 2.0 * sigma)
+        d2_low = np.broadcast_to(g2, sl.shape).copy()
         glue = sl > 0
+        if np.ndim(sigma):
+            sigma, a_phi, b_phi = sigma[glue], a_phi[glue], b_phi[glue]
         sg = sl[glue]
-        d1_low[glue] += -2.0 * self.sigma**2 / sg**3 + 2.0 * self.a_phi * sg + self.b_phi
-        d2_low[glue] += 6.0 * self.sigma**2 / sg**4 + 2.0 * self.a_phi
+        d1_low[glue] += -2.0 * sigma**2 / sg**3 + 2.0 * a_phi * sg + b_phi
+        d2_low[glue] += 6.0 * sigma**2 / sg**4 + 2.0 * a_phi
         d1[low] = d1_low
         d2[low] = d2_low
         return d1, d2
@@ -278,6 +292,64 @@ class ModifiedPotential:
     def d2g_sigma(self, s):
         """G_sigma''(s) on s > 0."""
         return self.derivatives(s)[1]
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass cls holding values as they are:
+    the columns of members that were checked when they were built."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class PotentialStack:
+    """G_sigma of B members at once: row b of a (B, N) stack of heights is
+    taken under member b's G_sigma.
+
+    The members of one base kind and barrier come in one block of rows,
+    which the methods of ``ModifiedPotential`` evaluate together on (B_k, 1)
+    columns of their parameters.  ``take(rows)`` is the stack of the
+    members rows (increasing indices keep the blocks).
+    """
+
+    _COLUMNS = ("a", "A", "sigma", "g0", "g1", "g2", "a_phi", "b_phi", "c_phi")
+
+    def __init__(self, mps):
+        keys = [(mp.base.kind, mp.has_barrier) for mp in mps]
+        self._kinds = sorted(set(keys))
+        codes = np.array([self._kinds.index(k) for k in keys])
+        if np.count_nonzero(np.diff(codes)) != len(self._kinds) - 1:
+            raise ValueError("the members of one potential kind must be consecutive")
+        self._build(codes, np.array([[mp.base.a, mp.base.A] + [0.0 if mp.sigma is None else v
+                                                                for v in mp._at(None)]
+                                     for mp in mps]))
+
+    def _build(self, codes, table):
+        self.codes, self.table = codes, table
+        edges = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), codes.size]
+        self.blocks = []
+        for start, stop in zip(edges, edges[1:]):
+            col = {name: table[start:stop, k:k + 1] for k, name in enumerate(self._COLUMNS)}
+            kind, barrier = self._kinds[codes[start]]
+            base = _unchecked(PotentialSpec, kind=kind, a=col.pop("a"), A=col.pop("A"))
+            if not barrier:
+                col["sigma"] = None
+            mp = _unchecked(ModifiedPotential, base=base, **col)
+            self.blocks.append((slice(start, stop), mp))
+
+    def take(self, rows):
+        stack = object.__new__(PotentialStack)
+        stack._kinds = self._kinds
+        stack._build(self.codes[rows], self.table[rows])
+        return stack
+
+    def g_sigma(self, s):
+        return np.concatenate([mp.g_sigma(s[rows]) for rows, mp in self.blocks])
+
+    def derivatives(self, s):
+        parts = [mp.derivatives(s[rows]) for rows, mp in self.blocks]
+        return tuple(np.concatenate(values) for values in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +421,24 @@ def energy(g, u, mp):
     """Discrete energy: 0.5 * int |grad u|^2 + int G_sigma(u).
 
     Returns the infinite sentinel in `total` (and `potential`) whenever
-    the barrier is active and some cell is non-positive.
+    the barrier is active and some cell is non-positive.  A stack of
+    heights (B, N) under a ``PotentialStack`` of B members gives a
+    breakdown of (B,) arrays, row by row the values of the single heights.
     """
     u = np.asarray(u, dtype=float)
     du = gradient(g, u)
-    dirichlet = 0.5 * float((du * du).sum()) * g.dx
-    if mp.has_barrier and (u <= 0.0).any():
-        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
-    pot_vals = mp.g_sigma(u)
+    dirichlet = 0.5 * (du * du).sum(axis=-1) * g.dx
+    if u.ndim == 1:
+        dirichlet = float(dirichlet)
+        if mp.has_barrier and (u <= 0.0).any():
+            return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
+    pot_vals = mp.g_sigma(u)  # +inf on the non-positive cells under a barrier
     potential = integrate(g, pot_vals)
-    # a finite sum has no infinite term, so only a non-finite one is searched
-    if not math.isfinite(potential) and np.isinf(pot_vals).any():
-        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
+    if u.ndim == 1:
+        # a finite sum has no infinite term, so only a non-finite one is searched
+        if not math.isfinite(potential) and np.isinf(pot_vals).any():
+            return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
+    elif not np.isfinite(potential).all():
+        infinite = ~np.isfinite(potential) & np.isinf(pot_vals).any(axis=-1)
+        potential[infinite] = INFINITE_ENERGY
     return EnergyBreakdown(dirichlet, potential, dirichlet + potential)

@@ -59,6 +59,19 @@ quadratic through the last three, j0 = 3 j_k - 3 j_{k-1} + j_{k-2}
 (linear through two, the last flux alone after one step): the step
 minimisers change smoothly in time, so the prediction starts Newton
 closer to the next one than the previous flux does.
+
+A ``StepBatch`` steps several runs on one grid together (``run_many``
+marches a group of configs with it).  Each member is solved as
+``solve_step`` with its own ``StepState`` solves it, with the same
+kernels: the functional, the chemical potential, the reduced gradient
+and the Newton bands take a leading member axis, with per-member
+parameters (h, p, eps, ...) as (B, 1) columns, and the potential is
+evaluated per kind on its rows by a ``models.PotentialStack``.  A Newton
+pass evaluates them once for all members still iterating; only the band
+solve runs member by member, one dpbsv call each.  The batch matches the
+single-member steps to roundoff, not bit for bit: numpy's power with a
+column of exponents can differ in the last bit from its power with a
+scalar one.
 """
 
 import math
@@ -72,12 +85,20 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbsv
 
 from .grid import _check_face, divergence, integrate, zero_flux
-from .models import INFINITE_ENERGY, energy, mobility_face, psi, psi_inverse
+from .models import (
+    EnergyBreakdown,
+    PotentialStack,
+    energy,
+    mobility_face,
+    psi,
+    psi_inverse,
+)
 
 __all__ = [
     "StepParams",
     "StepResult",
     "StepState",
+    "StepBatch",
     "StepNonconvergenceError",
     "StepCheckError",
     "reduced_objective",
@@ -91,6 +112,8 @@ __all__ = [
 _RHO = 0.1
 _ARMIJO_C = 1e-4
 _TAU_BOUNDARY = 0.9
+_MAX_HALVINGS = 60
+_GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
 
 
 @dataclass(frozen=True)
@@ -181,18 +204,22 @@ def _check_preconditions(g, u_star, model, e_before=None):
     return m_faces, e_before
 
 
-def _functional(g, model, mp, w, h, eps, q, u, e=None):
+def _functional(g, mp, scale, p, eps, w, q, u, e=None):
     """(step functional, energy of u) at interior fluxes q and u = u* - h div(q).
 
-    w = m(u*)^(-1/alpha) on interior faces.  A known energy e of u is
-    reused, so that only the dissipation term is added.
+    w = m(u*)^(-1/alpha) on interior faces and scale = h alpha/(alpha+1) dx.
+    A known energy e of u is reused, so that only the dissipation term is
+    added; the infinite energy sentinel carries through the sum.  Stacks
+    of B members take q (B, N-1), u (B, N), p and eps as (B, 1) columns,
+    scale as (B,) and a ``PotentialStack``, and give (B,) values.
     """
     if e is None:
         e = energy(g, u, mp)
-    if not math.isfinite(e.total):
-        return INFINITE_ENERGY, e
-    coeff = model.alpha / (model.alpha + 1.0)
-    return e.total + h * coeff * g.dx * float((w * _psi_eps(q, model.p, eps)).sum()), e
+    return e.total + scale * (w * _psi_eps(q, p, eps)).sum(axis=-1), e
+
+
+def _dissipation_scale(g, model, h):
+    return h * (model.alpha / (model.alpha + 1.0)) * g.dx
 
 
 def reduced_objective(g, j, u_star, model, step, eps):
@@ -206,7 +233,8 @@ def reduced_objective(g, j, u_star, model, step, eps):
     u = u_star - step.h * divergence(g, j)
     w = m_faces[1:-1] ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
-    return _functional(g, model, model.modified, w, step.h, eps, q, u)[0]
+    return float(_functional(g, model.modified, _dissipation_scale(g, model, step.h),
+                             model.p, eps, w, q, u)[0])
 
 
 def solveh_banded(ab, b):
@@ -230,30 +258,37 @@ def solveh_banded(ab, b):
 def _chemical_potential(g, u, mp, pad):
     """(mu, G_sigma''(u)) with mu = -lap(u) + G_sigma'(u).
 
-    pad is a face buffer with zero boundary entries; the gradient of u is
-    written into its interior, so the Laplacian is its difference.
+    pad is a face buffer with zero boundary entries (one row per member
+    for a stack of heights); the gradient of u is written into its
+    interior, so the Laplacian is its difference.
     """
-    grad = pad[1:-1]
-    np.subtract(u[1:], u[:-1], out=grad)
+    grad = pad[..., 1:-1]
+    np.subtract(u[..., 1:], u[..., :-1], out=grad)
     grad /= g.dx
-    lap = pad[1:] - pad[:-1]
+    lap = pad[..., 1:] - pad[..., :-1]
     lap /= g.dx
     dg, d2g = mp.derivatives(u)
     return dg - lap, d2g
 
 
 def _el_defect(g, q, mu, m_int, alpha):
-    """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior faces."""
-    r = q - m_int * psi(alpha, -(mu[1:] - mu[:-1]) / g.dx)
+    """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior
+    faces; (B,) norms of a stack of members with alpha a (B, 1) column."""
+    r = q - m_int * psi(alpha, -(mu[..., 1:] - mu[..., :-1]) / g.dx)
     pprime = alpha + 1.0
-    return float((g.dx * (np.abs(r) ** pprime).sum()) ** (1.0 / pprime))
+    norm = g.dx * (np.abs(r) ** pprime).sum(axis=-1)
+    if norm.ndim == 0:
+        return float(norm ** (1.0 / pprime))
+    # the root is a scalar power per member, as for one member: numpy's
+    # array power can differ from it in the last bit
+    return np.array([float(x ** (1.0 / pp)) for x, pp in zip(norm, pprime[:, 0])])
 
 
 def _flux_change(pad, q, h, dx):
     """h div(j) for the flux-typed j with interior values q, through the
-    zero-ended face buffer pad."""
-    pad[1:-1] = q
-    d = pad[1:] - pad[:-1]
+    zero-ended face buffer pad (rows of q, pad and a column h for a stack)."""
+    pad[..., 1:-1] = q
+    d = pad[..., 1:] - pad[..., :-1]
     d /= dx
     d *= h
     return d
@@ -261,6 +296,70 @@ def _flux_change(pad, q, h, dx):
 
 def _height(g, u_star, h, q, pad):
     return u_star - _flux_change(pad, q, h, g.dx)
+
+
+def _reduced_gradient(dx, mu, w, q, p, eps):
+    """The reduced gradient divided by h dx: grad mu + w psi_eps'(q) alpha/(alpha+1)."""
+    return (mu[..., 1:] - mu[..., :-1]) / dx + w * _psi_tilde(q, p, eps)
+
+
+def _newton_bands(dx, lap_diag, ao, h, w, d2g, q, p, eps):
+    """(diagonal, first off-diagonal) of the Newton matrix in the
+    interior-face index: the energy block h^2 D^T H_E D (pentadiagonal,
+    its outer band set in the workspace) plus the dissipation diagonal."""
+    ad = dx * (lap_diag + d2g)
+    d0 = ad[..., :-1] - 2.0 * ao
+    d0 += ad[..., 1:]
+    d0 /= dx**2
+    d1 = ao - ad[..., 1:-1]
+    d1 += ao
+    d1 /= dx**2
+    d0 = h * h * d0 + h * dx * w * _psi_tilde_prime(q, p, eps)
+    d1 *= h * h
+    return d0, d1
+
+
+def _shifted(d0):
+    """The diagonal with the relative shift of shear-thickening (p > 2):
+    psi_eps'' vanishes at s = 0 there."""
+    return d0 + 1e-12 * (1.0 + np.abs(d0))
+
+
+def _direction(ab, d2, grad_raw):
+    """(Newton direction, its slope against the gradient) for the Newton
+    matrix whose bands ab holds: band Cholesky, banded LU if the matrix is
+    not positive definite."""
+    try:
+        delta = solveh_banded(ab, -grad_raw)
+    except np.linalg.LinAlgError:
+        delta = _lu_solve(ab, d2, -grad_raw)
+    return _safeguarded(grad_raw, delta)
+
+
+def _lu_solve(ab, d2, rhs):
+    """The Newton system of the bands ab (outer band d2) by banded LU."""
+    d0, d1 = ab[2], ab[1, 1:]
+    full = np.zeros((5, d0.size))
+    full[0, 2:] = d2
+    full[1, 1:] = d1
+    full[2] = d0
+    full[3, :-1] = d1
+    full[4, :-2] = d2
+    return solve_banded((2, 2), full, rhs)
+
+
+def _safeguarded(grad_raw, delta):
+    """(delta, slope), or steepest descent if delta does not descend."""
+    dd = float(np.dot(grad_raw, delta))
+    if dd >= 0.0:
+        delta = -grad_raw
+        dd = -float(np.dot(grad_raw, grad_raw))
+    return delta, dd
+
+
+def _granularity(f):
+    """Objective changes below this cannot be verified by comparing values."""
+    return _GRAIN * (1.0 + abs(f))
 
 
 class _Iterate(NamedTuple):
@@ -327,23 +426,28 @@ class StepState:
         self.energy_star = energy_after
 
 
+def _converged(grad_norm, tol, it, max_newton):
+    """Converged on the gradient norm, after `it` iterations at this level
+    (elementwise for arrays).  A first iterate that is merely under tol
+    still gets one polishing iteration (unless the cap allows none):
+    without it, modes whose driving gradient has decayed below tol would
+    freeze instead of keeping their relative accuracy."""
+    return (grad_norm <= tol) & ((it >= 1) | (grad_norm == 0.0) | (max_newton == 0))
+
+
 def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
     """Damped Newton at fixed smoothing eps from the accepted iterate `start`.
 
     Returns (iterate, iters).
     """
     dx, h, p = g.dx, step.h, model.p
+    scale = _dissipation_scale(g, model, h)
     q, u, e, mu, d2g, f = start
 
     for it in range(step.max_newton + 1):
-        g_scaled = (mu[1:] - mu[:-1]) / dx + w * _psi_tilde(q, p, eps)
+        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps)
         grad_norm = math.sqrt(dx * float((g_scaled * g_scaled).sum()))
-        # Converged on the gradient norm.  A first iterate that is merely
-        # under tol still gets one polishing iteration (unless the cap
-        # allows none): without it, modes whose driving gradient has
-        # decayed below tol would freeze instead of keeping their
-        # relative accuracy.
-        if grad_norm <= tol and (it >= 1 or grad_norm == 0.0 or step.max_newton == 0):
+        if _converged(grad_norm, tol, it, step.max_newton):
             return _Iterate(q, u, e, mu, d2g, f), it
         if it == step.max_newton:
             raise StepNonconvergenceError(
@@ -356,40 +460,11 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
             )
 
         grad_raw = h * dx * g_scaled
-
-        # Hessian bands in the interior-face index: energy block
-        # h^2 D^T H_E D (pentadiagonal) plus the dissipation diagonal.
-        ad = dx * (ws.lap_diag + d2g)
-        d0 = ad[:-1] - 2.0 * ws.ao
-        d0 += ad[1:]
-        d0 /= dx**2
-        d1 = ws.ao - ad[1:-1]
-        d1 += ws.ao
-        d1 /= dx**2
-        d0 = h * h * d0 + h * dx * w * _psi_tilde_prime(q, p, eps)
-        d1 *= h * h
-        if p > 2.0:
-            d0 = d0 + 1e-12 * (1.0 + np.abs(d0))
-
+        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, w, d2g, q, p, eps)
         ab = ws.ab
-        ab[2] = d0
+        ab[2] = _shifted(d0) if p > 2.0 else d0
         ab[1, 1:] = d1
-        try:
-            delta = solveh_banded(ab, -grad_raw)
-        except np.linalg.LinAlgError:
-            full = np.zeros((5, g.N - 1))
-            full[0, 2:] = ws.d2
-            full[1, 1:] = d1
-            full[2] = d0
-            full[3, :-1] = d1
-            full[4, :-2] = ws.d2
-            delta = solve_banded((2, 2), full, -grad_raw)
-
-        dd = float(np.dot(grad_raw, delta))
-        if dd >= 0.0:
-            # safeguard: fall back to steepest descent
-            delta = -grad_raw
-            dd = -float(np.dot(grad_raw, grad_raw))
+        delta, dd = _direction(ab, ws.d2, grad_raw)
 
         t = 1.0
         if mp.has_barrier:
@@ -404,12 +479,12 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
         # problem is convex with an SPD Hessian, so in that contraction
         # regime a feasible (boundary-capped) Newton step is taken
         # outright.
-        granularity = 64.0 * np.finfo(float).eps * (1.0 + abs(f))
+        granularity = _granularity(f)
         accepted = False
-        for _ in range(60):
+        for _ in range(_MAX_HALVINGS):
             q_try = q + t * delta
             u_try = _height(g, u_star, h, q_try, ws.pad)
-            f_try, e_try = _functional(g, model, mp, w, h, eps, q_try, u_try)
+            f_try, e_try = _functional(g, mp, scale, p, eps, w, q_try, u_try)
             decrease_ok = f_try <= f + _ARMIJO_C * t * dd
             unmeasurable = -t * dd <= granularity and math.isfinite(f_try)
             if decrease_ok or unmeasurable:
@@ -432,21 +507,82 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
         mu, d2g = _chemical_potential(g, u, mp, ws.pad)
 
 
+def _level_tol(step, eps, last):
+    return step.tol_grad if last else max(step.tol_grad, 0.1 * eps)
+
+
 def _descend(g, u_star, model, mp, w, ws, step, ladder, start):
     """Newton down the eps ladder from the accepted iterate `start`.
 
     Returns (iterate, iters) at the last level.
     """
     total_iters = 0
+    scale = _dissipation_scale(g, model, step.h)
     for eps in ladder:
-        tol = step.tol_grad if eps == ladder[-1] else max(step.tol_grad, 0.1 * eps)
+        tol = _level_tol(step, eps, eps == ladder[-1])
         # a new level keeps the energy, mu and G_sigma'' and re-adds only
         # the dissipation
-        f, _ = _functional(g, model, mp, w, step.h, eps, start.q, start.u, start.energy)
+        f, _ = _functional(g, mp, scale, model.p, eps, w, start.q, start.u, start.energy)
         start, iters = _newton(g, u_star, model, mp, w, ws, step, eps, tol,
                                start._replace(f=f))
         total_iters += iters
     return start, total_iters
+
+
+def _cold_ladder(model, step):
+    """The eps levels of a cold solve: geometric from eps0 down to eps_min
+    for shear-thinning (alpha > 1), eps_min alone otherwise."""
+    if not (model.alpha > 1.0 and step.eps0 > step.eps_min):
+        return [step.eps_min]
+    ladder = []
+    eps = step.eps0
+    while eps > step.eps_min * (1.0 + 1e-12):
+        ladder.append(eps)
+        eps *= _RHO
+    ladder.append(step.eps_min)
+    return ladder
+
+
+def _step_terms(g, u_star, q, u_next, mu, w, m_int, alpha, p):
+    """(mass of u_star, mass of u_next, flux and strong dissipation
+    integrals, EL defect) of a solved step; for a stack of members the
+    fields are (B,) arrays, with alpha and p as (B, 1) columns."""
+    dx = g.dx
+    xi = psi_inverse(alpha, q / m_int)
+    return (integrate(g, u_star), integrate(g, u_next),
+            dx * (w * np.abs(q) ** p).sum(axis=-1),
+            dx * (m_int * np.abs(xi) ** (alpha + 1.0)).sum(axis=-1),
+            _el_defect(g, q, mu, m_int, alpha))
+
+
+def _result(g, sol, e_before, iters, terms, state):
+    """The StepResult of the solved iterate sol, after the mass and
+    zero-flux comparison checks; a run's state records the step."""
+    q, u_next = sol.q, sol.u
+    mass_star, mass_next, diss_flux, diss_strong, el = map(float, terms)
+    if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
+        raise StepCheckError("mass drifted beyond roundoff in a single step",
+                             u_last=u_next, j_last=q)
+
+    # the last ladder level is eps_min, so sol.f is the functional there
+    if sol.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
+        raise StepCheckError("step objective exceeds the zero-flux comparison value",
+                             u_last=u_next, j_last=q)
+
+    j = zero_flux(g)
+    j[1:-1] = q
+    if state is not None:
+        state.record(q, sol.energy)
+    return StepResult(
+        u_next=u_next,
+        j=j,
+        newton_iters=iters,
+        el_residual_norm=el,
+        energy_before=e_before,
+        energy_after=sol.energy,
+        dissipation_flux_term=diss_flux,
+        dissipation_strong_term=diss_strong,
+    )
 
 
 def solve_step(g, u_star, model, step, j0=None, state=None):
@@ -500,54 +636,287 @@ def solve_step(g, u_star, model, step, j0=None, state=None):
                 total_iters = exc.iters
 
     if sol is None:
-        if model.alpha > 1.0 and step.eps0 > step.eps_min:
-            ladder = []
-            eps = step.eps0
-            while eps > step.eps_min * (1.0 + 1e-12):
-                ladder.append(eps)
-                eps *= _RHO
-            ladder.append(step.eps_min)
-        else:
-            ladder = [step.eps_min]
         q = np.zeros(g.N - 1)
         u = _height(g, u_star, step.h, q, ws.pad)
         # from zero flux the height is u_star bit for bit, and so is its energy
         sol, iters = _descend(
-            *args, ladder, _Iterate(q, u, e_before, *_chemical_potential(g, u, mp, ws.pad), None))
+            *args, _cold_ladder(model, step),
+            _Iterate(q, u, e_before, *_chemical_potential(g, u, mp, ws.pad), None))
         total_iters += iters
 
-    q, u_next = sol.q, sol.u
-    j = zero_flux(g)
-    j[1:-1] = q
+    terms = _step_terms(g, u_star, sol.q, sol.u, sol.mu, w, m_int, model.alpha, model.p)
+    return _result(g, sol, e_before, total_iters, terms, state)
 
-    mass_star = integrate(g, u_star)
-    mass_next = integrate(g, u_next)
-    if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
-        raise StepCheckError("mass drifted beyond roundoff in a single step",
-                             u_last=u_next, j_last=q)
 
-    # the last ladder level is eps_min, so sol.f is the functional there
-    if sol.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
-        raise StepCheckError("step objective exceeds the zero-flux comparison value",
-                             u_last=u_next, j_last=q)
+def _at(a, rows):
+    """a at rows, or a itself where rows is None (every row)."""
+    return a if rows is None else a[rows]
 
-    p = model.p
-    diss_flux = g.dx * float((w * np.abs(q) ** p).sum())
-    xi = psi_inverse(model.alpha, q / m_int)
-    diss_strong = g.dx * float((m_int * np.abs(xi) ** (model.alpha + 1.0)).sum())
 
-    if state is not None:
-        state.record(q, sol.energy)
-    return StepResult(
-        u_next=u_next,
-        j=j,
-        newton_iters=total_iters,
-        el_residual_norm=_el_defect(g, q, sol.mu, m_int, model.alpha),
-        energy_before=e_before,
-        energy_after=sol.energy,
-        dissipation_flux_term=diss_flux,
-        dissipation_strong_term=diss_strong,
-    )
+class StepBatch:
+    """Members that share a grid, each stepped as ``solve_step(...,
+    state=...)`` steps it, with the Newton iterations of all members that
+    are still iterating evaluated together.
+
+    Each member keeps its own ``StepState`` (so its predicted warm start),
+    eps ladder and level, tolerance, iteration count, Armijo step,
+    boundary cap, convergence flag, and its warm-to-cold and
+    Cholesky-to-LU fallbacks.  A Newton pass evaluates the step kernels
+    once on the (b, N) rows of the b members still iterating, with the
+    per-member parameters as (b, 1) columns and the potential taken per
+    kind on its rows (``PotentialStack``: the members of one potential
+    kind must be consecutive), and solves each member's band by its own
+    dpbsv call.  The per-step checks of ``solve_step`` run per member.  A
+    failure raises ``solve_step``'s error type and leaves the batch
+    unusable.
+    """
+
+    def __init__(self, g, models, steps, energies):
+        self.grid, self.models, self.steps = g, tuple(models), tuple(steps)
+        self.states = [StepState(g, sp.h, e) for sp, e in zip(steps, energies)]
+        self.ladders = [_cold_ladder(m, sp) for m, sp in zip(models, steps)]
+        self.alpha = np.array([[m.alpha] for m in models])
+        self.p = np.array([[m.p] for m in models])
+        self.h = np.array([[sp.h] for sp in steps])
+        self.scale = np.array([_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)])
+        self.shift = self.p[:, 0] > 2.0
+        self.barrier = np.array([m.modified.has_barrier for m in models])
+        self.max_newton = np.array([sp.max_newton for sp in steps])
+        self.ab = np.stack([state.ws.ab for state in self.states])
+        self.d2 = [state.ws.d2 for state in self.states]
+        self.pad = np.zeros((len(models), g.N + 1))
+        rows = {}
+        for i, m in enumerate(models):
+            rows.setdefault(m.mobility, []).append(i)
+        self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
+        self._potential = PotentialStack([m.modified for m in models])
+        self._stacks = {}
+
+    def _pot(self, rows):
+        """The potential stack of the members rows (all if None), kept per subset."""
+        if rows is None:
+            return self._potential
+        key = rows.tobytes()
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = self._potential.take(rows)
+        return stack
+
+    def step(self, members, u_stars):
+        """Solve one step of each member in members (increasing batch
+        indices) from its row of u_stars; returns their StepResults."""
+        g, B, N = self.grid, len(self.models), self.grid.N
+        members = np.asarray(members)
+        stepping = np.zeros(B, dtype=bool)
+        stepping[members] = True
+        self.u_star = np.zeros((B, N))
+        self.u_star[members] = u_stars
+        # the preconditions of solve_step; the energy of u* is the state's
+        m_int = np.ones((B, N - 1))
+        for mob, rows in self.mobilities:
+            rows = rows[stepping[rows]]
+            if rows.size:
+                m_int[rows] = mobility_face(mob, self.u_star[rows], g)[:, 1:-1]
+        if (m_int[members] <= 0.0).any():
+            raise ValueError("mobility vanishes on an interior face; step is ill-posed")
+        self.w = np.ones((B, N - 1))
+        self.w[members] = m_int[members] ** (-1.0 / self.alpha[members])
+        self.e_before = {i: self.states[i].energy_star for i in members}
+
+        # the iterates, and where each member is in its solve
+        self.q, self.u = np.zeros((B, N - 1)), self.u_star.copy()
+        self.e = np.zeros((3, B))  # dirichlet, potential and total energy of u
+        self.mu, self.d2g, self.f = np.zeros((B, N)), np.zeros((B, N)), np.zeros(B)
+        self.eps, self.tol = np.ones((B, 1)), np.zeros(B)
+        self.level, self.it, self.iters = (np.zeros(B, dtype=int) for _ in range(3))
+        self.ladder = [None] * B
+        self.warm = np.zeros(B, dtype=bool)
+        self.active = np.zeros(B, dtype=bool)
+
+        warm = np.array([i for i in members if self.states[i].fluxes], dtype=int)
+        cold = [i for i in members if not self.states[i].fluxes]
+        if warm.size:
+            q = np.stack([self.states[i].predicted_flux() for i in warm])
+            u = _height(g, self.u_star[warm], self.h[warm], q, self.pad[:warm.size])
+            e = energy(g, u, self._pot(warm))
+            inside = np.isfinite(e.total)  # else the warm flux leaves the barrier domain
+            cold += warm[~inside].tolist()
+            warm = warm[inside]
+            self.q[warm], self.u[warm] = q[inside], u[inside]
+            self.e[:, warm] = np.stack(e)[:, inside]
+            self.warm[warm] = True
+            for i in warm:
+                self.ladder[i] = [self.steps[i].eps_min]
+        for i in cold:
+            self._cold(i)
+        self._start(members)
+
+        while self.active.any():
+            self._newton_pass()
+
+        terms = _step_terms(g, u_stars, self.q[members], self.u[members], self.mu[members],
+                            self.w[members], m_int[members], self.alpha[members],
+                            self.p[members])
+        results = []
+        for k, i in enumerate(members):
+            sol = _Iterate(self.q[i], self.u[i], EnergyBreakdown(*map(float, self.e[:, i])),
+                           self.mu[i], self.d2g[i], self.f[i])
+            results.append(_result(g, sol, self.e_before[i], int(self.iters[i]),
+                                   [t[k] for t in terms], self.states[i]))
+        return results
+
+    def _cold(self, i):
+        """Member i from zero flux, whose height is u_star and energy e_before."""
+        self.q[i] = 0.0
+        self.u[i] = self.u_star[i]
+        self.e[:, i] = self.e_before[i]
+        self.warm[i] = False
+        self.ladder[i] = self.ladders[i]
+
+    def _start(self, rows):
+        """Members rows begin their ladders at the iterates set for them."""
+        self.level[rows] = 0
+        self.mu[rows], self.d2g[rows] = _chemical_potential(
+            self.grid, self.u[rows], self._pot(rows), self.pad[:rows.size])
+        self.active[rows] = True
+        self._enter_level(rows)
+
+    def _enter_level(self, rows):
+        """A new level keeps the energy, mu and G_sigma'' and re-adds only
+        the dissipation."""
+        for i in rows:
+            ladder, level = self.ladder[i], self.level[i]
+            self.eps[i] = ladder[level]
+            self.tol[i] = _level_tol(self.steps[i], ladder[level], level == len(ladder) - 1)
+        self.it[rows] = 0
+        self.f[rows] = _functional(self.grid, None, self.scale[rows], self.p[rows],
+                                   self.eps[rows], self.w[rows], self.q[rows], None,
+                                   EnergyBreakdown(*self.e[:, rows]))[0]
+
+    def _level_done(self, rows):
+        self.iters[rows] += self.it[rows]
+        more = [i for i in rows if self.level[i] < len(self.ladder[i]) - 1]
+        self.active[rows] = False
+        if more:
+            more = np.array(more)
+            self.active[more] = True
+            self.level[more] += 1
+            self._enter_level(more)
+
+    def _failed(self, i, message, grad_norm):
+        """Newton failed for member i: from a warm start it solves cold,
+        from a cold one the step fails."""
+        if self.warm[i]:
+            self.iters[i] = self.it[i]
+            self._cold(i)
+            self._start(np.array([i]))
+            return
+        raise StepNonconvergenceError(message, u_last=self.u[i].copy(), j_last=self.q[i].copy(),
+                                      grad_norm=grad_norm, iters=int(self.it[i]))
+
+    def _newton_pass(self):
+        """One damped Newton iteration of every member still iterating."""
+        g, dx = self.grid, self.grid.dx
+        rows = self.active.nonzero()[0]
+        sel = None if rows.size == self.active.size else rows
+        mu, q, w, p, eps = (_at(a, sel) for a in (self.mu, self.q, self.w, self.p, self.eps))
+        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps)
+        grad_norm = np.sqrt(dx * (g_scaled * g_scaled).sum(axis=1))
+        it, cap, tol = _at(self.it, sel), _at(self.max_newton, sel), _at(self.tol, sel)
+        converged = _converged(grad_norm, tol, it, cap)
+        go = ~converged & (it < cap)
+        if not go.all():
+            if converged.any():
+                self._level_done(rows[converged])
+            for k in np.flatnonzero(~converged & ~go):
+                i = rows[k]
+                self._failed(i, f"Newton did not reach tol_grad={tol[k]:g} in {cap[k]} "
+                             f"iterations (grad norm {grad_norm[k]:.3e}, eps {eps[k, 0]:g})",
+                             grad_norm[k])
+            if not go.any():
+                return
+            rows, sel = rows[go], rows[go]
+            grad_norm, tol, g_scaled, mu, q, w, p, eps = (
+                a[go] for a in (grad_norm, tol, g_scaled, mu, q, w, p, eps))
+        h, u, f, n = _at(self.h, sel), _at(self.u, sel), _at(self.f, sel), rows.size
+
+        grad_raw = h * dx * g_scaled
+        ws = self.states[0].ws
+        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, w, _at(self.d2g, sel), q, p, eps)
+        shift = _at(self.shift, sel)
+        if shift.any():
+            d0[shift] = _shifted(d0[shift])
+        # solveh_banded per member, its finiteness checks made once for all
+        rhs = -grad_raw
+        if not (np.isfinite(d0).all() and np.isfinite(d1).all() and np.isfinite(rhs).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        ab = self.ab
+        ab[rows, 2] = d0
+        ab[rows, 1, 1:] = d1
+        delta, dd = np.empty_like(grad_raw), np.empty(n)
+        for k, i in enumerate(rows.tolist()):
+            _, x, info = dpbsv(ab[i], rhs[k])
+            if info < 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+            if info > 0:  # not positive definite
+                x = _lu_solve(ab[i], self.d2[i], rhs[k])
+            delta[k], dd[k] = _safeguarded(grad_raw[k], x)
+
+        t = np.ones(n)
+        barrier = _at(self.barrier, sel)
+        if barrier.any():
+            # the height moves by -dh along delta; cap the cells it lowers
+            dh = _flux_change(self.pad[:n], delta, h, dx)
+            shrink = dh > 0.0
+            ratio = np.where(shrink, u, math.inf) / np.where(shrink, dh, 1.0)
+            t[barrier] = np.minimum(1.0, _TAU_BOUNDARY * ratio[barrier].min(axis=1))
+
+        # the line search of _newton, on the members not yet accepted
+        granularity = _granularity(f)
+        u_star, scale = _at(self.u_star, sel), _at(self.scale, sel)
+        trying = None  # every row of this pass
+        accepted = []
+        for _ in range(_MAX_HALVINGS):
+            tk, ddk = _at(t, trying), _at(dd, trying)
+            q_try = _at(q, trying) + tk[:, None] * _at(delta, trying)
+            m = q_try.shape[0]
+            u_try = _height(g, _at(u_star, trying), _at(h, trying), q_try, self.pad[:m])
+            members = _at(rows, trying)
+            f_try, e_try = _functional(g, self._pot(None if m == self.active.size else members),
+                                       _at(scale, trying), _at(p, trying), _at(eps, trying),
+                                       _at(w, trying), q_try, u_try)
+            decrease_ok = f_try <= _at(f, trying) + _ARMIJO_C * tk * ddk
+            unmeasurable = (-tk * ddk <= _at(granularity, trying)) & np.isfinite(f_try)
+            ok = decrease_ok | unmeasurable
+            if ok.all():
+                done = members
+                self.q[done], self.u[done], self.f[done] = q_try, u_try, f_try
+                self.e[:, done] = e_try
+                accepted.append(done)
+                trying = np.zeros(0, dtype=int)
+                break
+            if ok.any():
+                done = members[ok]
+                self.q[done], self.u[done], self.f[done] = q_try[ok], u_try[ok], f_try[ok]
+                self.e[:, done] = np.stack(e_try)[:, ok]
+                accepted.append(done)
+            trying = np.flatnonzero(~ok) if trying is None else trying[~ok]
+            t[trying] *= 0.5
+        for k in trying:
+            i = rows[k]
+            if grad_norm[k] <= tol[k]:
+                # stalled while polishing an already-converged iterate
+                self._level_done(np.array([i]))
+            else:
+                self._failed(i, f"line search stalled at grad norm {grad_norm[k]:.3e} > tol "
+                             f"{tol[k]:g}; tol_grad is below the roundoff floor of this "
+                             "problem", grad_norm[k])
+        if accepted:
+            done = accepted[0] if len(accepted) == 1 else np.sort(np.concatenate(accepted))
+            sub = None if done.size == self.active.size else done
+            self.mu[done], self.d2g[done] = _chemical_potential(
+                g, _at(self.u, sub), self._pot(sub), self.pad[:done.size])
+            self.it[done] += 1
 
 
 def el_residual(g, res, u_star, model):

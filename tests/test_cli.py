@@ -434,6 +434,7 @@ def test_cli_bb_action_bad_sweep_exit_1(tmp_path, capsys, sweep):
     p = write_json(tmp_path / "bb.json", cfg)
     assert main(["bb-action", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert "tfilm: error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # refused before the run
 
 
 def test_cli_point_lemma(tmp_path):
@@ -620,6 +621,25 @@ REFUSED_BEFORE_THE_LOCK = {
     "dissipation-resolution": ("dissipation-bound", dict(DISSIPATION, N=1000),
                                "grid too coarse to resolve the bump"),
     "max-newton": ("simulate", dict(MINIMAL, max_newton=-1), "max_newton must be an integer >= 0"),
+    # initial data that cannot start: built and checked by the RunConfig
+    **{f"{command}-initial-length": (
+        command, dict(MINIMAL, N=32, initial={"kind": "values", "values": [1, 1, 1]}),
+        "initial values must have length 32") for command in ("simulate", "rates", "audit-ede")},
+    **{f"{command}-initial-under-barrier": (
+        command, dict(MINIMAL, initial={"kind": "cosine", "M": 0.1, "amplitude": 0.5}),
+        "initial height has infinite energy under the barrier")
+       for command in ("simulate", "rates", "audit-ede")},
+    "liftoff-delta-above-3M": ("sweep-liftoff", dict(NO_LIFTOFF, deltas=[4.0], M=1.0),
+                               "initial height has infinite energy under the barrier"),
+    # the inputs bb_action_inputs refuses
+    "bb-action-no-atoms": ("bb-action", dict(VALID_CONFIGS["bb-action"], eta=0.6),
+                           "eta too large: no interior atoms"),
+    "bb-action-endpoint": ("bb-action",
+                           dict(VALID_CONFIGS["bb-action"],
+                                u1={"kind": "values", "values": [1.0] * 63 + [0.0]}),
+                           "endpoints must be strictly positive"),
+    "bb-action-sweep": ("bb-action", dict(VALID_CONFIGS["bb-action"], M_sweep=[1, -2]),
+                        "every M must be positive and finite"),
 }
 
 

@@ -17,6 +17,7 @@ from tfilm.grid import Grid, divergence, zero_flux
 from tfilm.models import (
     ModelParams,
     constant_mobility,
+    energy,
     power_mobility,
     quadratic_potential,
     zero_potential,
@@ -186,6 +187,21 @@ def test_audit_ede_index_errors():
         audit_ede(s, 0, 10**6)
 
 
+def test_run_config_builds_and_checks_its_initial_height():
+    cfg = simple_config()
+    assert np.array_equal(cfg.u0, cfg.initial.build(cfg.grid))
+    assert cfg.e0 == energy(cfg.grid, cfg.u0, cfg.model.modified)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.u0[0] = 2.0
+    # refused when the config is made, not when it runs
+    with pytest.raises(ValueError, match="initial values must have length 32"):
+        simple_config(N=32, initial=InitialDataSpec("values", values=(1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError, match="infinite energy under the barrier"):
+        simple_config(initial=InitialDataSpec("cosine", M=0.1, amplitude=0.5))
+    # without a barrier a non-positive height has finite energy
+    assert simple_config(sigma=None, initial=InitialDataSpec("cosine", M=0.1, amplitude=0.5))
+
+
 def test_run_many_deterministic_order():
     cfgs = [simple_config(initial=InitialDataSpec("constant", M=m)) for m in (0.5, 1.0, 2.0)]
     assert [r.diagnostics[0].mass for r in run_many(cfgs)] == [0.5, 1.0, 2.0]
@@ -320,7 +336,6 @@ def test_predicted_start_outside_the_barrier_domain_is_solved_cold(monkeypatch):
 
 
 def test_run_never_evaluates_the_energy_of_u_star_again(monkeypatch):
-    cfg = simple_config(alpha=2.0, h=1e-5, T=1e-4)
     evaluated = []
     for module in (tfilm.driver, tfilm.step):
         def counted(g, u, mp, real=module.energy):
@@ -328,7 +343,9 @@ def test_run_never_evaluates_the_energy_of_u_star_again(monkeypatch):
             return real(g, u, mp)
 
         monkeypatch.setattr(module, "energy", counted)
+    cfg = simple_config(alpha=2.0, h=1e-5, T=1e-4)
     series = run(cfg)
-    # each height is evaluated once: u_0 by run, u_k as the accepted iterate of step k
+    # each height is evaluated once: u_0 by its RunConfig, u_k as the
+    # accepted iterate of step k
     for k, u in series.snapshots.items():
         assert sum(np.array_equal(u, v) for v in evaluated) == 1, k

@@ -9,9 +9,11 @@ from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.experiments import (
     _place_balls,
     bb_action_demo,
+    bb_action_inputs,
     build_parabola_v,
     build_w_l,
     dissipation_scaling_fit,
+    liftoff_configs,
     liftoff_sweep,
     point_lemma_check,
     rate_fit,
@@ -383,3 +385,28 @@ def test_bb_rejects_bad_sweep(sweep):
     with pytest.raises(ValueError, match="M_sweep is empty|every M"):
         bb_action_demo(g, u, u + 0.1 * np.cos(np.pi * g.cell_centers()), eta=0.25,
                        M_sweep=sweep, n=2.0, alpha=1.0)
+
+
+def test_liftoff_configs_refuse_a_delta_above_3M():
+    # u0 = delta + (1 - delta/M) v dips below zero at x = 0 once delta > 3M
+    with pytest.raises(ValueError, match="infinite energy under the barrier"):
+        liftoff_configs([4.0], M=1.0, n=2.0, alpha=1.0, grid=Grid(1.0, 64),
+                        step=StepParams(h=1e-5), T=1e-4)
+
+
+@pytest.mark.parametrize("eta,message", [(0.6, "no interior atoms"), (0.0, "eta must be positive"),
+                                         (-0.1, "eta must be positive")])
+def test_bb_action_inputs_refuse_an_eta_without_atoms(eta, message):
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match=message):
+        bb_action_inputs(g, u, u + 0.1, eta=eta, M_sweep=[2])
+    with pytest.raises(ValueError, match=message):
+        bb_action_demo(g, u, u + 0.1, eta=eta, M_sweep=[2], n=2.0, alpha=1.0)
+
+
+def test_bb_action_inputs_refuse_non_positive_endpoints():
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match="endpoints must be strictly positive"):
+        bb_action_inputs(g, u, np.concatenate([u[:-1], [0.0]]), eta=0.25, M_sweep=[2])

@@ -9,6 +9,7 @@ from tfilm.models import (
     INFINITE_ENERGY,
     ModelParams,
     ModifiedPotential,
+    PotentialStack,
     constant_mobility,
     energy,
     mobility_face,
@@ -257,3 +258,29 @@ def test_mass_of_parabola():
     x = g.cell_centers()
     v = 1.5 * (1.0 - x * x)
     assert integrate(g, v) == pytest.approx(1.0, abs=2 * g.dx**2)
+
+
+def test_potential_stack_rows_equal_their_members():
+    # kind blocks: barrier-less quadratic, then zero, quadratic and strong
+    # singular under barriers; heights reach below 2 sigma and below zero
+    g = Grid(1.0, 16)
+    mps = [ModifiedPotential(quadratic_potential(0.7), None),
+           ModifiedPotential(zero_potential(), 0.05), ModifiedPotential(zero_potential(), 0.2),
+           ModifiedPotential(quadratic_potential(1.3), 0.1),
+           ModifiedPotential(quadratic_potential(0.2), 0.3),
+           ModifiedPotential(strong_singular_potential(1e-3), 0.2)]
+    stack = PotentialStack(mps)
+    u = np.random.default_rng(7).uniform(-0.05, 1.0, (len(mps), g.N))
+    pos = np.abs(u) + 1e-3
+    stacked_energy, (d1, d2) = energy(g, u, stack), stack.derivatives(pos)
+    for i, mp in enumerate(mps):
+        assert tuple(field[i] for field in stacked_energy) == energy(g, u[i], mp)
+        assert np.array_equal(stack.g_sigma(pos)[i], mp.g_sigma(pos[i]))
+        assert np.array_equal(d1[i], mp.derivatives(pos[i])[0])
+        assert np.array_equal(d2[i], mp.derivatives(pos[i])[1])
+    rows = np.array([0, 2, 3, 5])
+    sub = stack.take(rows)
+    assert np.array_equal(sub.derivatives(pos[rows])[0], d1[rows])
+    assert np.array_equal(energy(g, u[rows], sub).total, stacked_energy.total[rows])
+    with pytest.raises(ValueError, match="consecutive"):
+        PotentialStack([mps[1], mps[3], mps[2]])
