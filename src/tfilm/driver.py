@@ -19,6 +19,7 @@ for small groups and for every config once any member fails.
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -139,8 +140,9 @@ class RunConfig:
         if n < 1 or abs(steps - n) > 1e-9 * steps:
             raise ValueError(f"T must be a whole number (at least 1) of steps h; "
                              f"got T={self.T!r}, h={self.step.h!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
         u0 = self.initial.build(self.grid)
         e0 = energy(self.grid, u0, self.model.modified)
         if not math.isfinite(e0.total):

@@ -17,6 +17,7 @@ integration-by-parts identity exact.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"need at least 4 cells, got N={self.N}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 4:
+            raise ValueError(f"N must be an integer >= 4 (cells), got {self.N!r}")
         if not 0.0 < self.L < math.inf:
             raise ValueError(f"domain length must be positive and finite, got L={self.L}")
 

@@ -278,6 +278,16 @@ def _bb_action(g, u0, u1, **values):
     return dict(values, g=g, u0=u0, u1=u1)
 
 
+def _point_lemma(**values):
+    """The command's values, checked before any output."""
+    for key, least in (("profiles", 1), ("modes", 1), ("seed", 0)):
+        if values[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {values[key]}")
+    if not values["floor"] > 0.0:
+        raise ValueError(f"floor must be positive, got {values['floor']}")
+    return values
+
+
 def _dissipation_bound(**values):
     ex.dissipation_deltas(values["deltas"], values["M"], values["g"])  # the fit's own checks
     return values
@@ -304,7 +314,7 @@ COMMAND_SCHEMAS = {
         "eta": (_real, _REQUIRED), "M_sweep": (_reals, _REQUIRED), "n": (_real, _REQUIRED),
         "alpha": (_real, _REQUIRED), "stage_steps": (_integer, 48),
     }),
-    "point-lemma": Schema(dict, {
+    "point-lemma": Schema(_point_lemma, {
         "grid": _GRID, "profiles": (_integer, 50), "seed": (_integer, 0),
         "modes": (_integer, 6), "floor": (_real, 0.1),
     }),

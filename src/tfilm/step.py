@@ -35,14 +35,20 @@ the plain formulas, so its results are bit for bit theirs:
 
 * the direction is one LAPACK dpbsv call (band Cholesky) through
   ``solveh_banded``, which raises like scipy's: ValueError for
-  non-finite input, LinAlgError when the matrix is not positive definite
-  (the step then solves by banded LU);
+  non-finite input, LinAlgError when the matrix is not positive definite;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
   face buffer of the workspace (built once per step, or once per run
   with a ``StepState``), as are the boundary-cap direction and the
   Laplacian inside the chemical potential;
 * G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
+
+The Newton matrix is SPD by construction: G_sigma and the dissipation
+are convex, and the flux-to-height map is injective with a range
+orthogonal to the constants that -Delta_h annihilates.  So a direction
+has one failure rule: a matrix that dpbsv finds not positive definite,
+or a direction whose slope against the gradient is not negative, raises
+``StepNonconvergenceError`` like the Newton cap does.
 
 A step can be warm-started from a flux j0.  The warm start skips the eps
 ladder and solves at eps_min directly, where the functional is strictly
@@ -81,7 +87,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+# unused here; kept because the tracer of bench/run.py wraps step.solve_banded
+from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dpbsv
 
 from .grid import _check_face, divergence, integrate, zero_flux
@@ -150,7 +157,8 @@ class StepResult:
 
 
 class StepNonconvergenceError(RuntimeError):
-    """Newton iteration cap exceeded; carries the last iterate.
+    """Newton failed (iteration cap, stalled line search, or a direction
+    that is not a descent direction); carries the last iterate.
 
     ``iters`` is the number of Newton iterations spent before giving up.
     """
@@ -325,36 +333,13 @@ def _shifted(d0):
     return d0 + 1e-12 * (1.0 + np.abs(d0))
 
 
-def _direction(ab, d2, grad_raw):
-    """(Newton direction, its slope against the gradient) for the Newton
-    matrix whose bands ab holds: band Cholesky, banded LU if the matrix is
-    not positive definite."""
-    try:
-        delta = solveh_banded(ab, -grad_raw)
-    except np.linalg.LinAlgError:
-        delta = _lu_solve(ab, d2, -grad_raw)
-    return _safeguarded(grad_raw, delta)
-
-
-def _lu_solve(ab, d2, rhs):
-    """The Newton system of the bands ab (outer band d2) by banded LU."""
-    d0, d1 = ab[2], ab[1, 1:]
-    full = np.zeros((5, d0.size))
-    full[0, 2:] = d2
-    full[1, 1:] = d1
-    full[2] = d0
-    full[3, :-1] = d1
-    full[4, :-2] = d2
-    return solve_banded((2, 2), full, rhs)
-
-
-def _safeguarded(grad_raw, delta):
-    """(delta, slope), or steepest descent if delta does not descend."""
+def _slope(grad_raw, delta):
+    """The slope grad . delta of the Newton direction delta; a slope that is
+    not negative raises StepNonconvergenceError."""
     dd = float(np.dot(grad_raw, delta))
-    if dd >= 0.0:
-        delta = -grad_raw
-        dd = -float(np.dot(grad_raw, grad_raw))
-    return delta, dd
+    if not dd < 0.0:
+        raise StepNonconvergenceError(f"not a descent direction (slope {dd:.3e})")
+    return dd
 
 
 def _granularity(f):
@@ -378,7 +363,6 @@ class _Workspace(NamedTuple):
 
     lap_diag: np.ndarray     # diagonal of -Delta_h on cells
     ao: float                # dx * its off-diagonal
-    d2: float                # outer band h^2 D^T (-Delta_h) D of the Newton matrix
     ab: np.ndarray           # band storage of the Newton matrix, outer band set
     pad: np.ndarray          # face buffer with zero boundary entries
 
@@ -388,10 +372,9 @@ def _workspace(g, h):
     lap_diag = np.full(g.N, 2.0 / dx**2)
     lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
     ao = dx * (-1.0 / dx**2)
-    d2 = h * h * (-ao / dx**2)
     ab = np.zeros((3, g.N - 1))
-    ab[0, 2:] = d2
-    return _Workspace(lap_diag, ao, d2, ab, np.zeros(g.N + 1))
+    ab[0, 2:] = h * h * (-ao / dx**2)  # the outer band h^2 D^T (-Delta_h) D
+    return _Workspace(lap_diag, ao, ab, np.zeros(g.N + 1))
 
 
 class StepState:
@@ -444,27 +427,29 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
     scale = _dissipation_scale(g, model, h)
     q, u, e, mu, d2g, f = start
 
+    def failure(message):
+        return StepNonconvergenceError(message, u_last=u, j_last=q, grad_norm=grad_norm, iters=it)
+
     for it in range(step.max_newton + 1):
         g_scaled = _reduced_gradient(dx, mu, w, q, p, eps)
         grad_norm = math.sqrt(dx * float((g_scaled * g_scaled).sum()))
         if _converged(grad_norm, tol, it, step.max_newton):
             return _Iterate(q, u, e, mu, d2g, f), it
         if it == step.max_newton:
-            raise StepNonconvergenceError(
-                f"Newton did not reach tol_grad={tol:g} in {step.max_newton} iterations "
-                f"(grad norm {grad_norm:.3e}, eps {eps:g})",
-                u_last=u,
-                j_last=q,
-                grad_norm=grad_norm,
-                iters=it,
-            )
+            raise failure(f"Newton did not reach tol_grad={tol:g} in {step.max_newton} "
+                          f"iterations (grad norm {grad_norm:.3e}, eps {eps:g})")
 
         grad_raw = h * dx * g_scaled
         d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, w, d2g, q, p, eps)
         ab = ws.ab
         ab[2] = _shifted(d0) if p > 2.0 else d0
         ab[1, 1:] = d1
-        delta, dd = _direction(ab, ws.d2, grad_raw)
+        try:
+            delta = solveh_banded(ab, -grad_raw)
+            dd = _slope(grad_raw, delta)
+        except (np.linalg.LinAlgError, StepNonconvergenceError) as exc:
+            raise failure(f"Newton direction failed: {exc} "
+                          f"(grad norm {grad_norm:.3e}, eps {eps:g})") from exc
 
         t = 1.0
         if mp.has_barrier:
@@ -495,14 +480,8 @@ def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
             if grad_norm <= tol:
                 # stalled while polishing an already-converged iterate
                 return _Iterate(q, u, e, mu, d2g, f), it
-            raise StepNonconvergenceError(
-                f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
-                "tol_grad is below the roundoff floor of this problem",
-                u_last=u,
-                j_last=q,
-                grad_norm=grad_norm,
-                iters=it,
-            )
+            raise failure(f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
+                          "tol_grad is below the roundoff floor of this problem")
         q, u, e, f = q_try, u_try, e_try, f_try
         mu, d2g = _chemical_potential(g, u, mp, ws.pad)
 
@@ -660,15 +639,17 @@ class StepBatch:
 
     Each member keeps its own ``StepState`` (so its predicted warm start),
     eps ladder and level, tolerance, iteration count, Armijo step,
-    boundary cap, convergence flag, and its warm-to-cold and
-    Cholesky-to-LU fallbacks.  A Newton pass evaluates the step kernels
-    once on the (b, N) rows of the b members still iterating, with the
-    per-member parameters as (b, 1) columns and the potential taken per
-    kind on its rows (``PotentialStack``: the members of one potential
-    kind must be consecutive), and solves each member's band by its own
-    dpbsv call.  The per-step checks of ``solve_step`` run per member.  A
-    failure raises ``solve_step``'s error type and leaves the batch
-    unusable.
+    boundary cap, convergence flag, and its warm-to-cold fallback.  A
+    Newton pass evaluates the step kernels once on the (b, N) rows of the
+    b members still iterating, with the per-member parameters as (b, 1)
+    columns and the potential taken per kind on its rows
+    (``PotentialStack``: the members of one potential kind must be
+    consecutive), and solves each member's band by its own dpbsv call.
+    The per-step checks of ``solve_step`` run per member.  A failure
+    raises ``solve_step``'s error type and leaves the batch unusable; a
+    failed Newton direction raises ``StepNonconvergenceError`` even from
+    a warm start, and ``run_many`` then reruns the configs through
+    ``run``.
     """
 
     def __init__(self, g, models, steps, energies):
@@ -683,7 +664,6 @@ class StepBatch:
         self.barrier = np.array([m.modified.has_barrier for m in models])
         self.max_newton = np.array([sp.max_newton for sp in steps])
         self.ab = np.stack([state.ws.ab for state in self.states])
-        self.d2 = [state.ws.d2 for state in self.states]
         self.pad = np.zeros((len(models), g.N + 1))
         rows = {}
         for i, m in enumerate(models):
@@ -858,9 +838,10 @@ class StepBatch:
             _, x, info = dpbsv(ab[i], rhs[k])
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-            if info > 0:  # not positive definite
-                x = _lu_solve(ab[i], self.d2[i], rhs[k])
-            delta[k], dd[k] = _safeguarded(grad_raw[k], x)
+            if info > 0:
+                raise StepNonconvergenceError(
+                    f"Newton direction failed: {info}th leading minor not positive definite")
+            delta[k], dd[k] = x, _slope(grad_raw[k], x)
 
         t = np.ones(n)
         barrier = _at(self.barrier, sel)

@@ -2,8 +2,9 @@
 equals ``run`` config by config (to rtol 1e-7 on heights and on every
 record column; the EL residual, which sits at roundoff, within its gate
 wherever run's is),
-member by member, through warm-to-cold and Cholesky-to-LU fallbacks,
-failing members, mixed grids and members that leave early."""
+member by member, through warm-to-cold fallbacks, failing members
+(Newton caps and failed Newton directions), mixed grids and members that
+leave early."""
 
 import itertools
 from unittest.mock import patch
@@ -195,33 +196,37 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     assert batched[1].diagnostics[4].newton_iters == cold.newton_iters
 
 
-def test_a_cholesky_failure_in_one_member_solves_it_by_lu():
+@pytest.mark.parametrize("failure", ["not-positive-definite", "ascent"])
+def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
     g = Grid(1.0, 32)
     configs = family(g, B_MIN, n_steps=4)
     odd_h = 3e-5
     configs[2] = member(g, alpha=1.0, h=odd_h, n_steps=4)
-    odd_band = tfilm.step._workspace(g, odd_h).d2  # that member's outer Newton band
-    real_dpbsv, real_lu = tfilm.step.dpbsv, tfilm.step.solve_banded
-    forced, lu = [], []
+    odd_band = tfilm.step._workspace(g, odd_h).ab[0, 2]  # that member's outer Newton band
+    real_dpbsv = tfilm.step.dpbsv
+    forced = []
 
     def failing_for_one_member(ab, b):
-        if ab[0, 2] == odd_band:
-            forced.append(1)
+        if ab[0, 2] != odd_band:
+            return real_dpbsv(ab, b)
+        forced.append(1)
+        if failure == "not-positive-definite":
             return ab, b, 1  # "leading minor 1 not positive definite"
-        return real_dpbsv(ab, b)
+        c, x, info = real_dpbsv(ab, b)
+        return c, -x, info  # an ascent direction
 
-    def counted_lu(*args):
-        lu.append(1)
-        return real_lu(*args)
-
-    with patch.object(tfilm.step, "dpbsv", failing_for_one_member), \
-            patch.object(tfilm.step, "solve_banded", counted_lu):
-        serial = [run(c) for c in configs]
-        n_serial = len(lu)
-        batched = batched_only(configs)
-    assert n_serial > 0 and len(lu) == 2 * n_serial == len(forced)
-    for b, ref in zip(batched, serial):
-        assert_series_match(b, ref)
+    with patch.object(tfilm.step, "dpbsv", failing_for_one_member):
+        with pytest.raises(StepNonconvergenceError) as want:
+            run(configs[2])
+        with pytest.raises(StepNonconvergenceError) as got:
+            run_many(configs)
+    # the first iteration fails: in run, in the batch, and in run_many's rerun
+    assert len(forced) == 3
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("step 1 (t = 3e-05) failed: Newton direction failed: ")
+    assert np.array_equal(got.value.u_last, want.value.u_last)
+    assert np.array_equal(got.value.j_last, want.value.j_last)
+    assert (got.value.iters, got.value.grad_norm) == (want.value.iters, want.value.grad_norm)
 
 
 def test_a_failing_member_raises_runs_error():

@@ -640,6 +640,19 @@ REFUSED_BEFORE_THE_LOCK = {
                            "endpoints must be strictly positive"),
     "bb-action-sweep": ("bb-action", dict(VALID_CONFIGS["bb-action"], M_sweep=[1, -2]),
                         "every M must be positive and finite"),
+    # point-lemma inputs that would fail or pass vacuously once it runs
+    "point-lemma-no-profiles": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], profiles=0),
+                                "profiles must be >= 1"),
+    "point-lemma-no-modes": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], modes=0),
+                             "modes must be >= 1"),
+    "point-lemma-negative-modes": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], modes=-2),
+                                   "modes must be >= 1"),
+    "point-lemma-negative-seed": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], seed=-1),
+                                  "seed must be >= 0"),
+    "point-lemma-zero-floor": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], floor=0.0),
+                               "floor must be positive"),
+    "point-lemma-negative-floor": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], floor=-0.5),
+                                   "floor must be positive"),
 }
 
 

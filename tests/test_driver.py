@@ -202,6 +202,13 @@ def test_run_config_builds_and_checks_its_initial_height():
     assert simple_config(sigma=None, initial=InitialDataSpec("cosine", M=0.1, amplitude=0.5))
 
 
+@pytest.mark.parametrize("every", [2.5, 2.0, 0, True])
+def test_run_config_refuses_a_snapshot_spacing_that_is_not_a_positive_integer(every):
+    # record_every=2.5 would snapshot at k = 5, 10
+    with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+        simple_config(record_every=every)
+
+
 def test_run_many_deterministic_order():
     cfgs = [simple_config(initial=InitialDataSpec("constant", M=m)) for m in (0.5, 1.0, 2.0)]
     assert [r.diagnostics[0].mass for r in run_many(cfgs)] == [0.5, 1.0, 2.0]

@@ -16,6 +16,7 @@ from tfilm.grid import (
 def test_grid_invariants():
     g = Grid(2.0, 8)
     assert g.dx == 0.25
+    assert Grid(2.0, np.int64(8)).dx == 0.25
     assert np.allclose(g.cell_centers(), (np.arange(8) + 0.5) * 0.25)
     assert np.allclose(g.faces(), np.arange(9) * 0.25)
     with pytest.raises(ValueError):
@@ -25,6 +26,13 @@ def test_grid_invariants():
     for L in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             Grid(L, 8)
+
+
+@pytest.mark.parametrize("N", [8.5, 8.0, True, "8"])
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(N):
+    # 8.5 cells of width 1/8.5 would not tile (0, L)
+    with pytest.raises(ValueError, match="N must be an integer >= 4"):
+        Grid(1.0, N)
 
 
 def test_divergence_zero_flux():

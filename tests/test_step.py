@@ -310,29 +310,66 @@ def test_failed_warm_start_reruns_the_cold_ladder(monkeypatch):
     assert warm.newton_iters == cold.newton_iters + 5
 
 
-def test_cholesky_failure_falls_back_to_lu(monkeypatch):
+# the two ways a Newton direction fails: dpbsv reports the matrix not
+# positive definite, or the solved direction is an ascent direction
+DIRECTION_FAILURES = {
+    "not-positive-definite": "1th leading minor not positive definite",
+    "ascent": "not a descent direction",
+}
+
+
+def failing_dpbsv(failure, real=tfilm.step.dpbsv):
+    """A dpbsv that fails the way named by `failure`."""
+    def forced(ab, b):
+        if failure == "not-positive-definite":
+            return ab, b, 1
+        c, x, info = real(ab, b)
+        return c, -x, info
+    return forced
+
+
+def cholesky_film():
     g = Grid(1.0, 64)
     u = 0.2 + 0.8 * (1.0 + np.cos(np.pi * g.cell_centers()))
-    model = barrier_model(alpha=2.0, sigma=0.01)
-    sp = StepParams(h=1e-4, tol_grad=1e-8)
-    ref = solve_step(g, u, model, sp)
-    real_lu = tfilm.step.solve_banded
-    lu_calls = []
+    return g, u, barrier_model(alpha=2.0, sigma=0.01), StepParams(h=1e-4, tol_grad=1e-8)
 
-    def not_positive_definite(ab, b):
-        raise np.linalg.LinAlgError("forced")
 
-    def counted_lu(*args, **kwargs):
-        lu_calls.append(1)
-        return real_lu(*args, **kwargs)
+@pytest.mark.parametrize("failure", DIRECTION_FAILURES)
+def test_a_failed_newton_direction_fails_the_step(monkeypatch, failure):
+    g, u, model, sp = cholesky_film()
+    monkeypatch.setattr(tfilm.step, "dpbsv", failing_dpbsv(failure))
+    with pytest.raises(StepNonconvergenceError) as info:
+        solve_step(g, u, model, sp)
+    err = info.value
+    assert str(err).startswith(f"Newton direction failed: {DIRECTION_FAILURES[failure]}")
+    # the payload is the first cold iterate: zero flux, whose height is u_star
+    assert err.iters == 0 and err.grad_norm > 0.0
+    assert np.array_equal(err.u_last, u) and np.array_equal(err.j_last, np.zeros(g.N - 1))
 
-    monkeypatch.setattr(tfilm.step, "solveh_banded", not_positive_definite)
-    monkeypatch.setattr(tfilm.step, "solve_banded", counted_lu)
-    res = solve_step(g, u, model, sp)
-    assert len(lu_calls) == res.newton_iters > 0
-    # tol_grad bounds the gradient; the flux error scales with the flux
-    scale = max(1.0, float(np.max(np.abs(ref.j))))
-    assert np.max(np.abs(res.j - ref.j)) <= 10.0 * sp.tol_grad * scale
+    cfg = RunConfig(grid=g, model=model, step=sp, T=3 * sp.h,
+                    initial=InitialDataSpec("values", values=tuple(u)))
+    with pytest.raises(StepNonconvergenceError) as info:
+        run(cfg)
+    assert str(info.value) == f"step 1 (t = 0.0001) failed: {err}"
+    assert np.array_equal(info.value.u_last, err.u_last)
+
+
+@pytest.mark.parametrize("failure", DIRECTION_FAILURES)
+def test_a_failed_newton_direction_from_a_warm_start_is_solved_cold(monkeypatch, failure):
+    g, u, model, sp = cholesky_film()
+    cold = solve_step(g, u, model, sp)
+    real, forced, calls = tfilm.step.dpbsv, failing_dpbsv(failure), []
+
+    def failing_first(ab, b):
+        calls.append(1)
+        return (forced if len(calls) == 1 else real)(ab, b)
+
+    monkeypatch.setattr(tfilm.step, "dpbsv", failing_first)
+    warm = solve_step(g, u, model, sp, j0=cold.j)
+    # the warm attempt failed in its first iteration, then the cold ladder ran
+    assert len(calls) == 1 + cold.newton_iters
+    assert warm.newton_iters == cold.newton_iters
+    assert np.array_equal(warm.u_next, cold.u_next) and np.array_equal(warm.j, cold.j)
 
 
 # the two films of the march benchmark: the alpha = 2 eps ladder and the
