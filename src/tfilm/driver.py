@@ -272,8 +272,8 @@ _BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, Valu
 
 def _march_batch(cfgs):
     """The series of configs that share a grid, marched as one StepBatch
-    whose members are ordered by potential kind; a member leaves the batch
-    after its last step."""
+    whose members are ordered by potential kind; a member that has taken
+    its last step rides along at its last height."""
     order = sorted(range(len(cfgs)), key=lambda i: (cfgs[i].model.potential.kind,
                                                    cfgs[i].model.modified.has_barrier))
     cfgs = [cfgs[i] for i in order]
@@ -283,7 +283,7 @@ def _march_batch(cfgs):
     u = [c.u0 for c in cfgs]
     for k in range(1, max(c.n_steps for c in cfgs) + 1):
         members = [i for i, c in enumerate(cfgs) if c.n_steps >= k]
-        for i, res in zip(members, batch.step(members, np.stack([u[i] for i in members]))):
+        for i, res in zip(members, batch.step(members, np.stack(u))):
             u[i] = _record(series[i], k, res)
     out = [None] * len(cfgs)
     for i, s in zip(order, series):

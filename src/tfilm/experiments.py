@@ -9,6 +9,7 @@ max-to-median ratio because the underlying constant is not explicit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -527,13 +528,17 @@ def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
     return total
 
 
-def bb_action_inputs(g, u0, u1, eta, M_sweep):
+def bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps=48):
     """(u0, u1, M values, atoms) of a transport-action demo, checked.
 
     Refuses, with a ValueError, an empty M_sweep, an M that is not
-    positive and finite, endpoints that are not strictly positive, and an
-    eta that leaves no interior atom z = eta, 2 eta, ... below L - eta.
+    positive and finite, endpoints that are not strictly positive, an
+    eta that leaves no interior atom z = eta, 2 eta, ... below L - eta,
+    and a stage_steps that is not an integer >= 1.
     """
+    steps = stage_steps
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"stage_steps must be an integer >= 1, got {stage_steps!r}")
     M_values = tuple(float(M) for M in M_sweep)
     if not M_values:
         raise ValueError("M_sweep is empty")
@@ -564,7 +569,7 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     most ``_CHUNK_BYTES`` per temporary.  The inputs are checked by
     ``bb_action_inputs``.
     """
-    u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep)
+    u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps)
     mass0 = integrate(g, u0)
     u1 = u1 * (mass0 / integrate(g, u1))
     if abs(integrate(g, u1) - mass0) > 1e-12 * mass0:

@@ -274,7 +274,8 @@ def _liftoff_sweep(**values):
 def _bb_action(g, u0, u1, **values):
     """The demo's arguments, with the endpoint heights built on g and checked."""
     u0, u1 = u0.build(g), u1.build(g)
-    ex.bb_action_inputs(g, u0, u1, values["eta"], values["M_sweep"])  # before any output
+    ex.bb_action_inputs(g, u0, u1, values["eta"], values["M_sweep"],
+                        values["stage_steps"])  # before any output
     return dict(values, g=g, u0=u0, u1=u1)
 
 

@@ -309,40 +309,27 @@ class PotentialStack:
 
     The members of one base kind and barrier come in one block of rows,
     which the methods of ``ModifiedPotential`` evaluate together on (B_k, 1)
-    columns of their parameters.  ``take(rows)`` is the stack of the
-    members rows (increasing indices keep the blocks).
+    columns of their parameters.
     """
 
     _COLUMNS = ("a", "A", "sigma", "g0", "g1", "g2", "a_phi", "b_phi", "c_phi")
 
     def __init__(self, mps):
         keys = [(mp.base.kind, mp.has_barrier) for mp in mps]
-        self._kinds = sorted(set(keys))
-        codes = np.array([self._kinds.index(k) for k in keys])
-        if np.count_nonzero(np.diff(codes)) != len(self._kinds) - 1:
+        edges = [0, *(k for k in range(1, len(keys)) if keys[k] != keys[k - 1]), len(keys)]
+        if len(set(keys)) != len(edges) - 1:
             raise ValueError("the members of one potential kind must be consecutive")
-        self._build(codes, np.array([[mp.base.a, mp.base.A] + [0.0 if mp.sigma is None else v
-                                                                for v in mp._at(None)]
-                                     for mp in mps]))
-
-    def _build(self, codes, table):
-        self.codes, self.table = codes, table
-        edges = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), codes.size]
+        table = np.array([[mp.base.a, mp.base.A] + [0.0 if mp.sigma is None else v
+                                                    for v in mp._at(None)] for mp in mps])
         self.blocks = []
         for start, stop in zip(edges, edges[1:]):
             col = {name: table[start:stop, k:k + 1] for k, name in enumerate(self._COLUMNS)}
-            kind, barrier = self._kinds[codes[start]]
+            kind, barrier = keys[start]
             base = _unchecked(PotentialSpec, kind=kind, a=col.pop("a"), A=col.pop("A"))
             if not barrier:
                 col["sigma"] = None
             mp = _unchecked(ModifiedPotential, base=base, **col)
             self.blocks.append((slice(start, stop), mp))
-
-    def take(self, rows):
-        stack = object.__new__(PotentialStack)
-        stack._kinds = self._kinds
-        stack._build(self.codes[rows], self.table[rows])
-        return stack
 
     def g_sigma(self, s):
         return np.concatenate([mp.g_sigma(s[rows]) for rows, mp in self.blocks])

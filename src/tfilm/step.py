@@ -37,8 +37,8 @@ the plain formulas, so its results are bit for bit theirs:
   ``solveh_banded``, which raises like scipy's: ValueError for
   non-finite input, LinAlgError when the matrix is not positive definite;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
-  face buffer of the workspace (built once per step, or once per run
-  with a ``StepState``), as are the boundary-cap direction and the
+  face buffer of the workspace (built with the ``StepState``: once per
+  run, or per step without one), as are the boundary-cap direction and the
   Laplacian inside the chemical potential;
 * G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
@@ -50,21 +50,22 @@ has one failure rule: a matrix that dpbsv finds not positive definite,
 or a direction whose slope against the gradient is not negative, raises
 ``StepNonconvergenceError`` like the Newton cap does.
 
-A step can be warm-started from a flux j0.  The warm start skips the eps
-ladder and solves at eps_min directly, where the functional is strictly
-convex, so it reaches the cold start's minimiser up to the Newton
-tolerance.  A warm flux that leaves the barrier domain, or a Newton
-failure from it, falls back to the cold solve: zero flux down the full
-ladder.
+A step is warm-started from the flux that its ``StepState`` predicts.
+``run`` carries one state from step to step: the workspace of its grid
+and h, the energy of the height the next step starts from (the previous
+step's ``energy_after``), and the last three accepted fluxes.  The
+prediction is the flux extrapolated in time, quadratic through the last
+three, 3 j_k - 3 j_{k-1} + j_{k-2} (linear through two, the last flux
+alone after one step): the step minimisers change smoothly in time, so
+the prediction starts Newton closer to the next one than the previous
+flux does.  A ``solve_step`` without a state builds a fresh one, which
+has no flux to predict from.
 
-``run`` carries a ``StepState`` from step to step instead: the
-workspace of its grid and h, the energy of the height the next step
-starts from (the previous step's ``energy_after``), and the last three
-accepted fluxes.  Its warm start is the flux extrapolated in time,
-quadratic through the last three, j0 = 3 j_k - 3 j_{k-1} + j_{k-2}
-(linear through two, the last flux alone after one step): the step
-minimisers change smoothly in time, so the prediction starts Newton
-closer to the next one than the previous flux does.
+The warm start skips the eps ladder and solves at eps_min directly,
+where the functional is strictly convex, so it reaches the cold start's
+minimiser up to the Newton tolerance.  A warm flux that leaves the
+barrier domain, or a Newton failure from it, falls back to the cold
+solve: zero flux down the full ladder.
 
 A ``StepBatch`` steps several runs on one grid together (``run_many``
 marches a group of configs with it).  Each member is solved as
@@ -73,11 +74,12 @@ kernels: the functional, the chemical potential, the reduced gradient
 and the Newton bands take a leading member axis, with per-member
 parameters (h, p, eps, ...) as (B, 1) columns, and the potential is
 evaluated per kind on its rows by a ``models.PotentialStack``.  A Newton
-pass evaluates them once for all members still iterating; only the band
-solve runs member by member, one dpbsv call each.  The batch matches the
-single-member steps to roundoff, not bit for bit: numpy's power with a
-column of exponents can differ in the last bit from its power with a
-scalar one.
+pass evaluates them once on all B rows; only the band solve runs member
+by member, one dpbsv call for each member still iterating.  A member
+that is not iterating rides along with a zero direction, so its row is
+left as it was.  The batch matches the single-member steps to roundoff,
+not bit for bit: numpy's power with a column of exponents can differ in
+the last bit from its power with a scalar one.
 """
 
 import math
@@ -91,7 +93,7 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dpbsv
 
-from .grid import _check_face, divergence, integrate, zero_flux
+from .grid import divergence, integrate, zero_flux
 from .models import (
     EnergyBreakdown,
     PotentialStack,
@@ -140,8 +142,9 @@ class StepParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.eps_min <= self.eps0:
             raise ValueError("need 0 < eps_min <= eps0")
-        if not isinstance(self.max_newton, numbers.Integral) or self.max_newton < 0:
-            raise ValueError(f"max_newton must be an integer >= 0, got {self.max_newton!r}")
+        cap = self.max_newton
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 0:
+            raise ValueError(f"max_newton must be an integer >= 0, got {cap!r}")
 
 
 @dataclass
@@ -536,7 +539,7 @@ def _step_terms(g, u_star, q, u_next, mu, w, m_int, alpha, p):
 
 def _result(g, sol, e_before, iters, terms, state):
     """The StepResult of the solved iterate sol, after the mass and
-    zero-flux comparison checks; a run's state records the step."""
+    zero-flux comparison checks; the state records the step."""
     q, u_next = sol.q, sol.u
     mass_star, mass_next, diss_flux, diss_strong, el = map(float, terms)
     if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
@@ -550,8 +553,7 @@ def _result(g, sol, e_before, iters, terms, state):
 
     j = zero_flux(g)
     j[1:-1] = q
-    if state is not None:
-        state.record(q, sol.energy)
+    state.record(q, sol.energy)
     return StepResult(
         u_next=u_next,
         j=j,
@@ -564,7 +566,7 @@ def _result(g, sol, e_before, iters, terms, state):
     )
 
 
-def solve_step(g, u_star, model, step, j0=None, state=None):
+def solve_step(g, u_star, model, step, state=None):
     """Solve one minimising-movement step from u_star.
 
     Returns a StepResult whose (u_next, j) satisfy the discrete flow
@@ -572,34 +574,27 @@ def solve_step(g, u_star, model, step, j0=None, state=None):
     value of the feasible pair (u_star, 0), which is the one-step weak
     energy-dissipation inequality.
 
-    A warm start j0 (a face field) is solved at eps_min directly.  If it
-    leaves the barrier domain, or Newton fails from it, the step is solved
-    cold: from zero flux down the full eps ladder, exactly as without j0.
+    With a run's ``StepState`` (for this g and step.h, describing u_star)
+    its workspace and energy of u_star are used instead of being built
+    again, Newton starts from its predicted flux, and the solved step is
+    recorded in it.  Without one, a fresh state is built, which has no
+    flux to predict from.  A warm start is solved at eps_min directly.  If
+    it leaves the barrier domain, or Newton fails from it, the step is
+    solved cold: from zero flux down the full eps ladder.
     ``newton_iters`` then also counts the iterations of the failed warm
     attempt.
-
-    With a run's ``StepState`` (for this g and step.h, describing u_star)
-    the warm start is its predicted flux, and its workspace and energy of
-    u_star are used instead of being built again; the solved step is
-    recorded in it.  Passing both j0 and state is an error.
     """
-    if state is not None:
-        if j0 is not None:
-            raise ValueError("pass a warm start j0 or a run state, not both")
-        if state.grid != g or state.h != step.h:
-            raise ValueError("the step state belongs to another grid or step size")
     u_star = np.asarray(u_star, dtype=float)
     mp = model.modified
+    if state is not None and (state.grid != g or state.h != step.h):
+        raise ValueError("the step state belongs to another grid or step size")
     m_faces, e_before = _check_preconditions(
         g, u_star, model, None if state is None else state.energy_star)
+    if state is None:
+        state = StepState(g, step.h, e_before)
     m_int = m_faces[1:-1]
     w = m_int ** (-1.0 / model.alpha)
-
-    if state is None:
-        ws = _workspace(g, step.h)
-        q = None if j0 is None else _check_face(g, j0)[1:-1].copy()
-    else:
-        ws, q = state.ws, state.predicted_flux()
+    ws, q = state.ws, state.predicted_flux()
     args = (g, u_star, model, mp, w, ws, step)
 
     sol, total_iters = None, 0
@@ -627,29 +622,26 @@ def solve_step(g, u_star, model, step, j0=None, state=None):
     return _result(g, sol, e_before, total_iters, terms, state)
 
 
-def _at(a, rows):
-    """a at rows, or a itself where rows is None (every row)."""
-    return a if rows is None else a[rows]
-
-
 class StepBatch:
     """Members that share a grid, each stepped as ``solve_step(...,
-    state=...)`` steps it, with the Newton iterations of all members that
-    are still iterating evaluated together.
+    state=...)`` steps it, with their Newton iterations evaluated together.
 
     Each member keeps its own ``StepState`` (so its predicted warm start),
     eps ladder and level, tolerance, iteration count, Armijo step,
     boundary cap, convergence flag, and its warm-to-cold fallback.  A
-    Newton pass evaluates the step kernels once on the (b, N) rows of the
-    b members still iterating, with the per-member parameters as (b, 1)
-    columns and the potential taken per kind on its rows
-    (``PotentialStack``: the members of one potential kind must be
-    consecutive), and solves each member's band by its own dpbsv call.
-    The per-step checks of ``solve_step`` run per member.  A failure
-    raises ``solve_step``'s error type and leaves the batch unusable; a
-    failed Newton direction raises ``StepNonconvergenceError`` even from
-    a warm start, and ``run_many`` then reruns the configs through
-    ``run``.
+    Newton pass evaluates the step kernels once on all B rows, with the
+    per-member parameters as (B, 1) columns and the potential taken per
+    kind on its rows (``PotentialStack``: the members of one potential
+    kind must be consecutive), and solves the band of each member still
+    iterating by its own dpbsv call.  A member that is not iterating in
+    the pass (it has converged, entered a new eps level or restarted cold
+    in the pass, or is not stepping this step) rides along with a zero
+    direction and t = 1, so its trial point is its iterate; only the rows
+    of the iterating members are updated.  The per-step checks of
+    ``solve_step`` run per member.  A failure raises ``solve_step``'s
+    error type and leaves the batch unusable; a failed Newton direction
+    raises ``StepNonconvergenceError`` even from a warm start, and
+    ``run_many`` then reruns the configs through ``run``.
     """
 
     def __init__(self, g, models, steps, energies):
@@ -669,97 +661,64 @@ class StepBatch:
         for i, m in enumerate(models):
             rows.setdefault(m.mobility, []).append(i)
         self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
-        self._potential = PotentialStack([m.modified for m in models])
-        self._stacks = {}
-
-    def _pot(self, rows):
-        """The potential stack of the members rows (all if None), kept per subset."""
-        if rows is None:
-            return self._potential
-        key = rows.tobytes()
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = self._stacks[key] = self._potential.take(rows)
-        return stack
+        self.potential = PotentialStack([m.modified for m in models])
 
     def step(self, members, u_stars):
         """Solve one step of each member in members (increasing batch
-        indices) from its row of u_stars; returns their StepResults."""
+        indices); u_stars holds the current height of every member, one
+        row each.  Returns the members' StepResults."""
         g, B, N = self.grid, len(self.models), self.grid.N
-        members = np.asarray(members)
         stepping = np.zeros(B, dtype=bool)
         stepping[members] = True
-        self.u_star = np.zeros((B, N))
-        self.u_star[members] = u_stars
-        # the preconditions of solve_step; the energy of u* is the state's
+        self.u_star = np.asarray(u_stars, dtype=float)
+        # the preconditions of solve_step, on the stepping rows; the energy
+        # of u* is the state's
         m_int = np.ones((B, N - 1))
         for mob, rows in self.mobilities:
             rows = rows[stepping[rows]]
             if rows.size:
                 m_int[rows] = mobility_face(mob, self.u_star[rows], g)[:, 1:-1]
-        if (m_int[members] <= 0.0).any():
+        if (m_int <= 0.0).any():
             raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-        self.w = np.ones((B, N - 1))
-        self.w[members] = m_int[members] ** (-1.0 / self.alpha[members])
-        self.e_before = {i: self.states[i].energy_star for i in members}
+        self.w = m_int ** (-1.0 / self.alpha)
 
-        # the iterates, and where each member is in its solve
-        self.q, self.u = np.zeros((B, N - 1)), self.u_star.copy()
-        self.e = np.zeros((3, B))  # dirichlet, potential and total energy of u
-        self.mu, self.d2g, self.f = np.zeros((B, N)), np.zeros((B, N)), np.zeros(B)
-        self.eps, self.tol = np.ones((B, 1)), np.zeros(B)
-        self.level, self.it, self.iters = (np.zeros(B, dtype=int) for _ in range(3))
-        self.ladder = [None] * B
+        # the iterates: the predicted flux where a stepping member has one
+        # and it stays in the barrier domain, else zero flux, whose height
+        # is u* and energy the state's
+        self.q = np.zeros((B, N - 1))
+        warm = [i for i in members if self.states[i].fluxes]
+        for i in warm:
+            self.q[i] = self.states[i].predicted_flux()
+        self.u = _height(g, self.u_star, self.h, self.q, self.pad)
+        e = energy(g, self.u, self.potential)
         self.warm = np.zeros(B, dtype=bool)
-        self.active = np.zeros(B, dtype=bool)
+        self.warm[warm] = True
+        self.warm &= np.isfinite(e.total)
+        cold = ~self.warm
+        self.q[cold], self.u[cold] = 0.0, self.u_star[cold]
+        self.e = np.where(self.warm, np.stack(e),  # dirichlet, potential and total energy
+                          np.array([state.energy_star for state in self.states]).T)
+        self.mu, self.d2g = _chemical_potential(g, self.u, self.potential, self.pad)
 
-        warm = np.array([i for i in members if self.states[i].fluxes], dtype=int)
-        cold = [i for i in members if not self.states[i].fluxes]
-        if warm.size:
-            q = np.stack([self.states[i].predicted_flux() for i in warm])
-            u = _height(g, self.u_star[warm], self.h[warm], q, self.pad[:warm.size])
-            e = energy(g, u, self._pot(warm))
-            inside = np.isfinite(e.total)  # else the warm flux leaves the barrier domain
-            cold += warm[~inside].tolist()
-            warm = warm[inside]
-            self.q[warm], self.u[warm] = q[inside], u[inside]
-            self.e[:, warm] = np.stack(e)[:, inside]
-            self.warm[warm] = True
-            for i in warm:
-                self.ladder[i] = [self.steps[i].eps_min]
-        for i in cold:
-            self._cold(i)
-        self._start(members)
-
+        # where each member is in its solve
+        self.ladder = [[sp.eps_min] if self.warm[i] else self.ladders[i]
+                       for i, sp in enumerate(self.steps)]
+        self.eps, self.tol, self.f = np.ones((B, 1)), np.zeros(B), np.zeros(B)
+        self.level, self.it, self.iters = (np.zeros(B, dtype=int) for _ in range(3))
+        self.active = stepping
+        self._enter_level(members)
         while self.active.any():
             self._newton_pass()
 
-        terms = _step_terms(g, u_stars, self.q[members], self.u[members], self.mu[members],
-                            self.w[members], m_int[members], self.alpha[members],
-                            self.p[members])
+        terms = _step_terms(g, self.u_star, self.q, self.u, self.mu, self.w, m_int,
+                            self.alpha, self.p)
         results = []
-        for k, i in enumerate(members):
+        for i in members:
             sol = _Iterate(self.q[i], self.u[i], EnergyBreakdown(*map(float, self.e[:, i])),
                            self.mu[i], self.d2g[i], self.f[i])
-            results.append(_result(g, sol, self.e_before[i], int(self.iters[i]),
-                                   [t[k] for t in terms], self.states[i]))
+            results.append(_result(g, sol, self.states[i].energy_star, int(self.iters[i]),
+                                   [t[i] for t in terms], self.states[i]))
         return results
-
-    def _cold(self, i):
-        """Member i from zero flux, whose height is u_star and energy e_before."""
-        self.q[i] = 0.0
-        self.u[i] = self.u_star[i]
-        self.e[:, i] = self.e_before[i]
-        self.warm[i] = False
-        self.ladder[i] = self.ladders[i]
-
-    def _start(self, rows):
-        """Members rows begin their ladders at the iterates set for them."""
-        self.level[rows] = 0
-        self.mu[rows], self.d2g[rows] = _chemical_potential(
-            self.grid, self.u[rows], self._pot(rows), self.pad[:rows.size])
-        self.active[rows] = True
-        self._enter_level(rows)
 
     def _enter_level(self, rows):
         """A new level keeps the energy, mu and G_sigma'' and re-adds only
@@ -784,120 +743,95 @@ class StepBatch:
             self._enter_level(more)
 
     def _failed(self, i, message, grad_norm):
-        """Newton failed for member i: from a warm start it solves cold,
-        from a cold one the step fails."""
-        if self.warm[i]:
-            self.iters[i] = self.it[i]
-            self._cold(i)
-            self._start(np.array([i]))
-            return
-        raise StepNonconvergenceError(message, u_last=self.u[i].copy(), j_last=self.q[i].copy(),
-                                      grad_norm=grad_norm, iters=int(self.it[i]))
+        """Newton failed for member i: from a warm start it solves cold, from
+        zero flux down its full ladder; from a cold one the step fails."""
+        if not self.warm[i]:
+            raise StepNonconvergenceError(message, u_last=self.u[i].copy(),
+                                          j_last=self.q[i].copy(), grad_norm=grad_norm,
+                                          iters=int(self.it[i]))
+        self.iters[i] = self.it[i]
+        self.q[i], self.u[i], self.e[:, i] = 0.0, self.u_star[i], self.states[i].energy_star
+        self.mu[i], self.d2g[i] = _chemical_potential(self.grid, self.u[i],
+                                                      self.models[i].modified, self.pad[i])
+        self.warm[i] = False
+        self.ladder[i], self.level[i] = self.ladders[i], 0
+        self._enter_level([i])
 
     def _newton_pass(self):
         """One damped Newton iteration of every member still iterating."""
-        g, dx = self.grid, self.grid.dx
-        rows = self.active.nonzero()[0]
-        sel = None if rows.size == self.active.size else rows
-        mu, q, w, p, eps = (_at(a, sel) for a in (self.mu, self.q, self.w, self.p, self.eps))
-        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps)
+        g, dx, h = self.grid, self.grid.dx, self.h
+        g_scaled = _reduced_gradient(dx, self.mu, self.w, self.q, self.p, self.eps)
         grad_norm = np.sqrt(dx * (g_scaled * g_scaled).sum(axis=1))
-        it, cap, tol = _at(self.it, sel), _at(self.max_newton, sel), _at(self.tol, sel)
-        converged = _converged(grad_norm, tol, it, cap)
-        go = ~converged & (it < cap)
-        if not go.all():
-            if converged.any():
-                self._level_done(rows[converged])
-            for k in np.flatnonzero(~converged & ~go):
-                i = rows[k]
-                self._failed(i, f"Newton did not reach tol_grad={tol[k]:g} in {cap[k]} "
-                             f"iterations (grad norm {grad_norm[k]:.3e}, eps {eps[k, 0]:g})",
-                             grad_norm[k])
-            if not go.any():
-                return
-            rows, sel = rows[go], rows[go]
-            grad_norm, tol, g_scaled, mu, q, w, p, eps = (
-                a[go] for a in (grad_norm, tol, g_scaled, mu, q, w, p, eps))
-        h, u, f, n = _at(self.h, sel), _at(self.u, sel), _at(self.f, sel), rows.size
+        tol, cap, eps = self.tol, self.max_newton, self.eps
+        converged = self.active & _converged(grad_norm, tol, self.it, cap)
+        go = self.active & ~converged & (self.it < cap)
+        self._level_done(np.flatnonzero(converged))
+        for i in np.flatnonzero(self.active & ~converged & ~go):
+            self._failed(i, f"Newton did not reach tol_grad={tol[i]:g} in {cap[i]} "
+                         f"iterations (grad norm {grad_norm[i]:.3e}, eps {eps[i, 0]:g})",
+                         grad_norm[i])
+        if not go.any():
+            return
 
         grad_raw = h * dx * g_scaled
         ws = self.states[0].ws
-        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, w, _at(self.d2g, sel), q, p, eps)
-        shift = _at(self.shift, sel)
-        if shift.any():
-            d0[shift] = _shifted(d0[shift])
-        # solveh_banded per member, its finiteness checks made once for all
+        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, self.w, self.d2g, self.q, self.p, eps)
+        d0[self.shift] = _shifted(d0[self.shift])
+        # solveh_banded per iterating member, its finiteness checks made once for all
         rhs = -grad_raw
         if not (np.isfinite(d0).all() and np.isfinite(d1).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         ab = self.ab
-        ab[rows, 2] = d0
-        ab[rows, 1, 1:] = d1
-        delta, dd = np.empty_like(grad_raw), np.empty(n)
-        for k, i in enumerate(rows.tolist()):
-            _, x, info = dpbsv(ab[i], rhs[k])
+        ab[:, 2] = d0
+        ab[:, 1, 1:] = d1
+        delta, dd = np.zeros_like(grad_raw), np.zeros(len(go))
+        for i in np.flatnonzero(go).tolist():
+            _, x, info = dpbsv(ab[i], rhs[i])
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
             if info > 0:
                 raise StepNonconvergenceError(
                     f"Newton direction failed: {info}th leading minor not positive definite")
-            delta[k], dd[k] = x, _slope(grad_raw[k], x)
+            delta[i], dd[i] = x, _slope(grad_raw[i], x)
 
-        t = np.ones(n)
-        barrier = _at(self.barrier, sel)
-        if barrier.any():
-            # the height moves by -dh along delta; cap the cells it lowers
-            dh = _flux_change(self.pad[:n], delta, h, dx)
-            shrink = dh > 0.0
-            ratio = np.where(shrink, u, math.inf) / np.where(shrink, dh, 1.0)
-            t[barrier] = np.minimum(1.0, _TAU_BOUNDARY * ratio[barrier].min(axis=1))
+        # the height moves by -dh along delta; cap the cells it lowers
+        dh = _flux_change(self.pad, delta, h, dx)
+        shrink = dh > 0.0
+        ratio = np.where(shrink, self.u, math.inf) / np.where(shrink, dh, 1.0)
+        t = np.where(self.barrier, np.minimum(1.0, _TAU_BOUNDARY * ratio.min(axis=1)), 1.0)
 
-        # the line search of _newton, on the members not yet accepted
-        granularity = _granularity(f)
-        u_star, scale = _at(self.u_star, sel), _at(self.scale, sel)
-        trying = None  # every row of this pass
-        accepted = []
+        # the line search of _newton on the iterating members
+        granularity = _granularity(self.f)
+        pending = go.copy()
         for _ in range(_MAX_HALVINGS):
-            tk, ddk = _at(t, trying), _at(dd, trying)
-            q_try = _at(q, trying) + tk[:, None] * _at(delta, trying)
-            m = q_try.shape[0]
-            u_try = _height(g, _at(u_star, trying), _at(h, trying), q_try, self.pad[:m])
-            members = _at(rows, trying)
-            f_try, e_try = _functional(g, self._pot(None if m == self.active.size else members),
-                                       _at(scale, trying), _at(p, trying), _at(eps, trying),
-                                       _at(w, trying), q_try, u_try)
-            decrease_ok = f_try <= _at(f, trying) + _ARMIJO_C * tk * ddk
-            unmeasurable = (-tk * ddk <= _at(granularity, trying)) & np.isfinite(f_try)
+            q_try = self.q + t[:, None] * delta
+            u_try = _height(g, self.u_star, h, q_try, self.pad)
+            f_try, e_try = _functional(g, self.potential, self.scale, self.p, eps, self.w,
+                                       q_try, u_try)
+            decrease_ok = f_try <= self.f + _ARMIJO_C * t * dd
+            unmeasurable = (-t * dd <= granularity) & np.isfinite(f_try)
             ok = decrease_ok | unmeasurable
-            if ok.all():
-                done = members
-                self.q[done], self.u[done], self.f[done] = q_try, u_try, f_try
-                self.e[:, done] = e_try
-                accepted.append(done)
-                trying = np.zeros(0, dtype=int)
+            took = pending & ok
+            self.q[took], self.u[took], self.f[took] = q_try[took], u_try[took], f_try[took]
+            self.e[:, took] = np.stack(e_try)[:, took]
+            pending &= ~ok
+            if not pending.any():
                 break
-            if ok.any():
-                done = members[ok]
-                self.q[done], self.u[done], self.f[done] = q_try[ok], u_try[ok], f_try[ok]
-                self.e[:, done] = np.stack(e_try)[:, ok]
-                accepted.append(done)
-            trying = np.flatnonzero(~ok) if trying is None else trying[~ok]
-            t[trying] *= 0.5
-        for k in trying:
-            i = rows[k]
-            if grad_norm[k] <= tol[k]:
+            # an accepted member rides along the remaining halvings at its new iterate
+            delta[took] = 0.0
+            t[pending] *= 0.5
+        for i in np.flatnonzero(pending):
+            if grad_norm[i] <= tol[i]:
                 # stalled while polishing an already-converged iterate
-                self._level_done(np.array([i]))
+                self._level_done([i])
             else:
-                self._failed(i, f"line search stalled at grad norm {grad_norm[k]:.3e} > tol "
-                             f"{tol[k]:g}; tol_grad is below the roundoff floor of this "
-                             "problem", grad_norm[k])
-        if accepted:
-            done = accepted[0] if len(accepted) == 1 else np.sort(np.concatenate(accepted))
-            sub = None if done.size == self.active.size else done
-            self.mu[done], self.d2g[done] = _chemical_potential(
-                g, _at(self.u, sub), self._pot(sub), self.pad[:done.size])
-            self.it[done] += 1
+                self._failed(i, f"line search stalled at grad norm {grad_norm[i]:.3e} > tol "
+                             f"{tol[i]:g}; tol_grad is below the roundoff floor of this "
+                             "problem", grad_norm[i])
+        moved = go & ~pending
+        mu, d2g = _chemical_potential(g, self.u, self.potential, self.pad)
+        self.mu[moved], self.d2g[moved] = mu[moved], d2g[moved]
+        self.it[moved] += 1
 
 
 def el_residual(g, res, u_star, model):

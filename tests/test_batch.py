@@ -164,6 +164,51 @@ def test_members_leave_the_batch_after_their_last_step():
         assert_series_match(b, ref)
 
 
+def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
+    g = Grid(1.0, 32)
+    configs = [replace_steps(c, n) for c, n in zip(family(g, B_MIN + 1),
+                                                   itertools.cycle([2, 7, 4]))]
+    real_pass, real_dpbsv = tfilm.step.StepBatch._newton_pass, tfilm.step.dpbsv
+    solves, passes = [], []
+
+    def counted(ab, b):
+        solves.append(ab)
+        return real_dpbsv(ab, b)
+
+    def watched(batch):
+        before = {name: getattr(batch, name).copy()
+                  for name in ("q", "u", "e", "f", "mu", "d2g", "it", "level", "warm", "active")}
+        solves.clear()
+        real_pass(batch)
+        B = len(batch.ab)
+        rows = [i for ab in solves for i in range(B) if np.shares_memory(ab, batch.ab[i])]
+        # one dpbsv call per iterating member, and those members take one iteration
+        assert len(rows) == len(set(rows)) == len(solves)
+        assert before["active"][rows].all()
+        stepped = (batch.it == before["it"] + 1) & (batch.level == before["level"])
+        assert sorted(rows) == np.flatnonzero(stepped).tolist()
+        # every other member rides along: its row is left as it was, except
+        # for the functional of a member that entered a new eps level
+        for i in sorted(set(range(B)) - set(rows)):
+            assert batch.warm[i] == before["warm"][i]  # no cold restart here
+            for name in ("q", "u", "mu", "d2g"):
+                assert np.array_equal(getattr(batch, name)[i], before[name][i]), (name, i)
+            assert np.array_equal(batch.e[:, i], before["e"][:, i]), ("e", i)
+            if batch.level[i] == before["level"][i]:
+                assert batch.f[i] == before["f"][i], ("f", i)
+        passes.append((len(rows), int(before["active"].sum()), B))
+
+    with patch.object(tfilm.step, "dpbsv", counted), \
+            patch.object(tfilm.step.StepBatch, "_newton_pass", watched):
+        batched = batched_only(configs)
+    for b, ref in zip(batched, [run(c) for c in configs]):
+        assert_series_match(b, ref)
+    # passes with members still iterating beside members that are done for
+    # the step, and beside members that have taken their last step
+    assert any(0 < solved < active for solved, active, _ in passes)
+    assert any(0 < solved and active < B for solved, active, B in passes)
+
+
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     g = Grid(1.0, 32)
     configs = family(g, B_MIN, n_steps=6)

@@ -640,6 +640,9 @@ REFUSED_BEFORE_THE_LOCK = {
                            "endpoints must be strictly positive"),
     "bb-action-sweep": ("bb-action", dict(VALID_CONFIGS["bb-action"], M_sweep=[1, -2]),
                         "every M must be positive and finite"),
+    **{f"bb-action-stage-steps-{steps}": (
+        "bb-action", dict(VALID_CONFIGS["bb-action"], stage_steps=steps),
+        "stage_steps must be an integer >= 1") for steps in (0, -1, -3)},
     # point-lemma inputs that would fail or pass vacuously once it runs
     "point-lemma-no-profiles": ("point-lemma", dict(VALID_CONFIGS["point-lemma"], profiles=0),
                                 "profiles must be >= 1"),

@@ -410,3 +410,14 @@ def test_bb_action_inputs_refuse_non_positive_endpoints():
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match="endpoints must be strictly positive"):
         bb_action_inputs(g, u, np.concatenate([u[:-1], [0.0]]), eta=0.25, M_sweep=[2])
+
+
+@pytest.mark.parametrize("stage_steps", [0, -1, -3, 2.0, True])
+def test_bb_action_inputs_refuse_stage_steps_below_one(stage_steps):
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match="stage_steps must be an integer >= 1"):
+        bb_action_inputs(g, u, u + 0.1, eta=0.25, M_sweep=[2], stage_steps=stage_steps)
+    with pytest.raises(ValueError, match="stage_steps must be an integer >= 1"):
+        bb_action_demo(g, u, u + 0.1, eta=0.25, M_sweep=[2], n=2.0, alpha=1.0,
+                       stage_steps=stage_steps)

@@ -278,9 +278,5 @@ def test_potential_stack_rows_equal_their_members():
         assert np.array_equal(stack.g_sigma(pos)[i], mp.g_sigma(pos[i]))
         assert np.array_equal(d1[i], mp.derivatives(pos[i])[0])
         assert np.array_equal(d2[i], mp.derivatives(pos[i])[1])
-    rows = np.array([0, 2, 3, 5])
-    sub = stack.take(rows)
-    assert np.array_equal(sub.derivatives(pos[rows])[0], d1[rows])
-    assert np.array_equal(energy(g, u[rows], sub).total, stacked_energy.total[rows])
     with pytest.raises(ValueError, match="consecutive"):
         PotentialStack([mps[1], mps[3], mps[2]])

@@ -44,6 +44,7 @@ from tfilm.models import (
 from tfilm.step import (
     StepNonconvergenceError,
     StepParams,
+    StepState,
     el_residual,
     solve_step,
     solveh_banded,
@@ -127,6 +128,15 @@ def test_run_energy_columns_match_snapshots(case, record_every):
     assert all(d.ede_slack >= -cfg.tol_audit for d in series.diagnostics[1:])
 
 
+def holding(g, u, model, sp, j=None):
+    """A run state at height u whose predicted flux is the face field j
+    (none if j is None)."""
+    state = StepState(g, sp.h, energy(g, u, model.modified))
+    if j is not None:
+        state.record(j[1:-1].copy(), state.energy_star)
+    return state
+
+
 def edi_slack(res, sp):
     return res.energy_before.total - res.energy_after.total - sp.h * res.dissipation_flux_term
 
@@ -140,7 +150,8 @@ def test_warm_start_reaches_the_cold_flux(case):
         cold = solve_step(g, first.u_next, model, sp)
     except StepNonconvergenceError:
         reject()  # the claim covers the steps that the cold start solves
-    warm = solve_step(g, first.u_next, model, sp, j0=first.j)
+    warm = solve_step(g, first.u_next, model, sp,
+                      state=holding(g, first.u_next, model, sp, first.j))
     # tol_grad bounds the gradient, not the flux: large fluxes (small h)
     # carry a proportional roundoff error
     scale = max(1.0, float(np.max(np.abs(cold.j))))
@@ -164,7 +175,7 @@ def test_predicted_run_matches_the_previous_flux_chain(case, branch, data):
     chain, j = [u], None
     try:
         for _ in range(n_steps):
-            res = solve_step(g, chain[-1], model, sp, j0=j)
+            res = solve_step(g, chain[-1], model, sp, state=holding(g, chain[-1], model, sp, j))
             chain.append(res.u_next)
             j = res.j
     except StepNonconvergenceError:

@@ -34,6 +34,13 @@ def barrier_model(alpha=1.0, n=2.0, sigma=0.05, pot=None):
                        potential=pot or zero_potential(), sigma=sigma)
 
 
+def holding(g, u, model, sp, j):
+    """A run state at height u whose predicted flux is the face field j."""
+    state = StepState(g, sp.h, energy(g, u, model.modified))
+    state.record(j[1:-1].copy(), state.energy_star)
+    return state
+
+
 def test_reduced_objective_zero_flux_is_energy():
     g = Grid(1.0, 32)
     rng = np.random.default_rng(0)
@@ -175,16 +182,8 @@ def test_uniqueness_probe():
     res_zero = solve_step(g, u, model, sp)
     j0 = zero_flux(g)
     j0[1:-1] = 1e-3 * rng.standard_normal(31)
-    res_pert = solve_step(g, u, model, sp, j0=j0)
+    res_pert = solve_step(g, u, model, sp, state=holding(g, u, model, sp, j0))
     assert np.max(np.abs(res_zero.j - res_pert.j)) <= 10.0 * sp.tol_grad
-
-
-@pytest.mark.parametrize("size", [31, 34])
-def test_warm_start_must_be_a_face_field(size):
-    g = Grid(1.0, 32)
-    u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
-    with pytest.raises(ValueError, match=r"face field must have shape \(33,\)"):
-        solve_step(g, u, barrier_model(), StepParams(h=1e-5), j0=np.zeros(size))
 
 
 def test_el_residual_zero_for_constant():
@@ -280,7 +279,7 @@ def test_warm_start_outside_barrier_domain_falls_back_to_cold():
     j0[16] = 1.0 / sp.h  # empties cell 15 far below zero
     assert np.min(u - sp.h * divergence(g, j0)) < 0.0
     cold = solve_step(g, u, model, sp)
-    warm = solve_step(g, u, model, sp, j0=j0)
+    warm = solve_step(g, u, model, sp, state=holding(g, u, model, sp, j0))
     assert np.array_equal(warm.u_next, cold.u_next)
     assert np.array_equal(warm.j, cold.j)
     assert warm.newton_iters == cold.newton_iters
@@ -304,7 +303,7 @@ def test_failed_warm_start_reruns_the_cold_ladder(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tfilm.step, "_descend", failing_at_eps_min_only)
-    warm = solve_step(g, u, model, sp, j0=cold.j)
+    warm = solve_step(g, u, model, sp, state=holding(g, u, model, sp, cold.j))
     assert ladders[0] == [sp.eps_min] and len(ladders[1]) == 7
     assert np.array_equal(warm.u_next, cold.u_next)
     assert warm.newton_iters == cold.newton_iters + 5
@@ -365,7 +364,7 @@ def test_a_failed_newton_direction_from_a_warm_start_is_solved_cold(monkeypatch,
         return (forced if len(calls) == 1 else real)(ab, b)
 
     monkeypatch.setattr(tfilm.step, "dpbsv", failing_first)
-    warm = solve_step(g, u, model, sp, j0=cold.j)
+    warm = solve_step(g, u, model, sp, state=holding(g, u, model, sp, cold.j))
     # the warm attempt failed in its first iteration, then the cold ladder ran
     assert len(calls) == 1 + cold.newton_iters
     assert warm.newton_iters == cold.newton_iters
@@ -417,15 +416,15 @@ def test_predictor_extrapolates_a_quadratic_flux_sequence():
         assert np.allclose(state.predicted_flux(), flux(t + 1.0), rtol=0.0, atol=1e-12)
 
 
-def test_state_and_warm_start_are_exclusive():
+def test_a_state_of_another_grid_or_step_size_is_refused():
     g = Grid(1.0, 16)
     u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
     model, sp = barrier_model(), StepParams(h=1e-4)
     state = StepState(g, sp.h, energy(g, u, model.modified))
-    with pytest.raises(ValueError, match="not both"):
-        solve_step(g, u, model, sp, j0=zero_flux(g), state=state)
     with pytest.raises(ValueError, match="another grid or step size"):
         solve_step(g, u, model, StepParams(h=2e-4), state=state)
+    with pytest.raises(ValueError, match="another grid or step size"):
+        solve_step(Grid(2.0, 16), u, model, sp, state=state)
 
 
 def test_step_with_state_records_its_flux_and_energy():
@@ -445,6 +444,7 @@ def test_step_with_state_records_its_flux_and_energy():
 @pytest.mark.parametrize("kwargs", [
     {"h": math.inf}, {"h": math.nan}, {"h": 0.0}, {"eps0": math.inf}, {"eps_min": math.inf},
     {"tol_grad": math.inf}, {"tol_grad": -1.0}, {"max_newton": -1}, {"max_newton": 2.5},
+    {"max_newton": True},
 ])
 def test_step_params_refuse_non_finite_or_negative_values(kwargs):
     with pytest.raises(ValueError, match="must be"):
