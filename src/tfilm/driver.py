@@ -12,9 +12,10 @@ eps_min^p * |domain| + 10 * tol_grad (smoothing bias plus the gradient
 stopping error); anything worse raises.
 
 ``run`` marches one config.  ``run_many`` marches configs that share a
-grid as one ``StepBatch`` (a group of at least ``_BATCH_MIN``), with the
-same per-member checks and records as ``run``, and falls back to ``run``
-for small groups and for every config once any member fails.
+grid and a step count as one ``StepBatch`` (a group of at least
+``_BATCH_MIN``), with the same per-member checks and records as ``run``,
+and falls back to ``run`` for small groups and for every config once any
+member fails.
 """
 
 import copy
@@ -259,10 +260,10 @@ def run(cfg):
     return series
 
 
-# Groups of at least this many configs on one grid are marched as one
-# batch.  Smaller groups run config by config: tools/ensemble_scaling.py
-# measured the batch at 0.57-0.68x of that for 2 and 3 members, 0.94-1.03x
-# for 6, and 1.5-1.9x for 7 and 18.
+# Groups of at least this many configs of one grid and step count are
+# marched as one batch.  Smaller groups run config by config:
+# tools/ensemble_scaling.py measured the batch at 0.57-0.68x of that for 2
+# and 3 members, 0.94-1.03x for 6, and 1.5-1.9x for 7 and 18.
 _BATCH_MIN = 7
 
 # What a failing batch raises; run_many then reruns the configs through run
@@ -271,9 +272,8 @@ _BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, Valu
 
 
 def _march_batch(cfgs):
-    """The series of configs that share a grid, marched as one StepBatch
-    whose members are ordered by potential kind; a member that has taken
-    its last step rides along at its last height."""
+    """The series of configs that share a grid and a step count, marched
+    as one StepBatch whose members are ordered by potential kind."""
     order = sorted(range(len(cfgs)), key=lambda i: (cfgs[i].model.potential.kind,
                                                    cfgs[i].model.modified.has_barrier))
     cfgs = [cfgs[i] for i in order]
@@ -281,10 +281,8 @@ def _march_batch(cfgs):
                       [c.e0 for c in cfgs])
     series = [_new_series(c) for c in cfgs]
     u = [c.u0 for c in cfgs]
-    for k in range(1, max(c.n_steps for c in cfgs) + 1):
-        members = [i for i, c in enumerate(cfgs) if c.n_steps >= k]
-        for i, res in zip(members, batch.step(members, np.stack(u))):
-            u[i] = _record(series[i], k, res)
+    for k in range(1, cfgs[0].n_steps + 1):
+        u = [_record(s, k, res) for s, res in zip(series, batch.step(np.stack(u)))]
     out = [None] * len(cfgs)
     for i, s in zip(order, series):
         out[i] = s
@@ -294,12 +292,13 @@ def _march_batch(cfgs):
 def run_many(configs, threads=None):
     """The series of each config, in input order, as ``run`` gives them.
 
-    Configs that share a grid (L, N) are marched together: a group of at
-    least ``_BATCH_MIN`` configs runs as one ``StepBatch``, whose members
-    match ``run`` to the Newton tolerance; a smaller group runs config by
-    config.  If any member fails, every config is run again through
-    ``run`` in input order, so the error raised (its type, its ``step k (t
-    = ...) failed:`` message and its payload) is the one ``run`` raises.
+    Configs that share a grid (L, N) and a step count are marched
+    together: a group of at least ``_BATCH_MIN`` configs runs as one
+    ``StepBatch``, whose members match ``run`` to the Newton tolerance; a
+    smaller group runs config by config.  If any member fails, a Newton
+    failure from a warm start included, every config is run again through
+    ``run`` in input order, so the series and the error raised (its type,
+    its ``step k (t = ...) failed:`` message and its payload) are ``run``'s.
 
     ``threads`` is accepted for existing callers and ignored: a thread pool
     ran slower than a serial loop, because a step is Python-bound.
@@ -307,7 +306,7 @@ def run_many(configs, threads=None):
     configs = list(configs)
     groups = {}
     for i, c in enumerate(configs):
-        groups.setdefault(c.grid, []).append(i)
+        groups.setdefault((c.grid, c.n_steps), []).append(i)
     out = [None] * len(configs)
     try:
         for rows in groups.values():

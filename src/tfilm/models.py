@@ -65,12 +65,13 @@ class MobilitySpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("power", "navier_slip", "constant_one"):
+        used = {"power": ("n",), "navier_slip": ("lam", "alpha"), "constant_one": ()}
+        if self.kind not in used:
             raise ValueError(f"unknown mobility kind {self.kind!r}")
-        if self.kind == "power" and self.n <= 0:
-            raise ValueError("power mobility needs exponent n > 0")
-        if self.kind == "navier_slip" and (self.lam <= 0 or self.alpha <= 0):
-            raise ValueError("navier_slip mobility needs lam > 0 and alpha > 0")
+        for name in used[self.kind]:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self.kind} mobility needs a finite {name} > 0, got {value!r}")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -113,10 +114,17 @@ class PotentialSpec:
     A: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "quadratic", "strong_singular"):
+        used = {"zero": (), "quadratic": ("a",), "strong_singular": ("A",)}
+        if self.kind not in used:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.a < 0 or self.A < 0:
-            raise ValueError("potential coefficients must be non-negative")
+        for name in ("a", "A"):
+            value = getattr(self, name)
+            if name not in used[self.kind] and value != 0.0:
+                raise ValueError(f"the {self.kind} potential has no coefficient {name}, "
+                                 f"got {name}={value!r}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{self.kind} potential needs a finite {name} >= 0, "
+                                 f"got {value!r}")
 
     def g(self, s):
         s = np.asarray(s, dtype=float)

@@ -67,19 +67,23 @@ minimiser up to the Newton tolerance.  A warm flux that leaves the
 barrier domain, or a Newton failure from it, falls back to the cold
 solve: zero flux down the full ladder.
 
-A ``StepBatch`` steps several runs on one grid together (``run_many``
-marches a group of configs with it).  Each member is solved as
-``solve_step`` with its own ``StepState`` solves it, with the same
-kernels: the functional, the chemical potential, the reduced gradient
-and the Newton bands take a leading member axis, with per-member
-parameters (h, p, eps, ...) as (B, 1) columns, and the potential is
-evaluated per kind on its rows by a ``models.PotentialStack``.  A Newton
-pass evaluates them once on all B rows; only the band solve runs member
-by member, one dpbsv call for each member still iterating.  A member
-that is not iterating rides along with a zero direction, so its row is
-left as it was.  The batch matches the single-member steps to roundoff,
-not bit for bit: numpy's power with a column of exponents can differ in
-the last bit from its power with a scalar one.
+A ``StepBatch`` steps several runs on one grid together, every member
+every step (``run_many`` marches a group of configs of one grid and one
+step count with it).  Each member is solved as ``solve_step`` with its
+own ``StepState`` solves it, with the same kernels: the functional, the
+chemical potential, the reduced gradient and the Newton bands take a
+leading member axis, with per-member parameters (h, p, eps, ...) as
+(B, 1) columns, and the potential is evaluated per kind on its rows by a
+``models.PotentialStack``.  A Newton pass evaluates them once on all B
+rows; only the band solve runs member by member, one dpbsv call for each
+member still iterating.  A member that is not iterating rides along with
+a zero direction, so its row is left as it was.  A member whose warm
+start leaves the barrier domain starts cold, as in ``solve_step``, but a
+Newton failure of any member (its cap, a stalled line search, a failed
+direction) raises ``StepNonconvergenceError`` and ends the batch.  The
+batch matches the single-member steps to roundoff, not bit for bit:
+numpy's power with a column of exponents can differ in the last bit from
+its power with a scalar one.
 """
 
 import math
@@ -623,25 +627,26 @@ def solve_step(g, u_star, model, step, state=None):
 
 
 class StepBatch:
-    """Members that share a grid, each stepped as ``solve_step(...,
-    state=...)`` steps it, with their Newton iterations evaluated together.
+    """Members that share a grid, stepped together as ``solve_step(...,
+    state=...)`` steps each, with their Newton iterations evaluated
+    together.
 
     Each member keeps its own ``StepState`` (so its predicted warm start),
     eps ladder and level, tolerance, iteration count, Armijo step,
-    boundary cap, convergence flag, and its warm-to-cold fallback.  A
-    Newton pass evaluates the step kernels once on all B rows, with the
-    per-member parameters as (B, 1) columns and the potential taken per
-    kind on its rows (``PotentialStack``: the members of one potential
-    kind must be consecutive), and solves the band of each member still
-    iterating by its own dpbsv call.  A member that is not iterating in
-    the pass (it has converged, entered a new eps level or restarted cold
-    in the pass, or is not stepping this step) rides along with a zero
-    direction and t = 1, so its trial point is its iterate; only the rows
-    of the iterating members are updated.  The per-step checks of
-    ``solve_step`` run per member.  A failure raises ``solve_step``'s
-    error type and leaves the batch unusable; a failed Newton direction
-    raises ``StepNonconvergenceError`` even from a warm start, and
-    ``run_many`` then reruns the configs through ``run``.
+    boundary cap and convergence flag.  A Newton pass evaluates the step
+    kernels once on all B rows, with the per-member parameters as (B, 1)
+    columns and the potential taken per kind on its rows
+    (``PotentialStack``: the members of one potential kind must be
+    consecutive), and solves the band of each member still iterating by
+    its own dpbsv call.  A member that is not iterating in the pass (it
+    has converged, or entered a new eps level in the pass) rides along
+    with a zero direction and t = 1, so its trial point is its iterate;
+    only the rows of the iterating members are updated.  The per-step
+    checks of ``solve_step`` run per member.  A member whose warm start
+    leaves the barrier domain starts cold instead.  Any failure, a Newton
+    failure from a warm start included, raises ``solve_step``'s error type
+    and leaves the batch unusable, and ``run_many`` then reruns the
+    configs through ``run``.
     """
 
     def __init__(self, g, models, steps, energies):
@@ -663,61 +668,52 @@ class StepBatch:
         self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
         self.potential = PotentialStack([m.modified for m in models])
 
-    def step(self, members, u_stars):
-        """Solve one step of each member in members (increasing batch
-        indices); u_stars holds the current height of every member, one
-        row each.  Returns the members' StepResults."""
+    def step(self, u_stars):
+        """Solve one step of every member from its current height, one row
+        of u_stars each.  Returns the members' StepResults."""
         g, B, N = self.grid, len(self.models), self.grid.N
-        stepping = np.zeros(B, dtype=bool)
-        stepping[members] = True
         self.u_star = np.asarray(u_stars, dtype=float)
-        # the preconditions of solve_step, on the stepping rows; the energy
-        # of u* is the state's
-        m_int = np.ones((B, N - 1))
+        # the preconditions of solve_step; the energy of u* is the state's
+        m_int = np.empty((B, N - 1))
         for mob, rows in self.mobilities:
-            rows = rows[stepping[rows]]
-            if rows.size:
-                m_int[rows] = mobility_face(mob, self.u_star[rows], g)[:, 1:-1]
+            m_int[rows] = mobility_face(mob, self.u_star[rows], g)[:, 1:-1]
         if (m_int <= 0.0).any():
             raise ValueError("mobility vanishes on an interior face; step is ill-posed")
         self.w = m_int ** (-1.0 / self.alpha)
 
-        # the iterates: the predicted flux where a stepping member has one
-        # and it stays in the barrier domain, else zero flux, whose height
-        # is u* and energy the state's
+        # the iterates: the predicted flux where it stays in the barrier
+        # domain, else zero flux, whose height is u* and energy the state's.
+        # The members step together, so all of them have a prediction or none.
         self.q = np.zeros((B, N - 1))
-        warm = [i for i in members if self.states[i].fluxes]
-        for i in warm:
-            self.q[i] = self.states[i].predicted_flux()
+        if self.states[0].fluxes:
+            for i, state in enumerate(self.states):
+                self.q[i] = state.predicted_flux()
         self.u = _height(g, self.u_star, self.h, self.q, self.pad)
         e = energy(g, self.u, self.potential)
-        self.warm = np.zeros(B, dtype=bool)
-        self.warm[warm] = True
-        self.warm &= np.isfinite(e.total)
-        cold = ~self.warm
-        self.q[cold], self.u[cold] = 0.0, self.u_star[cold]
-        self.e = np.where(self.warm, np.stack(e),  # dirichlet, potential and total energy
+        warm = np.isfinite(e.total) & bool(self.states[0].fluxes)
+        self.q[~warm], self.u[~warm] = 0.0, self.u_star[~warm]
+        self.e = np.where(warm, np.stack(e),  # dirichlet, potential and total energy
                           np.array([state.energy_star for state in self.states]).T)
         self.mu, self.d2g = _chemical_potential(g, self.u, self.potential, self.pad)
 
         # where each member is in its solve
-        self.ladder = [[sp.eps_min] if self.warm[i] else self.ladders[i]
+        self.ladder = [[sp.eps_min] if warm[i] else self.ladders[i]
                        for i, sp in enumerate(self.steps)]
         self.eps, self.tol, self.f = np.ones((B, 1)), np.zeros(B), np.zeros(B)
         self.level, self.it, self.iters = (np.zeros(B, dtype=int) for _ in range(3))
-        self.active = stepping
-        self._enter_level(members)
+        self.active = np.ones(B, dtype=bool)
+        self._enter_level(np.arange(B))
         while self.active.any():
             self._newton_pass()
 
         terms = _step_terms(g, self.u_star, self.q, self.u, self.mu, self.w, m_int,
                             self.alpha, self.p)
         results = []
-        for i in members:
+        for i, state in enumerate(self.states):
             sol = _Iterate(self.q[i], self.u[i], EnergyBreakdown(*map(float, self.e[:, i])),
                            self.mu[i], self.d2g[i], self.f[i])
-            results.append(_result(g, sol, self.states[i].energy_star, int(self.iters[i]),
-                                   [t[i] for t in terms], self.states[i]))
+            results.append(_result(g, sol, state.energy_star, int(self.iters[i]),
+                                   [t[i] for t in terms], state))
         return results
 
     def _enter_level(self, rows):
@@ -742,21 +738,6 @@ class StepBatch:
             self.level[more] += 1
             self._enter_level(more)
 
-    def _failed(self, i, message, grad_norm):
-        """Newton failed for member i: from a warm start it solves cold, from
-        zero flux down its full ladder; from a cold one the step fails."""
-        if not self.warm[i]:
-            raise StepNonconvergenceError(message, u_last=self.u[i].copy(),
-                                          j_last=self.q[i].copy(), grad_norm=grad_norm,
-                                          iters=int(self.it[i]))
-        self.iters[i] = self.it[i]
-        self.q[i], self.u[i], self.e[:, i] = 0.0, self.u_star[i], self.states[i].energy_star
-        self.mu[i], self.d2g[i] = _chemical_potential(self.grid, self.u[i],
-                                                      self.models[i].modified, self.pad[i])
-        self.warm[i] = False
-        self.ladder[i], self.level[i] = self.ladders[i], 0
-        self._enter_level([i])
-
     def _newton_pass(self):
         """One damped Newton iteration of every member still iterating."""
         g, dx, h = self.grid, self.grid.dx, self.h
@@ -765,11 +746,13 @@ class StepBatch:
         tol, cap, eps = self.tol, self.max_newton, self.eps
         converged = self.active & _converged(grad_norm, tol, self.it, cap)
         go = self.active & ~converged & (self.it < cap)
+        capped = np.flatnonzero(self.active & ~converged & ~go)
+        if capped.size:
+            i = capped[0]
+            raise StepNonconvergenceError(
+                f"Newton did not reach tol_grad={tol[i]:g} in {cap[i]} "
+                f"iterations (grad norm {grad_norm[i]:.3e}, eps {eps[i, 0]:g})")
         self._level_done(np.flatnonzero(converged))
-        for i in np.flatnonzero(self.active & ~converged & ~go):
-            self._failed(i, f"Newton did not reach tol_grad={tol[i]:g} in {cap[i]} "
-                         f"iterations (grad norm {grad_norm[i]:.3e}, eps {eps[i, 0]:g})",
-                         grad_norm[i])
         if not go.any():
             return
 
@@ -820,14 +803,15 @@ class StepBatch:
             # an accepted member rides along the remaining halvings at its new iterate
             delta[took] = 0.0
             t[pending] *= 0.5
-        for i in np.flatnonzero(pending):
-            if grad_norm[i] <= tol[i]:
-                # stalled while polishing an already-converged iterate
-                self._level_done([i])
-            else:
-                self._failed(i, f"line search stalled at grad norm {grad_norm[i]:.3e} > tol "
-                             f"{tol[i]:g}; tol_grad is below the roundoff floor of this "
-                             "problem", grad_norm[i])
+        if pending.any():
+            stalled = np.flatnonzero(pending & (grad_norm > tol))
+            if stalled.size:
+                i = stalled[0]
+                raise StepNonconvergenceError(
+                    f"line search stalled at grad norm {grad_norm[i]:.3e} > tol "
+                    f"{tol[i]:g}; tol_grad is below the roundoff floor of this problem")
+            # stalled while polishing an already-converged iterate
+            self._level_done(np.flatnonzero(pending))
         moved = go & ~pending
         mu, d2g = _chemical_potential(g, self.u, self.potential, self.pad)
         self.mu[moved], self.d2g[moved] = mu[moved], d2g[moved]

@@ -2,9 +2,9 @@
 equals ``run`` config by config (to rtol 1e-7 on heights and on every
 record column; the EL residual, which sits at roundoff, within its gate
 wherever run's is),
-member by member, through warm-to-cold fallbacks, failing members
-(Newton caps and failed Newton directions), mixed grids and members that
-leave early."""
+member by member, through warm starts that leave the barrier domain,
+failing members (Newton caps, failed Newton directions and warm Newton
+failures), and mixed grids and step counts."""
 
 import itertools
 from unittest.mock import patch
@@ -82,6 +82,24 @@ def assert_series_match(batched, serial):
             assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want)), name
 
 
+def run_each(configs):
+    """run of each config, and the number of steps whose Newton failed from
+    the warm start (run solved those steps cold)."""
+    real = tfilm.step._descend
+    warm_failures = []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        except StepNonconvergenceError:
+            warm_failures.append(1)  # a cold failure would end the run
+            raise
+
+    with patch.object(tfilm.step, "_descend", watched):
+        serial = [run(c) for c in configs]
+    return serial, len(warm_failures)
+
+
 def batched_only(configs):
     """run_many(configs), checked to march them as StepBatches, never by run."""
     def refuse(cfg):
@@ -105,10 +123,12 @@ POTENTIALS = {
 
 @st.composite
 def groups(draw):
-    """A group of configs on one grid mixing rheology branches, mobility and
-    potential kinds, step sizes, run lengths and snapshot spacings."""
+    """A group of configs on one grid and of one run length, mixing
+    rheology branches, mobility and potential kinds, step sizes and
+    snapshot spacings."""
     g = Grid(1.0, draw(st.integers(8, 40)))
     size = draw(st.integers(B_MIN, B_MIN + 3))
+    n_steps = draw(st.integers(1, 5))
     configs = []
     for _ in range(size):
         c = draw(st.floats(0.0, 1.0))
@@ -119,7 +139,7 @@ def groups(draw):
             potential=POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))](c),
             sigma=draw(st.floats(0.01, 0.2)),
             h=draw(st.sampled_from([1e-6, 1e-5, 1e-4])),
-            n_steps=draw(st.integers(1, 5)),
+            n_steps=n_steps,
             record_every=draw(st.integers(1, 3)),
             coeffs=draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)),
             M=draw(st.floats(0.5, 2.0))))
@@ -130,14 +150,17 @@ def groups(draw):
 @given(groups())
 def test_run_many_equals_run_member_by_member(configs):
     try:
-        serial = [run(c) for c in configs]
+        serial, warm_failures = run_each(configs)
     except STEP_ERRORS as exc:
         # a failing member raises run's error, however the group is marched
         with pytest.raises(type(exc)) as info:
             run_many(configs)
         assert str(info.value) == str(exc)
         return
-    for batched, ref in zip(batched_only(configs), serial):
+    # a Newton failure from a warm start ends the batch, and run_many runs
+    # the configs through run; without one the batch marches them all
+    out = run_many(configs) if warm_failures else batched_only(configs)
+    for batched, ref in zip(out, serial):
         assert_series_match(batched, ref)
 
 
@@ -154,20 +177,30 @@ def replace_steps(cfg, n_steps):
                      record_every=2, initial=cfg.initial)
 
 
-def test_members_leave_the_batch_after_their_last_step():
+def test_configs_of_different_lengths_are_batched_apart():
     g = Grid(1.0, 32)
-    configs = [replace_steps(c, n) for c, n in zip(family(g, B_MIN + 1),
-                                                   itertools.cycle([2, 7, 4]))]
-    batched = batched_only(configs)
-    for b, ref, cfg in zip(batched, [run(c) for c in configs], configs):
-        assert len(b.diagnostics) == cfg.n_steps + 1
-        assert_series_match(b, ref)
+    configs = [replace_steps(c, n) for c, n in zip(family(g, 2 * B_MIN + 1),
+                                                   itertools.cycle([3, 5]))]
+    batches = []
+    real_init = tfilm.step.StepBatch.__init__
+
+    def recorded(self, g, models, *args):
+        batches.append(len(models))
+        real_init(self, g, models, *args)
+
+    with patch.object(tfilm.step.StepBatch, "__init__", recorded):
+        out = batched_only(configs)
+    # one lockstep batch per run length, in the order the lengths first appear
+    assert batches == [B_MIN + 1, B_MIN]
+    for got, cfg in zip(out, configs):
+        assert got.config is cfg
+        assert len(got.diagnostics) == cfg.n_steps + 1
+        assert_series_match(got, run(cfg))
 
 
 def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     g = Grid(1.0, 32)
-    configs = [replace_steps(c, n) for c, n in zip(family(g, B_MIN + 1),
-                                                   itertools.cycle([2, 7, 4]))]
+    configs = [replace_steps(c, 5) for c in family(g, B_MIN + 1)]
     real_pass, real_dpbsv = tfilm.step.StepBatch._newton_pass, tfilm.step.dpbsv
     solves, passes = [], []
 
@@ -177,7 +210,7 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
 
     def watched(batch):
         before = {name: getattr(batch, name).copy()
-                  for name in ("q", "u", "e", "f", "mu", "d2g", "it", "level", "warm", "active")}
+                  for name in ("q", "u", "e", "f", "mu", "d2g", "it", "level", "active")}
         solves.clear()
         real_pass(batch)
         B = len(batch.ab)
@@ -190,13 +223,12 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
         # every other member rides along: its row is left as it was, except
         # for the functional of a member that entered a new eps level
         for i in sorted(set(range(B)) - set(rows)):
-            assert batch.warm[i] == before["warm"][i]  # no cold restart here
             for name in ("q", "u", "mu", "d2g"):
                 assert np.array_equal(getattr(batch, name)[i], before[name][i]), (name, i)
             assert np.array_equal(batch.e[:, i], before["e"][:, i]), ("e", i)
             if batch.level[i] == before["level"][i]:
                 assert batch.f[i] == before["f"][i], ("f", i)
-        passes.append((len(rows), int(before["active"].sum()), B))
+        passes.append((len(rows), int(before["active"].sum())))
 
     with patch.object(tfilm.step, "dpbsv", counted), \
             patch.object(tfilm.step.StepBatch, "_newton_pass", watched):
@@ -204,9 +236,8 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     for b, ref in zip(batched, [run(c) for c in configs]):
         assert_series_match(b, ref)
     # passes with members still iterating beside members that are done for
-    # the step, and beside members that have taken their last step
-    assert any(0 < solved < active for solved, active, _ in passes)
-    assert any(0 < solved and active < B for solved, active, B in passes)
+    # the step
+    assert any(0 < solved < active for solved, active in passes)
 
 
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
@@ -239,6 +270,40 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     cold = tfilm.step.solve_step(g, batched[1].snapshots[3], cfg.model, cfg.step)
     assert np.max(np.abs(batched[1].snapshots[4] - cold.u_next)) <= RTOL
     assert batched[1].diagnostics[4].newton_iters == cold.newton_iters
+
+
+def test_a_warm_newton_failure_ends_the_batch():
+    g = Grid(1.0, 32)
+    configs = family(g, B_MIN, n_steps=6)
+    # the one member with this step size is predicted off course from step
+    # 4 on, so that Newton fails from its warm start, and run solves it cold
+    odd_h = 3e-5
+    configs[1] = member(g, alpha=2.0, h=odd_h, n_steps=6, max_newton=14)
+    real_predict, real_run = StepState.predicted_flux, tfilm.driver.run
+    reruns = []
+
+    def off_course(state):
+        q = real_predict(state)
+        if state.h == odd_h and len(state.fluxes) == 3:
+            q = q + 50.0 * np.sin(np.arange(g.N - 1))
+        return q
+
+    def counted(cfg):
+        reruns.append(cfg)
+        return real_run(cfg)
+
+    with patch.object(StepState, "predicted_flux", off_course):
+        serial, warm_failures = run_each(configs)
+        with patch.object(tfilm.driver, "run", counted):
+            out = run_many(configs)
+    assert warm_failures > 0
+    # the batch gave up, and every config was run again through run
+    assert len(reruns) == len(configs) and all(a is b for a, b in zip(reruns, configs))
+    for got, ref in zip(out, serial):
+        assert got.config is ref.config
+        assert np.array_equal(got.diagnostics, ref.diagnostics)
+        assert got.snapshots.keys() == ref.snapshots.keys()
+        assert all(np.array_equal(got.snapshots[k], u) for k, u in ref.snapshots.items())
 
 
 @pytest.mark.parametrize("failure", ["not-positive-definite", "ascent"])

@@ -9,6 +9,7 @@ from tfilm.models import (
     INFINITE_ENERGY,
     ModelParams,
     ModifiedPotential,
+    PotentialSpec,
     PotentialStack,
     constant_mobility,
     energy,
@@ -133,6 +134,35 @@ def test_positive_parameters_refuse_nonpositive_and_nan(value):
         StepParams(h=value)
     with pytest.raises(ValueError, match="tol_grad must be positive"):
         StepParams(h=1e-4, tol_grad=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_mobility_refuses_parameters_outside_zero_to_inf(value):
+    with pytest.raises(ValueError, match="power mobility needs a finite n > 0"):
+        power_mobility(value)
+    with pytest.raises(ValueError, match="navier_slip mobility needs a finite lam > 0"):
+        navier_slip_mobility(value, 1.0)
+    with pytest.raises(ValueError, match="navier_slip mobility needs a finite alpha > 0"):
+        navier_slip_mobility(0.5, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_potential_refuses_nonfinite_and_negative_coefficients(value):
+    with pytest.raises(ValueError, match="quadratic potential needs a finite a >= 0"):
+        quadratic_potential(value)
+    with pytest.raises(ValueError, match="strong_singular potential needs a finite A >= 0"):
+        strong_singular_potential(value)
+
+
+@pytest.mark.parametrize("kind, coefficients", [
+    ("zero", {"a": 2.0}),
+    ("zero", {"A": math.nan}),
+    ("quadratic", {"a": 1.0, "A": 1e-3}),
+    ("strong_singular", {"a": 1.0, "A": 1e-3}),
+])
+def test_potential_refuses_a_coefficient_its_kind_does_not_use(kind, coefficients):
+    with pytest.raises(ValueError, match=f"the {kind} potential has no coefficient"):
+        PotentialSpec(kind, **coefficients)
 
 
 def test_barrier_agrees_with_base_above_2sigma():
