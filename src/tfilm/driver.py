@@ -241,9 +241,9 @@ def run(cfg):
 
     Diagnostics are recorded every step; snapshots every
     ``record_every`` steps (plus the initial and final states).  One
-    ``StepState`` carries the workspace, the energy of the current height
-    and the last fluxes through the run, so each step after the first is
-    warm-started from the flux extrapolated in time.  Solver
+    ``StepState`` carries the step's fixed data, the energy of the current
+    height and the last fluxes through the run, so each step after the
+    first is warm-started from the flux extrapolated in time.  Solver
     nonconvergence and failed step checks propagate with the failing step
     index.
     """
@@ -262,9 +262,11 @@ def run(cfg):
 
 # Groups of at least this many configs of one grid and step count are
 # marched as one batch.  Smaller groups run config by config:
-# tools/ensemble_scaling.py measured the batch at 0.57-0.68x of that for 2
-# and 3 members, 0.94-1.03x for 6, and 1.5-1.9x for 7 and 18.
-_BATCH_MIN = 7
+# tools/ensemble_scaling.py measured the batch against that at 0.95-1.03x
+# for 2 family members and 0.96-1.05x for 3 (six runs each, so 3 is break
+# even), 1.15-1.23x for 4 (three runs), 1.50-1.61x for 6 and 2.43-2.59x for
+# 18, and at 1.61-1.83x for a 3-member lift-off family.
+_BATCH_MIN = 4
 
 # What a failing batch raises; run_many then reruns the configs through run
 _BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, ValueError,

@@ -417,23 +417,33 @@ def energy(g, u, mp):
 
     Returns the infinite sentinel in `total` (and `potential`) whenever
     the barrier is active and some cell is non-positive.  A stack of
-    heights (B, N) under a ``PotentialStack`` of B members gives a
-    breakdown of (B,) arrays, row by row the values of the single heights.
+    heights (B, N) under a ``PotentialStack`` of B members (or one
+    ``ModifiedPotential`` for all) gives a breakdown of lists of B floats,
+    row by row the values of the single heights.
     """
     u = np.asarray(u, dtype=float)
     du = gradient(g, u)
-    dirichlet = 0.5 * (du * du).sum(axis=-1) * g.dx
-    if u.ndim == 1:
-        dirichlet = float(dirichlet)
-        if mp.has_barrier and (u <= 0.0).any():
-            return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
+    squares = (du * du).sum(axis=-1)
+    if u.ndim > 1:
+        return _stacked_energy(g, u, mp, squares)
+    dirichlet = float(0.5 * squares * g.dx)
+    if mp.has_barrier and (u <= 0.0).any():
+        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     pot_vals = mp.g_sigma(u)  # +inf on the non-positive cells under a barrier
     potential = integrate(g, pot_vals)
-    if u.ndim == 1:
-        # a finite sum has no infinite term, so only a non-finite one is searched
-        if not math.isfinite(potential) and np.isinf(pot_vals).any():
-            return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
-    elif not np.isfinite(potential).all():
-        infinite = ~np.isfinite(potential) & np.isinf(pot_vals).any(axis=-1)
-        potential[infinite] = INFINITE_ENERGY
+    # a finite sum has no infinite term, so only a non-finite one is searched
+    if not math.isfinite(potential) and np.isinf(pot_vals).any():
+        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     return EnergyBreakdown(dirichlet, potential, dirichlet + potential)
+
+
+def _stacked_energy(g, u, mp, squares):
+    """``energy`` of the rows of u, given their sums of squared gradients;
+    the scalar arithmetic is done on Python floats, as for one height."""
+    dirichlet = [0.5 * s * g.dx for s in squares.tolist()]
+    pot_vals = mp.g_sigma(u)
+    potential = integrate(g, pot_vals).tolist()
+    for i, value in enumerate(potential):
+        if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
+            potential[i] = INFINITE_ENERGY
+    return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])

@@ -37,9 +37,9 @@ the plain formulas, so its results are bit for bit theirs:
   ``solveh_banded``, which raises like scipy's: ValueError for
   non-finite input, LinAlgError when the matrix is not positive definite;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
-  face buffer of the workspace (built with the ``StepState``: once per
-  run, or per step without one), as are the boundary-cap direction and the
-  Laplacian inside the chemical potential;
+  face buffer built with the step's fixed data (once per run, or per
+  step without a ``StepState``), as are the boundary-cap direction and
+  the Laplacian inside the chemical potential;
 * G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
 
@@ -51,39 +51,43 @@ or a direction whose slope against the gradient is not negative, raises
 ``StepNonconvergenceError`` like the Newton cap does.
 
 A step is warm-started from the flux that its ``StepState`` predicts.
-``run`` carries one state from step to step: the workspace of its grid
-and h, the energy of the height the next step starts from (the previous
-step's ``energy_after``), and the last three accepted fluxes.  The
-prediction is the flux extrapolated in time, quadratic through the last
-three, 3 j_k - 3 j_{k-1} + j_{k-2} (linear through two, the last flux
-alone after one step): the step minimisers change smoothly in time, so
-the prediction starts Newton closer to the next one than the previous
-flux does.  A ``solve_step`` without a state builds a fresh one, which
-has no flux to predict from.
+``run`` carries one state from step to step: the energy of the height
+the next step starts from (the previous step's ``energy_after``), the
+last three accepted fluxes, and the step's fixed data (workspace and
+parameters, built at its first step).  The prediction is the flux
+extrapolated in time, quadratic through the last three, 3 j_k - 3
+j_{k-1} + j_{k-2} (linear through two, the last flux alone after one
+step): the step minimisers change smoothly in time, so the prediction
+starts Newton closer to the next one than the previous flux does.  A
+``solve_step`` without a state builds a fresh one, which has no flux to
+predict from.
 
 The warm start skips the eps ladder and solves at eps_min directly,
 where the functional is strictly convex, so it reaches the cold start's
 minimiser up to the Newton tolerance.  A warm flux that leaves the
-barrier domain, or a Newton failure from it, falls back to the cold
-solve: zero flux down the full ladder.
+barrier domain starts cold instead: zero flux down the full ladder.  In
+``solve_step`` a Newton failure from the warm start also falls back to
+the cold solve.
 
-A ``StepBatch`` steps several runs on one grid together, every member
-every step (``run_many`` marches a group of configs of one grid and one
-step count with it).  Each member is solved as ``solve_step`` with its
-own ``StepState`` solves it, with the same kernels: the functional, the
-chemical potential, the reduced gradient and the Newton bands take a
-leading member axis, with per-member parameters (h, p, eps, ...) as
-(B, 1) columns, and the potential is evaluated per kind on its rows by a
-``models.PotentialStack``.  A Newton pass evaluates them once on all B
-rows; only the band solve runs member by member, one dpbsv call for each
-member still iterating.  A member that is not iterating rides along with
-a zero direction, so its row is left as it was.  A member whose warm
-start leaves the barrier domain starts cold, as in ``solve_step``, but a
-Newton failure of any member (its cap, a stalled line search, a failed
-direction) raises ``StepNonconvergenceError`` and ends the batch.  The
-batch matches the single-member steps to roundoff, not bit for bit:
-numpy's power with a column of exponents can differ in the last bit from
-its power with a scalar one.
+There is one Newton loop, for B members on one grid: ``solve_step`` runs
+it with B = 1, and a ``StepBatch`` (``run_many`` marches a group of
+configs of one grid and one step count with it) with its members.  A
+pass evaluates the kernels once on all (B, N) rows: the functional with
+the energy, the chemical potential, the reduced gradient, the Newton
+bands and the boundary cap.  Each member's band is solved by its own
+``solveh_banded`` call, and every decision of a member (convergence, the
+Newton cap, Armijo acceptance, a stall while polishing, entry into its
+next eps level) is made on Python floats.  Each member walks its own eps
+ladder.  A parameter that all members share (alpha, p, h, the diagonal
+shift, G_sigma) is held as a scalar and the others as (B, 1) columns,
+and the per-member sums (energies, functional values) are finished on
+Python floats, so a member of a batch that shares model and step
+parameters does the arithmetic of its one-member step, ``run``'s, bit
+for bit.  Members with different exponents match their one-member steps
+to roundoff: numpy's power with a column of exponents can differ in the
+last bit from its power with a scalar one.  In a batch, any failure (a
+Newton cap, a stalled line search, a failed direction, from a warm start
+too) raises ``StepNonconvergenceError`` and ends the batch.
 """
 
 import math
@@ -190,9 +194,12 @@ class StepCheckError(RuntimeError):
 
 # --- smoothed p-power and its derivatives scaled by alpha/(alpha+1) --------
 
-def _psi_eps(s, p, eps):
-    """(s^2 + eps^2)^(p/2) - eps^p; equals |s|^p at eps = 0."""
-    return (s * s + eps * eps) ** (0.5 * p) - eps**p
+def _psi_eps(s, p, eps, eps_p=None):
+    """(s^2 + eps^2)^(p/2) - eps^p; equals |s|^p at eps = 0.  eps_p is
+    eps^p, given for a column of eps as powers taken on Python floats."""
+    if eps_p is None:
+        eps_p = eps**p
+    return (s * s + eps * eps) ** (0.5 * p) - eps_p
 
 
 def _psi_tilde(s, p, eps):
@@ -219,18 +226,22 @@ def _check_preconditions(g, u_star, model, e_before=None):
     return m_faces, e_before
 
 
-def _functional(g, mp, scale, p, eps, w, q, u, e=None):
+def _functional(g, mp, scale, p, eps, w, q, u, e=None, eps_p=None):
     """(step functional, energy of u) at interior fluxes q and u = u* - h div(q).
 
     w = m(u*)^(-1/alpha) on interior faces and scale = h alpha/(alpha+1) dx.
     A known energy e of u is reused, so that only the dissipation term is
     added; the infinite energy sentinel carries through the sum.  Stacks
-    of B members take q (B, N-1), u (B, N), p and eps as (B, 1) columns,
-    scale as (B,) and a ``PotentialStack``, and give (B,) values.
+    of B members take q (B, N-1), u (B, N), p, eps and eps_p as scalars or
+    (B, 1) columns and scale as a list, and give a list of B values, the
+    sums taken on Python floats as for one member.
     """
     if e is None:
         e = energy(g, u, mp)
-    return e.total + scale * (w * _psi_eps(q, p, eps)).sum(axis=-1), e
+    dissipation = (w * _psi_eps(q, p, eps, eps_p)).sum(axis=-1)
+    if dissipation.ndim == 0:
+        return e.total + scale * dissipation, e
+    return [t + s * d for t, s, d in zip(e.total, scale, dissipation.tolist())], e
 
 
 def _dissipation_scale(g, model, h):
@@ -288,15 +299,15 @@ def _chemical_potential(g, u, mp, pad):
 
 def _el_defect(g, q, mu, m_int, alpha):
     """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior
-    faces; (B,) norms of a stack of members with alpha a (B, 1) column."""
+    faces; a list of B norms for a stack of members, alpha a scalar or a
+    (B, 1) column, each root taken on Python floats as for one member."""
     r = q - m_int * psi(alpha, -(mu[..., 1:] - mu[..., :-1]) / g.dx)
     pprime = alpha + 1.0
-    norm = g.dx * (np.abs(r) ** pprime).sum(axis=-1)
-    if norm.ndim == 0:
-        return float(norm ** (1.0 / pprime))
-    # the root is a scalar power per member, as for one member: numpy's
-    # array power can differ from it in the last bit
-    return np.array([float(x ** (1.0 / pp)) for x, pp in zip(norm, pprime[:, 0])])
+    sums = (np.abs(r) ** pprime).sum(axis=-1)
+    if sums.ndim == 0:
+        return (g.dx * float(sums)) ** (1.0 / pprime)
+    pprimes = pprime[:, 0].tolist() if isinstance(pprime, np.ndarray) else [pprime] * len(sums)
+    return [(g.dx * s) ** (1.0 / pp) for s, pp in zip(sums.tolist(), pprimes)]
 
 
 def _flux_change(pad, q, h, dx):
@@ -354,24 +365,12 @@ def _granularity(f):
     return _GRAIN * (1.0 + abs(f))
 
 
-class _Iterate(NamedTuple):
-    """An accepted iterate and the quantities evaluated at it."""
-
-    q: np.ndarray            # interior face fluxes
-    u: np.ndarray            # u_star - h div(q)
-    energy: tuple            # EnergyBreakdown of u
-    mu: np.ndarray           # chemical potential of u
-    d2g: np.ndarray          # G_sigma''(u), the barrier's Hessian diagonal
-    f: float                 # step functional at the current eps
-
-
 class _Workspace(NamedTuple):
-    """What stays fixed through one step."""
+    """What stays fixed through one step of one member."""
 
     lap_diag: np.ndarray     # diagonal of -Delta_h on cells
     ao: float                # dx * its off-diagonal
     ab: np.ndarray           # band storage of the Newton matrix, outer band set
-    pad: np.ndarray          # face buffer with zero boundary entries
 
 
 def _workspace(g, h):
@@ -381,7 +380,158 @@ def _workspace(g, h):
     ao = dx * (-1.0 / dx**2)
     ab = np.zeros((3, g.N - 1))
     ab[0, 2:] = h * h * (-ao / dx**2)  # the outer band h^2 D^T (-Delta_h) D
-    return _Workspace(lap_diag, ao, ab, np.zeros(g.N + 1))
+    return _Workspace(lap_diag, ao, ab)
+
+
+def _level_tol(step, eps, last):
+    return step.tol_grad if last else max(step.tol_grad, 0.1 * eps)
+
+
+def _cold_ladder(model, step):
+    """The eps levels of a cold solve: geometric from eps0 down to eps_min
+    for shear-thinning (alpha > 1), eps_min alone otherwise."""
+    if not (model.alpha > 1.0 and step.eps0 > step.eps_min):
+        return [step.eps_min]
+    ladder = []
+    eps = step.eps0
+    while eps > step.eps_min * (1.0 + 1e-12):
+        ladder.append(eps)
+        eps *= _RHO
+    ladder.append(step.eps_min)
+    return ladder
+
+
+def _shared(values, rows=None):
+    """The common value of the members in rows (all by default) as a
+    scalar, else the values of all members as a (B, 1) column.  Numpy's
+    arithmetic with a scalar is its arithmetic with a column of that
+    value, and faster."""
+    first = values[0 if rows is None else rows[0]]
+    for i in range(len(values)) if rows is None else rows:
+        if values[i] != first:
+            return np.array(values)[:, None]
+    return first
+
+
+class _Problem:
+    """What stays fixed for B members on one grid through a run.
+
+    The members' parameters are scalars where they share them and (B, 1)
+    columns where they do not (the dissipation scales are a list); G_sigma is
+    one ``ModifiedPotential`` when they share it and a ``PotentialStack``
+    (the members of one kind consecutive) when they do not.  Besides
+    them: the cold eps ladders, the -Delta_h bands, the Newton band
+    storage (B, 3, N-1) and the zero-ended face buffer (B, N+1).
+    """
+
+    def __init__(self, g, models, steps):
+        self.grid, self.models, self.steps = g, tuple(models), tuple(steps)
+        self.alpha = _shared([m.alpha for m in models])
+        self.p_each = [m.p for m in models]
+        self.p = _shared(self.p_each)
+        self.h = _shared([sp.h for sp in steps])
+        self.scale = [_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)]
+        self.shift = _shared([m.p > 2.0 for m in models])
+        self.barrier = [m.modified.has_barrier for m in models]
+        self.any_barrier = any(self.barrier)
+        mps = [m.modified for m in models]
+        self.potential = mps[0] if all(mp == mps[0] for mp in mps) else PotentialStack(mps)
+        self.ladders = [_cold_ladder(m, sp) for m, sp in zip(models, steps)]
+        self.caps = [sp.max_newton for sp in steps]
+        ws = [_workspace(g, sp.h) for sp in steps]
+        # a row per member, so that it adds to the rows without broadcasting
+        self.lap_diag = np.tile(ws[0].lap_diag, (len(ws), 1))
+        self.ao = ws[0].ao
+        self.ab = np.stack([w.ab for w in ws])
+        self.pad = np.zeros((len(ws), g.N + 1))
+
+    def start(self, states, u_star, m_int, e_before, warm=True):
+        """The step from the rows of u_star, with the interior face
+        mobilities m_int and energies e_before of u*: each member starts
+        from its state's predicted flux at eps_min if it has one that stays
+        in the barrier domain (and warm is set), else cold, from zero flux
+        down its eps ladder."""
+        g = self.grid
+        q = np.zeros((len(states), g.N - 1))
+        predicted = [s.predicted_flux() for s in states] if warm else [None] * len(states)
+        hot = [x is not None for x in predicted]
+        if any(hot):
+            for i, x in enumerate(predicted):
+                if x is not None:
+                    q[i] = x
+            u_warm = _height(g, u_star, self.h, q, self.pad)
+            e_warm = energy(g, u_warm, self.potential)
+            # a warm flux that leaves the barrier domain starts cold
+            hot = [ok and math.isfinite(e) for ok, e in zip(hot, e_warm.total)]
+        if all(hot):
+            u, e = u_warm, e_warm
+        else:
+            # from zero flux the height is u_star bit for bit, and so is its energy
+            u, e = u_star.copy(), EnergyBreakdown(*map(list, zip(*e_before)))
+            for i, ok in enumerate(hot):
+                if ok:
+                    u[i] = u_warm[i]
+                    for a, b in zip(e, e_warm):
+                        a[i] = b[i]
+                else:
+                    q[i] = 0.0
+        ladders = [[sp.eps_min] if ok else lad
+                   for ok, sp, lad in zip(hot, self.steps, self.ladders)]
+        return _Start(u_star, m_int, m_int ** (-1.0 / self.alpha), e_before, q, u, e,
+                      ladders, hot)
+
+    def results(self, states, start, sol):
+        """The members' StepResults of the solved step, after the mass and
+        zero-flux comparison checks; each state records its member's step."""
+        g = self.grid
+        flux, strong, el = _step_terms(g, sol.q, sol.mu, start.w, start.m_int, self.alpha, self.p)
+        out = []
+        for i, (state, e_after, e_before) in enumerate(zip(states, zip(*sol.energy),
+                                                           start.e_before)):
+            q, u_next = sol.q[i], sol.u[i]
+            mass_star = integrate(g, start.u_star[i])
+            if abs(integrate(g, u_next) - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
+                raise StepCheckError("mass drifted beyond roundoff in a single step",
+                                     u_last=u_next, j_last=q)
+            # the last ladder level is eps_min, so f is the functional there
+            if sol.f[i] > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
+                raise StepCheckError("step objective exceeds the zero-flux comparison value",
+                                     u_last=u_next, j_last=q)
+            j = zero_flux(g)
+            j[1:-1] = q
+            e_after = EnergyBreakdown(*e_after)
+            state.record(q, e_after)
+            out.append(StepResult(u_next=u_next, j=j, newton_iters=sol.iters[i],
+                                  el_residual_norm=el[i], energy_before=e_before,
+                                  energy_after=e_after, dissipation_flux_term=flux[i],
+                                  dissipation_strong_term=strong[i]))
+        return out
+
+
+class _Start(NamedTuple):
+    """A step's data and its members' first iterates."""
+
+    u_star: np.ndarray       # (B, N) heights the step starts from
+    m_int: np.ndarray        # (B, N-1) face mobilities of u_star
+    w: np.ndarray            # m_int^(-1/alpha)
+    e_before: list           # EnergyBreakdown of each row of u_star
+    q: np.ndarray            # (B, N-1) first interior fluxes
+    u: np.ndarray            # u_star - h div(q)
+    energy: tuple            # EnergyBreakdown of lists, of u
+    ladders: list            # each member's eps levels
+    warm: list               # whether each member starts from its prediction
+
+
+class _Iterate(NamedTuple):
+    """The members' accepted iterates and the quantities evaluated at them."""
+
+    q: np.ndarray            # (B, N-1) interior face fluxes
+    u: np.ndarray            # u_star - h div(q)
+    energy: tuple            # EnergyBreakdown of lists, of u
+    mu: np.ndarray           # chemical potential of u
+    d2g: np.ndarray          # G_sigma''(u), the barrier's Hessian diagonal
+    f: list                  # step functional of each member at its eps
+    iters: list              # Newton iterations of each member
 
 
 class StepState:
@@ -389,16 +539,17 @@ class StepState:
 
     Built once per run for its grid g and step size h, from the energy
     breakdown of the initial height.  ``solve_step(..., state=state)``
-    takes the workspace, the energy of u* and the predicted warm start
-    from it, and on success records the step's flux and energy_after,
-    so the state always describes the height the next step starts from.
+    takes the energy of u* and the predicted warm start from it, builds
+    the step's fixed data (``problem``) at its first step and keeps it,
+    and on success records the step's flux and energy_after, so the state
+    always describes the height the next step starts from.
     """
 
     def __init__(self, g, h, energy_star):
         self.grid, self.h = g, h
-        self.ws = _workspace(g, h)
         self.energy_star = energy_star
         self.fluxes = deque(maxlen=3)  # accepted interior fluxes, oldest first
+        self.problem = None
 
     def predicted_flux(self):
         """The next interior flux extrapolated in time from the kept ones:
@@ -416,158 +567,160 @@ class StepState:
         self.energy_star = energy_after
 
 
-def _converged(grad_norm, tol, it, max_newton):
-    """Converged on the gradient norm, after `it` iterations at this level
-    (elementwise for arrays).  A first iterate that is merely under tol
-    still gets one polishing iteration (unless the cap allows none):
-    without it, modes whose driving gradient has decayed below tol would
-    freeze instead of keeping their relative accuracy."""
-    return (grad_norm <= tol) & ((it >= 1) | (grad_norm == 0.0) | (max_newton == 0))
+def _failure(message, q, u, grad_norm, it):
+    return StepNonconvergenceError(message, u_last=u.copy(), j_last=q.copy(),
+                                   grad_norm=grad_norm, iters=it)
 
 
-def _newton(g, u_star, model, mp, w, ws, step, eps, tol, start):
-    """Damped Newton at fixed smoothing eps from the accepted iterate `start`.
+def _solve(prob, start):
+    """Damped Newton of every member down its own eps ladder from start.
 
-    Returns (iterate, iters).
+    A pass evaluates the kernels once on all rows; a member that is not
+    iterating in it (done, or entering its next eps level) rides along
+    with a zero direction and a unit step, so its trial row is its
+    iterate bit for bit.  Any failure raises StepNonconvergenceError with
+    the failing member's iterate.  Returns the solved ``_Iterate``.
     """
-    dx, h, p = g.dx, step.h, model.p
-    scale = _dissipation_scale(g, model, h)
-    q, u, e, mu, d2g, f = start
+    g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
+    scale, caps, barrier = prob.scale, prob.caps, prob.barrier
+    u_star, w, ladders = start.u_star, start.w, start.ladders
+    q, u, e = start.q, start.u, start.energy
+    mu, d2g = _chemical_potential(g, u, mp, pad)
+    B = len(q)
+    level, it, iters, done = [0] * B, [0] * B, [0] * B, [False] * B
+    f, eps, tol, norms, slope, t = ([0.0] * B for _ in range(6))
+    active, entering = list(range(B)), list(range(B))
 
-    def failure(message):
-        return StepNonconvergenceError(message, u_last=u, j_last=q, grad_norm=grad_norm, iters=it)
+    def level_done(i):
+        iters[i] += it[i]
+        if level[i] + 1 < len(ladders[i]):
+            level[i] += 1
+            entering.append(i)
+        else:
+            done[i] = True
 
-    for it in range(step.max_newton + 1):
-        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps)
-        grad_norm = math.sqrt(dx * float((g_scaled * g_scaled).sum()))
-        if _converged(grad_norm, tol, it, step.max_newton):
-            return _Iterate(q, u, e, mu, d2g, f), it
-        if it == step.max_newton:
-            raise failure(f"Newton did not reach tol_grad={tol:g} in {step.max_newton} "
-                          f"iterations (grad norm {grad_norm:.3e}, eps {eps:g})")
+    while active:
+        if entering:
+            for i in entering:
+                ladder = ladders[i]
+                eps[i] = ladder[level[i]]
+                tol[i] = _level_tol(prob.steps[i], eps[i], level[i] == len(ladder) - 1)
+                it[i] = 0
+            # done members ride along at any eps
+            eps_col = _shared(eps, active)
+            eps_p = _shared([x**y for x, y in zip(eps, prob.p_each)], active)
+            # a new level keeps the energy, mu and G_sigma'' and re-adds
+            # only the dissipation
+            level_f = _functional(g, mp, scale, p, eps_col, w, q, u, e, eps_p)[0]
+            for i in entering:
+                f[i] = level_f[i]
+            entering.clear()
 
-        grad_raw = h * dx * g_scaled
-        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, w, d2g, q, p, eps)
-        ab = ws.ab
-        ab[2] = _shifted(d0) if p > 2.0 else d0
-        ab[1, 1:] = d1
-        try:
-            delta = solveh_banded(ab, -grad_raw)
-            dd = _slope(grad_raw, delta)
-        except (np.linalg.LinAlgError, StepNonconvergenceError) as exc:
-            raise failure(f"Newton direction failed: {exc} "
-                          f"(grad norm {grad_norm:.3e}, eps {eps:g})") from exc
+        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps_col)
+        squares = (g_scaled * g_scaled).sum(axis=-1).tolist()
+        go = []
+        for i in active:
+            norms[i] = grad_norm = math.sqrt(dx * squares[i])
+            # converged on the gradient norm; a first iterate that is merely
+            # under tol still gets one polishing iteration (unless the cap
+            # allows none): without it, modes whose driving gradient has
+            # decayed below tol would freeze instead of keeping their
+            # relative accuracy
+            if grad_norm <= tol[i] and (it[i] >= 1 or grad_norm == 0.0 or caps[i] == 0):
+                level_done(i)
+            elif it[i] == caps[i]:
+                raise _failure(f"Newton did not reach tol_grad={tol[i]:g} in {caps[i]} "
+                               f"iterations (grad norm {grad_norm:.3e}, eps {eps[i]:g})",
+                               q[i], u[i], grad_norm, it[i])
+            else:
+                go.append(i)
+        if go:
+            grad_raw = h * dx * g_scaled
+            d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, q, p, eps_col)
+            shift = prob.shift
+            if shift is not False:
+                d0 = _shifted(d0) if shift is True else np.where(shift, _shifted(d0), d0)
+            ab = prob.ab
+            ab[:, 2] = d0
+            ab[:, 1, 1:] = d1
+            rhs = -grad_raw
+            delta = np.zeros(q.shape)
+            for i in go:
+                try:
+                    x = solveh_banded(ab[i], rhs[i])
+                    slope[i] = _slope(grad_raw[i], x)
+                except (np.linalg.LinAlgError, StepNonconvergenceError) as exc:
+                    raise _failure(f"Newton direction failed: {exc} (grad norm "
+                                   f"{norms[i]:.3e}, eps {eps[i]:g})",
+                                   q[i], u[i], norms[i], it[i]) from exc
+                delta[i] = x
 
-        t = 1.0
-        if mp.has_barrier:
-            # the height moves by -dh along delta; cap the cells it lowers
-            dh = _flux_change(ws.pad, delta, h, dx)
-            shrink = dh > 0.0
-            if shrink.any():
-                t = min(t, _TAU_BOUNDARY * float((u[shrink] / dh[shrink]).min()))
+            if prob.any_barrier:
+                # the height moves by -dh along delta; cap the cells it lowers
+                dh = _flux_change(pad, delta, h, dx)
+                lows = np.empty(u.shape)
+                lows.fill(math.inf)
+                np.divide(u, dh, out=lows, where=dh > 0.0)
+                lows = lows.min(axis=-1).tolist()
+            for i in go:
+                t[i] = min(1.0, _TAU_BOUNDARY * lows[i]) if barrier[i] else 1.0
 
-        # Predicted decreases below the objective's floating-point
-        # granularity cannot be verified by comparing values; the
-        # problem is convex with an SPD Hessian, so in that contraction
-        # regime a feasible (boundary-capped) Newton step is taken
-        # outright.
-        granularity = _granularity(f)
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            q_try = q + t * delta
-            u_try = _height(g, u_star, h, q_try, ws.pad)
-            f_try, e_try = _functional(g, mp, scale, p, eps, w, q_try, u_try)
-            decrease_ok = f_try <= f + _ARMIJO_C * t * dd
-            unmeasurable = -t * dd <= granularity and math.isfinite(f_try)
-            if decrease_ok or unmeasurable:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if grad_norm <= tol:
-                # stalled while polishing an already-converged iterate
-                return _Iterate(q, u, e, mu, d2g, f), it
-            raise failure(f"line search stalled at grad norm {grad_norm:.3e} > tol {tol:g}; "
-                          "tol_grad is below the roundoff floor of this problem")
-        q, u, e, f = q_try, u_try, e_try, f_try
-        mu, d2g = _chemical_potential(g, u, mp, ws.pad)
-
-
-def _level_tol(step, eps, last):
-    return step.tol_grad if last else max(step.tol_grad, 0.1 * eps)
-
-
-def _descend(g, u_star, model, mp, w, ws, step, ladder, start):
-    """Newton down the eps ladder from the accepted iterate `start`.
-
-    Returns (iterate, iters) at the last level.
-    """
-    total_iters = 0
-    scale = _dissipation_scale(g, model, step.h)
-    for eps in ladder:
-        tol = _level_tol(step, eps, eps == ladder[-1])
-        # a new level keeps the energy, mu and G_sigma'' and re-adds only
-        # the dissipation
-        f, _ = _functional(g, mp, scale, model.p, eps, w, start.q, start.u, start.energy)
-        start, iters = _newton(g, u_star, model, mp, w, ws, step, eps, tol,
-                               start._replace(f=f))
-        total_iters += iters
-    return start, total_iters
-
-
-def _cold_ladder(model, step):
-    """The eps levels of a cold solve: geometric from eps0 down to eps_min
-    for shear-thinning (alpha > 1), eps_min alone otherwise."""
-    if not (model.alpha > 1.0 and step.eps0 > step.eps_min):
-        return [step.eps_min]
-    ladder = []
-    eps = step.eps0
-    while eps > step.eps_min * (1.0 + 1e-12):
-        ladder.append(eps)
-        eps *= _RHO
-    ladder.append(step.eps_min)
-    return ladder
+            # Predicted decreases below the objective's floating-point
+            # granularity cannot be verified by comparing values; the
+            # problem is convex with an SPD Hessian, so in that contraction
+            # regime a feasible (boundary-capped) Newton step is taken
+            # outright.
+            pending = go
+            for _ in range(_MAX_HALVINGS):
+                # the other members ride along with a zero direction at any step
+                q_try = q + _shared(t, pending) * delta
+                u_try = _height(g, u_star, h, q_try, pad)
+                f_try, e_try = _functional(g, mp, scale, p, eps_col, w, q_try, u_try, None, eps_p)
+                rest = []
+                for i in pending:
+                    ti, fi = t[i], f_try[i]
+                    if (fi <= f[i] + _ARMIJO_C * ti * slope[i]
+                            or (-ti * slope[i] <= _granularity(f[i]) and math.isfinite(fi))):
+                        f[i] = fi
+                    else:
+                        rest.append(i)
+                if not rest:
+                    # every other row rode along, so each row is its member's iterate
+                    q, u, e, pending = q_try, u_try, e_try, rest
+                    break
+                took = [i for i in pending if i not in rest]
+                if took:
+                    # an accepted member rides along the remaining halvings
+                    q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
+                    for a, b in zip(e, e_try):
+                        for i in took:
+                            a[i] = b[i]
+                pending = rest
+                for i in rest:
+                    t[i] *= 0.5
+            for i in pending:
+                if norms[i] > tol[i]:
+                    raise _failure(f"line search stalled at grad norm {norms[i]:.3e} > tol "
+                                   f"{tol[i]:g}; tol_grad is below the roundoff floor of "
+                                   "this problem", q[i], u[i], norms[i], it[i])
+                level_done(i)  # stalled while polishing an already-converged iterate
+            if len(pending) < len(go):
+                mu, d2g = _chemical_potential(g, u, mp, pad)
+                for i in go:
+                    if i not in pending:
+                        it[i] += 1
+        active = [i for i in active if not done[i]]
+    return _Iterate(q, u, e, mu, d2g, f, iters)
 
 
-def _step_terms(g, u_star, q, u_next, mu, w, m_int, alpha, p):
-    """(mass of u_star, mass of u_next, flux and strong dissipation
-    integrals, EL defect) of a solved step; for a stack of members the
-    fields are (B,) arrays, with alpha and p as (B, 1) columns."""
+def _step_terms(g, q, mu, w, m_int, alpha, p):
+    """(flux and strong dissipation integrals, EL defects) of the solved
+    members, each with B entries."""
     dx = g.dx
     xi = psi_inverse(alpha, q / m_int)
-    return (integrate(g, u_star), integrate(g, u_next),
-            dx * (w * np.abs(q) ** p).sum(axis=-1),
-            dx * (m_int * np.abs(xi) ** (alpha + 1.0)).sum(axis=-1),
+    return ([dx * s for s in (w * np.abs(q) ** p).sum(axis=-1).tolist()],
+            [dx * s for s in (m_int * np.abs(xi) ** (alpha + 1.0)).sum(axis=-1).tolist()],
             _el_defect(g, q, mu, m_int, alpha))
-
-
-def _result(g, sol, e_before, iters, terms, state):
-    """The StepResult of the solved iterate sol, after the mass and
-    zero-flux comparison checks; the state records the step."""
-    q, u_next = sol.q, sol.u
-    mass_star, mass_next, diss_flux, diss_strong, el = map(float, terms)
-    if abs(mass_next - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
-        raise StepCheckError("mass drifted beyond roundoff in a single step",
-                             u_last=u_next, j_last=q)
-
-    # the last ladder level is eps_min, so sol.f is the functional there
-    if sol.f > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
-        raise StepCheckError("step objective exceeds the zero-flux comparison value",
-                             u_last=u_next, j_last=q)
-
-    j = zero_flux(g)
-    j[1:-1] = q
-    state.record(q, sol.energy)
-    return StepResult(
-        u_next=u_next,
-        j=j,
-        newton_iters=iters,
-        el_residual_norm=el,
-        energy_before=e_before,
-        energy_after=sol.energy,
-        dissipation_flux_term=diss_flux,
-        dissipation_strong_term=diss_strong,
-    )
 
 
 def solve_step(g, u_star, model, step, state=None):
@@ -579,7 +732,7 @@ def solve_step(g, u_star, model, step, state=None):
     energy-dissipation inequality.
 
     With a run's ``StepState`` (for this g and step.h, describing u_star)
-    its workspace and energy of u_star are used instead of being built
+    its energy of u_star and fixed data are used instead of being built
     again, Newton starts from its predicted flux, and the solved step is
     recorded in it.  Without one, a fresh state is built, which has no
     flux to predict from.  A warm start is solved at eps_min directly.  If
@@ -589,233 +742,66 @@ def solve_step(g, u_star, model, step, state=None):
     attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
-    mp = model.modified
     if state is not None and (state.grid != g or state.h != step.h):
         raise ValueError("the step state belongs to another grid or step size")
     m_faces, e_before = _check_preconditions(
         g, u_star, model, None if state is None else state.energy_star)
     if state is None:
         state = StepState(g, step.h, e_before)
-    m_int = m_faces[1:-1]
-    w = m_int ** (-1.0 / model.alpha)
-    ws, q = state.ws, state.predicted_flux()
-    args = (g, u_star, model, mp, w, ws, step)
-
-    sol, total_iters = None, 0
-    if q is not None:
-        u = _height(g, u_star, step.h, q, ws.pad)
-        e = energy(g, u, mp)
-        if math.isfinite(e.total):  # else the warm flux leaves the barrier domain
-            try:
-                sol, total_iters = _descend(
-                    *args, [step.eps_min],
-                    _Iterate(q, u, e, *_chemical_potential(g, u, mp, ws.pad), None))
-            except StepNonconvergenceError as exc:
-                total_iters = exc.iters
-
-    if sol is None:
-        q = np.zeros(g.N - 1)
-        u = _height(g, u_star, step.h, q, ws.pad)
-        # from zero flux the height is u_star bit for bit, and so is its energy
-        sol, iters = _descend(
-            *args, _cold_ladder(model, step),
-            _Iterate(q, u, e_before, *_chemical_potential(g, u, mp, ws.pad), None))
-        total_iters += iters
-
-    terms = _step_terms(g, u_star, sol.q, sol.u, sol.mu, w, m_int, model.alpha, model.p)
-    return _result(g, sol, e_before, total_iters, terms, state)
+    prob = state.problem
+    if prob is None or prob.models[0] is not model or prob.steps[0] is not step:
+        prob = state.problem = _Problem(g, [model], [step])
+    args = ([state], u_star[None], m_faces[None, 1:-1], [e_before])
+    start = prob.start(*args)
+    try:
+        sol = _solve(prob, start)
+    except StepNonconvergenceError as exc:
+        if not start.warm[0]:
+            raise
+        start = prob.start(*args, warm=False)
+        sol = _solve(prob, start)
+        sol.iters[0] += exc.iters
+    return prob.results([state], start, sol)[0]
 
 
 class StepBatch:
     """Members that share a grid, stepped together as ``solve_step(...,
-    state=...)`` steps each, with their Newton iterations evaluated
-    together.
+    state=...)`` steps each, by the same Newton loop.
 
-    Each member keeps its own ``StepState`` (so its predicted warm start),
-    eps ladder and level, tolerance, iteration count, Armijo step,
-    boundary cap and convergence flag.  A Newton pass evaluates the step
-    kernels once on all B rows, with the per-member parameters as (B, 1)
-    columns and the potential taken per kind on its rows
-    (``PotentialStack``: the members of one potential kind must be
-    consecutive), and solves the band of each member still iterating by
-    its own dpbsv call.  A member that is not iterating in the pass (it
-    has converged, or entered a new eps level in the pass) rides along
-    with a zero direction and t = 1, so its trial point is its iterate;
-    only the rows of the iterating members are updated.  The per-step
-    checks of ``solve_step`` run per member.  A member whose warm start
-    leaves the barrier domain starts cold instead.  Any failure, a Newton
-    failure from a warm start included, raises ``solve_step``'s error type
-    and leaves the batch unusable, and ``run_many`` then reruns the
-    configs through ``run``.
+    Each member keeps its own ``StepState`` (so its predicted warm start)
+    and walks its own eps ladder.  The members' parameters are held as in
+    a one-member step where they share them, so a member matches ``run``
+    bit for bit when the batch shares its model and step parameters, and
+    to roundoff otherwise; a ``PotentialStack`` (the members of one
+    potential kind consecutive) evaluates G_sigma when the members'
+    differ.  A member whose warm start leaves the barrier domain starts
+    cold.  Any failure, a Newton failure from a warm start included,
+    raises ``solve_step``'s error type and leaves the batch unusable, and
+    ``run_many`` then reruns the configs through ``run``.
     """
 
     def __init__(self, g, models, steps, energies):
-        self.grid, self.models, self.steps = g, tuple(models), tuple(steps)
+        self.grid = g
+        self.problem = _Problem(g, models, steps)
         self.states = [StepState(g, sp.h, e) for sp, e in zip(steps, energies)]
-        self.ladders = [_cold_ladder(m, sp) for m, sp in zip(models, steps)]
-        self.alpha = np.array([[m.alpha] for m in models])
-        self.p = np.array([[m.p] for m in models])
-        self.h = np.array([[sp.h] for sp in steps])
-        self.scale = np.array([_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)])
-        self.shift = self.p[:, 0] > 2.0
-        self.barrier = np.array([m.modified.has_barrier for m in models])
-        self.max_newton = np.array([sp.max_newton for sp in steps])
-        self.ab = np.stack([state.ws.ab for state in self.states])
-        self.pad = np.zeros((len(models), g.N + 1))
         rows = {}
         for i, m in enumerate(models):
             rows.setdefault(m.mobility, []).append(i)
         self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
-        self.potential = PotentialStack([m.modified for m in models])
 
     def step(self, u_stars):
         """Solve one step of every member from its current height, one row
         of u_stars each.  Returns the members' StepResults."""
-        g, B, N = self.grid, len(self.models), self.grid.N
-        self.u_star = np.asarray(u_stars, dtype=float)
+        g, prob = self.grid, self.problem
+        u_star = np.asarray(u_stars, dtype=float)
         # the preconditions of solve_step; the energy of u* is the state's
-        m_int = np.empty((B, N - 1))
+        m_int = np.empty((len(u_star), g.N - 1))
         for mob, rows in self.mobilities:
-            m_int[rows] = mobility_face(mob, self.u_star[rows], g)[:, 1:-1]
+            m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
         if (m_int <= 0.0).any():
             raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-        self.w = m_int ** (-1.0 / self.alpha)
-
-        # the iterates: the predicted flux where it stays in the barrier
-        # domain, else zero flux, whose height is u* and energy the state's.
-        # The members step together, so all of them have a prediction or none.
-        self.q = np.zeros((B, N - 1))
-        if self.states[0].fluxes:
-            for i, state in enumerate(self.states):
-                self.q[i] = state.predicted_flux()
-        self.u = _height(g, self.u_star, self.h, self.q, self.pad)
-        e = energy(g, self.u, self.potential)
-        warm = np.isfinite(e.total) & bool(self.states[0].fluxes)
-        self.q[~warm], self.u[~warm] = 0.0, self.u_star[~warm]
-        self.e = np.where(warm, np.stack(e),  # dirichlet, potential and total energy
-                          np.array([state.energy_star for state in self.states]).T)
-        self.mu, self.d2g = _chemical_potential(g, self.u, self.potential, self.pad)
-
-        # where each member is in its solve
-        self.ladder = [[sp.eps_min] if warm[i] else self.ladders[i]
-                       for i, sp in enumerate(self.steps)]
-        self.eps, self.tol, self.f = np.ones((B, 1)), np.zeros(B), np.zeros(B)
-        self.level, self.it, self.iters = (np.zeros(B, dtype=int) for _ in range(3))
-        self.active = np.ones(B, dtype=bool)
-        self._enter_level(np.arange(B))
-        while self.active.any():
-            self._newton_pass()
-
-        terms = _step_terms(g, self.u_star, self.q, self.u, self.mu, self.w, m_int,
-                            self.alpha, self.p)
-        results = []
-        for i, state in enumerate(self.states):
-            sol = _Iterate(self.q[i], self.u[i], EnergyBreakdown(*map(float, self.e[:, i])),
-                           self.mu[i], self.d2g[i], self.f[i])
-            results.append(_result(g, sol, state.energy_star, int(self.iters[i]),
-                                   [t[i] for t in terms], state))
-        return results
-
-    def _enter_level(self, rows):
-        """A new level keeps the energy, mu and G_sigma'' and re-adds only
-        the dissipation."""
-        for i in rows:
-            ladder, level = self.ladder[i], self.level[i]
-            self.eps[i] = ladder[level]
-            self.tol[i] = _level_tol(self.steps[i], ladder[level], level == len(ladder) - 1)
-        self.it[rows] = 0
-        self.f[rows] = _functional(self.grid, None, self.scale[rows], self.p[rows],
-                                   self.eps[rows], self.w[rows], self.q[rows], None,
-                                   EnergyBreakdown(*self.e[:, rows]))[0]
-
-    def _level_done(self, rows):
-        self.iters[rows] += self.it[rows]
-        more = [i for i in rows if self.level[i] < len(self.ladder[i]) - 1]
-        self.active[rows] = False
-        if more:
-            more = np.array(more)
-            self.active[more] = True
-            self.level[more] += 1
-            self._enter_level(more)
-
-    def _newton_pass(self):
-        """One damped Newton iteration of every member still iterating."""
-        g, dx, h = self.grid, self.grid.dx, self.h
-        g_scaled = _reduced_gradient(dx, self.mu, self.w, self.q, self.p, self.eps)
-        grad_norm = np.sqrt(dx * (g_scaled * g_scaled).sum(axis=1))
-        tol, cap, eps = self.tol, self.max_newton, self.eps
-        converged = self.active & _converged(grad_norm, tol, self.it, cap)
-        go = self.active & ~converged & (self.it < cap)
-        capped = np.flatnonzero(self.active & ~converged & ~go)
-        if capped.size:
-            i = capped[0]
-            raise StepNonconvergenceError(
-                f"Newton did not reach tol_grad={tol[i]:g} in {cap[i]} "
-                f"iterations (grad norm {grad_norm[i]:.3e}, eps {eps[i, 0]:g})")
-        self._level_done(np.flatnonzero(converged))
-        if not go.any():
-            return
-
-        grad_raw = h * dx * g_scaled
-        ws = self.states[0].ws
-        d0, d1 = _newton_bands(dx, ws.lap_diag, ws.ao, h, self.w, self.d2g, self.q, self.p, eps)
-        d0[self.shift] = _shifted(d0[self.shift])
-        # solveh_banded per iterating member, its finiteness checks made once for all
-        rhs = -grad_raw
-        if not (np.isfinite(d0).all() and np.isfinite(d1).all() and np.isfinite(rhs).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        ab = self.ab
-        ab[:, 2] = d0
-        ab[:, 1, 1:] = d1
-        delta, dd = np.zeros_like(grad_raw), np.zeros(len(go))
-        for i in np.flatnonzero(go).tolist():
-            _, x, info = dpbsv(ab[i], rhs[i])
-            if info < 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-            if info > 0:
-                raise StepNonconvergenceError(
-                    f"Newton direction failed: {info}th leading minor not positive definite")
-            delta[i], dd[i] = x, _slope(grad_raw[i], x)
-
-        # the height moves by -dh along delta; cap the cells it lowers
-        dh = _flux_change(self.pad, delta, h, dx)
-        shrink = dh > 0.0
-        ratio = np.where(shrink, self.u, math.inf) / np.where(shrink, dh, 1.0)
-        t = np.where(self.barrier, np.minimum(1.0, _TAU_BOUNDARY * ratio.min(axis=1)), 1.0)
-
-        # the line search of _newton on the iterating members
-        granularity = _granularity(self.f)
-        pending = go.copy()
-        for _ in range(_MAX_HALVINGS):
-            q_try = self.q + t[:, None] * delta
-            u_try = _height(g, self.u_star, h, q_try, self.pad)
-            f_try, e_try = _functional(g, self.potential, self.scale, self.p, eps, self.w,
-                                       q_try, u_try)
-            decrease_ok = f_try <= self.f + _ARMIJO_C * t * dd
-            unmeasurable = (-t * dd <= granularity) & np.isfinite(f_try)
-            ok = decrease_ok | unmeasurable
-            took = pending & ok
-            self.q[took], self.u[took], self.f[took] = q_try[took], u_try[took], f_try[took]
-            self.e[:, took] = np.stack(e_try)[:, took]
-            pending &= ~ok
-            if not pending.any():
-                break
-            # an accepted member rides along the remaining halvings at its new iterate
-            delta[took] = 0.0
-            t[pending] *= 0.5
-        if pending.any():
-            stalled = np.flatnonzero(pending & (grad_norm > tol))
-            if stalled.size:
-                i = stalled[0]
-                raise StepNonconvergenceError(
-                    f"line search stalled at grad norm {grad_norm[i]:.3e} > tol "
-                    f"{tol[i]:g}; tol_grad is below the roundoff floor of this problem")
-            # stalled while polishing an already-converged iterate
-            self._level_done(np.flatnonzero(pending))
-        moved = go & ~pending
-        mu, d2g = _chemical_potential(g, self.u, self.potential, self.pad)
-        self.mu[moved], self.d2g[moved] = mu[moved], d2g[moved]
-        self.it[moved] += 1
+        start = prob.start(self.states, u_star, m_int, [s.energy_star for s in self.states])
+        return prob.results(self.states, start, _solve(prob, start))
 
 
 def el_residual(g, res, u_star, model):

@@ -1,10 +1,10 @@
 """The batched ensemble march: ``run_many`` over configs that share a grid
-equals ``run`` config by config (to rtol 1e-7 on heights and on every
-record column; the EL residual, which sits at roundoff, within its gate
-wherever run's is),
-member by member, through warm starts that leave the barrier domain,
-failing members (Newton caps, failed Newton directions and warm Newton
-failures), and mixed grids and step counts."""
+equals ``run`` config by config (bit for bit when the members share model
+and step parameters; otherwise to rtol 1e-7 on heights and on every
+record column, the EL residual, which sits at roundoff, within its gate
+wherever run's is), member by member, through warm starts that leave the
+barrier domain, failing members (Newton caps, failed Newton directions
+and warm Newton failures), and mixed grids and step counts."""
 
 import itertools
 from unittest.mock import patch
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import tfilm.driver
 import tfilm.step
 from tfilm.driver import EnergyAuditError, InitialDataSpec, RunConfig, run, run_many
+from tfilm.experiments import liftoff_configs
 from tfilm.grid import Grid
 from tfilm.models import (
     ModelParams,
@@ -85,17 +86,17 @@ def assert_series_match(batched, serial):
 def run_each(configs):
     """run of each config, and the number of steps whose Newton failed from
     the warm start (run solved those steps cold)."""
-    real = tfilm.step._descend
+    real = tfilm.step._solve
     warm_failures = []
 
-    def watched(*args):
+    def watched(prob, start):
         try:
-            return real(*args)
+            return real(prob, start)
         except StepNonconvergenceError:
             warm_failures.append(1)  # a cold failure would end the run
             raise
 
-    with patch.object(tfilm.step, "_descend", watched):
+    with patch.object(tfilm.step, "_solve", watched):
         serial = [run(c) for c in configs]
     return serial, len(warm_failures)
 
@@ -177,6 +178,21 @@ def replace_steps(cfg, n_steps):
                      record_every=2, initial=cfg.initial)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_a_uniform_liftoff_family_equals_run_bit_for_bit(alpha):
+    # one model and one step for all members, so the batch holds their
+    # parameters as scalars and does run's arithmetic
+    h = 1e-5
+    configs = liftoff_configs(np.geomspace(1e-1, 1e-3, B_MIN), M=1.0, n=2.0, alpha=alpha,
+                              grid=Grid(1.0, 64), step=StepParams(h=h, tol_grad=1e-8),
+                              T=12 * h, record_every=3)
+    for got, ref in zip(batched_only(configs), [run(c) for c in configs]):
+        for name in ref.diagnostics.dtype.names:
+            assert np.array_equal(got.column(name), ref.column(name)), name
+        assert got.snapshots.keys() == ref.snapshots.keys()
+        assert all(np.array_equal(got.snapshots[k], u) for k, u in ref.snapshots.items())
+
+
 def test_configs_of_different_lengths_are_batched_apart():
     g = Grid(1.0, 32)
     configs = [replace_steps(c, n) for c, n in zip(family(g, 2 * B_MIN + 1),
@@ -201,43 +217,43 @@ def test_configs_of_different_lengths_are_batched_apart():
 def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     g = Grid(1.0, 32)
     configs = [replace_steps(c, 5) for c in family(g, B_MIN + 1)]
-    real_pass, real_dpbsv = tfilm.step.StepBatch._newton_pass, tfilm.step.dpbsv
-    solves, passes = [], []
+    real_step = tfilm.step.StepBatch.step
+    real_gradient, real_dpbsv = tfilm.step._reduced_gradient, tfilm.step.dpbsv
+    bands, steps = [], []  # each step: per pass, (q, mu) at its start and the rows it solved
+
+    def stepped(batch, u_stars):
+        bands[:] = [batch.problem.ab]
+        steps.append([])
+        return real_step(batch, u_stars)
+
+    def gradient(dx, mu, w, q, p, eps):  # evaluated once at the start of each pass
+        steps[-1].append((q.copy(), mu.copy(), []))
+        return real_gradient(dx, mu, w, q, p, eps)
 
     def counted(ab, b):
-        solves.append(ab)
+        steps[-1][-1][2].extend(i for i, row in enumerate(bands[0]) if np.shares_memory(ab, row))
         return real_dpbsv(ab, b)
 
-    def watched(batch):
-        before = {name: getattr(batch, name).copy()
-                  for name in ("q", "u", "e", "f", "mu", "d2g", "it", "level", "active")}
-        solves.clear()
-        real_pass(batch)
-        B = len(batch.ab)
-        rows = [i for ab in solves for i in range(B) if np.shares_memory(ab, batch.ab[i])]
-        # one dpbsv call per iterating member, and those members take one iteration
-        assert len(rows) == len(set(rows)) == len(solves)
-        assert before["active"][rows].all()
-        stepped = (batch.it == before["it"] + 1) & (batch.level == before["level"])
-        assert sorted(rows) == np.flatnonzero(stepped).tolist()
-        # every other member rides along: its row is left as it was, except
-        # for the functional of a member that entered a new eps level
-        for i in sorted(set(range(B)) - set(rows)):
-            for name in ("q", "u", "mu", "d2g"):
-                assert np.array_equal(getattr(batch, name)[i], before[name][i]), (name, i)
-            assert np.array_equal(batch.e[:, i], before["e"][:, i]), ("e", i)
-            if batch.level[i] == before["level"][i]:
-                assert batch.f[i] == before["f"][i], ("f", i)
-        passes.append((len(rows), int(before["active"].sum())))
-
-    with patch.object(tfilm.step, "dpbsv", counted), \
-            patch.object(tfilm.step.StepBatch, "_newton_pass", watched):
+    with patch.object(tfilm.step.StepBatch, "step", stepped), \
+            patch.object(tfilm.step, "_reduced_gradient", gradient), \
+            patch.object(tfilm.step, "dpbsv", counted):
         batched = batched_only(configs)
     for b, ref in zip(batched, [run(c) for c in configs]):
         assert_series_match(b, ref)
+    B = len(configs)
+    assert len(steps) == 5
+    for passes in steps:
+        for (q, mu, rows), (q_next, mu_next, _) in zip(passes, passes[1:]):
+            # one dpbsv call per iterating member, and its iterate moves
+            assert len(rows) == len(set(rows))
+            for i in rows:
+                assert not np.array_equal(q_next[i], q[i]), i
+            # every other member rides along: its row is left as it was
+            for i in sorted(set(range(B)) - set(rows)):
+                assert np.array_equal(q_next[i], q[i]) and np.array_equal(mu_next[i], mu[i]), i
     # passes with members still iterating beside members that are done for
-    # the step
-    assert any(0 < solved < active for solved, active in passes)
+    # the step or entering a new eps level
+    assert any(0 < len(rows) < B for passes in steps for _, _, rows in passes)
 
 
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():

@@ -98,18 +98,19 @@ def test_step_carried_quantities_match_recomputation(case):
 def test_newton_iterate_carries_its_mu_and_curvature(case):
     g, model, sp, u = case
     mp = model.modified
-    states = []
-    real = tfilm.step._descend
+    solved = []
+    real = tfilm.step._solve
 
-    def recording(*args):
-        state, iters = real(*args)
-        states.append(state)
-        return state, iters
+    def recording(prob, start):
+        sol = real(prob, start)
+        solved.append(sol)
+        return sol
 
-    with patch.object(tfilm.step, "_descend", recording):
+    with patch.object(tfilm.step, "_solve", recording):
         solve_step(g, u, model, sp)
-    v = states[-1].u
-    assert np.array_equal(np.stack([states[-1].mu, states[-1].d2g]),
+    # the one-member stack of the solved iterate
+    (v,), (mu,), (d2g,) = solved[-1].u, solved[-1].mu, solved[-1].d2g
+    assert np.array_equal(np.stack([mu, d2g]),
                           np.stack([-laplacian_neumann(g, v) + mp.dg_sigma(v), mp.d2g_sigma(v)]))
 
 

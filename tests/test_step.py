@@ -292,17 +292,17 @@ def test_failed_warm_start_reruns_the_cold_ladder(monkeypatch):
     model = barrier_model(alpha=2.0)
     sp = StepParams(h=1e-4, tol_grad=1e-8)
     cold = solve_step(g, u, model, sp)
-    real = tfilm.step._descend
+    real = tfilm.step._solve
     ladders = []
 
-    def failing_at_eps_min_only(*args):
-        ladder = args[-2]
+    def failing_at_eps_min_only(prob, start):
+        (ladder,) = start.ladders
         ladders.append(list(ladder))
         if len(ladder) == 1:
             raise StepNonconvergenceError("forced", iters=5)
-        return real(*args)
+        return real(prob, start)
 
-    monkeypatch.setattr(tfilm.step, "_descend", failing_at_eps_min_only)
+    monkeypatch.setattr(tfilm.step, "_solve", failing_at_eps_min_only)
     warm = solve_step(g, u, model, sp, state=holding(g, u, model, sp, cold.j))
     assert ladders[0] == [sp.eps_min] and len(ladders[1]) == 7
     assert np.array_equal(warm.u_next, cold.u_next)

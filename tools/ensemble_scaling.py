@@ -4,7 +4,7 @@
 
 For family-style groups (B of the 18 N=64 alpha x n x potential members
 of the family_sweep benchmark at seed 31337, built by
-``bench/workloads.build`` and used read-only) of B = 2, 3, 6 and 18
+``bench/workloads.build`` and used read-only) of B = 2, 3, 4, 6 and 18
 members, and for lift-off families (N=256, one member per delta) of B = 3
 and 7 members, times `[run(c) for c in configs]` ("serial") and the
 batched march that `run_many` uses for a group of one grid and step count
@@ -37,7 +37,7 @@ from tfilm.grid import Grid  # noqa: E402
 from tfilm.step import StepParams  # noqa: E402
 
 REPEATS = 7
-FAMILY_SIZES = (2, 3, 6, 18)
+FAMILY_SIZES = (2, 3, 4, 6, 18)
 LIFTOFF_SIZES = (3, 7)
 
 

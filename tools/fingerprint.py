@@ -5,12 +5,14 @@
 For each seed, runs three config sets and hashes what they produce:
 
 * ``march``: the march_nonnewtonian configs of the benchmark, through
-  ``run`` (the serial Newton loop);
+  ``run`` (config by config, the Newton loop on one member);
 * ``family``: the 18 family_sweep configs, through ``run_many`` (one
   batched Newton march);
 * ``liftoff``: a 7-member lift-off family at N=256, whose deltas the
-  seed jitters, through ``run_many`` (batched, a group of
-  ``driver._BATCH_MIN`` members).
+  seed jitters, through ``run_many`` (one batched Newton march), and
+  again config by config through ``run`` (``liftrun``).  Its members
+  share model and step parameters, so the batch does ``run``'s
+  arithmetic: the script exits 1 if the two hashes differ.
 
 The benchmark configs come from ``bench/workloads.build`` at full size;
 nothing there is changed.  The hash covers each series' diagnostics
@@ -58,6 +60,7 @@ def runs(seed, workdir):
     family = workloads.build("family_sweep", seed, "full", workdir).configs
     yield "family", driver.run_many(family)
     yield "liftoff", driver.run_many(liftoff(seed))
+    yield "liftrun", [driver.run(c) for c in liftoff(seed)]
 
 
 def digest(series_list):
@@ -77,10 +80,14 @@ def main(argv=None):
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
         for seed in args.seeds:
+            hashes = {}
             for name, series in runs(seed, workdir):
                 errors = workloads.check_runs(series).errors
+                hashes[name] = digest(series)
+                if name == "liftrun" and hashes[name] != hashes["liftoff"]:
+                    errors.append("run_many's lift-off family differs from run's")
                 failed |= bool(errors)
-                print(f"{name:>8} seed {seed:>5} {digest(series)}"
+                print(f"{name:>8} seed {seed:>5} {hashes[name]}"
                       + "".join(f"\n    gate failed: {e}" for e in errors), flush=True)
     return 1 if failed else 0
 
