@@ -403,9 +403,10 @@ def _cold_ladder(model, step):
 
 def _shared(values, rows=None):
     """The common value of the members in rows (all by default) as a
-    scalar, else the values of all members as a (B, 1) column.  Numpy's
-    arithmetic with a scalar is its arithmetic with a column of that
-    value, and faster."""
+    scalar, else the values of all members as a (B, 1) column.  A scalar
+    keeps a one-member step's arithmetic bit for bit (numpy's power with a
+    column of exponents can differ from its power with a scalar in the last
+    bit) and spares the broadcast."""
     first = values[0 if rows is None else rows[0]]
     for i in range(len(values)) if rows is None else rows:
         if values[i] != first:
@@ -577,8 +578,7 @@ def _solve(prob, start):
 
     A pass evaluates the kernels once on all rows; a member that is not
     iterating in it (done, or entering its next eps level) rides along
-    with a zero direction and a unit step, so its trial row is its
-    iterate bit for bit.  Any failure raises StepNonconvergenceError with
+    with a zero direction, so its trial row is its iterate bit for bit.  Any failure raises StepNonconvergenceError with
     the failing member's iterate.  Returns the solved ``_Iterate``.
     """
     g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
@@ -588,7 +588,8 @@ def _solve(prob, start):
     mu, d2g = _chemical_potential(g, u, mp, pad)
     B = len(q)
     level, it, iters, done = [0] * B, [0] * B, [0] * B, [False] * B
-    f, eps, tol, norms, slope, t = ([0.0] * B for _ in range(6))
+    f, eps, tol = [0.0] * B, [0.0] * B, [0.0] * B
+    norms, slope, t = [0.0] * B, [0.0] * B, [0.0] * B
     active, entering = list(range(B)), list(range(B))
 
     def level_done(i):
