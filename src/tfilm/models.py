@@ -425,7 +425,14 @@ def energy(g, u, mp):
     du = gradient(g, u)
     squares = (du * du).sum(axis=-1)
     if u.ndim > 1:
-        return _stacked_energy(g, u, mp, squares)
+        # the scalar arithmetic of each row on Python floats, as for one height
+        dirichlet = [0.5 * s * g.dx for s in squares.tolist()]
+        pot_vals = mp.g_sigma(u)
+        potential = integrate(g, pot_vals).tolist()
+        for i, value in enumerate(potential):
+            if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
+                potential[i] = INFINITE_ENERGY
+        return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])
     dirichlet = float(0.5 * squares * g.dx)
     if mp.has_barrier and (u <= 0.0).any():
         return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
@@ -435,15 +442,3 @@ def energy(g, u, mp):
     if not math.isfinite(potential) and np.isinf(pot_vals).any():
         return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
     return EnergyBreakdown(dirichlet, potential, dirichlet + potential)
-
-
-def _stacked_energy(g, u, mp, squares):
-    """``energy`` of the rows of u, given their sums of squared gradients;
-    the scalar arithmetic is done on Python floats, as for one height."""
-    dirichlet = [0.5 * s * g.dx for s in squares.tolist()]
-    pot_vals = mp.g_sigma(u)
-    potential = integrate(g, pot_vals).tolist()
-    for i, value in enumerate(potential):
-        if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
-            potential[i] = INFINITE_ENERGY
-    return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])

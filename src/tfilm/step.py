@@ -578,8 +578,9 @@ def _solve(prob, start):
 
     A pass evaluates the kernels once on all rows; a member that is not
     iterating in it (done, or entering its next eps level) rides along
-    with a zero direction, so its trial row is its iterate bit for bit.  Any failure raises StepNonconvergenceError with
-    the failing member's iterate.  Returns the solved ``_Iterate``.
+    with a zero direction, so its trial row is its iterate bit for bit.
+    Any failure raises StepNonconvergenceError with the failing member's
+    iterate.  Returns the solved ``_Iterate``.
     """
     g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
     scale, caps, barrier = prob.scale, prob.caps, prob.barrier
@@ -622,11 +623,10 @@ def _solve(prob, start):
         go = []
         for i in active:
             norms[i] = grad_norm = math.sqrt(dx * squares[i])
-            # converged on the gradient norm; a first iterate that is merely
-            # under tol still gets one polishing iteration (unless the cap
-            # allows none): without it, modes whose driving gradient has
-            # decayed below tol would freeze instead of keeping their
-            # relative accuracy
+            # converged on the gradient norm; a first iterate merely under tol
+            # still gets one polishing iteration (unless the cap allows none):
+            # without it, modes whose driving gradient has decayed below tol
+            # would freeze instead of keeping their relative accuracy
             if grad_norm <= tol[i] and (it[i] >= 1 or grad_norm == 0.0 or caps[i] == 0):
                 level_done(i)
             elif it[i] == caps[i]:
@@ -689,13 +689,12 @@ def _solve(prob, start):
                     # every other row rode along, so each row is its member's iterate
                     q, u, e, pending = q_try, u_try, e_try, rest
                     break
+                # an accepted member rides along the remaining halvings
                 took = [i for i in pending if i not in rest]
-                if took:
-                    # an accepted member rides along the remaining halvings
-                    q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
-                    for a, b in zip(e, e_try):
-                        for i in took:
-                            a[i] = b[i]
+                q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
+                for a, b in zip(e, e_try):
+                    for i in took:
+                        a[i] = b[i]
                 pending = rest
                 for i in rest:
                     t[i] *= 0.5
