@@ -262,9 +262,9 @@ def run(cfg):
 
 # Groups of at least this many configs of one grid and step count are
 # marched as one batch.  Smaller groups run config by config:
-# tools/ensemble_scaling.py measured the batch against that at 0.95-1.03x
-# for 2 family members and 0.96-1.05x for 3 (six runs each, so 3 is break
-# even), 1.15-1.23x for 4 (three runs), 1.50-1.61x for 6 and 2.43-2.59x for
+# tools/ensemble_scaling.py measured the batch against that at 0.95-1.04x
+# for 2 family members and 0.93-1.05x for 3 (nine runs each, so 3 is break
+# even), 1.11-1.23x for 4 (six runs), 1.44-1.61x for 6 and 2.43-2.65x for
 # 18, and at 1.61-1.83x for a 3-member lift-off family.
 _BATCH_MIN = 4
 

@@ -19,6 +19,7 @@ integration-by-parts identity exact.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class Grid:
         if not 0.0 < self.L < math.inf:
             raise ValueError(f"domain length must be positive and finite, got L={self.L}")
 
-    @property
+    @cached_property
     def dx(self):
         return self.L / self.N
 
@@ -116,5 +117,5 @@ def laplacian_neumann(g, u):
 def integrate(g, f):
     """Midpoint quadrature sum(f_i) * dx; (B,) sums of a stack (B, N)."""
     f = _check_cells(g, f)
-    total = f.sum(axis=-1) * g.dx
+    total = np.add.reduce(f, axis=-1) * g.dx
     return float(total) if f.ndim == 1 else total

@@ -423,7 +423,7 @@ def energy(g, u, mp):
     """
     u = np.asarray(u, dtype=float)
     du = gradient(g, u)
-    squares = (du * du).sum(axis=-1)
+    squares = np.add.reduce(du * du, axis=-1)
     if u.ndim > 1:
         # the scalar arithmetic of each row on Python floats, as for one height
         dirichlet = [0.5 * s * g.dx for s in squares.tolist()]

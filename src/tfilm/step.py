@@ -53,9 +53,9 @@ or a direction whose slope against the gradient is not negative, raises
 A step is warm-started from the flux that its ``StepState`` predicts.
 ``run`` carries one state from step to step: the energy of the height
 the next step starts from (the previous step's ``energy_after``), the
-last three accepted fluxes, and the step's fixed data (workspace and
-parameters, built at its first step).  The prediction is the flux
-extrapolated in time, quadratic through the last three, 3 j_k - 3
+last three accepted fluxes, and the step's fixed data (parameters, band
+storage and buffers, built at its first step).  The prediction is the
+flux extrapolated in time, quadratic through the last three, 3 j_k - 3
 j_{k-1} + j_{k-2} (linear through two, the last flux alone after one
 step): the step minimisers change smoothly in time, so the prediction
 starts Newton closer to the next one than the previous flux does.  A
@@ -78,8 +78,8 @@ bands and the boundary cap.  Each member's band is solved by its own
 ``solveh_banded`` call, and every decision of a member (convergence, the
 Newton cap, Armijo acceptance, a stall while polishing, entry into its
 next eps level) is made on Python floats.  Each member walks its own eps
-ladder.  A parameter that all members share (alpha, p, h, the diagonal
-shift, G_sigma) is held as a scalar and the others as (B, 1) columns,
+ladder.  A parameter of the arithmetic that all members share (alpha,
+p, h, G_sigma) is held as a scalar and the others as (B, 1) columns,
 and the per-member sums (energies, functional values) are finished on
 Python floats, so a member of a batch that shares model and step
 parameters does the arithmetic of its one-member step, ``run``'s, bit
@@ -231,17 +231,15 @@ def _functional(g, mp, scale, p, eps, w, q, u, e=None, eps_p=None):
 
     w = m(u*)^(-1/alpha) on interior faces and scale = h alpha/(alpha+1) dx.
     A known energy e of u is reused, so that only the dissipation term is
-    added; the infinite energy sentinel carries through the sum.  Stacks
-    of B members take q (B, N-1), u (B, N), p, eps and eps_p as scalars or
+    added; the infinite energy sentinel carries through the sum.  B
+    members take q (B, N-1), u (B, N), p, eps and eps_p as scalars or
     (B, 1) columns and scale as a list, and give a list of B values, the
-    sums taken on Python floats as for one member.
+    sums taken on Python floats.
     """
     if e is None:
         e = energy(g, u, mp)
-    dissipation = (w * _psi_eps(q, p, eps, eps_p)).sum(axis=-1)
-    if dissipation.ndim == 0:
-        return e.total + scale * dissipation, e
-    return [t + s * d for t, s, d in zip(e.total, scale, dissipation.tolist())], e
+    dissipation = np.add.reduce(w * _psi_eps(q, p, eps, eps_p), axis=-1).tolist()
+    return [t + s * d for t, s, d in zip(e.total, scale, dissipation)], e
 
 
 def _dissipation_scale(g, model, h):
@@ -259,8 +257,8 @@ def reduced_objective(g, j, u_star, model, step, eps):
     u = u_star - step.h * divergence(g, j)
     w = m_faces[1:-1] ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
-    return float(_functional(g, model.modified, _dissipation_scale(g, model, step.h),
-                             model.p, eps, w, q, u)[0])
+    return _functional(g, model.modified, [_dissipation_scale(g, model, step.h)],
+                       model.p, eps, w, q[None], u[None])[0][0]
 
 
 def solveh_banded(ab, b):
@@ -297,17 +295,14 @@ def _chemical_potential(g, u, mp, pad):
     return dg - lap, d2g
 
 
-def _el_defect(g, q, mu, m_int, alpha):
-    """Face-weighted l^(alpha+1) norm of q - m Psi(-grad mu) on interior
-    faces; a list of B norms for a stack of members, alpha a scalar or a
-    (B, 1) column, each root taken on Python floats as for one member."""
+def _el_defect(g, q, mu, m_int, alpha, alphas):
+    """Face-weighted l^(alpha+1) norms of q - m Psi(-grad mu) on the
+    interior faces of B members: rows of q, mu and m_int, alpha a scalar
+    or a (B, 1) column, and alphas each member's, for the roots taken on
+    Python floats."""
     r = q - m_int * psi(alpha, -(mu[..., 1:] - mu[..., :-1]) / g.dx)
-    pprime = alpha + 1.0
-    sums = (np.abs(r) ** pprime).sum(axis=-1)
-    if sums.ndim == 0:
-        return (g.dx * float(sums)) ** (1.0 / pprime)
-    pprimes = pprime[:, 0].tolist() if isinstance(pprime, np.ndarray) else [pprime] * len(sums)
-    return [(g.dx * s) ** (1.0 / pp) for s, pp in zip(sums.tolist(), pprimes)]
+    sums = (np.abs(r) ** (alpha + 1.0)).sum(axis=-1).tolist()
+    return [(g.dx * s) ** (1.0 / (a + 1.0)) for s, a in zip(sums, alphas)]
 
 
 def _flux_change(pad, q, h, dx):
@@ -332,7 +327,7 @@ def _reduced_gradient(dx, mu, w, q, p, eps):
 def _newton_bands(dx, lap_diag, ao, h, w, d2g, q, p, eps):
     """(diagonal, first off-diagonal) of the Newton matrix in the
     interior-face index: the energy block h^2 D^T H_E D (pentadiagonal,
-    its outer band set in the workspace) plus the dissipation diagonal."""
+    its outer band set once per run) plus the dissipation diagonal."""
     ad = dx * (lap_diag + d2g)
     d0 = ad[..., :-1] - 2.0 * ao
     d0 += ad[..., 1:]
@@ -365,24 +360,6 @@ def _granularity(f):
     return _GRAIN * (1.0 + abs(f))
 
 
-class _Workspace(NamedTuple):
-    """What stays fixed through one step of one member."""
-
-    lap_diag: np.ndarray     # diagonal of -Delta_h on cells
-    ao: float                # dx * its off-diagonal
-    ab: np.ndarray           # band storage of the Newton matrix, outer band set
-
-
-def _workspace(g, h):
-    dx = g.dx
-    lap_diag = np.full(g.N, 2.0 / dx**2)
-    lap_diag[0] = lap_diag[-1] = 1.0 / dx**2
-    ao = dx * (-1.0 / dx**2)
-    ab = np.zeros((3, g.N - 1))
-    ab[0, 2:] = h * h * (-ao / dx**2)  # the outer band h^2 D^T (-Delta_h) D
-    return _Workspace(lap_diag, ao, ab)
-
-
 def _level_tol(step, eps, last):
     return step.tol_grad if last else max(step.tol_grad, 0.1 * eps)
 
@@ -406,7 +383,8 @@ def _shared(values, rows=None):
     scalar, else the values of all members as a (B, 1) column.  A scalar
     keeps a one-member step's arithmetic bit for bit (numpy's power with a
     column of exponents can differ from its power with a scalar in the last
-    bit) and spares the broadcast."""
+    bit) and spares the broadcast; it is for the parameters of the
+    arithmetic."""
     first = values[0 if rows is None else rows[0]]
     for i in range(len(values)) if rows is None else rows:
         if values[i] != first:
@@ -417,34 +395,42 @@ def _shared(values, rows=None):
 class _Problem:
     """What stays fixed for B members on one grid through a run.
 
-    The members' parameters are scalars where they share them and (B, 1)
-    columns where they do not (the dissipation scales are a list); G_sigma is
-    one ``ModifiedPotential`` when they share it and a ``PotentialStack``
-    (the members of one kind consecutive) when they do not.  Besides
-    them: the cold eps ladders, the -Delta_h bands, the Newton band
-    storage (B, 3, N-1) and the zero-ended face buffer (B, N+1).
+    The parameters of the members' arithmetic are scalars where they
+    share them and (B, 1) columns where they do not (the dissipation
+    scales are a list); G_sigma is one ``ModifiedPotential`` when they
+    share it and a ``PotentialStack`` (the members of one kind consecutive)
+    when they do not.  Besides them: the members shifting their Newton
+    diagonal (a bool column), the cold eps ladders, the -Delta_h bands, the
+    Newton band storage (B, 3, N-1) and the zero-ended face buffer (B, N+1).
     """
 
     def __init__(self, g, models, steps):
         self.grid, self.models, self.steps = g, tuple(models), tuple(steps)
-        self.alpha = _shared([m.alpha for m in models])
+        self.alpha_each = [m.alpha for m in models]
+        self.alpha = _shared(self.alpha_each)
         self.p_each = [m.p for m in models]
         self.p = _shared(self.p_each)
         self.h = _shared([sp.h for sp in steps])
         self.scale = [_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)]
-        self.shift = _shared([m.p > 2.0 for m in models])
+        self.shift = np.array([[m.p > 2.0] for m in models])
+        self.any_shift = bool(self.shift.any())
         self.barrier = [m.modified.has_barrier for m in models]
         self.any_barrier = any(self.barrier)
         mps = [m.modified for m in models]
         self.potential = mps[0] if all(mp == mps[0] for mp in mps) else PotentialStack(mps)
         self.ladders = [_cold_ladder(m, sp) for m, sp in zip(models, steps)]
         self.caps = [sp.max_newton for sp in steps]
-        ws = [_workspace(g, sp.h) for sp in steps]
-        # a row per member, so that it adds to the rows without broadcasting
-        self.lap_diag = np.tile(ws[0].lap_diag, (len(ws), 1))
-        self.ao = ws[0].ao
-        self.ab = np.stack([w.ab for w in ws])
-        self.pad = np.zeros((len(ws), g.N + 1))
+        B, dx = len(models), g.dx
+        # -Delta_h on cells: its diagonal, a row per member so that it adds
+        # to the rows without broadcasting, and dx times its off-diagonal
+        self.lap_diag = np.full((B, g.N), 2.0 / dx**2)
+        self.lap_diag[:, [0, -1]] = 1.0 / dx**2
+        self.ao = dx * (-1.0 / dx**2)
+        # each member's Newton band storage, its outer band h^2 D^T (-Delta_h) D set
+        self.ab = np.zeros((B, 3, g.N - 1))
+        for ab, sp in zip(self.ab, steps):
+            ab[0, 2:] = sp.h * sp.h * (-self.ao / dx**2)
+        self.pad = np.zeros((B, g.N + 1))
 
     def start(self, states, u_star, m_int, e_before, warm=True):
         """The step from the rows of u_star, with the interior face
@@ -485,7 +471,8 @@ class _Problem:
         """The members' StepResults of the solved step, after the mass and
         zero-flux comparison checks; each state records its member's step."""
         g = self.grid
-        flux, strong, el = _step_terms(g, sol.q, sol.mu, start.w, start.m_int, self.alpha, self.p)
+        flux, strong, el = _step_terms(g, sol.q, sol.mu, start.w, start.m_int, self.alpha,
+                                       self.alpha_each, self.p)
         out = []
         for i, (state, e_after, e_before) in enumerate(zip(states, zip(*sol.energy),
                                                            start.e_before)):
@@ -619,7 +606,7 @@ def _solve(prob, start):
             entering.clear()
 
         g_scaled = _reduced_gradient(dx, mu, w, q, p, eps_col)
-        squares = (g_scaled * g_scaled).sum(axis=-1).tolist()
+        squares = np.add.reduce(g_scaled * g_scaled, axis=-1).tolist()
         go = []
         for i in active:
             norms[i] = grad_norm = math.sqrt(dx * squares[i])
@@ -638,9 +625,8 @@ def _solve(prob, start):
         if go:
             grad_raw = h * dx * g_scaled
             d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, q, p, eps_col)
-            shift = prob.shift
-            if shift is not False:
-                d0 = _shifted(d0) if shift is True else np.where(shift, _shifted(d0), d0)
+            if prob.any_shift:
+                d0 = np.where(prob.shift, _shifted(d0), d0)
             ab = prob.ab
             ab[:, 2] = d0
             ab[:, 1, 1:] = d1
@@ -670,32 +656,36 @@ def _solve(prob, start):
             # granularity cannot be verified by comparing values; the
             # problem is convex with an SPD Hessian, so in that contraction
             # regime a feasible (boundary-capped) Newton step is taken
-            # outright.
-            pending = go
+            # outright.  The other members ride along with a zero
+            # direction at any step.
+            t_col = _shared(t, go)
+            pending, stepped = go, []
             for _ in range(_MAX_HALVINGS):
-                # the other members ride along with a zero direction at any step
-                q_try = q + _shared(t, pending) * delta
+                q_try = q + t_col * delta
                 u_try = _height(g, u_star, h, q_try, pad)
                 f_try, e_try = _functional(g, mp, scale, p, eps_col, w, q_try, u_try, None, eps_p)
-                rest = []
+                took, rest = [], []
                 for i in pending:
                     ti, fi = t[i], f_try[i]
                     if (fi <= f[i] + _ARMIJO_C * ti * slope[i]
                             or (-ti * slope[i] <= _granularity(f[i]) and math.isfinite(fi))):
                         f[i] = fi
+                        took.append(i)
                     else:
                         rest.append(i)
+                stepped += took
+                pending = rest
                 if not rest:
                     # every other row rode along, so each row is its member's iterate
-                    q, u, e, pending = q_try, u_try, e_try, rest
+                    q, u, e = q_try, u_try, e_try
                     break
-                # an accepted member rides along the remaining halvings
-                took = [i for i in pending if i not in rest]
-                q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
-                for a, b in zip(e, e_try):
-                    for i in took:
-                        a[i] = b[i]
-                pending = rest
+                if took:
+                    # an accepted member rides along the remaining halvings
+                    q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
+                    for a, b in zip(e, e_try):
+                        for i in took:
+                            a[i] = b[i]
+                t_col *= 0.5
                 for i in rest:
                     t[i] *= 0.5
             for i in pending:
@@ -704,23 +694,22 @@ def _solve(prob, start):
                                    f"{tol[i]:g}; tol_grad is below the roundoff floor of "
                                    "this problem", q[i], u[i], norms[i], it[i])
                 level_done(i)  # stalled while polishing an already-converged iterate
-            if len(pending) < len(go):
+            if stepped:
                 mu, d2g = _chemical_potential(g, u, mp, pad)
-                for i in go:
-                    if i not in pending:
-                        it[i] += 1
+                for i in stepped:
+                    it[i] += 1
         active = [i for i in active if not done[i]]
     return _Iterate(q, u, e, mu, d2g, f, iters)
 
 
-def _step_terms(g, q, mu, w, m_int, alpha, p):
+def _step_terms(g, q, mu, w, m_int, alpha, alphas, p):
     """(flux and strong dissipation integrals, EL defects) of the solved
     members, each with B entries."""
     dx = g.dx
     xi = psi_inverse(alpha, q / m_int)
     return ([dx * s for s in (w * np.abs(q) ** p).sum(axis=-1).tolist()],
             [dx * s for s in (m_int * np.abs(xi) ** (alpha + 1.0)).sum(axis=-1).tolist()],
-            _el_defect(g, q, mu, m_int, alpha))
+            _el_defect(g, q, mu, m_int, alpha, alphas))
 
 
 def solve_step(g, u_star, model, step, state=None):
@@ -816,4 +805,5 @@ def el_residual(g, res, u_star, model):
     """
     mu, _ = _chemical_potential(g, res.u_next, model.modified, zero_flux(g))
     m_faces = mobility_face(model.mobility, u_star, g)
-    return _el_defect(g, res.j[1:-1], mu, m_faces[1:-1], model.alpha)
+    return _el_defect(g, res.j[None, 1:-1], mu[None], m_faces[None, 1:-1], model.alpha,
+                      [model.alpha])[0]

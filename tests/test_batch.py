@@ -6,7 +6,9 @@ wherever run's is), member by member, through warm starts that leave the
 barrier domain, failing members (Newton caps, failed Newton directions
 and warm Newton failures), and mixed grids and step counts."""
 
+import copy
 import itertools
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -128,7 +130,7 @@ def groups(draw):
     rheology branches, mobility and potential kinds, step sizes and
     snapshot spacings."""
     g = Grid(1.0, draw(st.integers(8, 40)))
-    size = draw(st.integers(B_MIN, B_MIN + 3))
+    size = draw(st.integers(7, 10))  # each group at least B_MIN, so it batches
     n_steps = draw(st.integers(1, 5))
     configs = []
     for _ in range(size):
@@ -217,43 +219,60 @@ def test_configs_of_different_lengths_are_batched_apart():
 def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     g = Grid(1.0, 32)
     configs = [replace_steps(c, 5) for c in family(g, B_MIN + 1)]
-    real_step = tfilm.step.StepBatch.step
-    real_gradient, real_dpbsv = tfilm.step._reduced_gradient, tfilm.step.dpbsv
-    bands, steps = [], []  # each step: per pass, (q, mu) at its start and the rows it solved
-
-    def stepped(batch, u_stars):
-        bands[:] = [batch.problem.ab]
-        steps.append([])
-        return real_step(batch, u_stars)
+    real_solve, real_gradient = tfilm.step._solve, tfilm.step._reduced_gradient
+    real_dpbsv = tfilm.step.dpbsv
+    names = ("q", "u", "e", "f", "mu", "d2g", "it", "level", "active")
+    passes, checked = [], []  # the loop's state at the start of each pass of a step
 
     def gradient(dx, mu, w, q, p, eps):  # evaluated once at the start of each pass
-        steps[-1].append((q.copy(), mu.copy(), []))
+        loop = sys._getframe(1).f_locals  # the state of _solve's Newton loop
+        passes.append({name: copy.deepcopy(loop[name]) for name in names}
+                      | {"ab": loop["prob"].ab, "solves": []})
         return real_gradient(dx, mu, w, q, p, eps)
 
     def counted(ab, b):
-        steps[-1][-1][2].extend(i for i, row in enumerate(bands[0]) if np.shares_memory(ab, row))
+        passes[-1]["solves"].append(ab)
         return real_dpbsv(ab, b)
 
-    with patch.object(tfilm.step.StepBatch, "step", stepped), \
+    def solved(prob, start):
+        passes.clear()
+        sol = real_solve(prob, start)
+        # after the last pass no member iterates and none enters a level
+        passes.append({"q": sol.q, "u": sol.u, "e": sol.energy, "f": sol.f, "mu": sol.mu,
+                       "d2g": sol.d2g})
+        for before, after in zip(passes, passes[1:]):
+            B = len(before["q"])
+            rows = [i for ab in before["solves"] for i in range(B)
+                    if np.shares_memory(ab, before["ab"][i])]
+            # one dpbsv call per iterating member, and those members take one iteration
+            assert len(rows) == len(set(rows)) == len(before["solves"])
+            assert set(rows) <= set(before["active"])
+            stepped = [i for i in range(B) if "it" in after
+                       and after["it"][i] == before["it"][i] + 1
+                       and after["level"][i] == before["level"][i]]
+            assert sorted(rows) == stepped
+            for i in rows:
+                assert not np.array_equal(after["q"][i], before["q"][i]), i
+            # every other member rides along: its row is left as it was, except
+            # for the functional of a member that entered a new eps level
+            for i in sorted(set(range(B)) - set(rows)):
+                for name in ("q", "u", "mu", "d2g"):
+                    assert np.array_equal(after[name][i], before[name][i]), (name, i)
+                assert [x[i] for x in after["e"]] == [x[i] for x in before["e"]], ("e", i)
+                if "level" not in after or after["level"][i] == before["level"][i]:
+                    assert after["f"][i] == before["f"][i], ("f", i)
+            checked.append((len(rows), len(before["active"])))
+        return sol
+
+    with patch.object(tfilm.step, "_solve", solved), \
             patch.object(tfilm.step, "_reduced_gradient", gradient), \
             patch.object(tfilm.step, "dpbsv", counted):
         batched = batched_only(configs)
     for b, ref in zip(batched, [run(c) for c in configs]):
         assert_series_match(b, ref)
-    B = len(configs)
-    assert len(steps) == 5
-    for passes in steps:
-        for (q, mu, rows), (q_next, mu_next, _) in zip(passes, passes[1:]):
-            # one dpbsv call per iterating member, and its iterate moves
-            assert len(rows) == len(set(rows))
-            for i in rows:
-                assert not np.array_equal(q_next[i], q[i]), i
-            # every other member rides along: its row is left as it was
-            for i in sorted(set(range(B)) - set(rows)):
-                assert np.array_equal(q_next[i], q[i]) and np.array_equal(mu_next[i], mu[i]), i
     # passes with members still iterating beside members that are done for
     # the step or entering a new eps level
-    assert any(0 < len(rows) < B for passes in steps for _, _, rows in passes)
+    assert any(0 < solved < active for solved, active in checked)
 
 
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
@@ -328,7 +347,8 @@ def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
     configs = family(g, B_MIN, n_steps=4)
     odd_h = 3e-5
     configs[2] = member(g, alpha=1.0, h=odd_h, n_steps=4)
-    odd_band = tfilm.step._workspace(g, odd_h).ab[0, 2]  # that member's outer Newton band
+    # that member's outer Newton band
+    odd_band = tfilm.step._Problem(g, [configs[2].model], [configs[2].step]).ab[0, 0, 2]
     real_dpbsv = tfilm.step.dpbsv
     forced = []
 
