@@ -453,19 +453,16 @@ def _lump_to_atoms(g, dens, z):
 
 
 # Cap, in bytes, on every float64 or int64 temporary of the transport path:
-# substeps are processed in chunks of at most this size whatever N is, and
-# the few temporaries of one chunk stay within a core's L2 cache.
+# substeps are processed in chunks of at most this size whatever N is (the
+# move stage's widest temporaries are its (rows, N) states and its (rows, 2P)
+# ball ends), and the few temporaries of one chunk stay within a core's L2
+# cache.  Every substep row is computed alone, so the cap moves no result.
 _CHUNK_BYTES = 1 << 17
 
 
 def _chunk_rows(width):
     """Rows of `width` eight-byte entries that fit in _CHUNK_BYTES (at least 1)."""
     return max(1, _CHUNK_BYTES // (8 * width))
-
-
-def _ball_window(g, radius):
-    """Cells evaluated per ball: a ball covers at most ceil(2r/dx) + 1 cells."""
-    return min(int(math.ceil(2.0 * radius / g.dx)) + 2, g.N)
 
 
 def _place_balls(g, centers, weights, radius):
@@ -480,26 +477,39 @@ def _place_balls(g, centers, weights, radius):
     ball cut off by 0 or L is normalised by its clipped width
     min(c + r, L) - max(c - r, 0), so it keeps its mass.
 
-    Only a window of ``_ball_window`` cells from the cell holding the
-    left edge is evaluated per ball, and all windows are scatter-added by
-    one bincount in ball order, so each cell sums its balls in the same
-    order as a loop over the balls would.
+    A ball of density sigma = w / (r - l) on its clipped ends l < r
+    changes value only at its end cells cl, cr (floor(x / dx), clamped
+    to N - 1).  Those get sigma times their overlap over dx, with the
+    overlaps f_{cl+1} - l and r - f_cr (f_c = c dx); a ball inside one
+    cell gets sigma (r - l) / dx there.  The cells strictly between
+    take sigma from a running sum of +sigma at cl + 1 and -sigma at cr.  Two bincounts
+    with per-row offsets add the end parts and the difference rows, so
+    each substep row is computed alone: a row comes out bit for bit the
+    same whatever other rows are placed with it.  The running sum leaves
+    roundoff of order eps * sum(sigma) in the gaps between balls.
     """
     centers = np.asarray(centers, dtype=float)
     S, P = centers.shape
-    K = _ball_window(g, radius)
+    N, dx = g.N, g.dx
     left = np.maximum(centers - radius, 0.0)
     right = np.minimum(centers + radius, g.L)
-    first = np.minimum(np.searchsorted(g.faces(), left, side="right") - 1, g.N - K)
-    # the ball's mass profile clip(x, left, right) sampled at the window's
-    # faces (equal to g.faces() there); its differences are the overlaps
-    ramp = (first[..., None] + np.arange(K + 1)) * g.dx
-    np.maximum(ramp, left[..., None], out=ramp)
-    np.minimum(ramp, right[..., None], out=ramp)
-    dens = weights[..., None] * np.diff(ramp) / ((right - left) * g.dx)[..., None]
-    cells = (first + np.arange(S)[:, None] * g.N)[..., None] + np.arange(K)
-    return np.bincount(cells.ravel(), weights=dens.ravel(),
-                       minlength=S * g.N).reshape(S, g.N)
+    sigma = weights / (right - left)
+    cl = np.minimum(np.floor(left / dx), N - 1).astype(np.intp)
+    cr = np.minimum(np.floor(right / dx), N - 1).astype(np.intp)
+    one = cl == cr
+    # (S, 2, P) stacks: each substep's left ends, then its right ends
+    ends = np.stack((np.where(one, right - left, (cl + 1) * dx - left),
+                     np.where(one, 0.0, right - cr * dx)), axis=1) * (sigma / dx)[:, None]
+    # without an interior cell the two steps would cancel at one index
+    step = np.where(cr > cl + 1, sigma, 0.0)
+    rows = np.arange(S)[:, None, None] * N
+    dens = np.bincount((np.stack((np.minimum(cl + 1, cr), cr), axis=1) + rows).ravel(),
+                       weights=np.stack((step, -step), axis=1).ravel(),
+                       minlength=S * N).reshape(S, N)
+    np.cumsum(dens, axis=1, out=dens)
+    dens += np.bincount((np.stack((cl, cr), axis=1) + rows).ravel(),
+                        weights=ends.ravel(), minlength=S * N).reshape(S, N)
+    return dens
 
 
 def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
@@ -532,9 +542,10 @@ def bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps=48):
     """(u0, u1, M values, atoms) of a transport-action demo, checked.
 
     Refuses, with a ValueError, an empty M_sweep, an M that is not
-    positive and finite, endpoints that are not strictly positive, an
-    eta that leaves no interior atom z = eta, 2 eta, ... below L - eta,
-    and a stage_steps that is not an integer >= 1.
+    positive and finite, endpoints that are not finite 1-D fields of N
+    cells or not strictly positive, an eta that leaves no interior atom
+    z = eta, 2 eta, ... below L - eta, and a stage_steps that is not an
+    integer >= 1.
     """
     steps = stage_steps
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
@@ -546,6 +557,12 @@ def bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps=48):
         raise ValueError(f"every M must be positive and finite, got {M_values}")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
+    for name, u in (("u0", u0), ("u1", u1)):
+        if u.shape != (g.N,):
+            raise ValueError(f"endpoint {name} must be a 1-D field of {g.N} cells, "
+                             f"got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"endpoint {name} has a non-finite cell")
     if np.min(u0) <= 0 or np.min(u1) <= 0:
         raise ValueError("endpoints must be strictly positive")
     if not 0.0 < eta < math.inf:
@@ -565,9 +582,12 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     continuity equation by cumulative sums, so every interpolated pair
     satisfies the discrete flow equation exactly; the action integrand
     |j|^((alpha+1)/alpha) / m(u)^(1/alpha) is integrated by midpoint
-    quadrature in time.  Each stage is streamed in substep chunks of at
-    most ``_CHUNK_BYTES`` per temporary.  The inputs are checked by
-    ``bb_action_inputs``.
+    quadrature in time.  The translating balls of stage 2 are placed by
+    ``_place_balls`` (end cells and one running sum per substep).  Each
+    stage is streamed in substep chunks of at most ``_CHUNK_BYTES`` per
+    temporary; each substep row is computed alone, so the actions are
+    the same bit for bit whatever the chunk size.  The inputs are
+    checked by ``bb_action_inputs``.
     """
     u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps)
     mass0 = integrate(g, u0)
@@ -605,6 +625,7 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     s_morph = np.linspace(0.0, 1.0, stage_steps + 1)
     s_move = np.linspace(0.0, 1.0, transport_steps + 1)
     morph_rows = _chunk_rows(g.N + 1)
+    move_rows = _chunk_rows(max(g.N + 1, 2 * weights.size))
 
     def stage_action(s_grid, rows, state):
         blocks = (state(s_grid[lo:lo + rows, None])
@@ -616,7 +637,6 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     for M in M_values:
         radius = eta / M
         P0, P1 = delta + _place_balls(g, np.stack((z, z)), np.stack((a_w, b_w)), radius)
-        move_rows = _chunk_rows(max(g.N + 1, weights.size * (_ball_window(g, radius) + 1)))
         parts = (
             stage_action(s_morph, morph_rows, lambda s: u0 + s * (P0 - u0)),
             stage_action(s_move, move_rows, lambda s: delta + _place_balls(

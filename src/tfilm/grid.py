@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * cell fields: numpy arrays of length ``N`` holding values at cell
   centers ``x_i = (i + 1/2) dx`` (film height, chemical potential, ...);
 * face fields: numpy arrays of length ``N + 1`` holding values at faces
-  ``x_f = f dx``.  A *flux-typed* face field has exact zeros in its
-  boundary entries (no-flux boundary).
+  ``x_f = f dx`` (the last one is L itself).  A *flux-typed* face field
+  has exact zeros in its boundary entries (no-flux boundary).
 
 With heights at centers and fluxes at faces the discrete continuity
 equation telescopes, so the total mass of ``u* - h div(j)`` equals the
@@ -54,7 +54,9 @@ class Grid:
         return (np.arange(self.N) + 0.5) * self.dx
 
     def faces(self):
-        return np.arange(self.N + 1) * self.dx
+        f = np.arange(self.N + 1) * self.dx
+        f[-1] = self.L  # N dx can fall an ulp short of L
+        return f
 
 
 def _check_cells(g, u):

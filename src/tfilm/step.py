@@ -617,9 +617,13 @@ def _solve(prob, start):
             if grad_norm <= tol[i] and (it[i] >= 1 or grad_norm == 0.0 or caps[i] == 0):
                 level_done(i)
             elif it[i] == caps[i]:
-                raise _failure(f"Newton did not reach tol_grad={tol[i]:g} in {caps[i]} "
-                               f"iterations (grad norm {grad_norm:.3e}, eps {eps[i]:g})",
-                               q[i], u[i], grad_norm, it[i])
+                message = (f"Newton did not reach tol_grad={tol[i]:g} in {caps[i]} "
+                           f"iterations (grad norm {grad_norm:.3e}, eps {eps[i]:g})")
+                floor = np.finfo(float).eps * float(np.max(np.abs(u_star[i]))) / dx**3
+                if tol[i] <= 10.0 * floor:
+                    message += (f"; tol_grad is within 10x of the roundoff floor "
+                                f"eps_machine max|u*| / dx^3 = {floor:.3e} of this problem")
+                raise _failure(message, q[i], u[i], grad_norm, it[i])
             else:
                 go.append(i)
         if go:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tfilm.experiments
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.experiments import (
     _place_balls,
@@ -339,6 +340,11 @@ def ball_sets(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ball_sets())
+# a ball inside one cell: writing both of its ends as steps at the next
+# face would cancel there
+@example((Grid(0.53125, 29), np.array([[0.51293103]]), np.array([1.0]), 5.3125e-05))
+# a narrow ball clipped at L, where 11 dx falls an ulp short of L
+@example((Grid(1.875, 11), np.array([[1.875]]), np.array([1.0]), 1.875e-4))
 def test_place_balls_matches_loop_and_keeps_mass(case):
     g, centers, weights, radius = case
     dens = _place_balls(g, centers, weights, radius)
@@ -351,6 +357,36 @@ def test_place_balls_matches_loop_and_keeps_mass(case):
             mass = float(np.sum(_place_balls(g, np.array([[c]]), np.array([wgt]),
                                              radius))) * g.dx
             assert mass == pytest.approx(wgt, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("centers,weights,radius", [
+    ([0.5], [1.0], 0.25),                   # ends exactly on the faces 2/8 and 6/8
+    ([0.3125], [2.0], 0.0625),              # on faces, one cell wide
+    ([0.1, 0.9], [1.0, 0.5], 0.3),          # clipped at 0, and at L with r == L
+    ([0.0, 1.0], [1.0, 3.0], 1.5),          # both cover the whole domain
+    ([0.2, 0.5, 0.7], [0.0, 1.0, 0.0], 0.2),  # zero weights place nothing
+    ([0.4, 0.6], [0.0, 0.0], 0.1),
+])
+def test_place_balls_explicit_cases(centers, weights, radius):
+    g = Grid(1.0, 8)
+    dens = _place_balls(g, np.array([centers]), np.array(weights), radius)[0]
+    ref = place_balls_loop(g, centers, weights, radius)
+    assert np.max(np.abs(dens - ref)) <= 1e-15 * max(1.0, np.max(ref))
+    assert np.sum(dens) * g.dx == pytest.approx(sum(weights), rel=1e-15, abs=0.0)
+    # these balls leave no roundoff in the running sum: untouched cells are 0
+    assert np.all(dens[ref == 0.0] == 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ball_sets())
+def test_place_balls_rows_are_placed_alone(case):
+    g, centers, weights, radius = case
+    S = centers.shape[0]
+    for w in (weights, weights * (1.0 + np.arange(S))[:, None]):
+        dens = _place_balls(g, centers, w, radius)
+        for s in range(S):
+            alone = _place_balls(g, centers[s:s + 1], w if w.ndim == 1 else w[s:s + 1], radius)
+            assert np.array_equal(dens[s], alone[0])
 
 
 # stage actions (concentrate, transport, spread) of the loop implementation
@@ -376,6 +412,23 @@ def test_bb_stage_actions_fixed_inputs(n):
     want = np.array(STAGE_ACTIONS_N128[n])
     assert np.max(np.abs(got - want) / want) <= 1e-12
     assert rep.actions == tuple(sum(parts) for parts in rep.stage_actions)
+
+
+def test_bb_stage_actions_do_not_depend_on_the_chunk_size(monkeypatch):
+    g = Grid(1.0, 128)
+    u0, u1 = (InitialDataSpec("cos_bumps", background=0.01, amplitude=6.0, width=0.012,
+                              centers=centers).build(g)
+              for centers in ((0.125, 0.25), (0.75, 0.875)))
+
+    def actions():
+        return bb_action_demo(g, u0, u1, eta=1 / 8, M_sweep=[0.5, 2, 4], n=2.0,
+                              alpha=1.0).stage_actions
+
+    want = actions()
+    cap = tfilm.experiments._CHUNK_BYTES
+    for bytes_ in (cap // 4, 4 * cap):
+        monkeypatch.setattr(tfilm.experiments, "_CHUNK_BYTES", bytes_)
+        assert actions() == want
 
 
 @pytest.mark.parametrize("sweep", [[], [0], [2, -1], [2, float("nan")]])
@@ -410,6 +463,21 @@ def test_bb_action_inputs_refuse_non_positive_endpoints():
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match="endpoints must be strictly positive"):
         bb_action_inputs(g, u, np.concatenate([u[:-1], [0.0]]), eta=0.25, M_sweep=[2])
+
+
+@pytest.mark.parametrize("bad,message", [
+    (lambda u: np.where(np.arange(u.size) == 3, np.nan, u), "endpoint u1 has a non-finite cell"),
+    (lambda u: np.where(np.arange(u.size) == 0, np.inf, u), "endpoint u1 has a non-finite cell"),
+    (lambda u: u[None, :], r"endpoint u1 must be a 1-D field of 64 cells, got shape \(1, 64\)"),
+    (lambda u: u[:-1], r"endpoint u1 must be a 1-D field of 64 cells, got shape \(63,\)"),
+])
+def test_bb_action_inputs_refuse_endpoints_that_are_not_finite_cell_fields(bad, message):
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match=message):
+        bb_action_inputs(g, u, bad(u + 0.1), eta=0.25, M_sweep=[2])
+    with pytest.raises(ValueError, match=message.replace("u1", "u0")):
+        bb_action_demo(g, bad(u), u + 0.1, eta=0.25, M_sweep=[2], n=2.0, alpha=1.0)
 
 
 @pytest.mark.parametrize("stage_steps", [0, -1, -3, 2.0, True])

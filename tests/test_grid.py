@@ -19,6 +19,10 @@ def test_grid_invariants():
     assert Grid(2.0, np.int64(8)).dx == 0.25
     assert np.allclose(g.cell_centers(), (np.arange(8) + 0.5) * 0.25)
     assert np.allclose(g.faces(), np.arange(9) * 0.25)
+    # the last face is L even where N dx rounds below it
+    g = Grid(1.875, 11)
+    assert 11 * g.dx < g.L and g.faces()[-1] == g.L
+    assert np.array_equal(g.faces()[:-1], np.arange(11) * g.dx)
     with pytest.raises(ValueError):
         Grid(1.0, 3)
     with pytest.raises(ValueError):

@@ -234,6 +234,24 @@ def test_nonconvergence_error_carries_state():
     assert info.value.j_last is not None
 
 
+def test_a_newton_cap_near_the_roundoff_floor_says_so():
+    # the first lift-off step at N=128 with the default tol_grad 1e-9:
+    # eps_machine max|u*| / dx^3 is about 7e-10 there
+    g = Grid(1.0, 128)
+    u = InitialDataSpec("lifted_parabola", M=1.0, delta=0.1).build(g)
+    model = barrier_model(alpha=2.0, sigma=0.001)
+    with pytest.raises(StepNonconvergenceError) as info:
+        solve_step(g, u, model, StepParams(h=1e-4))
+    assert str(info.value).startswith("Newton did not reach tol_grad=1e-09 in 80 iterations")
+    assert "within 10x of the roundoff floor eps_machine max|u*| / dx^3" in str(info.value)
+    # a cap far above the floor carries no such note
+    g, u, model, sp = cholesky_film()
+    with pytest.raises(StepNonconvergenceError) as info:
+        solve_step(g, u, model, StepParams(h=sp.h, tol_grad=sp.tol_grad, max_newton=0))
+    assert str(info.value).startswith("Newton did not reach")
+    assert "roundoff" not in str(info.value)
+
+
 def test_el_residual_recompute_matches():
     g = Grid(1.0, 32)
     rng = np.random.default_rng(9)

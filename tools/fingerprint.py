@@ -1,4 +1,4 @@
-"""Print one sha256 per config set over every record array and snapshot.
+"""Print one sha256 per config set over every output it produces.
 
     python3 tools/fingerprint.py [--seeds 0 3 5 7211]
 
@@ -13,6 +13,12 @@ For each seed, runs three config sets and hashes what they produce:
   again config by config through ``run`` (``liftrun``).  Its members
   share model and step parameters, so the batch does ``run``'s
   arithmetic: the script exits 1 if the two hashes differ.
+
+It also hashes one transport set:
+
+* ``transport``: the stage actions of ``bb_action_demo`` (n = 2, then
+  n = 1) on the transport_action inputs, as ``float.hex`` strings; the
+  workload's verdict gates apply.
 
 The benchmark configs come from ``bench/workloads.build`` at full size;
 nothing there is changed.  The hash covers each series' diagnostics
@@ -63,6 +69,14 @@ def runs(seed, workdir):
     yield "liftrun", [driver.run(c) for c in liftoff(seed)]
 
 
+def transport(seed, workdir):
+    """(sha256 of the stage actions, gate errors) of the transport_action inputs."""
+    work = workloads.build("transport_action", seed, "full", workdir)
+    reports = work.call()
+    text = " ".join(float.hex(a) for r in reports for stage in r.stage_actions for a in stage)
+    return hashlib.sha256(text.encode()).hexdigest(), work.check(reports).errors
+
+
 def digest(series_list):
     sha = hashlib.sha256()
     for s in series_list:
@@ -71,6 +85,13 @@ def digest(series_list):
             sha.update(np.float64(t).tobytes())
             sha.update(np.ascontiguousarray(s.snapshots[t]).tobytes())
     return sha.hexdigest()
+
+
+def report(name, seed, sha, errors):
+    """Print one hash line and its failed gates; True if any gate failed."""
+    print(f"{name:>8} seed {seed:>5} {sha}"
+          + "".join(f"\n    gate failed: {e}" for e in errors), flush=True)
+    return bool(errors)
 
 
 def main(argv=None):
@@ -86,9 +107,8 @@ def main(argv=None):
                 hashes[name] = digest(series)
                 if name == "liftrun" and hashes[name] != hashes["liftoff"]:
                     errors.append("run_many's lift-off family differs from run's")
-                failed |= bool(errors)
-                print(f"{name:>8} seed {seed:>5} {hashes[name]}"
-                      + "".join(f"\n    gate failed: {e}" for e in errors), flush=True)
+                failed |= report(name, seed, hashes[name], errors)
+            failed |= report("transport", seed, *transport(seed, workdir))
     return 1 if failed else 0
 
 
