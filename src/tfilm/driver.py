@@ -196,12 +196,11 @@ class EnergyAuditError(RuntimeError):
     """A step violated the energy-dissipation inequality beyond tolerance."""
 
 
-def _diag_row(g, t, u, e, res=None, slack=0.0):
-    """Record row of height u at time t, given its energy breakdown e."""
-    flux, strong, el, iters = (0.0, 0.0, 0.0, 0) if res is None else (
-        res.dissipation_flux_term, res.dissipation_strong_term, res.el_residual_norm,
-        res.newton_iters)
-    return (t, integrate(g, u), u.min(), u.max(), *e, flux, strong, slack, el, iters)
+def _diag_row(t, res, slack):
+    """Record row of the step result res at time t, with its EDI slack; the
+    mass and height range are the ones the step took."""
+    return (t, res.mass, res.min_u, res.max_u, *res.energy_after, res.dissipation_flux_term,
+            res.dissipation_strong_term, slack, res.el_residual_norm, res.newton_iters)
 
 
 def _prefixed(exc, prefix):
@@ -215,7 +214,8 @@ def _prefixed(exc, prefix):
 def _new_series(cfg):
     """The series of cfg with its initial row and snapshot."""
     rec = np.zeros(cfg.n_steps + 1, StepDiagnostics).view(np.recarray)
-    rec[0] = _diag_row(cfg.grid, 0.0, cfg.u0, cfg.e0)
+    u0 = cfg.u0
+    rec[0] = (0.0, integrate(cfg.grid, u0), u0.min(), u0.max(), *cfg.e0, 0.0, 0.0, 0.0, 0.0, 0)
     return TimeSeries(config=cfg, diagnostics=rec, snapshots={0: cfg.u0.copy()})
 
 
@@ -230,7 +230,7 @@ def _record(series, k, res):
             f"step {k}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
         )
     u = res.u_next
-    series.diagnostics[k] = _diag_row(cfg.grid, k * cfg.step.h, u, res.energy_after, res, slack)
+    series.diagnostics[k] = _diag_row(k * cfg.step.h, res, slack)
     if k % cfg.record_every == 0 or k == cfg.n_steps:
         series.snapshots[k] = u.copy()
     return u
@@ -263,9 +263,9 @@ def run(cfg):
 # Groups of at least this many configs of one grid and step count are
 # marched as one batch.  Smaller groups run config by config:
 # tools/ensemble_scaling.py measured the batch against that at 0.95-1.04x
-# for 2 family members and 0.93-1.05x for 3 (nine runs each, so 3 is break
-# even), 1.11-1.23x for 4 (six runs), 1.44-1.61x for 6 and 2.43-2.65x for
-# 18, and at 1.61-1.83x for a 3-member lift-off family.
+# for 2 family members and 0.93-1.05x for 3 (twelve runs each, so 3 is
+# break even), 1.10-1.23x for 4 (nine runs), 1.44-1.61x for 6 and
+# 2.43-2.83x for 18, and at 1.61-1.87x for a 3-member lift-off family.
 _BATCH_MIN = 4
 
 # What a failing batch raises; run_many then reruns the configs through run

@@ -33,9 +33,10 @@ and ``el_residual`` are the standalone reference evaluations.
 A Newton iteration keeps its numpy calls few and the arithmetic order of
 the plain formulas, so its results are bit for bit theirs:
 
-* the direction is one LAPACK dpbsv call (band Cholesky) through
-  ``solveh_banded``, which raises like scipy's: ValueError for
-  non-finite input, LinAlgError when the matrix is not positive definite;
+* the directions of all iterating members are one LAPACK dpbsv call
+  (band Cholesky) through ``solveh_banded`` on the block-diagonal band
+  of their bands, which raises like scipy's: ValueError for non-finite
+  input, LinAlgError when the matrix is not positive definite;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
   face buffer built with the step's fixed data (once per run, or per
   step without a ``StepState``), as are the boundary-cap direction and
@@ -74,10 +75,14 @@ it with B = 1, and a ``StepBatch`` (``run_many`` marches a group of
 configs of one grid and one step count with it) with its members.  A
 pass evaluates the kernels once on all (B, N) rows: the functional with
 the energy, the chemical potential, the reduced gradient, the Newton
-bands and the boundary cap.  Each member's band is solved by its own
-``solveh_banded`` call, and every decision of a member (convergence, the
-Newton cap, Armijo acceptance, a stall while polishing, entry into its
-next eps level) is made on Python floats.  Each member walks its own eps
+bands and the boundary cap.  The members' bands lie side by side in one
+(3, B, N-1) band storage, so the iterating members' bands are one
+block-diagonal band, solved by one ``solveh_banded`` call; a band that is
+not positive definite is reported for its member with that member's own
+minor.  The step's masses and height ranges are taken once on all rows.
+Every decision of a member (convergence, the Newton cap, Armijo
+acceptance, a stall while polishing, entry into its next eps level) is
+made on Python floats.  Each member walks its own eps
 ladder.  A parameter of the arithmetic that all members share (alpha,
 p, h, G_sigma) is held as a scalar and the others as (B, 1) columns,
 and the per-member sums (energies, functional values) are finished on
@@ -165,6 +170,9 @@ class StepResult:
     energy_after: tuple
     dissipation_flux_term: float
     dissipation_strong_term: float
+    mass: float              # of u_next, as the mass check took it
+    min_u: float
+    max_u: float
 
 
 class StepNonconvergenceError(RuntimeError):
@@ -261,6 +269,15 @@ def reduced_objective(g, j, u_star, model, step, eps):
                        model.p, eps, w, q[None], u[None])[0][0]
 
 
+class _NotPositiveDefinite(np.linalg.LinAlgError):
+    """dpbsv found leading minor ``minor`` of band ``block`` not positive
+    definite; the message is the band's own, as if it were solved alone."""
+
+    def __init__(self, minor, block):
+        super().__init__(f"{minor}th leading minor not positive definite")
+        self.minor, self.block = minor, block
+
+
 def solveh_banded(ab, b):
     """Solve A x = b for the SPD band matrix A in upper band storage ab.
 
@@ -268,15 +285,25 @@ def solveh_banded(ab, b):
     the checks of scipy.linalg.solveh_banded: non-finite input raises
     ValueError, a matrix that is not positive definite raises LinAlgError
     (info > 0) and an illegal argument raises ValueError (info < 0).
+
+    K pentadiagonal bands side by side, ab (3, K, n) with b (K, n), are
+    solved as the one block-diagonal band they form, by the same single
+    call; x is (K, n).  Their coupling entries ab[0, :, :2] and
+    ab[1, :, 0] must be zero.  Band Cholesky at bandwidth 2 is unblocked
+    and column by column, so each block gets the arithmetic of its own
+    solve and x[k] is that solve bit for bit.  The LinAlgError names the
+    first failing band (``block``) and its local minor, in its own
+    message.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, x, info = dpbsv(ab, b)
+    _, x, info = dpbsv(ab.reshape(3, -1), b.reshape(-1))
     if info > 0:
-        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        block, minor = divmod(info - 1, ab.shape[-1])
+        raise _NotPositiveDefinite(minor + 1, block)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-    return x
+    return x.reshape(b.shape)
 
 
 def _chemical_potential(g, u, mp, pad):
@@ -346,15 +373,6 @@ def _shifted(d0):
     return d0 + 1e-12 * (1.0 + np.abs(d0))
 
 
-def _slope(grad_raw, delta):
-    """The slope grad . delta of the Newton direction delta; a slope that is
-    not negative raises StepNonconvergenceError."""
-    dd = float(np.dot(grad_raw, delta))
-    if not dd < 0.0:
-        raise StepNonconvergenceError(f"not a descent direction (slope {dd:.3e})")
-    return dd
-
-
 def _granularity(f):
     """Objective changes below this cannot be verified by comparing values."""
     return _GRAIN * (1.0 + abs(f))
@@ -401,7 +419,9 @@ class _Problem:
     share it and a ``PotentialStack`` (the members of one kind consecutive)
     when they do not.  Besides them: the members shifting their Newton
     diagonal (a bool column), the cold eps ladders, the -Delta_h bands, the
-    Newton band storage (B, 3, N-1) and the zero-ended face buffer (B, N+1).
+    Newton band storage (3, B, N-1), in which the members' bands lie side
+    by side as one block-diagonal band, and the zero-ended face buffer
+    (B, N+1).
     """
 
     def __init__(self, g, models, steps):
@@ -426,10 +446,11 @@ class _Problem:
         self.lap_diag = np.full((B, g.N), 2.0 / dx**2)
         self.lap_diag[:, [0, -1]] = 1.0 / dx**2
         self.ao = dx * (-1.0 / dx**2)
-        # each member's Newton band storage, its outer band h^2 D^T (-Delta_h) D set
-        self.ab = np.zeros((B, 3, g.N - 1))
-        for ab, sp in zip(self.ab, steps):
-            ab[0, 2:] = sp.h * sp.h * (-self.ao / dx**2)
+        # each member's Newton band storage, its outer band h^2 D^T (-Delta_h) D
+        # set; the entries that would couple it to its neighbours stay zero
+        self.ab = np.zeros((3, B, g.N - 1))
+        for i, sp in enumerate(steps):
+            self.ab[0, i, 2:] = sp.h * sp.h * (-self.ao / dx**2)
         self.pad = np.zeros((B, g.N + 1))
 
     def start(self, states, u_star, m_int, e_before, warm=True):
@@ -469,30 +490,33 @@ class _Problem:
 
     def results(self, states, start, sol):
         """The members' StepResults of the solved step, after the mass and
-        zero-flux comparison checks; each state records its member's step."""
-        g = self.grid
+        zero-flux comparison checks; each state records its member's step.
+        The masses and the height range are taken once on all rows."""
+        g, u = self.grid, sol.u
         flux, strong, el = _step_terms(g, sol.q, sol.mu, start.w, start.m_int, self.alpha,
                                        self.alpha_each, self.p)
+        mass_star, mass = integrate(g, start.u_star).tolist(), integrate(g, u).tolist()
+        lows, highs = u.min(axis=-1).tolist(), u.max(axis=-1).tolist()
+        js = np.zeros((len(u), g.N + 1))
+        js[:, 1:-1] = sol.q
         out = []
         for i, (state, e_after, e_before) in enumerate(zip(states, zip(*sol.energy),
                                                            start.e_before)):
-            q, u_next = sol.q[i], sol.u[i]
-            mass_star = integrate(g, start.u_star[i])
-            if abs(integrate(g, u_next) - mass_star) > 1e-12 * (1.0 + abs(mass_star)):
+            q = sol.q[i]
+            if abs(mass[i] - mass_star[i]) > 1e-12 * (1.0 + abs(mass_star[i])):
                 raise StepCheckError("mass drifted beyond roundoff in a single step",
-                                     u_last=u_next, j_last=q)
+                                     u_last=u[i], j_last=q)
             # the last ladder level is eps_min, so f is the functional there
             if sol.f[i] > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
                 raise StepCheckError("step objective exceeds the zero-flux comparison value",
-                                     u_last=u_next, j_last=q)
-            j = zero_flux(g)
-            j[1:-1] = q
+                                     u_last=u[i], j_last=q)
             e_after = EnergyBreakdown(*e_after)
             state.record(q, e_after)
-            out.append(StepResult(u_next=u_next, j=j, newton_iters=sol.iters[i],
+            out.append(StepResult(u_next=u[i], j=js[i], newton_iters=sol.iters[i],
                                   el_residual_norm=el[i], energy_before=e_before,
                                   energy_after=e_after, dissipation_flux_term=flux[i],
-                                  dissipation_strong_term=strong[i]))
+                                  dissipation_strong_term=strong[i], mass=mass[i],
+                                  min_u=lows[i], max_u=highs[i]))
         return out
 
 
@@ -588,6 +612,10 @@ def _solve(prob, start):
         else:
             done[i] = True
 
+    def direction_failed(reason, i):
+        return _failure(f"Newton direction failed: {reason} (grad norm {norms[i]:.3e}, "
+                        f"eps {eps[i]:g})", q[i], u[i], norms[i], it[i])
+
     while active:
         if entering:
             for i in entering:
@@ -632,19 +660,26 @@ def _solve(prob, start):
             if prob.any_shift:
                 d0 = np.where(prob.shift, _shifted(d0), d0)
             ab = prob.ab
-            ab[:, 2] = d0
-            ab[:, 1, 1:] = d1
-            rhs = -grad_raw
-            delta = np.zeros(q.shape)
-            for i in go:
-                try:
-                    x = solveh_banded(ab[i], rhs[i])
-                    slope[i] = _slope(grad_raw[i], x)
-                except (np.linalg.LinAlgError, StepNonconvergenceError) as exc:
-                    raise _failure(f"Newton direction failed: {exc} (grad norm "
-                                   f"{norms[i]:.3e}, eps {eps[i]:g})",
-                                   q[i], u[i], norms[i], it[i]) from exc
-                delta[i] = x
+            ab[2] = d0
+            ab[1, :, 1:] = d1
+            if len(go) < B:  # the iterating members' bands and gradients
+                ab, grad_raw = ab[:, go], grad_raw[go]
+            # one solve of the block-diagonal band of the iterating members
+            try:
+                x = solveh_banded(ab, -grad_raw)
+            except _NotPositiveDefinite as exc:
+                raise direction_failed(exc, go[exc.block]) from exc
+            # each slope is a row @ column product, which numpy takes as np.dot does
+            slopes = (grad_raw[:, None] @ x[..., None]).ravel().tolist()
+            for i, dd in zip(go, slopes):
+                if not dd < 0.0:
+                    raise direction_failed(f"not a descent direction (slope {dd:.3e})", i)
+                slope[i] = dd
+            if len(go) < B:
+                delta = np.zeros(q.shape)
+                delta[go] = x
+            else:
+                delta = x
 
             if prob.any_barrier:
                 # the height moves by -dh along delta; cap the cells it lowers
@@ -787,6 +822,9 @@ class StepBatch:
         of u_stars each.  Returns the members' StepResults."""
         g, prob = self.grid, self.problem
         u_star = np.asarray(u_stars, dtype=float)
+        if u_star.shape != (len(self.states), g.N):
+            raise ValueError(f"u_stars must have shape {(len(self.states), g.N)}, one row "
+                             f"per member, got {u_star.shape}")
         # the preconditions of solve_step; the energy of u* is the state's
         m_int = np.empty((len(u_star), g.N - 1))
         for mob, rows in self.mobilities:

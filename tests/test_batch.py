@@ -20,7 +20,7 @@ import tfilm.driver
 import tfilm.step
 from tfilm.driver import EnergyAuditError, InitialDataSpec, RunConfig, run, run_many
 from tfilm.experiments import liftoff_configs
-from tfilm.grid import Grid
+from tfilm.grid import Grid, integrate
 from tfilm.models import (
     ModelParams,
     constant_mobility,
@@ -226,13 +226,34 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
 
     def gradient(dx, mu, w, q, p, eps):  # evaluated once at the start of each pass
         loop = sys._getframe(1).f_locals  # the state of _solve's Newton loop
+        g_scaled = real_gradient(dx, mu, w, q, p, eps)
         passes.append({name: copy.deepcopy(loop[name]) for name in names}
-                      | {"ab": loop["prob"].ab, "solves": []})
-        return real_gradient(dx, mu, w, q, p, eps)
+                      | {"prob": loop["prob"], "rhs": -(loop["h"] * dx * g_scaled),
+                         "solves": []})
+        return g_scaled
 
     def counted(ab, b):
-        passes[-1]["solves"].append(ab)
+        # the members' bands as they stand at the call, and the solved band
+        # and right-hand side split into their blocks
+        n = g.N - 1
+        now = passes[-1]
+        now["solves"].append((now["prob"].ab.copy(), ab.reshape(3, -1, n).copy(),
+                              b.reshape(-1, n).copy()))
         return real_dpbsv(ab, b)
+
+    def solved_rows(before):
+        """The member of each block of the pass's one solve: its band is
+        that member's band and its right-hand side that member's."""
+        if not before["solves"]:
+            return []
+        # one dpbsv call per pass
+        ((bands, blocks, rhs),) = before["solves"]
+        rows = []
+        for block, b in zip(blocks.transpose(1, 0, 2), rhs):
+            (i,) = [i for i in range(bands.shape[1]) if np.array_equal(bands[:, i], block)]
+            assert np.array_equal(b, before["rhs"][i]), i
+            rows.append(i)
+        return rows
 
     def solved(prob, start):
         passes.clear()
@@ -242,10 +263,10 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
                        "d2g": sol.d2g})
         for before, after in zip(passes, passes[1:]):
             B = len(before["q"])
-            rows = [i for ab in before["solves"] for i in range(B)
-                    if np.shares_memory(ab, before["ab"][i])]
-            # one dpbsv call per iterating member, and those members take one iteration
-            assert len(rows) == len(set(rows)) == len(before["solves"])
+            rows = solved_rows(before)
+            # the blocks of the solve are the iterating members, in order, and
+            # those members take one iteration
+            assert rows == sorted(set(rows))
             assert set(rows) <= set(before["active"])
             stepped = [i for i in range(B) if "it" in after
                        and after["it"][i] == before["it"][i] + 1
@@ -353,26 +374,39 @@ def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
     forced = []
 
     def failing_for_one_member(ab, b):
-        if ab[0, 2] != odd_band:
+        # the one solve of a pass holds the iterating members' bands side by side
+        n = g.N - 1
+        blocks = [k for k, band in enumerate(ab.reshape(3, -1, n)[0, :, 2]) if band == odd_band]
+        if not blocks:
             return real_dpbsv(ab, b)
-        forced.append(1)
+        (k,) = blocks
+        forced.append(k)
         if failure == "not-positive-definite":
-            return ab, b, 1  # "leading minor 1 not positive definite"
+            return ab, b, k * n + 1  # "leading minor 1 (of the member's band) not PD"
         c, x, info = real_dpbsv(ab, b)
-        return c, -x, info  # an ascent direction
+        x[k * n:(k + 1) * n] *= -1.0  # an ascent direction for that member alone
+        return c, x, info
 
     with patch.object(tfilm.step, "dpbsv", failing_for_one_member):
         with pytest.raises(StepNonconvergenceError) as want:
             run(configs[2])
+        with pytest.raises(StepNonconvergenceError) as batch:
+            tfilm.driver._march_batch(configs)
         with pytest.raises(StepNonconvergenceError) as got:
             run_many(configs)
-    # the first iteration fails: in run, in the batch, and in run_many's rerun
-    assert len(forced) == 3
+    # the first iteration fails: in run, in the batch (alone, then in
+    # run_many), where the member's band is not the first in the solve, and
+    # in run_many's rerun
+    k = forced[1]
+    assert forced == [0, k, k, 0] and k > 0
+    assert str(want.value).startswith("step 1 (t = 3e-05) failed: Newton direction failed: ")
+    # the batch's own error is run's, and so is the one run_many raises
+    assert str(want.value) == f"step 1 (t = 3e-05) failed: {batch.value}"
     assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("step 1 (t = 3e-05) failed: Newton direction failed: ")
-    assert np.array_equal(got.value.u_last, want.value.u_last)
-    assert np.array_equal(got.value.j_last, want.value.j_last)
-    assert (got.value.iters, got.value.grad_norm) == (want.value.iters, want.value.grad_norm)
+    for err in (batch.value, got.value):
+        assert np.array_equal(err.u_last, want.value.u_last)
+        assert np.array_equal(err.j_last, want.value.j_last)
+        assert (err.iters, err.grad_norm) == (want.value.iters, want.value.grad_norm)
 
 
 def test_a_failing_member_raises_runs_error():
@@ -433,3 +467,48 @@ def test_threads_keyword_is_accepted():
     configs = family(Grid(1.0, 16), B_MIN, n_steps=2)
     out = run_many(configs, threads=1)
     assert [s.config for s in out] == configs
+
+
+def test_a_batch_step_refuses_rows_of_another_shape():
+    g = Grid(1.0, 16)
+    configs = family(g, 4)
+    batch = tfilm.step.StepBatch(g, [c.model for c in configs], [c.step for c in configs],
+                                 [c.e0 for c in configs])
+    u = np.stack([c.u0 for c in configs])
+    # too few rows, one row that would broadcast, rows of the wrong length, a bare row
+    for rows in (u[:3], u[:1], u[:, :-1], u[0]):
+        with pytest.raises(ValueError) as info:
+            batch.step(rows)
+        assert "(4, 16)" in str(info.value) and f"got {rows.shape}" in str(info.value)
+
+
+def test_a_batch_step_takes_each_mass_once_and_records_what_it_checked():
+    g = Grid(1.0, 32)
+    configs = family(g, B_MIN, n_steps=3)
+    real_integrate, real_step = tfilm.step.integrate, tfilm.step.StepBatch.step
+    masses, results = [], []
+
+    def integrated(g, u):
+        masses.append(np.shape(u))
+        return real_integrate(g, u)
+
+    def stepped(self, u_stars):
+        results.append(real_step(self, u_stars))
+        return results[-1]
+
+    with patch.object(tfilm.step, "integrate", integrated), \
+            patch.object(tfilm.driver, "integrate", integrated), \
+            patch.object(tfilm.step.StepBatch, "step", stepped):
+        out = batched_only(configs)
+    # one mass per initial height, then per step those of u* and of u_next,
+    # each taken once on all rows
+    B = len(configs)
+    assert len(results) == 3
+    assert masses == [(g.N,)] * B + [(B, g.N)] * 2 * len(results)
+    for k, step_results in enumerate(results, start=1):
+        for res in step_results:
+            # the member's series is the one whose height after step k is res's
+            (row,) = [s.diagnostics[k] for s in out if np.array_equal(s.snapshots[k], res.u_next)]
+            assert (row.mass, row.min_u, row.max_u) == (res.mass, res.min_u, res.max_u)
+            assert res.mass == integrate(g, res.u_next)
+            assert (res.min_u, res.max_u) == (res.u_next.min(), res.u_next.max())

@@ -551,8 +551,8 @@ def test_cli_cos_bumps_width_must_be_positive(tmp_path, capsys, N, width):
 
 def test_cli_step_check_failure_exit_1(tmp_path, capsys, monkeypatch):
     # every mass evaluation inside the step differs from the last one
-    counter = itertools.count()
-    monkeypatch.setattr(tfilm.step, "integrate", lambda g, f: float(next(counter)))
+    counter, real = itertools.count(), tfilm.step.integrate
+    monkeypatch.setattr(tfilm.step, "integrate", lambda g, f: real(g, f) + next(counter))
     p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=48, T=2e-4, tol_grad=1e-8))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

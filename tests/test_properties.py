@@ -6,8 +6,9 @@ identities hold (mass
 telescoping, one-step EDI, summation by parts, barrier contact and
 convexity), over random rheology, mobility, potential, barrier, grid and
 height; the run record's column reductions equal the row loops they
-replace; and the Newton kernels (the dpbsv solve, the one-pass barrier
-terms, the carried mu and G_sigma'') equal the references they replace."""
+replace; and the Newton kernels (the dpbsv solve, also of members'
+bands side by side, the one-pass barrier terms, the carried mu and
+G_sigma'') equal the references they replace."""
 
 import math
 from dataclasses import replace
@@ -239,10 +240,10 @@ def test_barrier_c2_contact_and_convexity(kind, c, sigma, fractions):
 # the Newton kernels against the references they replace
 
 @st.composite
-def spd_pentadiagonals(draw):
+def spd_pentadiagonals(draw, sizes=st.integers(3, 300)):
     """(ab, b): a strictly diagonally dominant symmetric pentadiagonal
     matrix in upper band storage, hence SPD, and a right-hand side."""
-    M = draw(st.integers(3, 300))
+    M = draw(sizes)
     entries = st.floats(-1.0, 1.0)
     ab = np.zeros((3, M))
     ab[1, 1:] = draw(hnp.arrays(float, M - 1, elements=entries))
@@ -283,6 +284,48 @@ def test_dpbsv_wrapper_refuses_non_finite_input(system, in_matrix, bad, data):
     target.flat[data.draw(st.integers(0, target.size - 1))] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         solveh_banded(ab, b)
+
+
+@st.composite
+def stacked_pentadiagonals(draw):
+    """(ab, b, go): B of them of one size side by side, ab (3, B, M) and b
+    (B, M), each band and right-hand side scaled by its own power of ten,
+    and the iterating members go, a sorted non-empty subset."""
+    B, M = draw(st.integers(1, 12)), draw(st.integers(3, 40))
+    ab, b = np.zeros((3, B, M)), np.zeros((B, M))
+    for i in range(B):
+        ab[:, i], b[i] = draw(spd_pentadiagonals(st.just(M)))
+        ab[:, i] *= 10.0 ** draw(st.integers(-100, 100))
+        b[i] *= 10.0 ** draw(st.integers(-100, 100))
+    go = sorted(draw(st.sets(st.integers(0, B - 1), min_size=1)))
+    return ab, b, go
+
+
+@SETTINGS
+@given(stacked_pentadiagonals())
+def test_the_stacked_solve_is_each_members_own_solve(system):
+    ab, b, go = system
+    x = solveh_banded(ab[:, go], b[go])
+    assert x.shape == (len(go), ab.shape[-1])
+    for k, i in enumerate(go):
+        assert x[k].tobytes() == solveh_banded(ab[:, i], b[i]).tobytes(), k
+
+
+@SETTINGS
+@given(stacked_pentadiagonals(), st.data())
+def test_the_stacked_solve_names_the_member_that_is_not_positive_definite(system, data):
+    ab, b, go = system
+    k = data.draw(st.integers(0, len(go) - 1))
+    i = go[k]
+    ab[2, i, data.draw(st.integers(0, ab.shape[-1] - 1))] = -data.draw(st.floats(0.0, 10.0))
+    with pytest.raises(np.linalg.LinAlgError) as alone:
+        solveh_banded(ab[:, i], b[i])
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        solveh_banded(ab[:, go], b[go])
+    # its place among the solved members, and its own minor in its own message
+    assert stacked.value.block == k
+    assert stacked.value.minor == alone.value.minor
+    assert str(stacked.value) == str(alone.value)
 
 
 # G_sigma, G_sigma' and G_sigma'' as three separate passes (the formulas the

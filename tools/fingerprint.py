@@ -1,6 +1,6 @@
 """Print one sha256 per config set over every output it produces.
 
-    python3 tools/fingerprint.py [--seeds 0 3 5 7211]
+    python3 tools/fingerprint.py [--seeds 0 3 5 7211] [--against REV]
 
 For each seed, runs three config sets and hashes what they produce:
 
@@ -28,10 +28,18 @@ also passes through ``workloads.check_runs`` (mass drift, per-step EDI
 slack and EL residual); the script exits 1 if any gate fails.  tfilm is
 imported from ``src/`` beside this directory, so a copy of the script in
 another checkout hashes that checkout's code.
+
+``--against REV`` exports the git revision REV (``git archive``) to a
+temporary directory, runs a copy of this script there on the same seeds,
+so the same sets are hashed on REV's ``src/`` and ``bench/``, and prints
+REV's hash beside this tree's on each line.  The script then also exits
+1 if any hash differs, or if REV's run fails.
 """
 
 import argparse
 import hashlib
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -87,28 +95,64 @@ def digest(series_list):
     return sha.hexdigest()
 
 
-def report(name, seed, sha, errors):
-    """Print one hash line and its failed gates; True if any gate failed."""
-    print(f"{name:>8} seed {seed:>5} {sha}"
-          + "".join(f"\n    gate failed: {e}" for e in errors), flush=True)
-    return bool(errors)
+def hashes(seeds):
+    """(name, seed, sha256, gate errors) of each set and seed, in the order
+    of the docstring."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in seeds:
+            shas = {}
+            for name, series in runs(seed, workdir):
+                errors = workloads.check_runs(series).errors
+                shas[name] = digest(series)
+                if name == "liftrun" and shas[name] != shas["liftoff"]:
+                    errors.append("run_many's lift-off family differs from run's")
+                yield name, seed, shas[name], errors
+            yield ("transport", seed, *transport(seed, workdir))
+
+
+def revision_hashes(rev, seeds):
+    """({(name, seed): sha256} of the sets on git revision rev, the lines
+    its run printed besides them, and its exit status)."""
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+        if archive.returncode:
+            raise SystemExit(f"cannot export {rev}: {archive.stderr.decode().strip()}")
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+        script = Path(tree) / "tools" / Path(__file__).name
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)
+        done = subprocess.run([sys.executable, str(script), "--seeds", *map(str, seeds)],
+                              capture_output=True, text=True)
+    shas, other = {}, []
+    for line in done.stdout.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[1] == "seed":
+            shas[parts[0], int(parts[2])] = parts[3]
+        else:
+            other.append(line)
+    return shas, other + done.stderr.splitlines(), done.returncode
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3, 5, 7211])
+    parser.add_argument("--against", metavar="REV",
+                        help="also hash the sets on this git revision; exit 1 on any difference")
     args = parser.parse_args(argv)
     failed = False
-    with tempfile.TemporaryDirectory() as workdir:
-        for seed in args.seeds:
-            hashes = {}
-            for name, series in runs(seed, workdir):
-                errors = workloads.check_runs(series).errors
-                hashes[name] = digest(series)
-                if name == "liftrun" and hashes[name] != hashes["liftoff"]:
-                    errors.append("run_many's lift-off family differs from run's")
-                failed |= report(name, seed, hashes[name], errors)
-            failed |= report("transport", seed, *transport(seed, workdir))
+    if args.against is not None:
+        theirs, other, status = revision_hashes(args.against, args.seeds)
+        for line in other:
+            print(f"{args.against}: {line}")
+        failed = status != 0
+    for name, seed, sha, errors in hashes(args.seeds):
+        line = f"{name:>8} seed {seed:>5} {sha}"
+        if args.against is not None:
+            rev_sha = theirs.get((name, seed), "-")
+            line += f" {rev_sha}" + ("" if rev_sha == sha else "  differs")
+            failed |= rev_sha != sha
+        print(line + "".join(f"\n    gate failed: {e}" for e in errors), flush=True)
+        failed |= bool(errors)
     return 1 if failed else 0
 
 
