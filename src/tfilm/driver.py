@@ -11,11 +11,10 @@ The slack is allowed to dip below zero only by the audit tolerance
 eps_min^p * |domain| + 10 * tol_grad (smoothing bias plus the gradient
 stopping error); anything worse raises.
 
-``run`` marches one config.  ``run_many`` marches configs that share a
-grid and a step count as one ``StepBatch`` (a group of at least
-``_BATCH_MIN``), with the same per-member checks and records as ``run``,
-and falls back to ``run`` for small groups and for every config once any
-member fails.
+``run`` marches one config.  ``run_many`` marches each group of configs
+that share a grid and a step count as one ``StepBatch``, with the same
+per-member checks and records as ``run``, and falls back to ``run`` for
+every config once any member fails.
 """
 
 import copy
@@ -260,14 +259,6 @@ def run(cfg):
     return series
 
 
-# Groups of at least this many configs of one grid and step count are
-# marched as one batch.  Smaller groups run config by config:
-# tools/ensemble_scaling.py measured the batch against that at 0.95-1.04x
-# for 2 family members and 0.93-1.05x for 3 (twelve runs each, so 3 is
-# break even), 1.10-1.23x for 4 (nine runs), 1.44-1.61x for 6 and
-# 2.43-2.83x for 18, and at 1.61-1.87x for a 3-member lift-off family.
-_BATCH_MIN = 4
-
 # What a failing batch raises; run_many then reruns the configs through run
 _BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, ValueError,
                  ArithmeticError, RuntimeWarning)
@@ -275,29 +266,23 @@ _BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, Valu
 
 def _march_batch(cfgs):
     """The series of configs that share a grid and a step count, marched
-    as one StepBatch whose members are ordered by potential kind."""
-    order = sorted(range(len(cfgs)), key=lambda i: (cfgs[i].model.potential.kind,
-                                                   cfgs[i].model.modified.has_barrier))
-    cfgs = [cfgs[i] for i in order]
+    as one StepBatch."""
     batch = StepBatch(cfgs[0].grid, [c.model for c in cfgs], [c.step for c in cfgs],
                       [c.e0 for c in cfgs])
     series = [_new_series(c) for c in cfgs]
     u = [c.u0 for c in cfgs]
     for k in range(1, cfgs[0].n_steps + 1):
         u = [_record(s, k, res) for s, res in zip(series, batch.step(np.stack(u)))]
-    out = [None] * len(cfgs)
-    for i, s in zip(order, series):
-        out[i] = s
-    return out
+    return series
 
 
 def run_many(configs, threads=None):
     """The series of each config, in input order, as ``run`` gives them.
 
     Configs that share a grid (L, N) and a step count are marched
-    together: a group of at least ``_BATCH_MIN`` configs runs as one
-    ``StepBatch``, whose members match ``run`` to the Newton tolerance; a
-    smaller group runs config by config.  If any member fails, a Newton
+    together as one ``StepBatch``, whose members match ``run`` to the
+    Newton tolerance; a config alone on its grid and step count is a
+    one-member batch.  If any member fails, a Newton
     failure from a warm start included, every config is run again through
     ``run`` in input order, so the series and the error raised (its type,
     its ``step k (t = ...) failed:`` message and its payload) are ``run``'s.
@@ -312,9 +297,7 @@ def run_many(configs, threads=None):
     out = [None] * len(configs)
     try:
         for rows in groups.values():
-            cfgs = [configs[i] for i in rows]
-            series = _march_batch(cfgs) if len(cfgs) >= _BATCH_MIN else [run(c) for c in cfgs]
-            for i, s in zip(rows, series):
+            for i, s in zip(rows, _march_batch([configs[i] for i in rows])):
                 out[i] = s
     except _BATCH_ERRORS:
         return [run(c) for c in configs]

@@ -418,27 +418,19 @@ def energy(g, u, mp):
     Returns the infinite sentinel in `total` (and `potential`) whenever
     the barrier is active and some cell is non-positive.  A stack of
     heights (B, N) under a ``PotentialStack`` of B members (or one
-    ``ModifiedPotential`` for all) gives a breakdown of lists of B floats,
-    row by row the values of the single heights.
+    ``ModifiedPotential`` for all) gives a breakdown of lists of B floats;
+    a single height is taken as a one-row stack.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        return EnergyBreakdown(*(v[0] for v in energy(g, u[None], mp)))
     du = gradient(g, u)
-    squares = np.add.reduce(du * du, axis=-1)
-    if u.ndim > 1:
-        # the scalar arithmetic of each row on Python floats, as for one height
-        dirichlet = [0.5 * s * g.dx for s in squares.tolist()]
-        pot_vals = mp.g_sigma(u)
-        potential = integrate(g, pot_vals).tolist()
-        for i, value in enumerate(potential):
-            if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
-                potential[i] = INFINITE_ENERGY
-        return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])
-    dirichlet = float(0.5 * squares * g.dx)
-    if mp.has_barrier and (u <= 0.0).any():
-        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
+    # the scalar arithmetic of each row on Python floats
+    dirichlet = [0.5 * s * g.dx for s in np.add.reduce(du * du, axis=-1).tolist()]
     pot_vals = mp.g_sigma(u)  # +inf on the non-positive cells under a barrier
-    potential = integrate(g, pot_vals)
-    # a finite sum has no infinite term, so only a non-finite one is searched
-    if not math.isfinite(potential) and np.isinf(pot_vals).any():
-        return EnergyBreakdown(dirichlet, INFINITE_ENERGY, INFINITE_ENERGY)
-    return EnergyBreakdown(dirichlet, potential, dirichlet + potential)
+    potential = integrate(g, pot_vals).tolist()
+    for i, value in enumerate(potential):
+        # a finite sum has no infinite term, so only a non-finite one is searched
+        if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
+            potential[i] = INFINITE_ENERGY
+    return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])

@@ -71,19 +71,19 @@ barrier domain starts cold instead: zero flux down the full ladder.  In
 the cold solve.
 
 There is one Newton loop, for B members on one grid: ``solve_step`` runs
-it with B = 1, and a ``StepBatch`` (``run_many`` marches a group of
-configs of one grid and one step count with it) with its members.  A
-pass evaluates the kernels once on all (B, N) rows: the functional with
-the energy, the chemical potential, the reduced gradient, the Newton
-bands and the boundary cap.  The members' bands lie side by side in one
-(3, B, N-1) band storage, so the iterating members' bands are one
-block-diagonal band, solved by one ``solveh_banded`` call; a band that is
-not positive definite is reported for its member with that member's own
-minor.  The step's masses and height ranges are taken once on all rows.
-Every decision of a member (convergence, the Newton cap, Armijo
-acceptance, a stall while polishing, entry into its next eps level) is
-made on Python floats.  Each member walks its own eps
-ladder.  A parameter of the arithmetic that all members share (alpha,
+it with B = 1, and a ``StepBatch`` (``run_many`` marches every group of
+configs of one grid and one step count with it) with its members, which
+it takes in any order.  A pass evaluates the kernels once on all (B, N)
+rows: the functional with the energy, the chemical potential, the
+reduced gradient, the Newton bands and the boundary cap.  The members'
+bands lie side by side in one (3, B, N-1) band storage, so the iterating
+members' bands are one block-diagonal band, solved by one
+``solveh_banded`` call; a band that is not positive definite is reported
+for its member with that member's own minor.  The step's masses and
+height ranges are taken once on all rows.  Every decision of a member
+(convergence, the Newton cap, Armijo acceptance, a stall while
+polishing, entry into its next eps level) is made on Python floats.
+Each member walks its own eps ladder.  A parameter of the arithmetic that all members share (alpha,
 p, h, G_sigma) is held as a scalar and the others as (B, 1) columns,
 and the per-member sums (energies, functional values) are finished on
 Python floats, so a member of a batch that shares model and step
@@ -416,12 +416,12 @@ class _Problem:
     The parameters of the members' arithmetic are scalars where they
     share them and (B, 1) columns where they do not (the dissipation
     scales are a list); G_sigma is one ``ModifiedPotential`` when they
-    share it and a ``PotentialStack`` (the members of one kind consecutive)
-    when they do not.  Besides them: the members shifting their Newton
-    diagonal (a bool column), the cold eps ladders, the -Delta_h bands, the
-    Newton band storage (3, B, N-1), in which the members' bands lie side
-    by side as one block-diagonal band, and the zero-ended face buffer
-    (B, N+1).
+    share it and a ``PotentialStack`` when they do not (``StepBatch``
+    orders the members for it).  Besides them: the members shifting their
+    Newton diagonal (a bool column), the cold eps ladders, the -Delta_h
+    bands, the Newton band storage (3, B, N-1), in which the members'
+    bands lie side by side as one block-diagonal band, and the zero-ended
+    face buffer (B, N+1).
     """
 
     def __init__(self, g, models, steps):
@@ -800,18 +800,25 @@ class StepBatch:
     and walks its own eps ladder.  The members' parameters are held as in
     a one-member step where they share them, so a member matches ``run``
     bit for bit when the batch shares its model and step parameters, and
-    to roundoff otherwise; a ``PotentialStack`` (the members of one
-    potential kind consecutive) evaluates G_sigma when the members'
-    differ.  A member whose warm start leaves the barrier domain starts
-    cold.  Any failure, a Newton failure from a warm start included,
-    raises ``solve_step``'s error type and leaves the batch unusable, and
-    ``run_many`` then reruns the configs through ``run``.
+    to roundoff otherwise; a ``PotentialStack`` evaluates G_sigma when the
+    members' differ.  Members come in any order: the batch orders them
+    once by potential kind and barrier, as the stack needs, and takes and
+    returns them in the order given.  A member whose warm start leaves the
+    barrier domain starts cold.  Any failure, a Newton failure from a warm
+    start included, raises ``solve_step``'s error type and leaves the batch
+    unusable, and ``run_many`` then reruns the configs through ``run``.
     """
 
     def __init__(self, g, models, steps, energies):
         self.grid = g
-        self.problem = _Problem(g, models, steps)
-        self.states = [StepState(g, sp.h, e) for sp, e in zip(steps, energies)]
+        # the members in the order the problem holds them, and each given
+        # member's place in it
+        order = sorted(range(len(models)), key=lambda i: (models[i].potential.kind,
+                                                          models[i].modified.has_barrier))
+        self.order, self.place = np.array(order, dtype=np.intp), np.argsort(order).tolist()
+        models = [models[i] for i in order]
+        self.problem = _Problem(g, models, [steps[i] for i in order])
+        self.states = [StepState(g, steps[i].h, energies[i]) for i in order]
         rows = {}
         for i, m in enumerate(models):
             rows.setdefault(m.mobility, []).append(i)
@@ -819,20 +826,26 @@ class StepBatch:
 
     def step(self, u_stars):
         """Solve one step of every member from its current height, one row
-        of u_stars each.  Returns the members' StepResults."""
-        g, prob = self.grid, self.problem
+        of u_stars each.  Returns the members' StepResults, in the order of
+        the rows."""
+        g, prob, states = self.grid, self.problem, self.states
         u_star = np.asarray(u_stars, dtype=float)
-        if u_star.shape != (len(self.states), g.N):
-            raise ValueError(f"u_stars must have shape {(len(self.states), g.N)}, one row "
+        if u_star.shape != (len(states), g.N):
+            raise ValueError(f"u_stars must have shape {(len(states), g.N)}, one row "
                              f"per member, got {u_star.shape}")
+        u_star = u_star[self.order]
         # the preconditions of solve_step; the energy of u* is the state's
         m_int = np.empty((len(u_star), g.N - 1))
         for mob, rows in self.mobilities:
             m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
         if (m_int <= 0.0).any():
             raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-        start = prob.start(self.states, u_star, m_int, [s.energy_star for s in self.states])
-        return prob.results(self.states, start, _solve(prob, start))
+        e_before = [s.energy_star for s in states]
+        if not all(math.isfinite(e.total) for e in e_before):
+            raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
+        start = prob.start(states, u_star, m_int, e_before)
+        out = prob.results(states, start, _solve(prob, start))
+        return [out[k] for k in self.place]
 
 
 def el_residual(g, res, u_star, model):

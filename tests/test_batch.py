@@ -7,6 +7,7 @@ barrier domain, failing members (Newton caps, failed Newton directions
 and warm Newton failures), and mixed grids and step counts."""
 
 import copy
+import dataclasses
 import itertools
 import sys
 from unittest.mock import patch
@@ -24,6 +25,7 @@ from tfilm.grid import Grid, integrate
 from tfilm.models import (
     ModelParams,
     constant_mobility,
+    energy,
     navier_slip_mobility,
     power_mobility,
     quadratic_potential,
@@ -32,7 +34,6 @@ from tfilm.models import (
 )
 from tfilm.step import StepCheckError, StepNonconvergenceError, StepParams, StepState
 
-B_MIN = tfilm.driver._BATCH_MIN
 RTOL = 1e-7
 STEP_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError)
 
@@ -130,7 +131,7 @@ def groups(draw):
     rheology branches, mobility and potential kinds, step sizes and
     snapshot spacings."""
     g = Grid(1.0, draw(st.integers(8, 40)))
-    size = draw(st.integers(7, 10))  # each group at least B_MIN, so it batches
+    size = draw(st.integers(1, 10))
     n_steps = draw(st.integers(1, 5))
     configs = []
     for _ in range(size):
@@ -185,7 +186,7 @@ def test_a_uniform_liftoff_family_equals_run_bit_for_bit(alpha):
     # one model and one step for all members, so the batch holds their
     # parameters as scalars and does run's arithmetic
     h = 1e-5
-    configs = liftoff_configs(np.geomspace(1e-1, 1e-3, B_MIN), M=1.0, n=2.0, alpha=alpha,
+    configs = liftoff_configs(np.geomspace(1e-1, 1e-3, 3), M=1.0, n=2.0, alpha=alpha,
                               grid=Grid(1.0, 64), step=StepParams(h=h, tol_grad=1e-8),
                               T=12 * h, record_every=3)
     for got, ref in zip(batched_only(configs), [run(c) for c in configs]):
@@ -197,8 +198,7 @@ def test_a_uniform_liftoff_family_equals_run_bit_for_bit(alpha):
 
 def test_configs_of_different_lengths_are_batched_apart():
     g = Grid(1.0, 32)
-    configs = [replace_steps(c, n) for c, n in zip(family(g, 2 * B_MIN + 1),
-                                                   itertools.cycle([3, 5]))]
+    configs = [replace_steps(c, n) for c, n in zip(family(g, 9), itertools.cycle([3, 5]))]
     batches = []
     real_init = tfilm.step.StepBatch.__init__
 
@@ -209,7 +209,7 @@ def test_configs_of_different_lengths_are_batched_apart():
     with patch.object(tfilm.step.StepBatch, "__init__", recorded):
         out = batched_only(configs)
     # one lockstep batch per run length, in the order the lengths first appear
-    assert batches == [B_MIN + 1, B_MIN]
+    assert batches == [5, 4]
     for got, cfg in zip(out, configs):
         assert got.config is cfg
         assert len(got.diagnostics) == cfg.n_steps + 1
@@ -218,7 +218,7 @@ def test_configs_of_different_lengths_are_batched_apart():
 
 def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     g = Grid(1.0, 32)
-    configs = [replace_steps(c, 5) for c in family(g, B_MIN + 1)]
+    configs = [replace_steps(c, 5) for c in family(g, 5)]
     real_solve, real_gradient = tfilm.step._solve, tfilm.step._reduced_gradient
     real_dpbsv = tfilm.step.dpbsv
     names = ("q", "u", "e", "f", "mu", "d2g", "it", "level", "active")
@@ -298,7 +298,7 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
 
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     g = Grid(1.0, 32)
-    configs = family(g, B_MIN, n_steps=6)
+    configs = family(g, 4, n_steps=6)
     # the one member with this step size has its prediction at step 4 empty a cell
     odd_h = 3e-5
     configs[1] = member(g, alpha=2.0, h=odd_h, n_steps=6)
@@ -330,7 +330,7 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
 
 def test_a_warm_newton_failure_ends_the_batch():
     g = Grid(1.0, 32)
-    configs = family(g, B_MIN, n_steps=6)
+    configs = family(g, 4, n_steps=6)
     # the one member with this step size is predicted off course from step
     # 4 on, so that Newton fails from its warm start, and run solves it cold
     odd_h = 3e-5
@@ -365,7 +365,7 @@ def test_a_warm_newton_failure_ends_the_batch():
 @pytest.mark.parametrize("failure", ["not-positive-definite", "ascent"])
 def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
     g = Grid(1.0, 32)
-    configs = family(g, B_MIN, n_steps=4)
+    configs = family(g, 4, n_steps=4)
     odd_h = 3e-5
     configs[2] = member(g, alpha=1.0, h=odd_h, n_steps=4)
     # that member's outer Newton band
@@ -411,7 +411,7 @@ def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
 
 def test_a_failing_member_raises_runs_error():
     g = Grid(1.0, 32)
-    configs = family(g, B_MIN)
+    configs = family(g, 4)
     # unreachable tolerance: Newton gives up at its cap in step 1
     configs[3] = member(g, alpha=2.0, tol_grad=1e-15, max_newton=3)
     with pytest.raises(StepNonconvergenceError) as want:
@@ -436,8 +436,7 @@ def test_a_failing_member_raises_runs_error():
 
 def test_mixed_grids_are_grouped_and_returned_in_input_order():
     g1, g2, g3 = Grid(1.0, 32), Grid(1.0, 40), Grid(2.0, 32)
-    a, b = family(g1, B_MIN), family(g2, B_MIN + 1)
-    c = family(g3, 2)  # below the crossover: config by config
+    a, b, c = family(g1, 4), family(g2, 5), family(g3, 2)
     configs = [a[0], b[0], c[0], *a[1:3], *b[1:], c[1], *a[3:]]
     batches = []
     real_init = tfilm.step.StepBatch.__init__
@@ -447,24 +446,15 @@ def test_mixed_grids_are_grouped_and_returned_in_input_order():
         real_init(self, g, models, *args)
 
     with patch.object(tfilm.step.StepBatch, "__init__", recorded):
-        out = run_many(configs)
-    assert sorted(batches, key=str) == sorted([(g1, B_MIN), (g2, B_MIN + 1)], key=str)
+        out = batched_only(configs)
+    assert sorted(batches, key=str) == sorted([(g1, 4), (g2, 5), (g3, 2)], key=str)
     for got, cfg in zip(out, configs):
         assert got.config is cfg
         assert_series_match(got, run(cfg))
 
 
-def test_small_groups_run_config_by_config():
-    configs = family(Grid(1.0, 32), B_MIN - 1)
-    with patch.object(tfilm.step.StepBatch, "__init__",
-                      side_effect=AssertionError("batched below the crossover")):
-        out = run_many(configs)
-    for got, cfg in zip(out, configs):
-        assert_series_match(got, run(cfg))
-
-
 def test_threads_keyword_is_accepted():
-    configs = family(Grid(1.0, 16), B_MIN, n_steps=2)
+    configs = family(Grid(1.0, 16), 4, n_steps=2)
     out = run_many(configs, threads=1)
     assert [s.config for s in out] == configs
 
@@ -482,9 +472,52 @@ def test_a_batch_step_refuses_rows_of_another_shape():
         assert "(4, 16)" in str(info.value) and f"got {rows.shape}" in str(info.value)
 
 
+def test_a_batch_step_refuses_a_start_of_infinite_energy():
+    g = Grid(1.0, 16)
+    model = ModelParams(alpha=1.0, mobility=constant_mobility(), potential=zero_potential(),
+                        sigma=0.1)
+    sp = StepParams(h=1e-5)
+    good, bad = np.ones(g.N), np.ones(g.N)
+    bad[5] = -0.1  # a non-positive cell under the barrier
+    with pytest.raises(ValueError) as want:
+        tfilm.step.solve_step(g, bad, model, sp)
+    batch = tfilm.step.StepBatch(g, [model] * 2, [sp] * 2,
+                                 [energy(g, u, model.modified) for u in (good, bad)])
+    with pytest.raises(ValueError) as got:
+        batch.step(np.stack([good, bad]))
+    assert str(got.value) == str(want.value)
+    assert "infinite energy" in str(got.value)
+
+
+def test_a_batch_takes_its_members_in_any_order():
+    # zero and quadratic members interleaved, against the same members
+    # given one potential kind after the other
+    g = Grid(1.0, 32)
+    kinds = [(0.5, zero_potential(), 1e-5), (1.0, quadratic_potential(0.8), 2e-5),
+             (2.0, zero_potential(), 1e-5), (1.0, quadratic_potential(0.3), 1e-5),
+             (1.0, zero_potential(), 2e-5)]
+    configs = [member(g, alpha=a, potential=pot, h=h, coeffs=(0.3, -0.2 + 0.05 * i, 0.1, 0.05))
+               for i, (a, pot, h) in enumerate(kinds)]
+    order = [1, 3, 0, 2, 4]
+
+    def batch(cfgs):
+        return tfilm.step.StepBatch(g, [c.model for c in cfgs], [c.step for c in cfgs],
+                                    [c.e0 for c in cfgs])
+
+    mixed, grouped = batch(configs), batch([configs[i] for i in order])
+    u = np.stack([c.u0 for c in configs])
+    for _ in range(4):
+        got, want = mixed.step(u), grouped.step(u[order])
+        assert len(got) == len(configs)
+        for i, ref in zip(order, want):
+            for name in (f.name for f in dataclasses.fields(ref)):
+                assert np.array_equal(getattr(got[i], name), getattr(ref, name)), (i, name)
+        u = np.stack([r.u_next for r in got])
+
+
 def test_a_batch_step_takes_each_mass_once_and_records_what_it_checked():
     g = Grid(1.0, 32)
-    configs = family(g, B_MIN, n_steps=3)
+    configs = family(g, 4, n_steps=3)
     real_integrate, real_step = tfilm.step.integrate, tfilm.step.StepBatch.step
     masses, results = [], []
 
