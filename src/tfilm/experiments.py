@@ -32,7 +32,7 @@ __all__ = [
     "WlProfile",
     "build_w_l",
     "DissipationScalingReport",
-    "dissipation_deltas",
+    "dissipation_inputs",
     "dissipation_scaling_fit",
     "PointWitness",
     "point_lemma_check",
@@ -240,14 +240,28 @@ class DissipationScalingReport:
     n_cells: int
 
 
-def dissipation_deltas(deltas, M, g):
-    """The deltas of a dissipation-scaling fit, checked.
+def _check_exponents(n, alpha):
+    """Refuse, with a ValueError, a mobility exponent n that is not
+    positive and finite, and an alpha that is not or whose 1/alpha
+    overflows (alpha below about 5.6e-309): the dissipation exponent
+    (alpha + 1)/alpha must be finite."""
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"n must be positive and finite, got {n}")
+    if not (0.0 < alpha < math.inf and 1.0 / float(alpha) < math.inf):
+        raise ValueError(f"alpha must be positive and finite with a finite 1/alpha, "
+                         f"got {alpha}")
 
-    Refuses, with a ValueError, fewer than 4 deltas, a span of less than
-    two decades, a delta outside (0, M/2), deltas that do not strictly
-    decrease, a grid other than the unit interval, and a grid with
-    N < 32/min(delta), too coarse to resolve the narrowest bump.
+
+def dissipation_inputs(deltas, M, n, alpha, g):
+    """The deltas of a dissipation-scaling fit, checked with its exponents.
+
+    Refuses, with a ValueError, an n or alpha that ``_check_exponents``
+    refuses, fewer than 4 deltas, a span of less than two decades, a
+    delta outside (0, M/2), deltas that do not strictly decrease, a grid
+    other than the unit interval, and a grid with N < 32/min(delta), too
+    coarse to resolve the narrowest bump.
     """
+    _check_exponents(n, alpha)
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 4:
         raise ValueError("need at least 4 deltas for the slope fit")
@@ -270,10 +284,10 @@ def dissipation_scaling_fit(deltas, M, n, alpha, g, slope_tol=0.15):
 
     u_delta = delta + (M - delta)/beta_l * w_l with l = delta; |u'''| is
     the exact piecewise value (scale / l^2 on the bump) so the
-    quadrature only has to resolve u^n.  The deltas are checked by
-    ``dissipation_deltas``.
+    quadrature only has to resolve u^n.  The inputs are checked by
+    ``dissipation_inputs``.
     """
-    deltas = dissipation_deltas(deltas, M, g)
+    deltas = dissipation_inputs(deltas, M, n, alpha, g)
     x = g.cell_centers()
     values = []
     fvals = []
@@ -521,6 +535,13 @@ def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
     continuity equation by a cumulative sum, so every interpolated pair
     satisfies the discrete flow equation exactly, and the integrand
     |j|^p / m(u)^(1/alpha) is taken at the substep midpoint.
+
+    The integrand is formed in place, with the operations of
+    ``np.abs(-cumsum((ub - ua) / dt) * dx) ** p / m ** (1/alpha)`` in
+    their order, so the action is theirs bit for bit, while a chunk
+    keeps few chunk-sized arrays alive.  Every such array freed can
+    leave malloc's heap top large enough to be returned to the system
+    and faulted back in at the next chunk.
     """
     dt = duration / n_sub
     total = 0.0
@@ -529,27 +550,41 @@ def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
         states = block if last is None else np.concatenate((last[None], block))
         last = states[-1].copy()
         ua, ub = states[:-1], states[1:]
-        dudt = (ub - ua) / dt
-        j = -np.cumsum(dudt[:, :-1], axis=1) * g.dx
-        m_faces = mobility_face(mob, 0.5 * (ua + ub), g)[:, 1:-1]
-        rows = np.sum(np.abs(j) ** p / m_faces ** (1.0 / alpha), axis=1)
+        dudt = np.subtract(ub, ua)
+        dudt /= dt
+        mid = np.add(ua, ub)
+        mid *= 0.5
+        del block, states, ua, ub
+        j = dudt[:, :-1]  # the flux, then the integrand, in du/dt's buffer
+        np.cumsum(j, axis=1, out=j)
+        np.negative(j, out=j)
+        j *= g.dx
+        np.abs(j, out=j)
+        j **= p
+        m_faces = mobility_face(mob, mid, g)
+        del mid
+        m_faces **= 1.0 / alpha
+        j /= m_faces[:, 1:-1]
+        del m_faces
+        rows = np.sum(j, axis=1)
         for r in rows:
             total += dt * g.dx * float(r)
     return total
 
 
-def bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps=48):
+def bb_action_inputs(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     """(u0, u1, M values, atoms) of a transport-action demo, checked.
 
-    Refuses, with a ValueError, an empty M_sweep, an M that is not
-    positive and finite, endpoints that are not finite 1-D fields of N
-    cells or not strictly positive, an eta that leaves no interior atom
-    z = eta, 2 eta, ... below L - eta, and a stage_steps that is not an
-    integer >= 1.
+    Refuses, with a ValueError, an n or alpha that ``_check_exponents``
+    refuses, an empty M_sweep, an M that is not positive and finite,
+    endpoints that are not finite 1-D fields of N cells or not strictly
+    positive, an eta that leaves no interior atom z = eta, 2 eta, ...
+    below L - eta, and a stage_steps that is not an integer >= 1.
     """
     steps = stage_steps
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"stage_steps must be an integer >= 1, got {stage_steps!r}")
+    _check_exponents(n, alpha)
     M_values = tuple(float(M) for M in M_sweep)
     if not M_values:
         raise ValueError("M_sweep is empty")
@@ -589,7 +624,8 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     the same bit for bit whatever the chunk size.  The inputs are
     checked by ``bb_action_inputs``.
     """
-    u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep, stage_steps)
+    u0, u1, M_values, z = bb_action_inputs(g, u0, u1, eta, M_sweep, n, alpha,
+                                           stage_steps)
     mass0 = integrate(g, u0)
     u1 = u1 * (mass0 / integrate(g, u1))
     if abs(integrate(g, u1) - mass0) > 1e-12 * mass0:

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import os
-import secrets
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -274,8 +273,7 @@ def _liftoff_sweep(**values):
 def _bb_action(g, u0, u1, **values):
     """The demo's arguments, with the endpoint heights built on g and checked."""
     u0, u1 = u0.build(g), u1.build(g)
-    ex.bb_action_inputs(g, u0, u1, values["eta"], values["M_sweep"],
-                        values["stage_steps"])  # before any output
+    ex.bb_action_inputs(g, u0, u1, **values)  # before any output
     return dict(values, g=g, u0=u0, u1=u1)
 
 
@@ -290,7 +288,8 @@ def _point_lemma(**values):
 
 
 def _dissipation_bound(**values):
-    ex.dissipation_deltas(values["deltas"], values["M"], values["g"])  # the fit's own checks
+    ex.dissipation_inputs(values["deltas"], values["M"], values["n"], values["alpha"],
+                          values["g"])  # the fit's own checks
     return values
 
 
@@ -367,7 +366,7 @@ def _atomic_text(path):
     No fsync: the rename makes the file whole, not durable.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     f = open(tmp, "x")
     try:
         with f:

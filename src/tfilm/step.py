@@ -36,7 +36,8 @@ the plain formulas, so its results are bit for bit theirs:
 * the directions of all iterating members are one LAPACK dpbsv call
   (band Cholesky) through ``solveh_banded`` on the block-diagonal band
   of their bands, which raises like scipy's: ValueError for non-finite
-  input, LinAlgError when the matrix is not positive definite;
+  input, LinAlgError when the matrix is not positive definite; scipy.linalg
+  is imported at the first solve, not with this module;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
   face buffer built with the step's fixed data (once per run, or per
   step without a ``StepState``), as are the boundary-cap direction and
@@ -97,14 +98,12 @@ too) raises ``StepNonconvergenceError`` and ends the batch.
 
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# unused here; kept because the tracer of bench/run.py wraps step.solve_banded
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dpbsv
 
 from .grid import divergence, integrate, zero_flux
 from .models import (
@@ -136,6 +135,26 @@ _ARMIJO_C = 1e-4
 _TAU_BOUNDARY = 0.9
 _MAX_HALVINGS = 60
 _GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
+
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Import scipy's ``dpbsv`` or ``solve_banded`` at first use (PEP 562)
+    and bind it here, so that importing tfilm does not import scipy.linalg.
+
+    ``solveh_banded`` calls ``dpbsv`` through the module attribute, so a
+    replacement set on the module takes effect.  ``solve_banded`` is not
+    used by tfilm; the benchmark's tracer wraps it.
+    """
+    if name == "dpbsv":
+        from scipy.linalg.lapack import dpbsv as value
+    elif name == "solve_banded":
+        from scipy.linalg import solve_banded as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -297,7 +316,7 @@ def solveh_banded(ab, b):
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, x, info = dpbsv(ab.reshape(3, -1), b.reshape(-1))
+    _, x, info = _module.dpbsv(ab.reshape(3, -1), b.reshape(-1))
     if info > 0:
         block, minor = divmod(info - 1, ab.shape[-1])
         raise _NotPositiveDefinite(minor + 1, block)

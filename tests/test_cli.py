@@ -640,6 +640,14 @@ REFUSED_BEFORE_THE_LOCK = {
                            "endpoints must be strictly positive"),
     "bb-action-sweep": ("bb-action", dict(VALID_CONFIGS["bb-action"], M_sweep=[1, -2]),
                         "every M must be positive and finite"),
+    # exponents that are not positive and finite, or an alpha whose 1/alpha
+    # overflows: once the run starts, alpha = 0 divides by zero and 1e-320
+    # gives a NaN summary
+    **{f"{command}-{key}-{value!r}": (command, dict(VALID_CONFIGS[command], **{key: value}),
+                                      f"{key} must be positive")
+       for command in ("bb-action", "dissipation-bound")
+       for key, values in (("alpha", (0.0, -1.0, 1e-320)), ("n", (0.0, -1.0)))
+       for value in values},
     **{f"bb-action-stage-steps-{steps}": (
         "bb-action", dict(VALID_CONFIGS["bb-action"], stage_steps=steps),
         "stage_steps must be an integer >= 1") for steps in (0, -1, -3)},
@@ -669,3 +677,83 @@ def test_cli_config_error_makes_no_output_directory(tmp_path, capsys, command, c
     assert f"tfilm: error: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# the import graph: scipy.linalg (LAPACK) loads at the first Newton solve, so
+# the commands that never solve do not pay for it.  Each case runs in a fresh
+# interpreter, since this one has imported scipy already.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tfilm.step.__file__)))
+
+CLI_CASE = """
+from tfilm.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+assert code == {expected}, code
+"""
+
+SOLVE_CASE = """
+import numpy as np
+from tfilm import Grid, ModelParams, StepParams, power_mobility, solve_step, zero_potential
+g = Grid(1.0, 16)
+model = ModelParams(alpha=1.0, mobility=power_mobility(2.0), potential=zero_potential(),
+                    sigma=None)
+solve_step(g, 1.0 + 0.1 * np.cos(np.pi * g.cell_centers()), model, StepParams(h=1e-4))
+"""
+
+
+def loads_linalg(tmp_path, code):
+    """Whether `code`, run to a clean exit in a fresh interpreter that
+    imports tfilm from this checkout, leaves scipy.linalg imported."""
+    code += "\nimport sys\nprint('scipy.linalg' in sys.modules)\n"
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()[-1] == "True"
+
+
+def cli_case(tmp_path, command, cfg, expected):
+    argv = [command, "--config", str(write_json(tmp_path / "cfg.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    return CLI_CASE.format(argv=argv, expected=expected)
+
+
+IMPORT_CASES = {
+    "import-tfilm": (lambda tmp: "import tfilm", False),
+    "import-tfilm-cli": (lambda tmp: "import tfilm.cli", False),
+    "help": (lambda tmp: CLI_CASE.format(argv=["--help"], expected=0), False),
+    # bb-action's audit fails on this coarse config (exit 2), reports written
+    **{command: (lambda tmp, command=command, code=code:
+                 cli_case(tmp, command, VALID_CONFIGS[command], code), False)
+       for command, code in (("bb-action", 2), ("point-lemma", 0), ("dissipation-bound", 0))},
+    "refused-simulate": (lambda tmp: cli_case(tmp, "simulate", dict(MINIMAL, sigma=1.5), 1),
+                         False),
+    "simulate": (lambda tmp: cli_case(tmp, "simulate",
+                                      dict(VALID_CONFIGS["simulate"], N=32, T=2e-4), 0), True),
+    "solve-step": (lambda tmp: SOLVE_CASE, True),
+}
+
+
+@pytest.mark.parametrize("case,loads", IMPORT_CASES.values(), ids=IMPORT_CASES.keys())
+def test_scipy_linalg_loads_at_the_first_solve_only(tmp_path, case, loads):
+    assert loads_linalg(tmp_path, case(tmp_path)) is loads
+
+
+def test_step_binds_scipys_band_solvers_on_first_access(tmp_path):
+    code = """
+import sys
+import tfilm.step as step
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert step.dpbsv is scipy.linalg.lapack.dpbsv
+assert step.solve_banded is scipy.linalg.solve_banded
+assert "dpbsv" in vars(step) and "solve_banded" in vars(step)
+try:
+    step.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("step.no_such_name resolved")
+"""
+    assert loads_linalg(tmp_path, code)

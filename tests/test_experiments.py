@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import tfilm.experiments
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.experiments import (
+    _path_action,
     _place_balls,
     bb_action_demo,
     bb_action_inputs,
     build_parabola_v,
     build_w_l,
+    dissipation_inputs,
     dissipation_scaling_fit,
     liftoff_configs,
     liftoff_sweep,
@@ -20,7 +22,7 @@ from tfilm.experiments import (
     rate_fit,
 )
 from tfilm.grid import Grid, gradient
-from tfilm.models import ModelParams, power_mobility, zero_potential
+from tfilm.models import ModelParams, mobility_face, power_mobility, zero_potential
 from tfilm.step import StepParams
 
 
@@ -135,6 +137,24 @@ def test_dissipation_input_validation():
         dissipation_scaling_fit([0.1, 0.05, 0.02, 0.011], 1.0, 2.0, 1.0, g)  # 1 decade
     with pytest.raises(ValueError):
         dissipation_scaling_fit([0.6, 0.05, 0.005, 0.0009], 1.0, 2.0, 1.0, g)  # > M/2
+
+
+# exponents that are not positive and finite, or whose dissipation
+# exponent (alpha + 1)/alpha overflows
+BAD_EXPONENTS = [(n, 1.0, "n must be positive") for n in (0.0, -1.0, math.inf, math.nan)] + [
+    (2.0, alpha, "alpha must be positive") for alpha in (0.0, -1.0, 1e-320, math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("n,alpha,message", BAD_EXPONENTS)
+def test_dissipation_and_transport_inputs_refuse_bad_exponents(n, alpha, message):
+    g = Grid(1.0, 64)
+    u = np.full(64, 0.5)
+    with pytest.raises(ValueError, match=message):
+        dissipation_inputs([0.1, 0.03, 0.01, 1e-3], 1.0, n, alpha, Grid(1.0, 40000))
+    with pytest.raises(ValueError, match=message):
+        bb_action_inputs(g, u, u + 0.1, eta=0.25, M_sweep=[2], n=n, alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        bb_action_demo(g, u, u + 0.1, eta=0.25, M_sweep=[2], n=n, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +451,31 @@ def test_bb_stage_actions_do_not_depend_on_the_chunk_size(monkeypatch):
         assert actions() == want
 
 
+def path_action_plain(g, mob, p, alpha, states, duration):
+    """The action of the substep states by the plain formulas, all at once."""
+    dt = duration / (len(states) - 1)
+    ua, ub = states[:-1], states[1:]
+    j = -np.cumsum(((ub - ua) / dt)[:, :-1], axis=1) * g.dx
+    m_faces = mobility_face(mob, 0.5 * (ua + ub), g)[:, 1:-1]
+    total = 0.0
+    for r in np.sum(np.abs(j) ** p / m_faces ** (1.0 / alpha), axis=1):
+        total += dt * g.dx * float(r)
+    return total
+
+
+@pytest.mark.parametrize("n,alpha", [(2.0, 1.0), (1.0, 1.0), (3.0, 0.5), (1.5, 2.0)])
+def test_path_action_in_place_is_the_plain_formula_bit_for_bit(n, alpha):
+    g = Grid(1.0, 48)
+    rng = np.random.default_rng(11)
+    states = 0.1 + rng.random((30, g.N))
+    want = path_action_plain(g, power_mobility(n), (alpha + 1.0) / alpha, alpha, states, 0.5)
+    for rows in (1, 7, 29):
+        blocks = (states[lo:lo + rows].copy() for lo in range(0, len(states), rows))
+        got = _path_action(g, power_mobility(n), (alpha + 1.0) / alpha, alpha, blocks,
+                           len(states) - 1, 0.5)
+        assert got == want
+
+
 @pytest.mark.parametrize("sweep", [[], [0], [2, -1], [2, float("nan")]])
 def test_bb_rejects_bad_sweep(sweep):
     g = Grid(1.0, 64)
@@ -453,7 +498,7 @@ def test_bb_action_inputs_refuse_an_eta_without_atoms(eta, message):
     g = Grid(1.0, 64)
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match=message):
-        bb_action_inputs(g, u, u + 0.1, eta=eta, M_sweep=[2])
+        bb_action_inputs(g, u, u + 0.1, eta=eta, M_sweep=[2], n=2.0, alpha=1.0)
     with pytest.raises(ValueError, match=message):
         bb_action_demo(g, u, u + 0.1, eta=eta, M_sweep=[2], n=2.0, alpha=1.0)
 
@@ -462,7 +507,7 @@ def test_bb_action_inputs_refuse_non_positive_endpoints():
     g = Grid(1.0, 64)
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match="endpoints must be strictly positive"):
-        bb_action_inputs(g, u, np.concatenate([u[:-1], [0.0]]), eta=0.25, M_sweep=[2])
+        bb_action_inputs(g, u, np.concatenate([u[:-1], [0.0]]), eta=0.25, M_sweep=[2], n=2.0, alpha=1.0)
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -475,7 +520,7 @@ def test_bb_action_inputs_refuse_endpoints_that_are_not_finite_cell_fields(bad, 
     g = Grid(1.0, 64)
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match=message):
-        bb_action_inputs(g, u, bad(u + 0.1), eta=0.25, M_sweep=[2])
+        bb_action_inputs(g, u, bad(u + 0.1), eta=0.25, M_sweep=[2], n=2.0, alpha=1.0)
     with pytest.raises(ValueError, match=message.replace("u1", "u0")):
         bb_action_demo(g, bad(u), u + 0.1, eta=0.25, M_sweep=[2], n=2.0, alpha=1.0)
 
@@ -485,7 +530,8 @@ def test_bb_action_inputs_refuse_stage_steps_below_one(stage_steps):
     g = Grid(1.0, 64)
     u = np.full(64, 0.5)
     with pytest.raises(ValueError, match="stage_steps must be an integer >= 1"):
-        bb_action_inputs(g, u, u + 0.1, eta=0.25, M_sweep=[2], stage_steps=stage_steps)
+        bb_action_inputs(g, u, u + 0.1, eta=0.25, M_sweep=[2], n=2.0, alpha=1.0,
+                         stage_steps=stage_steps)
     with pytest.raises(ValueError, match="stage_steps must be an integer >= 1"):
         bb_action_demo(g, u, u + 0.1, eta=0.25, M_sweep=[2], n=2.0, alpha=1.0,
                        stage_steps=stage_steps)
