@@ -47,8 +47,7 @@ def _simulate_audits(series):
     slack_ok = bool(np.all(series.column("ede_slack")[1:] >= -cfg.tol_audit))
     E = series.column("E_total")
     mono_ok = bool(np.all(np.diff(E) <= 1e-12 * (1.0 + np.abs(E[:-1]))))
-    p = cfg.model.p
-    el_bound = 100.0 * (cfg.step.tol_grad + cfg.step.eps_min ** (p - 1.0))
+    el_bound = cfg.el_bound
     el_ok = bool(np.all(series.column("el_residual")[1:] <= el_bound))
     return {
         "mass_conserved": mass_ok,

@@ -13,8 +13,8 @@ stopping error); anything worse raises.
 
 ``run`` marches one config.  ``run_many`` marches each group of configs
 that share a grid and a step count as one ``StepBatch``, with the same
-per-member checks and records as ``run``, and falls back to ``run`` for
-every config once any member fails.
+per-member checks, warm-to-cold rescue and records as ``run``, and runs
+every config through ``run`` once a member fails, for ``run``'s error.
 """
 
 import copy
@@ -160,6 +160,11 @@ class RunConfig:
     def tol_audit(self):
         return self.step.eps_min ** self.model.p * self.grid.L + 10.0 * self.step.tol_grad
 
+    @property
+    def el_bound(self):
+        """The gate on each step's EL residual: 100 (tol_grad + eps_min^(p-1))."""
+        return 100.0 * (self.step.tol_grad + self.step.eps_min ** (self.model.p - 1.0))
+
 
 # One row of a run's record: the columns of diagnostics.csv, in order
 StepDiagnostics = np.dtype([(name, float) for name in (
@@ -282,10 +287,11 @@ def run_many(configs, threads=None):
     Configs that share a grid (L, N) and a step count are marched
     together as one ``StepBatch``, whose members match ``run`` to the
     Newton tolerance; a config alone on its grid and step count is a
-    one-member batch.  If any member fails, a Newton
-    failure from a warm start included, every config is run again through
-    ``run`` in input order, so the series and the error raised (its type,
-    its ``step k (t = ...) failed:`` message and its payload) are ``run``'s.
+    one-member batch.  A member whose Newton fails from its warm start is
+    solved cold in the batch, as ``run`` solves it.  If a member fails
+    cold, every config is run again through ``run`` in input order, so the
+    error raised (its type, its ``step k (t = ...) failed:`` message and
+    its payload) is ``run``'s.
 
     ``threads`` is accepted for existing callers and ignored: a thread pool
     ran slower than a serial loop, because a step is Python-bound.

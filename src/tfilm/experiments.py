@@ -18,6 +18,7 @@ from .driver import InitialDataSpec, RunConfig, parabola_profile, run_many
 from .grid import Grid, gradient, integrate, laplacian_neumann
 from .models import (
     ModelParams,
+    check_alpha,
     mobility_face,
     power_mobility,
     zero_potential,
@@ -242,14 +243,10 @@ class DissipationScalingReport:
 
 def _check_exponents(n, alpha):
     """Refuse, with a ValueError, a mobility exponent n that is not
-    positive and finite, and an alpha that is not or whose 1/alpha
-    overflows (alpha below about 5.6e-309): the dissipation exponent
-    (alpha + 1)/alpha must be finite."""
+    positive and finite, and an alpha that ``models.check_alpha`` refuses."""
     if not 0.0 < n < math.inf:
         raise ValueError(f"n must be positive and finite, got {n}")
-    if not (0.0 < alpha < math.inf and 1.0 / float(alpha) < math.inf):
-        raise ValueError(f"alpha must be positive and finite with a finite 1/alpha, "
-                         f"got {alpha}")
+    check_alpha(alpha)
 
 
 def dissipation_inputs(deltas, M, n, alpha, g):

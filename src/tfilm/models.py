@@ -34,7 +34,6 @@ __all__ = [
     "quadratic_potential",
     "strong_singular_potential",
     "ModifiedPotential",
-    "PotentialStack",
     "ModelParams",
     "mobility_face",
     "psi",
@@ -107,6 +106,8 @@ class PotentialSpec:
       zero            G(s) = 0
       quadratic       G(s) = a s^2 / 2 for s > 0, 0 for s <= 0
       strong_singular G(s) = A / s^2 for s > 0, 0 for s <= 0
+
+    Every kind is evaluated as a s^2/2 + A/s^2, its unused coefficients 0.
     """
 
     kind: str
@@ -126,43 +127,36 @@ class PotentialSpec:
                 raise ValueError(f"{self.kind} potential needs a finite {name} >= 0, "
                                  f"got {value!r}")
 
-    def g(self, s):
+    def _derivative(self, s, k):
+        """G^(k)(s), k = 0, 1 or 2, on s > 0 (0 elsewhere), with a and A
+        scalars or, in a stack, (B, 1) columns.  A zero scalar drops its
+        term, and the A term skips the rows with A = 0, so that no 0/0
+        arises where s^(k+2) underflows."""
         s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
+        a, A = self.a, self.A
+        quad = isinstance(a, np.ndarray) or a != 0.0
+        sing = isinstance(A, np.ndarray) or A != 0.0
+        if not (quad or sing):
             return np.zeros(s.shape)
-        if self.kind == "quadratic":
-            return np.where(s > 0, 0.5 * self.a * s * s, 0.0)
-        out = np.zeros(s.shape)
         pos = s > 0
-        sp = np.where(pos, s, 1.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            out[pos] = (self.A / (sp * sp))[pos]
-        return out
+        out = (0.5 * a * s * s if k == 0 else a * s if k == 1 else a) if quad else None
+        if sing:
+            with np.errstate(over="ignore", divide="ignore"):
+                den = np.where(pos, s, 1.0) ** (k + 2)
+                term = np.divide((A, -2.0 * A, 6.0 * A)[k], den, out=np.zeros(den.shape),
+                                 where=A != 0.0)
+            out = term if out is None else out + term
+        return np.where(pos, out, 0.0)
+
+    def g(self, s):
+        return self._derivative(s, 0)
 
     def dg(self, s):
         """G'(s); valid on s > 0 (0 returned elsewhere)."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(s.shape)
-        if self.kind == "quadratic":
-            return np.where(s > 0, self.a * s, 0.0)
-        pos = s > 0
-        sp = np.where(pos, s, 1.0)
-        out = np.zeros(s.shape)
-        out[pos] = (-2.0 * self.A / sp**3)[pos]
-        return out
+        return self._derivative(s, 1)
 
     def d2g(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(s.shape)
-        if self.kind == "quadratic":
-            return np.where(s > 0, self.a, 0.0)
-        pos = s > 0
-        sp = np.where(pos, s, 1.0)
-        out = np.zeros(s.shape)
-        out[pos] = (6.0 * self.A / sp**4)[pos]
-        return out
+        return self._derivative(s, 2)
 
 
 def zero_potential():
@@ -207,7 +201,8 @@ class ModifiedPotential:
     a_phi: float = field(init=False, default=0.0)
     b_phi: float = field(init=False, default=0.0)
     c_phi: float = field(init=False, default=0.0)
-    # base Taylor data at 2*sigma
+    # sigma^2, taken once on Python floats, and the base Taylor data at 2*sigma
+    sigma_sq: float = field(init=False, default=0.0)
     g0: float = field(init=False, default=0.0)
     g1: float = field(init=False, default=0.0)
     g2: float = field(init=False, default=0.0)
@@ -221,6 +216,7 @@ class ModifiedPotential:
         two_sigma = np.array([2.0 * sigma])
         for name, value in (
             ("sigma", sigma),
+            ("sigma_sq", sigma**2),
             ("a_phi", -3.0 / (16.0 * sigma**2)),
             ("b_phi", 1.0 / sigma),
             ("c_phi", -1.5),
@@ -230,18 +226,30 @@ class ModifiedPotential:
         ):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def stack(cls, mps):
+        """G_sigma of B members at once: row b of a (B, N) stack of heights
+        is taken under mps[b], with member b's arithmetic bit for bit.
+
+        A coefficient that all members share stays a scalar, the others are
+        (B, 1) columns.  In a stack with a barrier, a member without one has
+        2*sigma = -inf, so none of its cells lies below it.
+        """
+        if all(mp == mps[0] for mp in mps):
+            return mps[0]
+        base = _unchecked(PotentialSpec, kind=None, **{
+            name: scalar_or_column([getattr(mp.base, name) for mp in mps]) for name in "aA"})
+        if not any(mp.has_barrier for mp in mps):
+            return _unchecked(cls, base=base, sigma=None)
+        values = {name: scalar_or_column([getattr(mp, name) for mp in mps])
+                  for name in ("a_phi", "b_phi", "c_phi", "sigma_sq", "g0", "g1", "g2")}
+        values["sigma"] = scalar_or_column([mp.sigma if mp.has_barrier else -math.inf
+                                            for mp in mps])
+        return _unchecked(cls, base=base, **values)
+
     @property
     def has_barrier(self):
         return self.sigma is not None
-
-    def _at(self, low):
-        """(sigma, g0, g1, g2, a_phi, b_phi, c_phi) at the cells of the mask
-        low: scalars as they are, (B, 1) columns of a stack broadcast over
-        their rows."""
-        values = (self.sigma, self.g0, self.g1, self.g2, self.a_phi, self.b_phi, self.c_phi)
-        if np.ndim(self.sigma) == 0:
-            return values
-        return tuple(np.broadcast_to(v, low.shape)[low] for v in values)
 
     def g_sigma(self, s):
         """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
@@ -254,12 +262,14 @@ class ModifiedPotential:
             return self.base.g(s)
         out = self.base.g(np.maximum(s, two_sigma))
         sl = s[low]
-        sigma, g0, g1, g2, a_phi, b_phi, c_phi = self._at(low)
+        sigma, sigma_sq, g0, g1, g2, a_phi, b_phi, c_phi = (
+            _on(v, low) for v in (self.sigma, self.sigma_sq, self.g0, self.g1, self.g2,
+                                  self.a_phi, self.b_phi, self.c_phi))
         d = sl - 2.0 * sigma
         sg = np.where(sl > 0, sl, 1.0)
         # the base's Taylor polynomial at 2*sigma plus the glue phi
         vals = (g0 + g1 * d + 0.5 * g2 * d * d
-                + (sigma**2 / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
+                + (sigma_sq / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
         vals[sl <= 0] = INFINITE_ENERGY
         out[low] = vals
         return out
@@ -280,15 +290,15 @@ class ModifiedPotential:
         capped = np.maximum(s, two_sigma)
         d1, d2 = self.base.dg(capped), self.base.d2g(capped)
         sl = s[low]
-        sigma, _, g1, g2, a_phi, b_phi, _ = self._at(low)
+        sigma, g1, g2 = (_on(v, low) for v in (self.sigma, self.g1, self.g2))
         d1_low = g1 + g2 * (sl - 2.0 * sigma)
         d2_low = np.broadcast_to(g2, sl.shape).copy()
         glue = sl > 0
-        if np.ndim(sigma):
-            sigma, a_phi, b_phi = sigma[glue], a_phi[glue], b_phi[glue]
+        sigma_sq, a_phi, b_phi = (_on(_on(v, low), glue)
+                                  for v in (self.sigma_sq, self.a_phi, self.b_phi))
         sg = sl[glue]
-        d1_low[glue] += -2.0 * sigma**2 / sg**3 + 2.0 * a_phi * sg + b_phi
-        d2_low[glue] += 6.0 * sigma**2 / sg**4 + 2.0 * a_phi
+        d1_low[glue] += -2.0 * sigma_sq / sg**3 + 2.0 * a_phi * sg + b_phi
+        d2_low[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
         d1[low] = d1_low
         d2[low] = d2_low
         return d1, d2
@@ -302,6 +312,25 @@ class ModifiedPotential:
         return self.derivatives(s)[1]
 
 
+def scalar_or_column(values, rows=None):
+    """The common value of the members in rows (all by default) as a
+    scalar, else the values of all members as a (B, 1) column.  A scalar
+    keeps a one-member evaluation's arithmetic bit for bit (numpy's power
+    with a column of exponents can differ from its power with a scalar in
+    the last bit) and spares the broadcast."""
+    first = values[0 if rows is None else rows[0]]
+    for i in range(len(values)) if rows is None else rows:
+        if values[i] != first:
+            return np.array(values)[:, None]
+    return first
+
+
+def _on(v, mask):
+    """The parameter v at the cells of mask: a scalar as it is, a column
+    (or a row of cells) broadcast over mask's shape and gathered."""
+    return np.broadcast_to(v, mask.shape)[mask] if isinstance(v, np.ndarray) else v
+
+
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass cls holding values as they are:
     the columns of members that were checked when they were built."""
@@ -311,44 +340,17 @@ def _unchecked(cls, **values):
     return obj
 
 
-class PotentialStack:
-    """G_sigma of B members at once: row b of a (B, N) stack of heights is
-    taken under member b's G_sigma.
-
-    The members of one base kind and barrier come in one block of rows,
-    which the methods of ``ModifiedPotential`` evaluate together on (B_k, 1)
-    columns of their parameters.
-    """
-
-    _COLUMNS = ("a", "A", "sigma", "g0", "g1", "g2", "a_phi", "b_phi", "c_phi")
-
-    def __init__(self, mps):
-        keys = [(mp.base.kind, mp.has_barrier) for mp in mps]
-        edges = [0, *(k for k in range(1, len(keys)) if keys[k] != keys[k - 1]), len(keys)]
-        if len(set(keys)) != len(edges) - 1:
-            raise ValueError("the members of one potential kind must be consecutive")
-        table = np.array([[mp.base.a, mp.base.A] + [0.0 if mp.sigma is None else v
-                                                    for v in mp._at(None)] for mp in mps])
-        self.blocks = []
-        for start, stop in zip(edges, edges[1:]):
-            col = {name: table[start:stop, k:k + 1] for k, name in enumerate(self._COLUMNS)}
-            kind, barrier = keys[start]
-            base = _unchecked(PotentialSpec, kind=kind, a=col.pop("a"), A=col.pop("A"))
-            if not barrier:
-                col["sigma"] = None
-            mp = _unchecked(ModifiedPotential, base=base, **col)
-            self.blocks.append((slice(start, stop), mp))
-
-    def g_sigma(self, s):
-        return np.concatenate([mp.g_sigma(s[rows]) for rows, mp in self.blocks])
-
-    def derivatives(self, s):
-        parts = [mp.derivatives(s[rows]) for rows, mp in self.blocks]
-        return tuple(np.concatenate(values) for values in zip(*parts))
-
-
 # ---------------------------------------------------------------------------
 # model parameters
+
+def check_alpha(alpha):
+    """Refuse, with a ValueError, an alpha that is not positive and finite
+    or whose 1/alpha overflows (alpha below about 5.6e-309): the
+    dissipation exponent (alpha + 1)/alpha must be finite."""
+    if not (0.0 < alpha < math.inf and 1.0 / float(alpha) < math.inf):
+        raise ValueError(f"alpha must be positive and finite with a finite 1/alpha, "
+                         f"got {alpha}")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -366,8 +368,7 @@ class ModelParams:
     modified: ModifiedPotential = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         object.__setattr__(self, "modified", ModifiedPotential(self.potential, self.sigma))
 
     @property
@@ -417,7 +418,7 @@ def energy(g, u, mp):
 
     Returns the infinite sentinel in `total` (and `potential`) whenever
     the barrier is active and some cell is non-positive.  A stack of
-    heights (B, N) under a ``PotentialStack`` of B members (or one
+    heights (B, N) under a ``ModifiedPotential.stack`` of B members (or one
     ``ModifiedPotential`` for all) gives a breakdown of lists of B floats;
     a single height is taken as a one-row stack.
     """

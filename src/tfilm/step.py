@@ -67,15 +67,15 @@ predict from.
 The warm start skips the eps ladder and solves at eps_min directly,
 where the functional is strictly convex, so it reaches the cold start's
 minimiser up to the Newton tolerance.  A warm flux that leaves the
-barrier domain starts cold instead: zero flux down the full ladder.  In
-``solve_step`` a Newton failure from the warm start also falls back to
-the cold solve.
+barrier domain starts cold instead: zero flux down the full ladder.  A
+member whose Newton fails from its warm start is solved cold too, and
+its ``newton_iters`` count the failed attempt.
 
-There is one Newton loop, for B members on one grid: ``solve_step`` runs
-it with B = 1, and a ``StepBatch`` (``run_many`` marches every group of
-configs of one grid and one step count with it) with its members, which
-it takes in any order.  A pass evaluates the kernels once on all (B, N)
-rows: the functional with the energy, the chemical potential, the
+There is one step and one Newton loop, for B members on one grid:
+``solve_step`` runs them with B = 1, and a ``StepBatch`` (``run_many``
+marches every group of configs of one grid and one step count with it)
+with its members, in the order given.  A pass evaluates the kernels
+once on all (B, N) rows: the functional with the energy, the chemical potential, the
 reduced gradient, the Newton bands and the boundary cap.  The members'
 bands lie side by side in one (3, B, N-1) band storage, so the iterating
 members' bands are one block-diagonal band, solved by one
@@ -84,16 +84,17 @@ for its member with that member's own minor.  The step's masses and
 height ranges are taken once on all rows.  Every decision of a member
 (convergence, the Newton cap, Armijo acceptance, a stall while
 polishing, entry into its next eps level) is made on Python floats.
-Each member walks its own eps ladder.  A parameter of the arithmetic that all members share (alpha,
-p, h, G_sigma) is held as a scalar and the others as (B, 1) columns,
-and the per-member sums (energies, functional values) are finished on
-Python floats, so a member of a batch that shares model and step
-parameters does the arithmetic of its one-member step, ``run``'s, bit
-for bit.  Members with different exponents match their one-member steps
-to roundoff: numpy's power with a column of exponents can differ in the
-last bit from its power with a scalar one.  In a batch, any failure (a
-Newton cap, a stalled line search, a failed direction, from a warm start
-too) raises ``StepNonconvergenceError`` and ends the batch.
+Each member walks its own eps ladder.  A parameter of the arithmetic
+that all members share (alpha, p, h, each coefficient of G_sigma) is
+held as a scalar and the others as (B, 1) columns, and the per-member
+sums (energies, functional values) are finished on Python floats, so a
+member of a batch that shares model and step parameters does the
+arithmetic of its one-member step, ``run``'s, bit for bit, and G_sigma
+is each member's own bit for bit in any batch.  Members with different
+exponents match their one-member steps to roundoff: numpy's power with a
+column of exponents can differ in the last bit from its power with a
+scalar one.  A cold failure (a Newton cap, a stalled line search, a
+failed direction) raises ``StepNonconvergenceError`` and ends the batch.
 """
 
 import math
@@ -108,11 +109,12 @@ import numpy as np
 from .grid import divergence, integrate, zero_flux
 from .models import (
     EnergyBreakdown,
-    PotentialStack,
+    ModifiedPotential,
     energy,
     mobility_face,
     psi,
     psi_inverse,
+    scalar_or_column,
 )
 
 __all__ = [
@@ -198,8 +200,11 @@ class StepNonconvergenceError(RuntimeError):
     """Newton failed (iteration cap, stalled line search, or a direction
     that is not a descent direction); carries the last iterate.
 
-    ``iters`` is the number of Newton iterations spent before giving up.
+    ``iters`` is the number of Newton iterations spent before giving up,
+    and ``member`` the failing member's index in a batch (0 for one).
     """
+
+    member = 0
 
     def __init__(self, message, u_last=None, j_last=None, grad_norm=None, iters=0):
         super().__init__(message)
@@ -240,19 +245,6 @@ def _psi_tilde_prime(s, p, eps):
     return q ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps * eps)
 
 
-def _check_preconditions(g, u_star, model, e_before=None):
-    """(face mobility, energy of u_star); a known energy e_before of u_star
-    is taken as given."""
-    m_faces = mobility_face(model.mobility, u_star, g)
-    if (m_faces[1:-1] <= 0.0).any():
-        raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-    if e_before is None:
-        e_before = energy(g, u_star, model.modified)
-    if not math.isfinite(e_before.total):
-        raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
-    return m_faces, e_before
-
-
 def _functional(g, mp, scale, p, eps, w, q, u, e=None, eps_p=None):
     """(step functional, energy of u) at interior fluxes q and u = u* - h div(q).
 
@@ -280,9 +272,11 @@ def reduced_objective(g, j, u_star, model, step, eps):
     infinite sentinel when the barrier is active and u has a
     non-positive cell.
     """
-    m_faces, _ = _check_preconditions(g, u_star, model)
+    u_star = np.asarray(u_star, dtype=float)
+    m_int = _Problem(g, [model], [step]).checked(u_star[None],
+                                                  [energy(g, u_star, model.modified)])
     u = u_star - step.h * divergence(g, j)
-    w = m_faces[1:-1] ** (-1.0 / model.alpha)
+    w = m_int ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
     return _functional(g, model.modified, [_dissipation_scale(g, model, step.h)],
                        model.p, eps, w, q[None], u[None])[0][0]
@@ -415,48 +409,36 @@ def _cold_ladder(model, step):
     return ladder
 
 
-def _shared(values, rows=None):
-    """The common value of the members in rows (all by default) as a
-    scalar, else the values of all members as a (B, 1) column.  A scalar
-    keeps a one-member step's arithmetic bit for bit (numpy's power with a
-    column of exponents can differ from its power with a scalar in the last
-    bit) and spares the broadcast; it is for the parameters of the
-    arithmetic."""
-    first = values[0 if rows is None else rows[0]]
-    for i in range(len(values)) if rows is None else rows:
-        if values[i] != first:
-            return np.array(values)[:, None]
-    return first
-
-
 class _Problem:
     """What stays fixed for B members on one grid through a run.
 
     The parameters of the members' arithmetic are scalars where they
     share them and (B, 1) columns where they do not (the dissipation
-    scales are a list); G_sigma is one ``ModifiedPotential`` when they
-    share it and a ``PotentialStack`` when they do not (``StepBatch``
-    orders the members for it).  Besides them: the members shifting their
-    Newton diagonal (a bool column), the cold eps ladders, the -Delta_h
-    bands, the Newton band storage (3, B, N-1), in which the members'
-    bands lie side by side as one block-diagonal band, and the zero-ended
-    face buffer (B, N+1).
+    scales are a list), G_sigma among them (``ModifiedPotential.stack``).
+    Besides them: the members of each mobility, the members shifting
+    their Newton diagonal (a bool column), the cold eps ladders, the
+    -Delta_h bands, the Newton band storage (3, B, N-1), in which the
+    members' bands lie side by side as one block-diagonal band, and the
+    zero-ended face buffer (B, N+1).
     """
 
     def __init__(self, g, models, steps):
         self.grid, self.models, self.steps = g, tuple(models), tuple(steps)
         self.alpha_each = [m.alpha for m in models]
-        self.alpha = _shared(self.alpha_each)
+        self.alpha = scalar_or_column(self.alpha_each)
         self.p_each = [m.p for m in models]
-        self.p = _shared(self.p_each)
-        self.h = _shared([sp.h for sp in steps])
+        self.p = scalar_or_column(self.p_each)
+        self.h = scalar_or_column([sp.h for sp in steps])
         self.scale = [_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)]
         self.shift = np.array([[m.p > 2.0] for m in models])
         self.any_shift = bool(self.shift.any())
         self.barrier = [m.modified.has_barrier for m in models]
         self.any_barrier = any(self.barrier)
-        mps = [m.modified for m in models]
-        self.potential = mps[0] if all(mp == mps[0] for mp in mps) else PotentialStack(mps)
+        self.potential = ModifiedPotential.stack([m.modified for m in models])
+        rows = {}
+        for i, m in enumerate(models):
+            rows.setdefault(m.mobility, []).append(i)
+        self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
         self.ladders = [_cold_ladder(m, sp) for m, sp in zip(models, steps)]
         self.caps = [sp.max_newton for sp in steps]
         B, dx = len(models), g.dx
@@ -472,15 +454,58 @@ class _Problem:
             self.ab[0, i, 2:] = sp.h * sp.h * (-self.ao / dx**2)
         self.pad = np.zeros((B, g.N + 1))
 
-    def start(self, states, u_star, m_int, e_before, warm=True):
+    def checked(self, u_star, e_before):
+        """The interior face mobilities of the rows of u_star, after the
+        preconditions of a step from them: positive mobility on every
+        interior face and a finite energy e_before of each row."""
+        g = self.grid
+        if len(self.mobilities) == 1:
+            m_int = mobility_face(self.mobilities[0][0], u_star, g)[:, 1:-1]
+        else:
+            m_int = np.empty((len(u_star), g.N - 1))
+            for mob, rows in self.mobilities:
+                m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
+        if (m_int <= 0.0).any():
+            raise ValueError("mobility vanishes on an interior face; step is ill-posed")
+        if not all(math.isfinite(e.total) for e in e_before):
+            raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
+        return m_int
+
+    def step(self, states, u_star):
+        """The members' StepResults of one step from the rows of u_star,
+        each state describing its member's row.
+
+        A member whose Newton fails from its warm start is solved cold:
+        the step is solved again with that member started cold and the
+        others as before, which repeats their arithmetic, and its
+        newton_iters also count the failed attempt's iterations.  A cold
+        failure raises.
+        """
+        e_before = [s.energy_star for s in states]
+        m_int = self.checked(u_star, e_before)
+        spent = {}  # the iterations of each failed warm attempt, by member
+        while True:
+            start = self.start(states, u_star, m_int, e_before, cold=spent)
+            try:
+                sol = _solve(self, start)
+                break
+            except StepNonconvergenceError as exc:
+                if not start.warm[exc.member]:
+                    raise
+                spent[exc.member] = exc.iters
+        for i, iters in spent.items():
+            sol.iters[i] += iters
+        return self.results(states, start, sol)
+
+    def start(self, states, u_star, m_int, e_before, cold=()):
         """The step from the rows of u_star, with the interior face
-        mobilities m_int and energies e_before of u*: each member starts
-        from its state's predicted flux at eps_min if it has one that stays
-        in the barrier domain (and warm is set), else cold, from zero flux
+        mobilities m_int and energies e_before of u*: each member not in
+        cold starts from its state's predicted flux at eps_min if it has
+        one that stays in the barrier domain, else cold, from zero flux
         down its eps ladder."""
         g = self.grid
         q = np.zeros((len(states), g.N - 1))
-        predicted = [s.predicted_flux() for s in states] if warm else [None] * len(states)
+        predicted = [None if i in cold else s.predicted_flux() for i, s in enumerate(states)]
         hot = [x is not None for x in predicted]
         if any(hot):
             for i, x in enumerate(predicted):
@@ -598,9 +623,12 @@ class StepState:
         self.energy_star = energy_after
 
 
-def _failure(message, q, u, grad_norm, it):
-    return StepNonconvergenceError(message, u_last=u.copy(), j_last=q.copy(),
-                                   grad_norm=grad_norm, iters=it)
+def _failure(message, i, q, u, norms, it):
+    """StepNonconvergenceError of member i, with its iterate."""
+    err = StepNonconvergenceError(message, u_last=u[i].copy(), j_last=q[i].copy(),
+                                  grad_norm=norms[i], iters=it[i])
+    err.member = i
+    return err
 
 
 def _solve(prob, start):
@@ -633,7 +661,7 @@ def _solve(prob, start):
 
     def direction_failed(reason, i):
         return _failure(f"Newton direction failed: {reason} (grad norm {norms[i]:.3e}, "
-                        f"eps {eps[i]:g})", q[i], u[i], norms[i], it[i])
+                        f"eps {eps[i]:g})", i, q, u, norms, it)
 
     while active:
         if entering:
@@ -643,8 +671,8 @@ def _solve(prob, start):
                 tol[i] = _level_tol(prob.steps[i], eps[i], level[i] == len(ladder) - 1)
                 it[i] = 0
             # done members ride along at any eps
-            eps_col = _shared(eps, active)
-            eps_p = _shared([x**y for x, y in zip(eps, prob.p_each)], active)
+            eps_col = scalar_or_column(eps, active)
+            eps_p = scalar_or_column([x**y for x, y in zip(eps, prob.p_each)], active)
             # a new level keeps the energy, mu and G_sigma'' and re-adds
             # only the dissipation
             level_f = _functional(g, mp, scale, p, eps_col, w, q, u, e, eps_p)[0]
@@ -670,7 +698,7 @@ def _solve(prob, start):
                 if tol[i] <= 10.0 * floor:
                     message += (f"; tol_grad is within 10x of the roundoff floor "
                                 f"eps_machine max|u*| / dx^3 = {floor:.3e} of this problem")
-                raise _failure(message, q[i], u[i], grad_norm, it[i])
+                raise _failure(message, i, q, u, norms, it)
             else:
                 go.append(i)
         if go:
@@ -716,7 +744,7 @@ def _solve(prob, start):
             # regime a feasible (boundary-capped) Newton step is taken
             # outright.  The other members ride along with a zero
             # direction at any step.
-            t_col = _shared(t, go)
+            t_col = scalar_or_column(t, go)
             pending, stepped = go, []
             for _ in range(_MAX_HALVINGS):
                 q_try = q + t_col * delta
@@ -750,7 +778,7 @@ def _solve(prob, start):
                 if norms[i] > tol[i]:
                     raise _failure(f"line search stalled at grad norm {norms[i]:.3e} > tol "
                                    f"{tol[i]:g}; tol_grad is below the roundoff floor of "
-                                   "this problem", q[i], u[i], norms[i], it[i])
+                                   "this problem", i, q, u, norms, it)
                 level_done(i)  # stalled while polishing an already-converged iterate
             if stepped:
                 mu, d2g = _chemical_potential(g, u, mp, pad)
@@ -789,82 +817,45 @@ def solve_step(g, u_star, model, step, state=None):
     attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
-    if state is not None and (state.grid != g or state.h != step.h):
-        raise ValueError("the step state belongs to another grid or step size")
-    m_faces, e_before = _check_preconditions(
-        g, u_star, model, None if state is None else state.energy_star)
     if state is None:
-        state = StepState(g, step.h, e_before)
+        state = StepState(g, step.h, energy(g, u_star, model.modified))
+    elif state.grid != g or state.h != step.h:
+        raise ValueError("the step state belongs to another grid or step size")
     prob = state.problem
     if prob is None or prob.models[0] is not model or prob.steps[0] is not step:
         prob = state.problem = _Problem(g, [model], [step])
-    args = ([state], u_star[None], m_faces[None, 1:-1], [e_before])
-    start = prob.start(*args)
-    try:
-        sol = _solve(prob, start)
-    except StepNonconvergenceError as exc:
-        if not start.warm[0]:
-            raise
-        start = prob.start(*args, warm=False)
-        sol = _solve(prob, start)
-        sol.iters[0] += exc.iters
-    return prob.results([state], start, sol)[0]
+    return prob.step([state], u_star[None])[0]
 
 
 class StepBatch:
     """Members that share a grid, stepped together as ``solve_step(...,
-    state=...)`` steps each, by the same Newton loop.
+    state=...)`` steps each, by the same step and Newton loop.
 
     Each member keeps its own ``StepState`` (so its predicted warm start)
-    and walks its own eps ladder.  The members' parameters are held as in
-    a one-member step where they share them, so a member matches ``run``
-    bit for bit when the batch shares its model and step parameters, and
-    to roundoff otherwise; a ``PotentialStack`` evaluates G_sigma when the
-    members' differ.  Members come in any order: the batch orders them
-    once by potential kind and barrier, as the stack needs, and takes and
-    returns them in the order given.  A member whose warm start leaves the
-    barrier domain starts cold.  Any failure, a Newton failure from a warm
-    start included, raises ``solve_step``'s error type and leaves the batch
-    unusable, and ``run_many`` then reruns the configs through ``run``.
+    and walks its own eps ladder, and a member whose warm start leaves the
+    barrier domain, or whose Newton fails from it, is solved cold.  The
+    members' parameters are held as in a one-member step where they share
+    them, so a member matches ``run`` bit for bit when the batch shares its
+    model and step parameters, and to roundoff otherwise.  Members come in
+    any order and are returned in it.  A cold failure raises
+    ``solve_step``'s error type and leaves the batch unusable.
     """
 
     def __init__(self, g, models, steps, energies):
         self.grid = g
-        # the members in the order the problem holds them, and each given
-        # member's place in it
-        order = sorted(range(len(models)), key=lambda i: (models[i].potential.kind,
-                                                          models[i].modified.has_barrier))
-        self.order, self.place = np.array(order, dtype=np.intp), np.argsort(order).tolist()
-        models = [models[i] for i in order]
-        self.problem = _Problem(g, models, [steps[i] for i in order])
-        self.states = [StepState(g, steps[i].h, energies[i]) for i in order]
-        rows = {}
-        for i, m in enumerate(models):
-            rows.setdefault(m.mobility, []).append(i)
-        self.mobilities = [(mob, np.array(r)) for mob, r in rows.items()]
+        self.problem = _Problem(g, models, steps)
+        self.states = [StepState(g, sp.h, e) for sp, e in zip(steps, energies)]
 
     def step(self, u_stars):
         """Solve one step of every member from its current height, one row
         of u_stars each.  Returns the members' StepResults, in the order of
         the rows."""
-        g, prob, states = self.grid, self.problem, self.states
         u_star = np.asarray(u_stars, dtype=float)
-        if u_star.shape != (len(states), g.N):
-            raise ValueError(f"u_stars must have shape {(len(states), g.N)}, one row "
-                             f"per member, got {u_star.shape}")
-        u_star = u_star[self.order]
-        # the preconditions of solve_step; the energy of u* is the state's
-        m_int = np.empty((len(u_star), g.N - 1))
-        for mob, rows in self.mobilities:
-            m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
-        if (m_int <= 0.0).any():
-            raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-        e_before = [s.energy_star for s in states]
-        if not all(math.isfinite(e.total) for e in e_before):
-            raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
-        start = prob.start(states, u_star, m_int, e_before)
-        out = prob.results(states, start, _solve(prob, start))
-        return [out[k] for k in self.place]
+        shape = (len(self.states), self.grid.N)
+        if u_star.shape != shape:
+            raise ValueError(f"u_stars must have shape {shape}, one row per member, "
+                             f"got {u_star.shape}")
+        return self.problem.step(self.states, u_star)
 
 
 def el_residual(g, res, u_star, model):

@@ -218,8 +218,7 @@ def test_criterion_03_per_step_edi(random_suite):
 def test_criterion_04_el_residual(random_suite):
     worst_ratio = 0.0
     for cfg, s in random_suite:
-        p = cfg.model.p
-        bound = 100.0 * (cfg.step.tol_grad + cfg.step.eps_min ** (p - 1.0))
+        bound = cfg.el_bound
         worst_ratio = max(worst_ratio,
                           float(np.max(s.column("el_residual")[1:])) / bound)
 

@@ -648,6 +648,12 @@ REFUSED_BEFORE_THE_LOCK = {
        for command in ("bb-action", "dissipation-bound")
        for key, values in (("alpha", (0.0, -1.0, 1e-320)), ("n", (0.0, -1.0)))
        for value in values},
+    # the run commands refuse it through ModelParams (n=1 keeps lift-off's
+    # window open at alpha -> 0)
+    **{f"{command}-alpha-1e-320": (command, dict(VALID_CONFIGS[command], alpha=1e-320, **extra),
+                                   "alpha must be positive and finite with a finite 1/alpha")
+       for command, extra in (("simulate", {}), ("rates", {}), ("audit-ede", {}),
+                              ("sweep-liftoff", {"n": 1}))},
     **{f"bb-action-stage-steps-{steps}": (
         "bb-action", dict(VALID_CONFIGS["bb-action"], stage_steps=steps),
         "stage_steps must be an integer >= 1") for steps in (0, -1, -3)},

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfilm.grid import Grid, integrate
 from tfilm.models import (
@@ -10,7 +12,6 @@ from tfilm.models import (
     ModelParams,
     ModifiedPotential,
     PotentialSpec,
-    PotentialStack,
     constant_mobility,
     energy,
     mobility_face,
@@ -134,6 +135,14 @@ def test_positive_parameters_refuse_nonpositive_and_nan(value):
         StepParams(h=value)
     with pytest.raises(ValueError, match="tol_grad must be positive"):
         StepParams(h=1e-4, tol_grad=value)
+
+
+@pytest.mark.parametrize("value", [1e-320, math.inf])
+def test_model_refuses_an_alpha_whose_dissipation_exponent_overflows(value):
+    # 1/alpha overflows at 1e-320, so p = (alpha + 1)/alpha would be inf
+    with pytest.raises(ValueError, match="alpha must be positive and finite with a finite"):
+        ModelParams(alpha=value, mobility=power_mobility(2.0), potential=zero_potential(),
+                    sigma=0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -290,23 +299,58 @@ def test_mass_of_parabola():
     assert integrate(g, v) == pytest.approx(1.0, abs=2 * g.dx**2)
 
 
-def test_potential_stack_rows_equal_their_members():
-    # kind blocks: barrier-less quadratic, then zero, quadratic and strong
-    # singular under barriers; heights reach below 2 sigma and below zero
-    g = Grid(1.0, 16)
-    mps = [ModifiedPotential(quadratic_potential(0.7), None),
-           ModifiedPotential(zero_potential(), 0.05), ModifiedPotential(zero_potential(), 0.2),
-           ModifiedPotential(quadratic_potential(1.3), 0.1),
-           ModifiedPotential(quadratic_potential(0.2), 0.3),
-           ModifiedPotential(strong_singular_potential(1e-3), 0.2)]
-    stack = PotentialStack(mps)
-    u = np.random.default_rng(7).uniform(-0.05, 1.0, (len(mps), g.N))
-    pos = np.abs(u) + 1e-3
-    stacked_energy, (d1, d2) = energy(g, u, stack), stack.derivatives(pos)
+BASES = {
+    "zero": st.just(zero_potential()),
+    "quadratic": (st.just(0.0) | st.floats(0.01, 5.0)).map(quadratic_potential),
+    "strong_singular": (st.just(0.0) | st.floats(1e-6, 0.1)).map(strong_singular_potential),
+}
+
+
+@st.composite
+def potential_stacks(draw):
+    """Members of every base kind and coefficient (zero included), with
+    and without a barrier, and a (B, N) stack of heights: non-positive
+    ones, 2 sigma itself, heights across the glue and above it, and
+    heights whose powers underflow on the rows without a barrier."""
+    N = draw(st.integers(4, 12))
+    mps, rows = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.sampled_from(sorted(BASES)).flatmap(BASES.get))
+        sigma = draw(st.none() | st.sampled_from([0.05, 0.1]) | st.floats(1e-3, 0.5))
+        special = [0.0, -0.0] + ([1e-160] if sigma is None else [2.0 * sigma])
+        heights = st.floats(-1.0, 0.0) | st.floats(1e-6, 3.0) | st.sampled_from(special)
+        mps.append(ModifiedPotential(base, sigma))
+        rows.append(draw(st.lists(heights, min_size=N, max_size=N)))
+    return mps, np.array(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(potential_stacks())
+def test_potential_stack_rows_equal_their_members(case):
+    # each row of the stacked G_sigma, G_sigma', G_sigma'' and energy is its
+    # member's own evaluation bit for bit
+    mps, u = case
+    g = Grid(1.0, u.shape[1])
+    stack = ModifiedPotential.stack(mps)
+    values, (d1, d2), stacked_energy = stack.g_sigma(u), stack.derivatives(u), energy(g, u, stack)
     for i, mp in enumerate(mps):
+        own = (mp.g_sigma(u[i]), *mp.derivatives(u[i]))
+        for got, want in zip((values[i], d1[i], d2[i]), own):
+            assert got.tobytes() == want.tobytes(), i
         assert tuple(field[i] for field in stacked_energy) == energy(g, u[i], mp)
-        assert np.array_equal(stack.g_sigma(pos)[i], mp.g_sigma(pos[i]))
-        assert np.array_equal(d1[i], mp.derivatives(pos[i])[0])
-        assert np.array_equal(d2[i], mp.derivatives(pos[i])[1])
-    with pytest.raises(ValueError, match="consecutive"):
-        PotentialStack([mps[1], mps[3], mps[2]])
+
+
+def test_a_stack_holds_shared_coefficients_as_scalars():
+    # members of one G_sigma are that G_sigma; otherwise a coefficient the
+    # members share is a scalar and the others are (B, 1) columns, and a
+    # member without a barrier has 2 sigma = -inf beside members with one
+    mp = ModifiedPotential(quadratic_potential(0.5), 0.1)
+    assert ModifiedPotential.stack([mp, ModifiedPotential(quadratic_potential(0.5), 0.1)]) is mp
+    stack = ModifiedPotential.stack([mp, ModifiedPotential(strong_singular_potential(1e-3), 0.1),
+                                     ModifiedPotential(zero_potential(), None)])
+    assert stack.base.a.tolist() == [[0.5], [0.0], [0.0]]
+    assert stack.base.A.tolist() == [[0.0], [1e-3], [0.0]]
+    assert stack.sigma.tolist() == [[0.1], [0.1], [-math.inf]]
+    assert stack.c_phi.tolist() == [[-1.5], [-1.5], [0.0]]
+    stack = ModifiedPotential.stack([mp, ModifiedPotential(zero_potential(), 0.1)])
+    assert stack.sigma == 0.1 and stack.c_phi == -1.5 and stack.base.A == 0.0

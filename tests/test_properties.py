@@ -190,8 +190,7 @@ def test_predicted_run_matches_the_previous_flux_chain(case, branch, data):
     mass = series.column("mass")
     assert np.max(np.abs(mass - mass[0])) <= 1e-13 * mass[0]
     assert np.all(series.column("ede_slack")[1:] >= -cfg.tol_audit)
-    el_bound = 100.0 * (sp.tol_grad + sp.eps_min ** (model.p - 1.0))
-    assert np.all(series.column("el_residual")[1:] <= el_bound)
+    assert np.all(series.column("el_residual")[1:] <= cfg.el_bound)
 
 
 @SETTINGS

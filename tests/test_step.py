@@ -274,19 +274,16 @@ def test_mass_check_raises_typed_error(monkeypatch):
     assert info.value.j_last.shape == (31,)
 
 
-def test_comparison_check_raises_typed_error(monkeypatch):
+def test_comparison_check_raises_typed_error():
     g = Grid(1.0, 32)
     u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
-    real = tfilm.step._check_preconditions
-
-    def lowered(*args):
-        # a comparison value one unit below the true energy of u_star
-        m_faces, e = real(*args)
-        return m_faces, e._replace(total=e.total - 1.0)
-
-    monkeypatch.setattr(tfilm.step, "_check_preconditions", lowered)
+    model, sp = barrier_model(), StepParams(h=1e-4)
+    # a comparison value one unit below the true energy of u_star, carried
+    # by a fresh state (no flux to predict from, so the step starts cold)
+    e = energy(g, u, model.modified)
+    state = StepState(g, sp.h, e._replace(total=e.total - 1.0))
     with pytest.raises(StepCheckError, match="zero-flux comparison"):
-        solve_step(g, u, barrier_model(), StepParams(h=1e-4))
+        solve_step(g, u, model, sp, state=state)
 
 
 def test_warm_start_outside_barrier_domain_falls_back_to_cold():

@@ -2,7 +2,7 @@
 
     python3 tools/fingerprint.py [--seeds 0 3 5 7211] [--against REV]
 
-For each seed, runs three config sets and hashes what they produce:
+For each seed, runs four config sets and hashes what they produce:
 
 * ``march``: the march_nonnewtonian configs of the benchmark, through
   ``run`` (config by config, the Newton loop on one member);
@@ -12,7 +12,12 @@ For each seed, runs three config sets and hashes what they produce:
   seed jitters, through ``run_many`` (one batched Newton march), and
   again config by config through ``run`` (``liftrun``).  Its members
   share model and step parameters, so the batch does ``run``'s
-  arithmetic: the script exits 1 if the two hashes differ.
+  arithmetic: the script exits 1 if the two hashes differ;
+* ``mixed``: one ``run_many`` group of 9 N=64 members, every potential
+  kind with every mobility kind, over the three rheology branches and
+  two step sizes, the constant-mobility members without a barrier; the
+  seed jitters heights and coefficients.  Its G_sigma is held as
+  coefficient columns and its face mobility is taken per mobility.
 
 It also hashes one transport set:
 
@@ -54,6 +59,15 @@ import workloads  # noqa: E402
 from tfilm import driver  # noqa: E402
 from tfilm.experiments import liftoff_configs  # noqa: E402
 from tfilm.grid import Grid  # noqa: E402
+from tfilm.models import (  # noqa: E402
+    ModelParams,
+    constant_mobility,
+    navier_slip_mobility,
+    power_mobility,
+    quadratic_potential,
+    strong_singular_potential,
+    zero_potential,
+)
 from tfilm.step import StepParams  # noqa: E402
 
 LIFTOFF_SIZE = 7
@@ -67,6 +81,31 @@ def liftoff(seed, n_steps=40):
                            step=StepParams(h=h, tol_grad=1e-8), T=n_steps * h)
 
 
+def mixed(seed, n_steps=20):
+    rng = np.random.default_rng(seed)
+    g = Grid(1.0, 64)
+    x = g.cell_centers()
+    potentials = (zero_potential,
+                  lambda: quadratic_potential(float(rng.uniform(0.2, 2.0))),
+                  lambda: strong_singular_potential(float(rng.uniform(1e-4, 1e-3))))
+    mobilities = (lambda alpha: power_mobility(float(rng.uniform(1.0, 3.0))),
+                  lambda alpha: navier_slip_mobility(float(rng.uniform(0.1, 1.0)), alpha),
+                  lambda alpha: constant_mobility())
+    configs = []
+    for i, potential in enumerate(potentials):
+        for j, mobility in enumerate(mobilities):
+            alpha = (0.5, 1.0, 2.0)[(i + j) % 3]
+            coeffs = rng.standard_normal(4) / np.arange(1, 5) ** 2
+            u0 = 1.0 + 0.4 * sum(c * np.cos((k + 1) * np.pi * x) for k, c in enumerate(coeffs))
+            h = (1e-5, 2e-5)[(i + j) % 2]
+            model = ModelParams(alpha=alpha, mobility=mobility(alpha), potential=potential(),
+                                sigma=None if j == 2 else 0.05)
+            configs.append(workloads.check_roundoff_floor(driver.RunConfig(
+                grid=g, model=model, step=StepParams(h=h, tol_grad=1e-8), T=n_steps * h,
+                initial=driver.InitialDataSpec("values", values=tuple(np.maximum(u0, 0.3))))))
+    return configs
+
+
 def runs(seed, workdir):
     """(name, series) of each config set, in the order of the docstring."""
     march = workloads.build("march_nonnewtonian", seed, "full", workdir).configs
@@ -75,6 +114,7 @@ def runs(seed, workdir):
     yield "family", driver.run_many(family)
     yield "liftoff", driver.run_many(liftoff(seed))
     yield "liftrun", [driver.run(c) for c in liftoff(seed)]
+    yield "mixed", driver.run_many(mixed(seed))
 
 
 def transport(seed, workdir):
