@@ -465,9 +465,10 @@ def _lump_to_atoms(g, dens, z):
 
 # Cap, in bytes, on every float64 or int64 temporary of the transport path:
 # substeps are processed in chunks of at most this size whatever N is (the
-# move stage's widest temporaries are its (rows, N) states and its (rows, 2P)
-# ball ends), and the few temporaries of one chunk stay within a core's L2
-# cache.  Every substep row is computed alone, so the cap moves no result.
+# widest arrays are a chunk's (rows, N + 1) face heights and face mobility
+# and, in the move stage, its (rows, 2P) ball ends), and the few arrays of one
+# chunk stay within a core's L2 cache.  Every substep row is computed alone, so the cap
+# moves no result.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -476,11 +477,12 @@ def _chunk_rows(width):
     return max(1, _CHUNK_BYTES // (8 * width))
 
 
-def _place_balls(g, centers, weights, radius):
+def _place_balls(g, centers, weights, radius, out=None):
     """Densities with mass weights[k] spread uniformly over |x - centers[s, k]| < radius.
 
-    `centers` is (S, P): S substeps of P balls; `weights` is (P,) or
-    (S, P); the result is (S, N).
+    `centers` is (S, P): S substeps of P balls, each centre in [0, L];
+    `weights` is (P,) or (S, P); the result is (S, N), written into `out`
+    if given (an (S, N) float array) and returned.
     Cells are weighted by their exact overlap with the ball, so the
     discrete mass equals the atom weight to roundoff and the profile
     varies continuously as the center slides (whole-cell quantisation
@@ -496,8 +498,11 @@ def _place_balls(g, centers, weights, radius):
     take sigma from a running sum of +sigma at cl + 1 and -sigma at cr.  Two bincounts
     with per-row offsets add the end parts and the difference rows, so
     each substep row is computed alone: a row comes out bit for bit the
-    same whatever other rows are placed with it.  The running sum leaves
-    roundoff of order eps * sum(sigma) in the gaps between balls.
+    same whatever other rows are placed with it.  Their indices and
+    weights are laid out (S, 2, P), each substep's left entries before
+    its right ones; that order fixes bincount's summation order, and so
+    the bits.  The running sum leaves roundoff of order eps * sum(sigma)
+    in the gaps between balls.
     """
     centers = np.asarray(centers, dtype=float)
     S, P = centers.shape
@@ -505,67 +510,96 @@ def _place_balls(g, centers, weights, radius):
     left = np.maximum(centers - radius, 0.0)
     right = np.minimum(centers + radius, g.L)
     sigma = weights / (right - left)
-    cl = np.minimum(np.floor(left / dx), N - 1).astype(np.intp)
-    cr = np.minimum(np.floor(right / dx), N - 1).astype(np.intp)
+    # the ends are >= 0, so truncation is their floor
+    cl = np.minimum((left / dx).astype(np.intp), N - 1)
+    cr = np.minimum((right / dx).astype(np.intp), N - 1)
+    cl1 = cl + 1
     one = cl == cr
-    # (S, 2, P) stacks: each substep's left ends, then its right ends
-    ends = np.stack((np.where(one, right - left, (cl + 1) * dx - left),
-                     np.where(one, 0.0, right - cr * dx)), axis=1) * (sigma / dx)[:, None]
-    # without an interior cell the two steps would cancel at one index
-    step = np.where(cr > cl + 1, sigma, 0.0)
-    rows = np.arange(S)[:, None, None] * N
-    dens = np.bincount((np.stack((np.minimum(cl + 1, cr), cr), axis=1) + rows).ravel(),
-                       weights=np.stack((step, -step), axis=1).ravel(),
-                       minlength=S * N).reshape(S, N)
-    np.cumsum(dens, axis=1, out=dens)
-    dens += np.bincount((np.stack((cl, cr), axis=1) + rows).ravel(),
-                        weights=ends.ravel(), minlength=S * N).reshape(S, N)
+    rows = (np.arange(S) * N)[:, None]
+    index = np.empty((S, 2, P), dtype=np.intp)
+    value = np.empty((S, 2, P))
+    # the difference rows: +sigma at cl + 1 and -sigma at cr, where an
+    # interior cell lies between (without one they would cancel at one index)
+    np.minimum(cl1, cr, out=index[:, 0])
+    index[:, 0] += rows
+    np.add(cr, rows, out=index[:, 1])
+    value[:, 0] = np.where(cr > cl1, sigma, 0.0)
+    np.negative(value[:, 0], out=value[:, 1])
+    dens = np.bincount(index.ravel(), weights=value.ravel(), minlength=S * N).reshape(S, N)
+    dens = np.cumsum(dens, axis=1, out=dens if out is None else out)
+    # the end parts: overlap times sigma / dx at cl, then at cr
+    np.add(cl, rows, out=index[:, 0])
+    np.subtract(cl1 * dx, left, out=value[:, 0])
+    np.subtract(right, left, out=value[:, 0], where=one)
+    np.subtract(right, cr * dx, out=value[:, 1])
+    value[:, 1][one] = 0.0
+    value *= (sigma / dx)[:, None]
+    dens += np.bincount(index.ravel(), weights=value.ravel(), minlength=S * N).reshape(S, N)
     return dens
 
 
-def _path_action(g, mob, p, alpha, blocks, n_sub, duration):
-    """Action of a piecewise-linear-in-time path of n_sub substeps.
+def _path_work(g, rows):
+    """The buffers of ``_path_action`` for chunks of `rows` substeps: the
+    states (rows + 1, N), the midpoints and then du/dt (rows, N), and the
+    face heights (rows, N + 1)."""
+    return np.empty((rows + 1, g.N)), np.empty((rows, g.N)), np.empty((rows, g.N + 1))
 
-    `blocks` yields the n_sub + 1 states in order as (S, N) arrays; the
-    last state of each block is carried into the next, so no more than
-    one block is held at once.  The flux of each substep comes from the
+
+def _path_action(g, mob, p, alpha, fill, s_grid, duration, work):
+    """Action of a piecewise-linear-in-time path through the states at the
+    points of the uniform grid s_grid, which spans `duration`.
+
+    ``fill(s, out)`` writes the states at the points s (a column) into the
+    rows of out.  The substeps are taken in chunks of rows, in the buffers
+    `work` of ``_path_work(g, rows)``, which a caller makes once for all
+    its paths.  The first row of the state buffer carries the last state
+    of the chunk before.  The flux of each substep comes from the
     continuity equation by a cumulative sum, so every interpolated pair
     satisfies the discrete flow equation exactly, and the integrand
     |j|^p / m(u)^(1/alpha) is taken at the substep midpoint.
 
-    The integrand is formed in place, with the operations of
-    ``np.abs(-cumsum((ub - ua) / dt) * dx) ** p / m ** (1/alpha)`` in
-    their order, so the action is theirs bit for bit, while a chunk
-    keeps few chunk-sized arrays alive.  Every such array freed can
-    leave malloc's heap top large enough to be returned to the system
-    and faulted back in at the next chunk.
+    The integrand is formed in place, in du/dt's buffer, with the
+    operations of ``np.abs(-cumsum((ub - ua) / dt) * dx) ** p / m **
+    (1/alpha)`` in their order but the negation, which |.| undoes
+    exactly, so the action is theirs bit for bit.  Memory: after `fill`,
+    a chunk allocates one chunk-sized array, the face mobility; du/dt
+    goes into the midpoints' buffer once the face heights are taken.  A
+    chunk that allocates more keeps several such arrays live at once.
+    Then a process whose malloc keeps its default trim threshold and top
+    pad (128 KiB each), such as one that has not loaded scipy, gives the
+    heap top back to the system after every chunk and faults it in again
+    at the next: with four live (du/dt, midpoints, faces and mobility),
+    about 70 minor faults per chunk and a quarter of the wall time at
+    N=3072.
     """
+    states, rowbuf, faces = work
+    rows = rowbuf.shape[0]
+    n_sub = s_grid.size - 1
     dt = duration / n_sub
+    weight = dt * g.dx
     total = 0.0
-    last = None
-    for block in blocks:
-        states = block if last is None else np.concatenate((last[None], block))
-        last = states[-1].copy()
-        ua, ub = states[:-1], states[1:]
-        dudt = np.subtract(ub, ua)
-        dudt /= dt
-        mid = np.add(ua, ub)
+    head = 0  # leading rows of the state buffer that already hold their state
+    for lo in range(0, n_sub, rows):
+        k = min(rows, n_sub - lo)
+        fill(s_grid[lo + head:lo + k + 1, None], states[head:k + 1])
+        ua, ub = states[:k], states[1:k + 1]
+        mid = np.add(ua, ub, out=rowbuf[:k])
         mid *= 0.5
-        del block, states, ua, ub
+        m_faces = mobility_face(mob, mid, g, out=faces[:k])
+        m_faces **= 1.0 / alpha
+        dudt = np.subtract(ub, ua, out=rowbuf[:k])
+        dudt /= dt
         j = dudt[:, :-1]  # the flux, then the integrand, in du/dt's buffer
         np.cumsum(j, axis=1, out=j)
-        np.negative(j, out=j)
         j *= g.dx
         np.abs(j, out=j)
         j **= p
-        m_faces = mobility_face(mob, mid, g)
-        del mid
-        m_faces **= 1.0 / alpha
         j /= m_faces[:, 1:-1]
-        del m_faces
-        rows = np.sum(j, axis=1)
-        for r in rows:
-            total += dt * g.dx * float(r)
+        del m_faces  # freed before the next chunk's fill allocates
+        for r in np.sum(j, axis=1).tolist():
+            total += weight * r
+        states[0] = states[k]
+        head = 1
     return total
 
 
@@ -616,8 +650,12 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     |j|^((alpha+1)/alpha) / m(u)^(1/alpha) is integrated by midpoint
     quadrature in time.  The translating balls of stage 2 are placed by
     ``_place_balls`` (end cells and one running sum per substep).  Each
-    stage is streamed in substep chunks of at most ``_CHUNK_BYTES`` per
-    temporary; each substep row is computed alone, so the actions are
+    stage is streamed through ``_path_action`` in substep chunks of at
+    most ``_CHUNK_BYTES`` per temporary, in buffers made once per call
+    (``_path_work``): a morph stage writes
+    ``s (target - base)``, then adds ``base``, into the state buffer,
+    and the move stage places its balls there, then adds the floor
+    delta.  Each substep row is computed alone, so the actions are
     the same bit for bit whatever the chunk size.  The inputs are
     checked by ``bb_action_inputs``.
     """
@@ -657,24 +695,34 @@ def bb_action_demo(g, u0, u1, eta, M_sweep, n, alpha, stage_steps=48):
     transport_steps = max(stage_steps, int(math.ceil(2.0 * max_travel / g.dx)))
     s_morph = np.linspace(0.0, 1.0, stage_steps + 1)
     s_move = np.linspace(0.0, 1.0, transport_steps + 1)
-    morph_rows = _chunk_rows(g.N + 1)
-    move_rows = _chunk_rows(max(g.N + 1, 2 * weights.size))
+    work = _path_work(g, _chunk_rows(max(g.N + 1, 2 * weights.size)))
+    travel = z_to - z_from
 
-    def stage_action(s_grid, rows, state):
-        blocks = (state(s_grid[lo:lo + rows, None])
-                  for lo in range(0, s_grid.size, rows))
-        return _path_action(g, mob, p, alpha, blocks, s_grid.size - 1, 1.0 / 3.0)
+    def morph(base, target):
+        diff = target - base
+
+        def fill(s, out):  # base + s (target - base)
+            np.multiply(s, diff, out=out)
+            out += base
+        return fill
+
+    def stage_action(fill, s_grid):
+        return _path_action(g, mob, p, alpha, fill, s_grid, 1.0 / 3.0, work)
 
     actions = []
     stage_split = []
     for M in M_values:
         radius = eta / M
         P0, P1 = delta + _place_balls(g, np.stack((z, z)), np.stack((a_w, b_w)), radius)
+
+        def move(s, out):  # delta + the balls at z_from + s (z_to - z_from)
+            _place_balls(g, z_from + s * travel, weights, radius, out=out)
+            out += delta
+
         parts = (
-            stage_action(s_morph, morph_rows, lambda s: u0 + s * (P0 - u0)),
-            stage_action(s_move, move_rows, lambda s: delta + _place_balls(
-                g, z_from + s * (z_to - z_from), weights, radius)),
-            stage_action(s_morph, morph_rows, lambda s: P1 + s * (u1 - P1)),
+            stage_action(morph(u0, P0), s_morph),
+            stage_action(move, s_move),
+            stage_action(morph(P1, u1), s_morph),
         )
         stage_split.append(parts)
         actions.append(sum(parts))

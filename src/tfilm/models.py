@@ -16,6 +16,7 @@ energy.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -73,14 +74,21 @@ class MobilitySpec:
                 raise ValueError(f"{self.kind} mobility needs a finite {name} > 0, got {value!r}")
 
     def __call__(self, s):
+        """m(s), elementwise.  Where every cell is positive, the powers are
+        taken on s itself; otherwise on s with its cells <= 0 (and NaN)
+        replaced by 1, those cells then set to 0.  Both paths do the same
+        arithmetic on the positive cells, so they agree bit for bit."""
         s = np.asarray(s, dtype=float)
         if self.kind == "constant_one":
             return np.ones_like(s)
         pos = s > 0
-        sp = np.where(pos, s, 1.0)
+        positive = pos.all()
+        sp = s if positive else np.where(pos, s, 1.0)
         if self.kind == "power":
-            return np.where(pos, sp**self.n, 0.0)
-        return np.where(pos, self.lam * sp ** (self.alpha + 1) + sp ** (self.alpha + 2), 0.0)
+            m = sp**self.n
+        else:
+            m = self.lam * sp ** (self.alpha + 1) + sp ** (self.alpha + 2)
+        return m if positive else np.where(pos, m, 0.0)
 
 
 def power_mobility(n):
@@ -180,7 +188,9 @@ class ModifiedPotential:
 
     For sigma is None the base potential is used as-is (no barrier);
     this variant exists for linear test oracles only.  Otherwise sigma
-    must lie in (0, 1).
+    must lie in (0, 1), its square must be a normal float (sigma above
+    about 1.5e-154), and the glue coefficients and base Taylor data it
+    gives must be finite; any other sigma is refused with a ValueError.
 
     With a barrier, on (0, 2*sigma] the base is replaced by its
     second-order Taylor polynomial at 2*sigma (identical to the base for
@@ -210,20 +220,26 @@ class ModifiedPotential:
     def __post_init__(self):
         if self.sigma is None:
             return
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0,1), got {self.sigma}")
-        sigma = float(self.sigma)
-        two_sigma = np.array([2.0 * sigma])
-        for name, value in (
-            ("sigma", sigma),
-            ("sigma_sq", sigma**2),
-            ("a_phi", -3.0 / (16.0 * sigma**2)),
-            ("b_phi", 1.0 / sigma),
-            ("c_phi", -1.5),
-            ("g0", float(self.base.g(two_sigma)[0])),
-            ("g1", float(self.base.dg(two_sigma)[0])),
-            ("g2", float(self.base.d2g(two_sigma)[0])),
-        ):
+        # one rule: sigma in (0, 1), sigma^2 a normal float (so that the glue
+        # divides by no zero or subnormal), and every derived value finite
+        values = ()
+        if 0.0 < self.sigma < 1.0 and float(self.sigma)**2 >= sys.float_info.min:
+            sigma = float(self.sigma)
+            two_sigma = np.array([2.0 * sigma])
+            values = (
+                ("sigma", sigma),
+                ("sigma_sq", sigma**2),
+                ("a_phi", -3.0 / (16.0 * sigma**2)),
+                ("b_phi", 1.0 / sigma),
+                ("c_phi", -1.5),
+                ("g0", float(self.base.g(two_sigma)[0])),
+                ("g1", float(self.base.dg(two_sigma)[0])),
+                ("g2", float(self.base.d2g(two_sigma)[0])),
+            )
+        if not values or not all(math.isfinite(value) for _, value in values):
+            raise ValueError(f"sigma must be in (0,1), with a normal sigma**2 and finite glue "
+                             f"and Taylor data at 2*sigma, got {self.sigma}")
+        for name, value in values:
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -357,7 +373,7 @@ class ModelParams:
     """Rheology exponent, mobility, potential, and barrier parameter.
 
     sigma=None disables the barrier (test oracles only); otherwise
-    sigma must lie in (0, 1).  ``modified`` is the model's G_sigma,
+    ``ModifiedPotential`` checks sigma.  ``modified`` is the model's G_sigma,
     built once here; ``dataclasses.replace`` builds it anew.
     """
 
@@ -380,19 +396,27 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # operations
 
-def mobility_face(m, u, g):
+def mobility_face(m, u, g, out=None):
     """Mobility sampled on faces from the previous-time height.
 
     Interior face f: m of the arithmetic mean of the two neighbour
     cells.  Boundary faces carry m of the adjacent cell; the flux is
     pinned to zero there so the value never enters the dynamics.  A
-    stack of heights (..., N) gives faces (..., N + 1).
+    stack of heights (..., N) gives faces (..., N + 1).  The face heights
+    are written into one (..., N + 1) float array, `out` if given (a
+    buffer the caller reuses), on which m is evaluated once; m's result
+    is returned.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (g.N,):
         raise ValueError(f"heights must have {g.N} cells on the last axis, got shape {u.shape}")
-    return m(np.concatenate((u[..., :1], 0.5 * (u[..., :-1] + u[..., 1:]), u[..., -1:]),
-                            axis=-1))
+    faces = np.empty(u.shape[:-1] + (g.N + 1,)) if out is None else out
+    inner = faces[..., 1:-1]
+    np.add(u[..., :-1], u[..., 1:], out=inner)
+    inner *= 0.5
+    faces[..., 0] = u[..., 0]
+    faces[..., -1] = u[..., -1]
+    return m(faces)
 
 
 def psi(alpha, s):

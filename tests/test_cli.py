@@ -621,6 +621,11 @@ REFUSED_BEFORE_THE_LOCK = {
     "dissipation-resolution": ("dissipation-bound", dict(DISSIPATION, N=1000),
                                "grid too coarse to resolve the bump"),
     "max-newton": ("simulate", dict(MINIMAL, max_newton=-1), "max_newton must be an integer >= 0"),
+    # a sigma whose square underflows: 1e-200 divided by zero in the glue,
+    # and 1e-160 (a subnormal square) gave an infinite glue coefficient
+    **{f"sigma-{sigma!r}": ("simulate", dict(MINIMAL, sigma=sigma),
+                            "sigma must be in (0,1), with a normal sigma**2")
+       for sigma in (1e-200, 1e-160)},
     # initial data that cannot start: built and checked by the RunConfig
     **{f"{command}-initial-length": (
         command, dict(MINIMAL, N=32, initial={"kind": "values", "values": [1, 1, 1]}),

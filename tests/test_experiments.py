@@ -9,6 +9,7 @@ import tfilm.experiments
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.experiments import (
     _path_action,
+    _path_work,
     _place_balls,
     bb_action_demo,
     bb_action_inputs,
@@ -409,6 +410,16 @@ def test_place_balls_rows_are_placed_alone(case):
             assert np.array_equal(dens[s], alone[0])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ball_sets())
+def test_place_balls_into_a_buffer_is_the_returned_array_bit_for_bit(case):
+    g, centers, weights, radius = case
+    want = _place_balls(g, centers, weights, radius)
+    out = np.full((centers.shape[0], g.N), np.nan)
+    assert _place_balls(g, centers, weights, radius, out=out) is out
+    assert np.array_equal(out, want)
+
+
 # stage actions (concentrate, transport, spread) of the loop implementation
 # for the criterion-9 endpoints at N=128; M = 1/2 clips the outer balls
 STAGE_ACTIONS_N128 = {
@@ -469,10 +480,13 @@ def test_path_action_in_place_is_the_plain_formula_bit_for_bit(n, alpha):
     rng = np.random.default_rng(11)
     states = 0.1 + rng.random((30, g.N))
     want = path_action_plain(g, power_mobility(n), (alpha + 1.0) / alpha, alpha, states, 0.5)
+
+    def fill(s, out):  # the grid points are the state indices
+        out[...] = states[s[:, 0]]
+
     for rows in (1, 7, 29):
-        blocks = (states[lo:lo + rows].copy() for lo in range(0, len(states), rows))
-        got = _path_action(g, power_mobility(n), (alpha + 1.0) / alpha, alpha, blocks,
-                           len(states) - 1, 0.5)
+        got = _path_action(g, power_mobility(n), (alpha + 1.0) / alpha, alpha, fill,
+                           np.arange(len(states)), 0.5, _path_work(g, rows))
         assert got == want
 
 

@@ -69,6 +69,17 @@ def test_mobility_face_of_stacked_heights_is_row_wise():
             assert np.array_equal(f, mobility_face(m, row, g))
 
 
+def test_mobility_face_into_a_buffer_is_the_fresh_evaluation_bit_for_bit():
+    g = Grid(1.0, 16)
+    u = np.random.default_rng(3).uniform(-0.2, 1.5, (3, 16))
+    for m in (power_mobility(2.0), navier_slip_mobility(1.0, 0.7), constant_mobility()):
+        out = np.full((3, 17), np.nan)
+        assert np.array_equal(mobility_face(m, u, g, out=out), mobility_face(m, u, g))
+        # the buffer holds the face heights
+        assert np.array_equal(out[:, 1:-1], 0.5 * (u[:, :-1] + u[:, 1:]))
+        assert np.array_equal(out[:, [0, -1]], u[:, [0, -1]])
+
+
 def test_mobility_face_evaluates_the_mobility_once():
     g = Grid(1.0, 8)
     calls = []
@@ -87,10 +98,57 @@ def test_mobility_face_evaluates_the_mobility_once():
         mobility_face(m, u[:, :7], g)
 
 
+MOBILITIES = [power_mobility(2.0), power_mobility(1.0), power_mobility(0.7),
+              navier_slip_mobility(0.5, 2.0), navier_slip_mobility(1.0, 0.5),
+              constant_mobility()]
+
+
+@pytest.mark.parametrize("m", MOBILITIES, ids=lambda m: f"{m.kind}-{m.n}-{m.lam}-{m.alpha}")
+def test_mobility_of_positive_rows_is_the_masked_evaluation_bit_for_bit(m):
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(1e-3, 3.0, (4, 17)),                            # all positive
+            rng.uniform(-0.5, 2.0, (4, 17)),                            # cells <= 0
+            np.array([[0.0, 1.0, 2.0], [1.0, -0.0, np.nan], [5e-324, 1.0, -1.0]])]
+    for s in rows:
+        pos = s > 0
+        sp = np.where(pos, s, 1.0)
+        if m.kind == "power":
+            masked = np.where(pos, sp**m.n, 0.0)
+        elif m.kind == "navier_slip":
+            masked = np.where(pos, m.lam * sp ** (m.alpha + 1) + sp ** (m.alpha + 2), 0.0)
+        else:
+            masked = np.ones_like(s)
+        got = m(s)
+        assert np.array_equal(got, masked)
+        # a row alone takes the positive path when it is all positive
+        for row, want in zip(s, masked):
+            assert np.array_equal(m(row), want)
+
+
 def test_modified_potential_rejects_bad_sigma():
     for s in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             ModifiedPotential(zero_potential(), s)
+
+
+@pytest.mark.parametrize("base,sigma", [
+    (zero_potential(), 1e-160),             # sigma**2 is subnormal: a_phi would be -inf
+    (zero_potential(), 1e-200),             # sigma**2 is 0: a_phi would divide by zero
+    (quadratic_potential(1.0), 1.4e-154),   # just below the smallest normal square
+    (strong_singular_potential(1e-3), 1e-80),  # the Taylor data's A/(2 sigma)^4 is inf
+    (zero_potential(), float("nan")),
+])
+def test_modified_potential_refuses_a_sigma_without_finite_glue(base, sigma):
+    with pytest.raises(ValueError, match=r"sigma must be in \(0,1\), with a normal sigma\*\*2"):
+        ModifiedPotential(base, sigma)
+
+
+def test_modified_potential_accepts_the_smallest_sigma_with_a_normal_square():
+    sigma = math.sqrt(2.2250738585072014e-308) * (1.0 + 1e-15)
+    mp = ModifiedPotential(quadratic_potential(1.0), sigma)
+    assert mp.sigma_sq >= 2.2250738585072014e-308
+    assert all(math.isfinite(getattr(mp, name))
+               for name in ("a_phi", "b_phi", "c_phi", "g0", "g1", "g2"))
 
 
 def test_modified_potential_derives_its_glue_and_taylor_data():
