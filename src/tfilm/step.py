@@ -36,8 +36,8 @@ the plain formulas, so its results are bit for bit theirs:
 * the directions of all iterating members are one LAPACK dpbsv call
   (band Cholesky) through ``solveh_banded`` on the block-diagonal band
   of their bands, which raises like scipy's: ValueError for non-finite
-  input, LinAlgError when the matrix is not positive definite; scipy.linalg
-  is imported at the first solve, not with this module;
+  input, LinAlgError when the matrix is not positive definite; the first
+  solve loads scipy's LAPACK extension module alone, never scipy.linalg;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
   face buffer built with the step's fixed data (once per run, or per
   step without a ``StepState``), as are the boundary-cap direction and
@@ -97,8 +97,11 @@ scalar one.  A cold failure (a Newton cap, a stalled line search, a
 failed direction) raises ``StepNonconvergenceError`` and ends the batch.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -141,16 +144,45 @@ _GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
 _module = sys.modules[__name__]
 
 
-def __getattr__(name):
-    """Import scipy's ``dpbsv`` or ``solve_banded`` at first use (PEP 562)
-    and bind it here, so that importing tfilm does not import scipy.linalg.
+def _flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``, loaded
+    alone from its file, or the loaded one if it is in ``sys.modules``.
 
-    ``solveh_banded`` calls ``dpbsv`` through the module attribute, so a
-    replacement set on the module takes effect.  ``solve_banded`` is not
-    used by tfilm; the benchmark's tracer wraps it.
+    ``scipy.linalg.lapack.dpbsv`` is this module's ``dpbsv``, so a solve
+    is the same call either way; importing ``scipy.linalg`` would also
+    initialise the rest of that package, which tfilm does not use.  The
+    loader enters the module in ``sys.modules``, so a later
+    ``import scipy.linalg`` takes this one.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy  # sets up the libraries scipy bundles
+
+    machinery = importlib.machinery
+    linalg = os.path.join(scipy.__path__[0], "linalg")
+    spec = machinery.FileFinder(
+        linalg, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no module {name} in {linalg} (scipy {scipy.__version__})", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def __getattr__(name):
+    """Bind scipy's ``dpbsv`` or ``solve_banded`` here at first use (PEP
+    562), so that importing tfilm loads no LAPACK.
+
+    ``dpbsv`` comes from ``_flapack()`` and never imports scipy.linalg.
+    ``solveh_banded`` calls it through the module attribute, so a
+    replacement set on the module takes effect.  ``solve_banded`` is
+    imported from scipy.linalg; tfilm does not use it, the benchmark's
+    tracer wraps it.
     """
     if name == "dpbsv":
-        from scipy.linalg.lapack import dpbsv as value
+        value = _flapack().dpbsv
     elif name == "solve_banded":
         from scipy.linalg import solve_banded as value
     else:

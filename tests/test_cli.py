@@ -690,10 +690,12 @@ def test_cli_config_error_makes_no_output_directory(tmp_path, capsys, command, c
     assert not out.exists()
 
 
-# the import graph: scipy.linalg (LAPACK) loads at the first Newton solve, so
-# the commands that never solve do not pay for it.  Each case runs in a fresh
+# the import graph: scipy's LAPACK extension module loads at the first Newton
+# solve, alone, so the commands that never solve do not pay for it and no
+# command pays for the rest of scipy.linalg.  Each case runs in a fresh
 # interpreter, since this one has imported scipy already.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tfilm.step.__file__)))
+FLAPACK = "scipy.linalg._flapack"
 
 CLI_CASE = """
 from tfilm.cli import main
@@ -713,15 +715,29 @@ model = ModelParams(alpha=1.0, mobility=power_mobility(2.0), potential=zero_pote
 solve_step(g, 1.0 + 0.1 * np.cos(np.pi * g.cell_centers()), model, StepParams(h=1e-4))
 """
 
+RUN_MANY_CASE = """
+import numpy as np
+from tfilm import (Grid, InitialDataSpec, ModelParams, RunConfig, StepParams, power_mobility,
+                   run_many, zero_potential)
+g = Grid(1.0, 16)
+configs = [RunConfig(grid=g, model=ModelParams(alpha=alpha, mobility=power_mobility(2.0),
+                                               potential=zero_potential(), sigma=None),
+                     step=StepParams(h=1e-4), T=3e-4,
+                     initial=InitialDataSpec("cosine", M=1.0, amplitude=0.1, mode=1))
+           for alpha in (1.0, 2.0)]
+assert len(run_many(configs)) == 2
+"""
 
-def loads_linalg(tmp_path, code):
-    """Whether `code`, run to a clean exit in a fresh interpreter that
-    imports tfilm from this checkout, leaves scipy.linalg imported."""
-    code += "\nimport sys\nprint('scipy.linalg' in sys.modules)\n"
+
+def loaded_modules(tmp_path, code):
+    """(scipy.linalg, scipy.linalg._flapack): whether each is imported
+    after `code` runs to a clean exit in a fresh interpreter that imports
+    tfilm from this checkout."""
+    code += f"\nimport sys\nprint('scipy.linalg' in sys.modules, {FLAPACK!r} in sys.modules)\n"
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
     assert res.returncode == 0, res.stderr
-    return res.stdout.split()[-1] == "True"
+    return tuple(word == "True" for word in res.stdout.split()[-2:])
 
 
 def cli_case(tmp_path, command, cfg, expected):
@@ -730,6 +746,7 @@ def cli_case(tmp_path, command, cfg, expected):
     return CLI_CASE.format(argv=argv, expected=expected)
 
 
+# each case: (code, whether it loads LAPACK); none loads scipy.linalg
 IMPORT_CASES = {
     "import-tfilm": (lambda tmp: "import tfilm", False),
     "import-tfilm-cli": (lambda tmp: "import tfilm.cli", False),
@@ -743,21 +760,24 @@ IMPORT_CASES = {
     "simulate": (lambda tmp: cli_case(tmp, "simulate",
                                       dict(VALID_CONFIGS["simulate"], N=32, T=2e-4), 0), True),
     "solve-step": (lambda tmp: SOLVE_CASE, True),
+    "run-many": (lambda tmp: RUN_MANY_CASE, True),
 }
 
 
 @pytest.mark.parametrize("case,loads", IMPORT_CASES.values(), ids=IMPORT_CASES.keys())
 def test_scipy_linalg_loads_at_the_first_solve_only(tmp_path, case, loads):
-    assert loads_linalg(tmp_path, case(tmp_path)) is loads
+    assert loaded_modules(tmp_path, case(tmp_path)) == (False, loads)
 
 
 def test_step_binds_scipys_band_solvers_on_first_access(tmp_path):
     code = """
 import sys
 import tfilm.step as step
+assert "dpbsv" not in vars(step)
+dpbsv = step.dpbsv
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
-assert step.dpbsv is scipy.linalg.lapack.dpbsv
+assert step.dpbsv is dpbsv is scipy.linalg.lapack.dpbsv
 assert step.solve_banded is scipy.linalg.solve_banded
 assert "dpbsv" in vars(step) and "solve_banded" in vars(step)
 try:
@@ -767,4 +787,28 @@ except AttributeError:
 else:
     raise AssertionError("step.no_such_name resolved")
 """
-    assert loads_linalg(tmp_path, code)
+    assert loaded_modules(tmp_path, code) == (True, True)
+    # a process that has imported scipy.linalg first binds its module
+    code = """
+import scipy.linalg
+import tfilm.step as step
+assert step.dpbsv is scipy.linalg.lapack.dpbsv
+"""
+    assert loaded_modules(tmp_path, code) == (True, True)
+
+
+def test_a_scipy_without_its_lapack_module_fails_the_first_solve(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = f"""
+import scipy
+scipy.__path__ = [{str(empty)!r}]
+try:
+    exec({SOLVE_CASE!r})
+except ImportError as exc:
+    assert exc.name == {FLAPACK!r}, exc.name
+    assert {FLAPACK!r} in str(exc) and scipy.__version__ in str(exc), exc
+else:
+    raise AssertionError("the solve found LAPACK")
+"""
+    assert loaded_modules(tmp_path, code) == (False, False)

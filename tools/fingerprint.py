@@ -34,8 +34,9 @@ slack and EL residual); the script exits 1 if any gate fails.  tfilm is
 imported from ``src/`` beside this directory, so a copy of the script in
 another checkout hashes that checkout's code.
 
-``--against REV`` exports the git revision REV (``git archive``) to a
-temporary directory, runs a copy of this script there on the same seeds,
+``--against REV`` exports the git revision REV (``git archive``, by
+``trees.export``) to a temporary directory, runs a copy of this script
+(and of ``trees.py``) there on the same seeds,
 so the same sets are hashed on REV's ``src/`` and ``bench/``, and prints
 REV's hash beside this tree's on each line.  The script then also exits
 1 if any hash differs, or if REV's run fails.
@@ -69,6 +70,7 @@ from tfilm.models import (  # noqa: E402
     zero_potential,
 )
 from tfilm.step import StepParams  # noqa: E402
+from trees import export  # noqa: E402
 
 LIFTOFF_SIZE = 7
 
@@ -154,13 +156,12 @@ def revision_hashes(rev, seeds):
     """({(name, seed): sha256} of the sets on git revision rev, the lines
     its run printed besides them, and its exit status)."""
     with tempfile.TemporaryDirectory() as tree:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
-        if archive.returncode:
-            raise SystemExit(f"cannot export {rev}: {archive.stderr.decode().strip()}")
-        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
-        script = Path(tree) / "tools" / Path(__file__).name
-        script.parent.mkdir(exist_ok=True)
-        shutil.copyfile(__file__, script)
+        export(rev, tree)
+        tools = Path(tree) / "tools"
+        tools.mkdir(exist_ok=True)
+        for name in (Path(__file__).name, "trees.py"):
+            shutil.copyfile(Path(__file__).with_name(name), tools / name)
+        script = tools / Path(__file__).name
         done = subprocess.run([sys.executable, str(script), "--seeds", *map(str, seeds)],
                               capture_output=True, text=True)
     shas, other = {}, []
