@@ -88,6 +88,8 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind == "cos_bumps" and self.centers and not self.width > 0.0:
             raise ValueError(f"cos_bumps width must be positive, got {self.width!r}")
+        if self.kind == "lifted_parabola" and not self.M > 0.0:
+            raise ValueError(f"lifted_parabola M must be positive, got {self.M!r}")
 
     def build(self, g):
         if self.kind == "constant":

@@ -388,6 +388,8 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
         ("simulate", dict(MINIMAL, initial={"kind": "cosine", "mode": 1.5}), "initial: mode:"),
         ("simulate", dict(MINIMAL, initial={"kind": "constant", "M": "2"}), "initial: M:"),
         ("simulate", dict(MINIMAL, mobility={"kind": "power", "n": True}), "mobility: n:"),
+        ("simulate", dict(MINIMAL, initial={"kind": "lifted_parabola", "M": 0, "delta": 0.1}),
+         "initial: lifted_parabola M must be positive"),
         ("audit-ede", dict(audit, t_idx=99), "s_idx, t_idx:"),
         ("audit-ede", dict(audit, s_idx=3, t_idx=2), "s_idx, t_idx:"),
         ("audit-ede", dict(audit, s_idx=-1), "s_idx, t_idx:"),
@@ -424,6 +426,30 @@ def test_cli_locked_directory_exit_1(tmp_path):
     out.mkdir()
     (out / ".tfilm.lock").write_text("123")
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_cli_out_through_a_file_exit_1(tmp_path, capsys, out):
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=48, T=2e-4, tol_grad=1e-8))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert "tfilm: error:" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory"
+
+
+def test_cli_failed_artifact_write_exit_1(tmp_path, capsys, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=48, T=2e-4, tol_grad=1e-8))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert "tfilm: error: disk full" in capsys.readouterr().err
+    assert not (out / ".tfilm.lock").exists()
 
 
 @pytest.mark.parametrize("sweep", [[], [2, 0]])
