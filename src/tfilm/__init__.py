@@ -32,7 +32,6 @@ from .models import (
     navier_slip_mobility,
     power_mobility,
     psi,
-    psi_inverse,
     quadratic_potential,
     strong_singular_potential,
     zero_potential,

@@ -1,9 +1,9 @@
 """Time-stepping loop, diagnostics, energy-dissipation audits.
 
 A run iterates the implicit step and records, per step, the energy
-split, both dissipation integrals, the mass, the height range, the
-Euler-Lagrange residual, and the slack of the one-step
-energy-dissipation inequality
+split, the dissipation integral (in both dissipation columns), the mass,
+the height range, the Euler-Lagrange residual, and the slack of the
+one-step energy-dissipation inequality
 
     E[u_k] >= E[u_{k+1}] + h * int |j_{k+1}|^p / m(u_k)^(1/alpha) dx.
 
@@ -204,9 +204,11 @@ class EnergyAuditError(RuntimeError):
 
 def _diag_row(t, res, slack):
     """Record row of the step result res at time t, with its EDI slack; the
-    mass and height range are the ones the step took."""
-    return (t, res.mass, res.min_u, res.max_u, *res.energy_after, res.dissipation_flux_term,
-            res.dissipation_strong_term, slack, res.el_residual_norm, res.newton_iters)
+    mass and height range are the ones the step took.  diss_strong is
+    diss_flux: m |Psi^-1(j/m)|^(alpha+1) is the integrand |j|^p / m^(1/alpha)."""
+    flux = res.dissipation_flux_term
+    return (t, res.mass, res.min_u, res.max_u, *res.energy_after, flux, flux, slack,
+            res.el_residual_norm, res.newton_iters)
 
 
 def _prefixed(exc, prefix):

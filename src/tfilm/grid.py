@@ -18,6 +18,7 @@ integration-by-parts identity exact.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +46,15 @@ class Grid:
             raise ValueError(f"N must be an integer >= 4 (cells), got {self.N!r}")
         if not 0.0 < self.L < math.inf:
             raise ValueError(f"domain length must be positive and finite, got L={self.L}")
+        # dx^3 is the highest power of dx the solver forms (its roundoff floor)
+        tiny = sys.float_info.min
+        try:
+            cube = self.dx**3
+        except OverflowError:
+            cube = math.inf
+        if not tiny <= cube <= 1.0 / tiny:
+            raise ValueError(f"domain length L={self.L} on N={self.N} cells gives a cell width "
+                             f"dx whose dx^3 or 1/dx^3 is not a normal float")
 
     @cached_property
     def dx(self):

@@ -448,10 +448,12 @@ def line_plot_svg(path, xs, ys, xlabel, ylabel):
     width, height, pad = 640, 400, 50
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
+    # a zero span is padded by at least the value's magnitude: from 2^53 on,
+    # x0 + 1 rounds back to x0
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + max(1.0, abs(x0))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + max(1.0, abs(y0))
     px = pad + (xs - x0) / (x1 - x0) * (width - 2 * pad)
     py = height - pad - (ys - y0) / (y1 - y0) * (height - 2 * pad)
     points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))

@@ -38,7 +38,6 @@ __all__ = [
     "ModelParams",
     "mobility_face",
     "psi",
-    "psi_inverse",
     "EnergyBreakdown",
     "energy",
 ]
@@ -423,12 +422,6 @@ def psi(alpha, s):
     """Odd power law |s|^(alpha-1) s with psi(0) = 0 for every alpha."""
     s = np.asarray(s, dtype=float)
     return np.sign(s) * np.abs(s) ** alpha
-
-
-def psi_inverse(alpha, s):
-    """Inverse of psi: |s|^(1/alpha - 1) s."""
-    s = np.asarray(s, dtype=float)
-    return np.sign(s) * np.abs(s) ** (1.0 / alpha)
 
 
 class EnergyBreakdown(NamedTuple):

@@ -116,7 +116,6 @@ from .models import (
     energy,
     mobility_face,
     psi,
-    psi_inverse,
     scalar_or_column,
 )
 
@@ -144,30 +143,51 @@ _GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
 _module = sys.modules[__name__]
 
 
+def _extension(name, directory):
+    """The extension module ``name`` loaded from its file in directory,
+    None if there is no such file."""
+    machinery = importlib.machinery
+    spec = machinery.FileFinder(
+        directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _flapack():
     """scipy's LAPACK extension module ``scipy.linalg._flapack``, loaded
     alone from its file, or the loaded one if it is in ``sys.modules``.
 
     ``scipy.linalg.lapack.dpbsv`` is this module's ``dpbsv``, so a solve
     is the same call either way; importing ``scipy.linalg`` would also
-    initialise the rest of that package, which tfilm does not use.  The
-    loader enters the module in ``sys.modules``, so a later
-    ``import scipy.linalg`` takes this one.
+    initialise the rest of that package, which tfilm does not use.  scipy
+    is located without running its ``__init__``, which imports much of
+    ``scipy._lib``.  If the module fails to load that way, scipy is
+    imported (on some platforms its ``__init__`` sets up the libraries it
+    bundles) and the module loaded once more.  The loader enters the
+    module in ``sys.modules``, so a later ``import scipy.linalg`` takes
+    this one.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
-    if module is not None:
-        return module
-    import scipy  # sets up the libraries scipy bundles
+    if module is None and "scipy" not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        if spec is not None:
+            try:
+                module = _extension(name, os.path.join(spec.submodule_search_locations[0],
+                                                       "linalg"))
+            except ImportError:
+                pass
+    if module is None:
+        import scipy
 
-    machinery = importlib.machinery
-    linalg = os.path.join(scipy.__path__[0], "linalg")
-    spec = machinery.FileFinder(
-        linalg, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no module {name} in {linalg} (scipy {scipy.__version__})", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+        linalg = os.path.join(scipy.__path__[0], "linalg")
+        module = _extension(name, linalg)
+        if module is None:
+            raise ImportError(f"no module {name} in {linalg} (scipy {scipy.__version__})",
+                              name=name)
     return module
 
 
@@ -222,7 +242,6 @@ class StepResult:
     energy_before: tuple
     energy_after: tuple
     dissipation_flux_term: float
-    dissipation_strong_term: float
     mass: float              # of u_next, as the mass check took it
     min_u: float
     max_u: float
@@ -567,10 +586,11 @@ class _Problem:
     def results(self, states, start, sol):
         """The members' StepResults of the solved step, after the mass and
         zero-flux comparison checks; each state records its member's step.
-        The masses and the height range are taken once on all rows."""
+        The dissipation integrals dx sum w |q|^p, the EL defects, the masses
+        and the height ranges are taken once on all rows."""
         g, u = self.grid, sol.u
-        flux, strong, el = _step_terms(g, sol.q, sol.mu, start.w, start.m_int, self.alpha,
-                                       self.alpha_each, self.p)
+        flux = [g.dx * s for s in (start.w * np.abs(sol.q) ** self.p).sum(axis=-1).tolist()]
+        el = _el_defect(g, sol.q, sol.mu, start.m_int, self.alpha, self.alpha_each)
         mass_star, mass = integrate(g, start.u_star).tolist(), integrate(g, u).tolist()
         lows, highs = u.min(axis=-1).tolist(), u.max(axis=-1).tolist()
         js = np.zeros((len(u), g.N + 1))
@@ -591,8 +611,7 @@ class _Problem:
             out.append(StepResult(u_next=u[i], j=js[i], newton_iters=sol.iters[i],
                                   el_residual_norm=el[i], energy_before=e_before,
                                   energy_after=e_after, dissipation_flux_term=flux[i],
-                                  dissipation_strong_term=strong[i], mass=mass[i],
-                                  min_u=lows[i], max_u=highs[i]))
+                                  mass=mass[i], min_u=lows[i], max_u=highs[i]))
         return out
 
 
@@ -818,16 +837,6 @@ def _solve(prob, start):
                     it[i] += 1
         active = [i for i in active if not done[i]]
     return _Iterate(q, u, e, mu, d2g, f, iters)
-
-
-def _step_terms(g, q, mu, w, m_int, alpha, alphas, p):
-    """(flux and strong dissipation integrals, EL defects) of the solved
-    members, each with B entries."""
-    dx = g.dx
-    xi = psi_inverse(alpha, q / m_int)
-    return ([dx * s for s in (w * np.abs(q) ** p).sum(axis=-1).tolist()],
-            [dx * s for s in (m_int * np.abs(xi) ** (alpha + 1.0)).sum(axis=-1).tolist()],
-            _el_defect(g, q, mu, m_int, alpha, alphas))
 
 
 def solve_step(g, u_star, model, step, state=None):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -136,6 +137,16 @@ def test_constant_run_constant_energy_column(tmp_path):
     lines = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     etot = {line.split(",")[6] for line in lines}
     assert len(etot) == 1
+
+
+@pytest.mark.parametrize("value", [1e300, 2.0**53, -(2.0**54)])
+def test_a_constant_plot_series_gets_finite_coordinates(tmp_path, value):
+    # a zero span padded by 1 is lost in the rounding of a value this large
+    path = tmp_path / "plot.svg"
+    line_plot_svg(path, [value] * 3, [value] * 3, "x", "y")
+    points = re.search(r'points="([^"]*)"', path.read_text()).group(1)
+    coords = [float(c) for point in points.split() for c in point.split(",")]
+    assert len(coords) == 6 and all(math.isfinite(c) for c in coords)
 
 
 def test_rerun_byte_reproduces(tmp_path):
@@ -652,6 +663,10 @@ REFUSED_BEFORE_THE_LOCK = {
     **{f"sigma-{sigma!r}": ("simulate", dict(MINIMAL, sigma=sigma),
                             "sigma must be in (0,1), with a normal sigma**2")
        for sigma in (1e-200, 1e-160)},
+    # a cell width whose cube is not a normal float: the step's set-up divided
+    # by dx^2 = 0 (1e-200) or overflowed (1e200)
+    **{f"simulate-L-{L!r}": ("simulate", dict(MINIMAL, L=L, N=16),
+                             f"domain length L={L} on N=16 cells") for L in (1e-200, 1e200)},
     # initial data that cannot start: built and checked by the RunConfig
     **{f"{command}-initial-length": (
         command, dict(MINIMAL, N=32, initial={"kind": "values", "values": [1, 1, 1]}),
@@ -718,8 +733,9 @@ def test_cli_config_error_makes_no_output_directory(tmp_path, capsys, command, c
 
 # the import graph: scipy's LAPACK extension module loads at the first Newton
 # solve, alone, so the commands that never solve do not pay for it and no
-# command pays for the rest of scipy.linalg.  Each case runs in a fresh
-# interpreter, since this one has imported scipy already.
+# command pays for scipy's package __init__ or the rest of scipy.linalg.
+# Each case runs in a fresh interpreter, since this one has imported scipy
+# already.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tfilm.step.__file__)))
 FLAPACK = "scipy.linalg._flapack"
 
@@ -755,15 +771,18 @@ assert len(run_many(configs)) == 2
 """
 
 
-def loaded_modules(tmp_path, code):
-    """(scipy.linalg, scipy.linalg._flapack): whether each is imported
-    after `code` runs to a clean exit in a fresh interpreter that imports
-    tfilm from this checkout."""
-    code += f"\nimport sys\nprint('scipy.linalg' in sys.modules, {FLAPACK!r} in sys.modules)\n"
+def loaded_modules(tmp_path, code, path=()):
+    """(scipy, scipy.linalg, scipy.linalg._flapack): whether each is
+    imported after `code` runs to a clean exit in a fresh interpreter that
+    imports tfilm from this checkout, with the directories `path` ahead
+    of it on the module search path."""
+    code += ("\nimport sys\nprint('scipy' in sys.modules, 'scipy.linalg' in sys.modules, "
+             f"{FLAPACK!r} in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), SRC]))
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+                         text=True, timeout=120, env=env)
     assert res.returncode == 0, res.stderr
-    return tuple(word == "True" for word in res.stdout.split()[-2:])
+    return tuple(word == "True" for word in res.stdout.split()[-3:])
 
 
 def cli_case(tmp_path, command, cfg, expected):
@@ -772,7 +791,7 @@ def cli_case(tmp_path, command, cfg, expected):
     return CLI_CASE.format(argv=argv, expected=expected)
 
 
-# each case: (code, whether it loads LAPACK); none loads scipy.linalg
+# each case: (code, whether it loads LAPACK); none loads scipy or scipy.linalg
 IMPORT_CASES = {
     "import-tfilm": (lambda tmp: "import tfilm", False),
     "import-tfilm-cli": (lambda tmp: "import tfilm.cli", False),
@@ -792,7 +811,7 @@ IMPORT_CASES = {
 
 @pytest.mark.parametrize("case,loads", IMPORT_CASES.values(), ids=IMPORT_CASES.keys())
 def test_scipy_linalg_loads_at_the_first_solve_only(tmp_path, case, loads):
-    assert loaded_modules(tmp_path, case(tmp_path)) == (False, loads)
+    assert loaded_modules(tmp_path, case(tmp_path)) == (False, False, loads)
 
 
 def test_step_binds_scipys_band_solvers_on_first_access(tmp_path):
@@ -813,28 +832,38 @@ except AttributeError:
 else:
     raise AssertionError("step.no_such_name resolved")
 """
-    assert loaded_modules(tmp_path, code) == (True, True)
+    assert loaded_modules(tmp_path, code) == (True, True, True)
     # a process that has imported scipy.linalg first binds its module
     code = """
 import scipy.linalg
 import tfilm.step as step
 assert step.dpbsv is scipy.linalg.lapack.dpbsv
 """
-    assert loaded_modules(tmp_path, code) == (True, True)
+    assert loaded_modules(tmp_path, code) == (True, True, True)
 
 
 def test_a_scipy_without_its_lapack_module_fails_the_first_solve(tmp_path):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    code = f"""
-import scipy
-scipy.__path__ = [{str(empty)!r}]
+    failing_solve = f"""
+import os
 try:
     exec({SOLVE_CASE!r})
 except ImportError as exc:
+    import scipy
+    linalg = os.path.join(scipy.__path__[0], "linalg")
     assert exc.name == {FLAPACK!r}, exc.name
-    assert {FLAPACK!r} in str(exc) and scipy.__version__ in str(exc), exc
+    assert str(exc) == f"no module {FLAPACK} in {{linalg}} (scipy {{scipy.__version__}})", exc
 else:
     raise AssertionError("the solve found LAPACK")
 """
-    assert loaded_modules(tmp_path, code) == (False, False)
+    # scipy is found without importing it, then imported for the second
+    # attempt: this one's __init__ marks that it ran
+    fake = tmp_path / "fake" / "scipy"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("__version__ = '0.0.fake'\nimported = True\n")
+    code = failing_solve + "import scipy\nassert scipy.imported and 'fake' in scipy.__file__\n"
+    assert loaded_modules(tmp_path, code, [fake.parent]) == (True, False, False)
+    # a scipy imported before the first solve is taken from sys.modules
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = f"import scipy\nscipy.__path__ = [{str(empty)!r}]\n" + failing_solve
+    assert loaded_modules(tmp_path, code) == (True, False, False)

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +39,22 @@ def test_grid_refuses_a_cell_count_that_is_not_an_integer(N):
     # 8.5 cells of width 1/8.5 would not tile (0, L)
     with pytest.raises(ValueError, match="N must be an integer >= 4"):
         Grid(1.0, N)
+
+
+@pytest.mark.parametrize("L,N", [(1e-100, 16), (1e100, 16), (4 * 2.0**-340, 4),
+                                 (4 * 2.0**340, 4)])
+def test_grid_takes_a_cell_width_whose_cube_is_a_normal_float(L, N):
+    dx = Grid(L, N).dx
+    assert dx**3 >= sys.float_info.min and 1.0 / dx**3 >= sys.float_info.min
+
+
+@pytest.mark.parametrize("L,N", [(1e-200, 16), (1e200, 16), (4 * 2.0**-341, 4),
+                                 (4 * 2.0**341, 4)])
+def test_grid_refuses_a_cell_width_whose_cube_is_not_a_normal_float(L, N):
+    # dx^3 is the highest power of dx the solver forms: 2^-1023 is
+    # subnormal, and 1/2^1023 too
+    with pytest.raises(ValueError, match=re.escape(f"L={L} on N={N} cells")):
+        Grid(L, N)
 
 
 def test_divergence_zero_flux():

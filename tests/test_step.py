@@ -13,6 +13,7 @@ from tfilm.models import (
     energy,
     mobility_face,
     power_mobility,
+    psi,
     quadratic_potential,
     zero_potential,
 )
@@ -163,14 +164,18 @@ def test_one_step_edi_and_weak_comparison():
 
 
 def test_dissipation_terms_agree():
-    # |j|^p / m^(1/alpha) = m |psi_inverse(j/m)|^(alpha+1) pointwise
+    # |j|^p / m^(1/alpha) = m |Psi^-1(j/m)|^(alpha+1) pointwise, with
+    # Psi^-1 = psi(1/alpha, .), so the flux term is the strong form too
     g = Grid(1.0, 32)
     rng = np.random.default_rng(6)
     u = 1.0 + 0.3 * rng.random(32)
     for alpha in (0.5, 2.0):
-        res = solve_step(g, u, barrier_model(alpha=alpha), StepParams(h=1e-5))
-        assert res.dissipation_strong_term == pytest.approx(
-            res.dissipation_flux_term, rel=1e-10, abs=1e-12)
+        model = barrier_model(alpha=alpha)
+        res = solve_step(g, u, model, StepParams(h=1e-5))
+        m = mobility_face(model.mobility, u, g)[1:-1]
+        xi = psi(1.0 / alpha, res.j[1:-1] / m)
+        strong = g.dx * float(np.sum(m * np.abs(xi) ** (alpha + 1.0)))
+        assert strong == pytest.approx(res.dissipation_flux_term, rel=1e-10, abs=1e-12)
 
 
 def test_uniqueness_probe():

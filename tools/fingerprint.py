@@ -2,7 +2,7 @@
 
     python3 tools/fingerprint.py [--seeds 0 3 5 7211] [--against REV]
 
-For each seed, runs four config sets and hashes what they produce:
+For each seed, runs five config sets and hashes what they produce:
 
 * ``march``: the march_nonnewtonian configs of the benchmark, through
   ``run`` (config by config, the Newton loop on one member);
@@ -17,7 +17,13 @@ For each seed, runs four config sets and hashes what they produce:
   kind with every mobility kind, over the three rheology branches and
   two step sizes, the constant-mobility members without a barrier; the
   seed jitters heights and coefficients.  Its G_sigma is held as
-  coefficient columns and its face mobility is taken per mobility.
+  coefficient columns and its face mobility is taken per mobility;
+* ``barrier``: one ``run_many`` group of 3 N=64 members, alpha 0.5, 1
+  and 2, each a droplet on a dry substrate (a cos^2 bump of amplitude 1
+  and half-width 0.2 at x = 0.5 on the background 2 sigma) with mobility
+  u^2 and no potential; the seed jitters sigma.  The film thins into
+  the barrier zone below 2 sigma, where G_sigma is the glued polynomial,
+  so the script exits 1 if a member's height never dips below 2 sigma.
 
 It also hashes one transport set:
 
@@ -108,6 +114,19 @@ def mixed(seed, n_steps=20):
     return configs
 
 
+def barrier(seed, n_steps=100):
+    rng = np.random.default_rng(seed)
+    sigma = 1e-2 * float(rng.uniform(0.8, 1.2))
+    h = 1e-5
+    droplet = driver.InitialDataSpec("cos_bumps", background=2.0 * sigma, amplitude=1.0,
+                                     width=0.2, centers=(0.5,))
+    return [workloads.check_roundoff_floor(driver.RunConfig(
+        grid=Grid(1.0, 64), step=StepParams(h=h, tol_grad=1e-8), T=n_steps * h,
+        model=ModelParams(alpha=alpha, mobility=power_mobility(2.0),
+                          potential=zero_potential(), sigma=sigma), initial=droplet))
+        for alpha in (0.5, 1.0, 2.0)]
+
+
 def runs(seed, workdir):
     """(name, series) of each config set, in the order of the docstring."""
     march = workloads.build("march_nonnewtonian", seed, "full", workdir).configs
@@ -117,6 +136,7 @@ def runs(seed, workdir):
     yield "liftoff", driver.run_many(liftoff(seed))
     yield "liftrun", [driver.run(c) for c in liftoff(seed)]
     yield "mixed", driver.run_many(mixed(seed))
+    yield "barrier", driver.run_many(barrier(seed))
 
 
 def transport(seed, workdir):
@@ -148,6 +168,10 @@ def hashes(seeds):
                 shas[name] = digest(series)
                 if name == "liftrun" and shas[name] != shas["liftoff"]:
                     errors.append("run_many's lift-off family differs from run's")
+                if name == "barrier":
+                    errors += [f"alpha={s.config.model.alpha:g} never dips below 2 sigma"
+                               for s in series
+                               if not s.column("min_u")[1:].min() < 2.0 * s.config.model.sigma]
                 yield name, seed, shas[name], errors
             yield ("transport", seed, *transport(seed, workdir))
 
