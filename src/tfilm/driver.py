@@ -328,13 +328,14 @@ class AuditReport:
 
 
 def audit_ede(series, s_idx, t_idx):
-    """Audit the two-sided energy-dissipation balance between two steps.
+    """Audit the energy-dissipation balance between two steps.
 
     slack = E(t) + sum_k h [ alpha/(alpha+1) diss_flux_k
-                             + 1/(alpha+1) diss_strong_k ] - E(s):
-    non-positive (within tolerance) by the step inequality; its
-    magnitude is the equality defect, which shrinks with tol_grad and
-    eps_min because the balance is exact only at the continuum optimum.
+                             + 1/(alpha+1) diss_strong_k ] - E(s).
+    The two columns hold the same integral, so the bracket is diss_flux_k
+    and the slack is the sum of the one-step EDI slacks from s to t:
+    non-positive (within tolerance) by the step inequality.  Its magnitude
+    is reported as the equality defect.
     """
     n = len(series.diagnostics)
     if not 0 <= s_idx < t_idx < n:

@@ -143,51 +143,41 @@ _GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
 _module = sys.modules[__name__]
 
 
-def _extension(name, directory):
-    """The extension module ``name`` loaded from its file in directory,
-    None if there is no such file."""
-    machinery = importlib.machinery
-    spec = machinery.FileFinder(
-        directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _flapack():
     """scipy's LAPACK extension module ``scipy.linalg._flapack``, loaded
     alone from its file, or the loaded one if it is in ``sys.modules``.
 
     ``scipy.linalg.lapack.dpbsv`` is this module's ``dpbsv``, so a solve
     is the same call either way; importing ``scipy.linalg`` would also
-    initialise the rest of that package, which tfilm does not use.  scipy
-    is located without running its ``__init__``, which imports much of
-    ``scipy._lib``.  If the module fails to load that way, scipy is
-    imported (on some platforms its ``__init__`` sets up the libraries it
-    bundles) and the module loaded once more.  The loader enters the
-    module in ``sys.modules``, so a later ``import scipy.linalg`` takes
-    this one.
+    initialise the rest of that package, which tfilm does not use.  The
+    file is looked up in the directory of the imported scipy, or else of
+    the scipy ``importlib.util.find_spec`` finds, so a solve does not run
+    scipy's ``__init__``, which imports much of ``scipy._lib``.  The
+    loader enters the module in ``sys.modules``, so a later
+    ``import scipy.linalg`` takes this one.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
-    if module is None and "scipy" not in sys.modules:
+    if module is not None:
+        return module
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        root = scipy.__path__[0]
+    else:
         spec = importlib.util.find_spec("scipy")
-        if spec is not None:
-            try:
-                module = _extension(name, os.path.join(spec.submodule_search_locations[0],
-                                                       "linalg"))
-            except ImportError:
-                pass
-    if module is None:
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        root = spec.submodule_search_locations[0]
+    machinery = importlib.machinery
+    linalg = os.path.join(root, "linalg")
+    spec = machinery.FileFinder(
+        linalg, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
         import scipy
 
-        linalg = os.path.join(scipy.__path__[0], "linalg")
-        module = _extension(name, linalg)
-        if module is None:
-            raise ImportError(f"no module {name} in {linalg} (scipy {scipy.__version__})",
-                              name=name)
+        raise ImportError(f"no module {name} in {linalg} (scipy {scipy.__version__})", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 

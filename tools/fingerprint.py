@@ -24,6 +24,11 @@ For each seed, runs five config sets and hashes what they produce:
   u^2 and no potential; the seed jitters sigma.  The film thins into
   the barrier zone below 2 sigma, where G_sigma is the glued polynomial,
   so the script exits 1 if a member's height never dips below 2 sigma.
+  N=64 is where every member reaches the glue at about 0.1 s per seed.
+  At N=128 the alpha=0.5 member breaks the EL gate on some steps
+  (finding B, ROADMAP item 2), so this script would exit 1 on every
+  tree and compare nothing; ``tests/test_driver.py`` keeps that case as
+  an expected failure instead.
 
 It also hashes one transport set:
 
