@@ -13,13 +13,12 @@ Every candidate evaluated anywhere in the solver satisfies the flow
 equation exactly, which makes mass conservation a telescoping identity
 rather than a tolerance.
 
-Newton's method needs two regularisations, one per rheology branch:
-
-* shear-thinning (alpha > 1, p < 2): |s|^p has unbounded curvature at
-  s = 0, so the power is smoothed to psi_eps(s) = (s^2+eps^2)^(p/2) -
-  eps^p and eps is driven down a geometric ladder (continuation);
-* shear-thickening (alpha < 1, p > 2): curvature vanishes at s = 0, so
-  a tiny relative shift is added to the Hessian diagonal.
+Newton's method needs one regularisation, for shear-thinning (alpha > 1,
+p < 2): |s|^p has unbounded curvature at s = 0, so the power is smoothed
+to psi_eps(s) = (s^2+eps^2)^(p/2) - eps^p and eps is driven down a
+geometric ladder (continuation).  Shear-thickening (alpha < 1, p > 2)
+needs none: its curvature vanishes at s = 0, but the energy block of the
+Newton matrix is SPD on its own (below).
 
 The barrier in G_sigma keeps iterates positive; a fraction-to-boundary
 cap on the line search only prevents trial points from overshooting
@@ -421,12 +420,6 @@ def _newton_bands(dx, lap_diag, ao, h, w, d2g, q, p, eps):
     return d0, d1
 
 
-def _shifted(d0):
-    """The diagonal with the relative shift of shear-thickening (p > 2):
-    psi_eps'' vanishes at s = 0 there."""
-    return d0 + 1e-12 * (1.0 + np.abs(d0))
-
-
 def _granularity(f):
     """Objective changes below this cannot be verified by comparing values."""
     return _GRAIN * (1.0 + abs(f))
@@ -456,8 +449,7 @@ class _Problem:
     The parameters of the members' arithmetic are scalars where they
     share them and (B, 1) columns where they do not (the dissipation
     scales are a list), G_sigma among them (``ModifiedPotential.stack``).
-    Besides them: the members of each mobility, the members shifting
-    their Newton diagonal (a bool column), the cold eps ladders, the
+    Besides them: the members of each mobility, the cold eps ladders, the
     -Delta_h bands, the Newton band storage (3, B, N-1), in which the
     members' bands lie side by side as one block-diagonal band, and the
     zero-ended face buffer (B, N+1).
@@ -471,8 +463,6 @@ class _Problem:
         self.p = scalar_or_column(self.p_each)
         self.h = scalar_or_column([sp.h for sp in steps])
         self.scale = [_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)]
-        self.shift = np.array([[m.p > 2.0] for m in models])
-        self.any_shift = bool(self.shift.any())
         self.barrier = [m.modified.has_barrier for m in models]
         self.any_barrier = any(self.barrier)
         self.potential = ModifiedPotential.stack([m.modified for m in models])
@@ -500,12 +490,9 @@ class _Problem:
         preconditions of a step from them: positive mobility on every
         interior face and a finite energy e_before of each row."""
         g = self.grid
-        if len(self.mobilities) == 1:
-            m_int = mobility_face(self.mobilities[0][0], u_star, g)[:, 1:-1]
-        else:
-            m_int = np.empty((len(u_star), g.N - 1))
-            for mob, rows in self.mobilities:
-                m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
+        m_int = np.empty((len(u_star), g.N - 1))
+        for mob, rows in self.mobilities:
+            m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
         if (m_int <= 0.0).any():
             raise ValueError("mobility vanishes on an interior face; step is ill-posed")
         if not all(math.isfinite(e.total) for e in e_before):
@@ -745,8 +732,6 @@ def _solve(prob, start):
         if go:
             grad_raw = h * dx * g_scaled
             d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, q, p, eps_col)
-            if prob.any_shift:
-                d0 = np.where(prob.shift, _shifted(d0), d0)
             ab = prob.ab
             ab[2] = d0
             ab[1, :, 1:] = d1

@@ -667,6 +667,12 @@ REFUSED_BEFORE_THE_LOCK = {
     # by dx^2 = 0 (1e-200) or overflowed (1e200)
     **{f"simulate-L-{L!r}": ("simulate", dict(MINIMAL, L=L, N=16),
                              f"domain length L={L} on N=16 cells") for L in (1e-200, 1e200)},
+    # a gradient scale max|u0| / dx^3 whose square overflows: the Newton
+    # gradient norm would be inf
+    **{f"simulate-L-{L!r}-gradient-scale": (
+        "simulate", dict(MINIMAL, L=L, N=16, T=1e-4,
+                         initial={"kind": "cosine", "M": 1.0, "amplitude": 0.2}),
+        f"domain length L={L} on N=16 cells gives a gradient scale") for L in (1e-52, 1e-100)},
     # initial data that cannot start: built and checked by the RunConfig
     **{f"{command}-initial-length": (
         command, dict(MINIMAL, N=32, initial={"kind": "values", "values": [1, 1, 1]}),

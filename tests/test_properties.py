@@ -327,6 +327,33 @@ def test_the_stacked_solve_names_the_member_that_is_not_positive_definite(system
     assert str(stacked.value) == str(alone.value)
 
 
+@SETTINGS
+@given(alpha=st.floats(0.1, 1.0, exclude_max=True), N=st.integers(4, 2048),
+       n=st.floats(1.0, 3.0), h=st.sampled_from([1e-6, 1e-4, 1e-2]),
+       low=st.floats(0.011, 1.0), spread=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_a_shear_thickening_newton_band_factorises_unshifted(alpha, N, n, h, low, spread, seed):
+    # at zero flux and eps_min, psi_eps'' = eps_min^(p-2) all but vanishes
+    # (p > 2), so the energy block alone keeps the band positive definite
+    g = Grid(1.0, N)
+    model = ModelParams(alpha=alpha, mobility=power_mobility(n), potential=zero_potential(),
+                        sigma=0.01)
+    sp = StepParams(h=h)
+    prob = tfilm.step._Problem(g, [model], [sp])
+    u = low + spread * np.random.default_rng(seed).random((1, N))
+    m_int = prob.checked(u, [energy(g, u[0], model.modified)])
+    w = m_int ** (-1.0 / alpha)
+    q = np.zeros((1, N - 1))
+    mu, d2g = tfilm.step._chemical_potential(g, u, prob.potential, prob.pad)
+    d0, d1 = tfilm.step._newton_bands(g.dx, prob.lap_diag, prob.ao, h, w, d2g, q, model.p,
+                                      sp.eps_min)
+    ab = prob.ab
+    ab[2] = d0
+    ab[1, :, 1:] = d1
+    grad = h * g.dx * tfilm.step._reduced_gradient(g.dx, mu, w, q, model.p, sp.eps_min)
+    x = solveh_banded(ab, -grad)
+    assert float(grad[0] @ x[0]) < 0.0
+
+
 # G_sigma, G_sigma' and G_sigma'' as three separate passes (the formulas the
 # one-pass evaluation replaced), each a Taylor-extended base plus the glue
 
@@ -415,11 +442,10 @@ def short_run():
 
 
 def loop_audit_slack(series, s_idx, t_idx):
-    alpha, h = series.config.model.alpha, series.config.step.h
+    h = series.config.step.h
     dsum = 0.0
     for k in range(s_idx + 1, t_idx + 1):
-        d = series.diagnostics[k]
-        dsum += h * (alpha / (alpha + 1.0) * d.diss_flux + 1.0 / (alpha + 1.0) * d.diss_strong)
+        dsum += h * series.diagnostics[k].diss_flux
     return series.diagnostics[t_idx].E_total + dsum - series.diagnostics[s_idx].E_total
 
 

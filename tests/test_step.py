@@ -257,6 +257,20 @@ def test_a_newton_cap_near_the_roundoff_floor_says_so():
     assert "roundoff" not in str(info.value)
 
 
+def test_a_fine_shear_thickening_run_converges_in_few_iterations():
+    # the band's condition number grows like N^4: at N = 16384 a change of
+    # its diagonal by 1e-12 (1 + |d0|) exceeds its smallest eigenvalue and
+    # damps the low modes of every direction, so Newton reaches its cap
+    g = Grid(1.0, 16384)
+    init = InitialDataSpec("cosine", M=1.0, amplitude=0.3)
+    floor = np.finfo(float).eps * float(np.max(np.abs(init.build(g)))) / g.dx**3
+    cfg = RunConfig(grid=g, model=barrier_model(alpha=0.75, n=1.0, sigma=0.01),
+                    step=StepParams(h=1e-4, tol_grad=100.0 * floor), T=3e-4, initial=init)
+    series = run(cfg)
+    assert series.column("newton_iters")[1] <= 5
+    assert (series.column("el_residual") <= cfg.el_bound).all()
+
+
 def test_el_residual_recompute_matches():
     g = Grid(1.0, 32)
     rng = np.random.default_rng(9)
@@ -393,7 +407,7 @@ def test_a_failed_newton_direction_from_a_warm_start_is_solved_cold(monkeypatch,
 
 
 # the two films of the march benchmark: the alpha = 2 eps ladder and the
-# alpha = 0.5 diagonal shift
+# alpha = 0.5 shear-thickening power, solved at eps_min alone
 MARCH_FILMS = [
     (2.0, 2.0, StepParams(h=1e-4, tol_grad=1e-7, eps0=1e-3, eps_min=1e-9),
      InitialDataSpec("lifted_parabola", M=1.0, delta=0.2)),
