@@ -228,7 +228,7 @@ def main(argv=None):
         with DirectoryLock(outdir, break_stale=args.break_lock):
             ok = _COMMANDS[args.command](values, outdir)
     except (ConfigError, StepNonconvergenceError, EnergyAuditError,
-            RuntimeError, ValueError, OSError) as exc:
+            RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"tfilm: error: {exc}", file=sys.stderr)
         return 1
     if not ok:

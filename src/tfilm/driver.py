@@ -153,10 +153,18 @@ class RunConfig:
         if not math.isfinite(scale * scale):
             raise ValueError(f"domain length L={g.L} on N={g.N} cells gives a gradient scale "
                              f"max|u0| / dx^3 = {scale:.3e} whose square overflows")
-        e0 = energy(self.grid, u0, self.model.modified)
+        mp = self.model.modified
+        e0 = energy(self.grid, u0, mp)
         if not math.isfinite(e0.total):
             raise ValueError("initial height has infinite energy under the barrier "
-                             "(a non-positive cell)")
+                             "(a non-positive cell, or one so thin that G_sigma overflows)")
+        # the reduced gradient holds G_sigma'(u0) / dx, so a very thin cell can
+        # overflow its square too
+        scale = float(np.max(np.abs(mp.dg_sigma(u0)))) / g.dx
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"initial height's thinnest cell {float(np.min(u0)):.3e} gives a "
+                             f"barrier gradient scale max|G_sigma'(u0)| / dx = {scale:.3e} "
+                             f"whose square overflows")
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "e0", e0)

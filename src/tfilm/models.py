@@ -282,9 +282,11 @@ class ModifiedPotential:
                                   self.a_phi, self.b_phi, self.c_phi))
         d = sl - 2.0 * sigma
         sg = np.where(sl > 0, sl, 1.0)
-        # the base's Taylor polynomial at 2*sigma plus the glue phi
-        vals = (g0 + g1 * d + 0.5 * g2 * d * d
-                + (sigma_sq / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
+        # the base's Taylor polynomial at 2*sigma plus the glue phi; a
+        # positive height so thin that sigma^2/s^2 overflows gives +inf
+        with np.errstate(divide="ignore", over="ignore"):
+            vals = (g0 + g1 * d + 0.5 * g2 * d * d
+                    + (sigma_sq / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
         vals[sl <= 0] = INFINITE_ENERGY
         out[low] = vals
         return out
@@ -312,8 +314,10 @@ class ModifiedPotential:
         sigma_sq, a_phi, b_phi = (_on(_on(v, low), glue)
                                   for v in (self.sigma_sq, self.a_phi, self.b_phi))
         sg = sl[glue]
-        d1_low[glue] += -2.0 * sigma_sq / sg**3 + 2.0 * a_phi * sg + b_phi
-        d2_low[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
+        # a height whose powers underflow gives infinite derivatives
+        with np.errstate(divide="ignore", over="ignore"):
+            d1_low[glue] += -2.0 * sigma_sq / sg**3 + 2.0 * a_phi * sg + b_phi
+            d2_low[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
         d1[low] = d1_low
         d2[low] = d2_low
         return d1, d2

@@ -20,9 +20,9 @@ geometric ladder (continuation).  Shear-thickening (alpha < 1, p > 2)
 needs none: its curvature vanishes at s = 0, but the energy block of the
 Newton matrix is SPD on its own (below).
 
-The barrier in G_sigma keeps iterates positive; a fraction-to-boundary
-cap on the line search only prevents trial points from overshooting
-past the singularity.
+The barrier in G_sigma keeps iterates positive: a line-search trial
+outside the domain has infinite energy, so the line search backtracks
+from it.
 
 Each accepted iterate's energy, chemical potential and barrier
 curvature G_sigma'' are evaluated once and carried: the curvature into
@@ -39,8 +39,8 @@ the plain formulas, so its results are bit for bit theirs:
   solve loads scipy's LAPACK extension module alone, never scipy.linalg;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
   face buffer built with the step's fixed data (once per run, or per
-  step without a ``StepState``), as are the boundary-cap direction and
-  the Laplacian inside the chemical potential;
+  step without a ``StepState``), as is the Laplacian inside the
+  chemical potential;
 * G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
 
@@ -75,7 +75,7 @@ There is one step and one Newton loop, for B members on one grid:
 marches every group of configs of one grid and one step count with it)
 with its members, in the order given.  A pass evaluates the kernels
 once on all (B, N) rows: the functional with the energy, the chemical potential, the
-reduced gradient, the Newton bands and the boundary cap.  The members'
+reduced gradient and the Newton bands.  The members'
 bands lie side by side in one (3, B, N-1) band storage, so the iterating
 members' bands are one block-diagonal band, solved by one
 ``solveh_banded`` call; a band that is not positive definite is reported
@@ -131,11 +131,10 @@ __all__ = [
 ]
 
 
-# Fixed ingredients of the scheme: the ratio of the eps ladder, the
-# Armijo sufficient-decrease constant and the fraction-to-boundary factor.
+# Fixed ingredients of the scheme: the ratio of the eps ladder and the
+# Armijo sufficient-decrease constant.
 _RHO = 0.1
 _ARMIJO_C = 1e-4
-_TAU_BOUNDARY = 0.9
 _MAX_HALVINGS = 60
 _GRAIN = 64.0 * np.finfo(float).eps  # relative granularity of the objective
 
@@ -463,8 +462,6 @@ class _Problem:
         self.p = scalar_or_column(self.p_each)
         self.h = scalar_or_column([sp.h for sp in steps])
         self.scale = [_dissipation_scale(g, m, sp.h) for m, sp in zip(models, steps)]
-        self.barrier = [m.modified.has_barrier for m in models]
-        self.any_barrier = any(self.barrier)
         self.potential = ModifiedPotential.stack([m.modified for m in models])
         rows = {}
         for i, m in enumerate(models):
@@ -669,14 +666,14 @@ def _solve(prob, start):
     iterate.  Returns the solved ``_Iterate``.
     """
     g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
-    scale, caps, barrier = prob.scale, prob.caps, prob.barrier
+    scale, caps = prob.scale, prob.caps
     u_star, w, ladders = start.u_star, start.w, start.ladders
     q, u, e = start.q, start.u, start.energy
     mu, d2g = _chemical_potential(g, u, mp, pad)
     B = len(q)
     level, it, iters, done = [0] * B, [0] * B, [0] * B, [False] * B
     f, eps, tol = [0.0] * B, [0.0] * B, [0.0] * B
-    norms, slope, t = [0.0] * B, [0.0] * B, [0.0] * B
+    norms, slope = [0.0] * B, [0.0] * B
     active, entering = list(range(B)), list(range(B))
 
     def level_done(i):
@@ -754,33 +751,24 @@ def _solve(prob, start):
             else:
                 delta = x
 
-            if prob.any_barrier:
-                # the height moves by -dh along delta; cap the cells it lowers
-                dh = _flux_change(pad, delta, h, dx)
-                lows = np.empty(u.shape)
-                lows.fill(math.inf)
-                np.divide(u, dh, out=lows, where=dh > 0.0)
-                lows = lows.min(axis=-1).tolist()
-            for i in go:
-                t[i] = min(1.0, _TAU_BOUNDARY * lows[i]) if barrier[i] else 1.0
-
-            # Predicted decreases below the objective's floating-point
-            # granularity cannot be verified by comparing values; the
-            # problem is convex with an SPD Hessian, so in that contraction
-            # regime a feasible (boundary-capped) Newton step is taken
-            # outright.  The other members ride along with a zero
-            # direction at any step.
-            t_col = scalar_or_column(t, go)
+            # A trial outside the barrier domain has infinite energy, so
+            # Armijo and the granularity clause both reject it.  Predicted
+            # decreases below the objective's floating-point granularity
+            # cannot be verified by comparing values; the problem is convex
+            # with an SPD Hessian, so in that contraction regime a
+            # (finite-energy) Newton step is taken outright.  The other
+            # members ride along with a zero direction at any step.
+            t = 1.0
             pending, stepped = go, []
             for _ in range(_MAX_HALVINGS):
-                q_try = q + t_col * delta
+                q_try = q + t * delta
                 u_try = _height(g, u_star, h, q_try, pad)
                 f_try, e_try = _functional(g, mp, scale, p, eps_col, w, q_try, u_try, None, eps_p)
                 took, rest = [], []
                 for i in pending:
-                    ti, fi = t[i], f_try[i]
-                    if (fi <= f[i] + _ARMIJO_C * ti * slope[i]
-                            or (-ti * slope[i] <= _granularity(f[i]) and math.isfinite(fi))):
+                    fi = f_try[i]
+                    if (fi <= f[i] + _ARMIJO_C * t * slope[i]
+                            or (-t * slope[i] <= _granularity(f[i]) and math.isfinite(fi))):
                         f[i] = fi
                         took.append(i)
                     else:
@@ -797,9 +785,7 @@ def _solve(prob, start):
                     for a, b in zip(e, e_try):
                         for i in took:
                             a[i] = b[i]
-                t_col *= 0.5
-                for i in rest:
-                    t[i] *= 0.5
+                t *= 0.5
             for i in pending:
                 if norms[i] > tol[i]:
                     raise _failure(f"line search stalled at grad norm {norms[i]:.3e} > tol "

@@ -463,6 +463,18 @@ def test_cli_failed_artifact_write_exit_1(tmp_path, capsys, monkeypatch):
     assert not (out / ".tfilm.lock").exists()
 
 
+def test_cli_run_too_long_to_record_exit_1(tmp_path, capsys):
+    # 1e13 steps need a 873 TiB record, more than the address space holds, so
+    # numpy refuses the allocation before it touches any memory
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=8, h=1e-13, T=1.0))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "tfilm: error: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("sweep", [[], [2, 0]])
 def test_cli_bb_action_bad_sweep_exit_1(tmp_path, capsys, sweep):
     bump = {"kind": "cos_bumps", "background": 0.1, "amplitude": 1.0, "width": 0.05}
@@ -561,7 +573,8 @@ def test_cli_non_numeric_config_value_exit_1(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key,value", [("rho", 0.1), ("armijo_c", 1e-4), ("tau_boundary", 0.9)])
 def test_cli_fixed_step_constant_is_unknown_key(tmp_path, capsys, key, value):
-    # the ladder ratio, Armijo constant and boundary factor are fixed by the scheme
+    # the ladder ratio and Armijo constant are fixed by the scheme; the line
+    # search has no fraction-to-boundary factor, and that key is refused too
     p = write_json(tmp_path / "sim.json", dict(MINIMAL, **{key: value}))
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
@@ -681,6 +694,18 @@ REFUSED_BEFORE_THE_LOCK = {
         command, dict(MINIMAL, initial={"kind": "cosine", "M": 0.1, "amplitude": 0.5}),
         "initial height has infinite energy under the barrier")
        for command in ("simulate", "rates", "audit-ede")},
+    # a positive cell so thin that G_sigma overflows (1e-170), or that the
+    # square of the barrier's gradient scale does (1e-100, 1e-60)
+    **{f"simulate-thin-cell-{c!r}": (
+        "simulate", dict(MINIMAL, N=8, T=1e-4, mobility={"kind": "power", "n": 2},
+                         initial={"kind": "values", "values": [c] + [1.0] * 7}), message)
+       for c, message in (
+           (1e-170, "initial height has infinite energy under the barrier (a non-positive "
+                    "cell, or one so thin that G_sigma overflows)"),
+           (1e-100, "initial height's thinnest cell 1.000e-100 gives a barrier gradient "
+                    "scale max|G_sigma'(u0)| / dx = 1.600e+297 whose square overflows"),
+           (1e-60, "initial height's thinnest cell 1.000e-60 gives a barrier gradient "
+                   "scale max|G_sigma'(u0)| / dx = 1.600e+177 whose square overflows"))},
     "liftoff-delta-above-3M": ("sweep-liftoff", dict(NO_LIFTOFF, deltas=[4.0], M=1.0),
                                "initial height has infinite energy under the barrier"),
     # the inputs bb_action_inputs refuses

@@ -331,6 +331,43 @@ def test_shear_thickening_droplet_in_the_barrier_zone_keeps_the_el_gate():
     assert np.all(series.column("el_residual")[1:] <= cfg.el_bound)
 
 
+# one droplet per rheology branch whose full Newton step leaves the barrier
+# domain at least once: (alpha, N, mobility exponent, sigma, h, step extras)
+PAST_THE_SINGULARITY = {
+    "alpha-0.5": (0.5, 32, 2.0, 5e-3, 4e-5, {}),
+    "alpha-1": (1.0, 64, 1.0, 5e-3, 1e-4, {}),
+    "alpha-2": (2.0, 32, 1.0, 1e-2, 1e-4, {"eps0": 1e-3, "eps_min": 1e-9}),
+}
+
+
+@pytest.mark.parametrize("alpha,N,n,sigma,h,extra", PAST_THE_SINGULARITY.values(),
+                         ids=PAST_THE_SINGULARITY.keys())
+def test_a_line_search_trial_past_the_singularity_is_backtracked(monkeypatch, alpha, N, n,
+                                                                  sigma, h, extra):
+    # the trial's infinite energy is the only domain rule of the line search
+    real = tfilm.step._functional
+    infinite = []
+
+    def counted(*args, **kwargs):
+        values, e = real(*args, **kwargs)
+        infinite.extend(v for v in values if v == np.inf)
+        return values, e
+
+    monkeypatch.setattr(tfilm.step, "_functional", counted)
+    droplet = InitialDataSpec("cos_bumps", background=2.0 * sigma, amplitude=1.0, width=0.2,
+                              centers=(0.5,))
+    cfg = RunConfig(grid=Grid(1.0, N),
+                    model=ModelParams(alpha=alpha, mobility=power_mobility(n),
+                                      potential=zero_potential(), sigma=sigma),
+                    step=StepParams(h=h, tol_grad=1e-8, **extra), T=20 * h, initial=droplet)
+    series = run(cfg)
+    assert len(infinite) >= 1
+    min_u, mass = series.column("min_u"), series.column("mass")
+    assert 0.0 < min_u[1:].min() < 2.0 * sigma
+    assert np.max(np.abs(mass[1:] - mass[0])) <= 1e-13
+    assert np.all(series.column("el_residual")[1:] <= cfg.el_bound)
+
+
 def test_predicted_start_outside_the_barrier_domain_is_solved_cold(monkeypatch):
     cfg = simple_config(alpha=2.0, h=1e-4, T=6e-4)
     g, sp = cfg.grid, cfg.step

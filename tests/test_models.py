@@ -168,6 +168,21 @@ def test_modified_potential_derives_its_glue_and_taylor_data():
     assert mp.g_sigma(at_2sigma) == base.g(at_2sigma)
 
 
+@pytest.mark.parametrize("s,g,dg", [
+    (1e-170, math.inf, -math.inf),   # s^2 and s^3 underflow
+    (1e-100, 1e-4 / 1e-200, -2e-4 / 1e-300),   # s^4 underflows
+], ids=["s-1e-170", "s-1e-100"])
+def test_a_positive_height_whose_powers_underflow_gives_an_infinite_barrier(s, g, dg):
+    # pytest turns a RuntimeWarning into an error, so the infinities come silently
+    mp = ModifiedPotential(zero_potential(), 0.01)
+    cells = np.array([s, 1.0])
+    assert mp.g_sigma(cells)[0] == pytest.approx(g, rel=1e-12)
+    d1, d2 = mp.derivatives(cells)
+    assert d1[0] == pytest.approx(dg, rel=1e-12)
+    assert d2[0] == math.inf
+    assert (mp.g_sigma(cells)[1], d1[1], d2[1]) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("base", [
     zero_potential(), quadratic_potential(1.3), strong_singular_potential(0.2),
 ])
