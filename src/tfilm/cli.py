@@ -8,9 +8,10 @@ schema in `io.COMMAND_SCHEMAS` before anything runs, and the command
 takes the checked values; point-lemma takes its random seed from the
 config key "seed".  Exit code 0 means every audit in the command's
 report passed, 2 means some audit failed (reports are still written),
-1 means the command errored out.  A directory locked by another run is
-refused with exit 1; --break-lock removes a lock whose recorded holder is
-no longer running, never one held by a live process.
+1 means the command errored out; a failed command removes the output
+directory if it made it and left it empty.  A directory locked by
+another run is refused with exit 1; --break-lock removes a lock whose
+recorded holder is no longer running, never one held by a live process.
 """
 
 import argparse

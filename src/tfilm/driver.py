@@ -13,8 +13,8 @@ stopping error); anything worse raises.
 
 ``run`` marches one config.  ``run_many`` marches each group of configs
 that share a grid and a step count as one ``StepBatch``, with the same
-per-member checks, warm-to-cold rescue and records as ``run``, and runs
-every config through ``run`` once a member fails, for ``run``'s error.
+per-member checks, warm-to-cold rescue, records and step errors as
+``run``.
 """
 
 import copy
@@ -234,6 +234,11 @@ def _prefixed(exc, prefix):
     return err
 
 
+def _step_failed(exc, k, h):
+    """The step error exc of step k at step size h, as a march raises it."""
+    return _prefixed(exc, f"step {k} (t = {k * h:g}) failed: ")
+
+
 def _new_series(cfg):
     """The series of cfg with its initial row and snapshot."""
     rec = np.zeros(cfg.n_steps + 1, StepDiagnostics).view(np.recarray)
@@ -278,25 +283,25 @@ def run(cfg):
         try:
             res = solve_step(g, u, model, sp, state=state)
         except (StepNonconvergenceError, StepCheckError) as exc:
-            raise _prefixed(exc, f"step {k} (t = {k * sp.h:g}) failed: ") from exc
+            raise _step_failed(exc, k, sp.h) from exc
         u = _record(series, k, res)
     return series
 
 
-# What a failing batch raises; run_many then reruns the configs through run
-_BATCH_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError, ValueError,
-                 ArithmeticError, RuntimeWarning)
-
-
 def _march_batch(cfgs):
     """The series of configs that share a grid and a step count, marched
-    as one StepBatch."""
+    as one StepBatch.  A step error is raised as ``run`` raises it for the
+    failing member's config."""
     batch = StepBatch(cfgs[0].grid, [c.model for c in cfgs], [c.step for c in cfgs],
                       [c.e0 for c in cfgs])
     series = [_new_series(c) for c in cfgs]
     u = [c.u0 for c in cfgs]
     for k in range(1, cfgs[0].n_steps + 1):
-        u = [_record(s, k, res) for s, res in zip(series, batch.step(np.stack(u)))]
+        try:
+            results = batch.step(np.stack(u))
+        except (StepNonconvergenceError, StepCheckError) as exc:
+            raise _step_failed(exc, k, cfgs[exc.member].step.h) from exc
+        u = [_record(s, k, res) for s, res in zip(series, results)]
     return series
 
 
@@ -306,11 +311,12 @@ def run_many(configs, threads=None):
     Configs that share a grid (L, N) and a step count are marched
     together as one ``StepBatch``, whose members match ``run`` to the
     Newton tolerance; a config alone on its grid and step count is a
-    one-member batch.  A member whose Newton fails from its warm start is
-    solved cold in the batch, as ``run`` solves it.  If a member fails
-    cold, every config is run again through ``run`` in input order, so the
-    error raised (its type, its ``step k (t = ...) failed:`` message and
-    its payload) is ``run``'s.
+    one-member batch.  A member that fails from its warm start is solved
+    cold in the batch, as ``run`` solves it.  The first failure in march
+    order (groups in the order of their first config, then steps; within
+    a step, the first one the batch meets) is raised as ``run`` raises it
+    for the failing config: its type, its ``step k (t = ...) failed:``
+    message and its payload.  Nothing is marched again.
 
     ``threads`` is accepted for existing callers and ignored: a thread pool
     ran slower than a serial loop, because a step is Python-bound.
@@ -320,12 +326,9 @@ def run_many(configs, threads=None):
     for i, c in enumerate(configs):
         groups.setdefault((c.grid, c.n_steps), []).append(i)
     out = [None] * len(configs)
-    try:
-        for rows in groups.values():
-            for i, s in zip(rows, _march_batch([configs[i] for i in rows])):
-                out[i] = s
-    except _BATCH_ERRORS:
-        return [run(c) for c in configs]
+    for rows in groups.values():
+        for i, s in zip(rows, _march_batch([configs[i] for i in rows])):
+            out[i] = s
     return out
 
 

@@ -496,7 +496,10 @@ class DirectoryLock:
     holder is no longer running is removed and taken.  A lock held by a
     live process, or whose PID cannot be read, is never broken.  Breaking
     is not atomic: two runs that break the same stale lock at the same
-    moment can both proceed.
+    moment can both proceed.  If the command fails, the directories that
+    the lock made (the output directory and any missing parents) are
+    removed while they are empty; one that existed before, or that holds
+    a file, is kept.
     """
 
     def __init__(self, outdir, break_stale=False):
@@ -517,6 +520,7 @@ class DirectoryLock:
         os.close(fd)
 
     def __enter__(self):
+        self.made = [d for d in self.path.parents if not d.exists()]  # deepest first
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._acquire()
@@ -540,9 +544,12 @@ class DirectoryLock:
             f"output directory is locked by another run: {self.path} ({holder})"
         ) from None
 
-    def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+    def __exit__(self, exc_type, *exc):
+        self.path.unlink(missing_ok=True)
+        if exc_type is not None:
+            for d in self.made:
+                try:
+                    d.rmdir()
+                except OSError:  # it holds a file: keep it and its parents
+                    break
         return False

@@ -65,10 +65,11 @@ predict from.
 
 The warm start skips the eps ladder and solves at eps_min directly,
 where the functional is strictly convex, so it reaches the cold start's
-minimiser up to the Newton tolerance.  A warm flux that leaves the
-barrier domain starts cold instead: zero flux down the full ladder.  A
-member whose Newton fails from its warm start is solved cold too, and
-its ``newton_iters`` count the failed attempt.
+minimiser up to the Newton tolerance.  A member that fails from its
+warm start is solved cold: zero flux down the full ladder, and its
+``newton_iters`` count the failed attempt.  A predicted flux that leaves
+the barrier domain is such a failure, with 0 iterations, so there is one
+warm-to-cold rule.
 
 There is one step and one Newton loop, for B members on one grid:
 ``solve_step`` runs them with B = 1, and a ``StepBatch`` (``run_many``
@@ -93,7 +94,9 @@ is each member's own bit for bit in any batch.  Members with different
 exponents match their one-member steps to roundoff: numpy's power with a
 column of exponents can differ in the last bit from its power with a
 scalar one.  A cold failure (a Newton cap, a stalled line search, a
-failed direction) raises ``StepNonconvergenceError`` and ends the batch.
+failed direction) raises ``StepNonconvergenceError``, and a failed check
+of the solved step ``StepCheckError``; either names the failing member
+as ``member`` and ends the batch.
 """
 
 import importlib.machinery
@@ -243,24 +246,25 @@ class StepNonconvergenceError(RuntimeError):
     and ``member`` the failing member's index in a batch (0 for one).
     """
 
-    member = 0
-
-    def __init__(self, message, u_last=None, j_last=None, grad_norm=None, iters=0):
+    def __init__(self, message, u_last=None, j_last=None, grad_norm=None, iters=0, member=0):
         super().__init__(message)
         self.u_last = u_last
         self.j_last = j_last
         self.grad_norm = grad_norm
         self.iters = iters
+        self.member = member
 
 
 class StepCheckError(RuntimeError):
     """A solved step broke mass conservation or the zero-flux comparison;
-    carries the offending iterate."""
+    carries the offending iterate and, as ``member``, the failing member's
+    index in a batch (0 for one)."""
 
-    def __init__(self, message, u_last=None, j_last=None):
+    def __init__(self, message, u_last=None, j_last=None, member=0):
         super().__init__(message)
         self.u_last = u_last
         self.j_last = j_last
+        self.member = member
 
 
 # --- smoothed p-power and its derivatives scaled by alpha/(alpha+1) --------
@@ -500,9 +504,10 @@ class _Problem:
         """The members' StepResults of one step from the rows of u_star,
         each state describing its member's row.
 
-        A member whose Newton fails from its warm start is solved cold:
-        the step is solved again with that member started cold and the
-        others as before, which repeats their arithmetic, and its
+        A member that fails from its warm start (a start outside the
+        barrier domain, with 0 iterations, or a failed Newton) is solved
+        cold: the step is solved again with that member started cold and
+        the others as before, which repeats their arithmetic, and its
         newton_iters also count the failed attempt's iterations.  A cold
         failure raises.
         """
@@ -526,36 +531,24 @@ class _Problem:
         """The step from the rows of u_star, with the interior face
         mobilities m_int and energies e_before of u*: each member not in
         cold starts from its state's predicted flux at eps_min if it has
-        one that stays in the barrier domain, else cold, from zero flux
-        down its eps ladder."""
+        one, else cold, from zero flux down its eps ladder."""
         g = self.grid
         q = np.zeros((len(states), g.N - 1))
         predicted = [None if i in cold else s.predicted_flux() for i, s in enumerate(states)]
-        hot = [x is not None for x in predicted]
-        if any(hot):
+        warm = [x is not None for x in predicted]
+        if any(warm):
             for i, x in enumerate(predicted):
                 if x is not None:
                     q[i] = x
-            u_warm = _height(g, u_star, self.h, q, self.pad)
-            e_warm = energy(g, u_warm, self.potential)
-            # a warm flux that leaves the barrier domain starts cold
-            hot = [ok and math.isfinite(e) for ok, e in zip(hot, e_warm.total)]
-        if all(hot):
-            u, e = u_warm, e_warm
+            u = _height(g, u_star, self.h, q, self.pad)
+            e = energy(g, u, self.potential)
         else:
             # from zero flux the height is u_star bit for bit, and so is its energy
             u, e = u_star.copy(), EnergyBreakdown(*map(list, zip(*e_before)))
-            for i, ok in enumerate(hot):
-                if ok:
-                    u[i] = u_warm[i]
-                    for a, b in zip(e, e_warm):
-                        a[i] = b[i]
-                else:
-                    q[i] = 0.0
         ladders = [[sp.eps_min] if ok else lad
-                   for ok, sp, lad in zip(hot, self.steps, self.ladders)]
+                   for ok, sp, lad in zip(warm, self.steps, self.ladders)]
         return _Start(u_star, m_int, m_int ** (-1.0 / self.alpha), e_before, q, u, e,
-                      ladders, hot)
+                      ladders, warm)
 
     def results(self, states, start, sol):
         """The members' StepResults of the solved step, after the mass and
@@ -575,11 +568,11 @@ class _Problem:
             q = sol.q[i]
             if abs(mass[i] - mass_star[i]) > 1e-12 * (1.0 + abs(mass_star[i])):
                 raise StepCheckError("mass drifted beyond roundoff in a single step",
-                                     u_last=u[i], j_last=q)
+                                     u_last=u[i], j_last=q, member=i)
             # the last ladder level is eps_min, so f is the functional there
             if sol.f[i] > e_before.total + 1e-10 * (1.0 + abs(e_before.total)):
                 raise StepCheckError("step objective exceeds the zero-flux comparison value",
-                                     u_last=u[i], j_last=q)
+                                     u_last=u[i], j_last=q, member=i)
             e_after = EnergyBreakdown(*e_after)
             state.record(q, e_after)
             out.append(StepResult(u_next=u[i], j=js[i], newton_iters=sol.iters[i],
@@ -650,10 +643,8 @@ class StepState:
 
 def _failure(message, i, q, u, norms, it):
     """StepNonconvergenceError of member i, with its iterate."""
-    err = StepNonconvergenceError(message, u_last=u[i].copy(), j_last=q[i].copy(),
-                                  grad_norm=norms[i], iters=it[i])
-    err.member = i
-    return err
+    return StepNonconvergenceError(message, u_last=u[i].copy(), j_last=q[i].copy(),
+                                   grad_norm=norms[i], iters=it[i], member=i)
 
 
 def _solve(prob, start):
@@ -663,14 +654,20 @@ def _solve(prob, start):
     iterating in it (done, or entering its next eps level) rides along
     with a zero direction, so its trial row is its iterate bit for bit.
     Any failure raises StepNonconvergenceError with the failing member's
-    iterate.  Returns the solved ``_Iterate``.
+    iterate; a start outside the barrier domain (infinite energy, which
+    only a predicted flux can reach) fails before any iteration.  Returns
+    the solved ``_Iterate``.
     """
     g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
     scale, caps = prob.scale, prob.caps
     u_star, w, ladders = start.u_star, start.w, start.ladders
     q, u, e = start.q, start.u, start.energy
-    mu, d2g = _chemical_potential(g, u, mp, pad)
     B = len(q)
+    for i, total in enumerate(e.total):
+        if not math.isfinite(total):
+            raise _failure("the start leaves the barrier domain (infinite energy)",
+                           i, q, u, [None] * B, [0] * B)
+    mu, d2g = _chemical_potential(g, u, mp, pad)
     level, it, iters, done = [0] * B, [0] * B, [0] * B, [False] * B
     f, eps, tol = [0.0] * B, [0.0] * B, [0.0] * B
     norms, slope = [0.0] * B, [0.0] * B
@@ -813,10 +810,10 @@ def solve_step(g, u_star, model, step, state=None):
     again, Newton starts from its predicted flux, and the solved step is
     recorded in it.  Without one, a fresh state is built, which has no
     flux to predict from.  A warm start is solved at eps_min directly.  If
-    it leaves the barrier domain, or Newton fails from it, the step is
-    solved cold: from zero flux down the full eps ladder.
-    ``newton_iters`` then also counts the iterations of the failed warm
-    attempt.
+    Newton fails from it (at once, with 0 iterations, if it leaves the
+    barrier domain), the step is solved cold: from zero flux down the
+    full eps ladder.  ``newton_iters`` then also counts the iterations of
+    the failed warm attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
     if state is None:
@@ -834,13 +831,14 @@ class StepBatch:
     state=...)`` steps each, by the same step and Newton loop.
 
     Each member keeps its own ``StepState`` (so its predicted warm start)
-    and walks its own eps ladder, and a member whose warm start leaves the
-    barrier domain, or whose Newton fails from it, is solved cold.  The
-    members' parameters are held as in a one-member step where they share
-    them, so a member matches ``run`` bit for bit when the batch shares its
-    model and step parameters, and to roundoff otherwise.  Members come in
-    any order and are returned in it.  A cold failure raises
-    ``solve_step``'s error type and leaves the batch unusable.
+    and walks its own eps ladder, and a member that fails from its warm
+    start (one outside the barrier domain fails at once) is solved cold.
+    The members' parameters are held as in a one-member step where they
+    share them, so a member matches ``run`` bit for bit when the batch
+    shares its model and step parameters, and to roundoff otherwise.
+    Members come in any order and are returned in it.  A cold failure
+    raises ``solve_step``'s error, which names the failing member as
+    ``member``, and leaves the batch unusable.
     """
 
     def __init__(self, g, models, steps, energies):

@@ -3,9 +3,11 @@ equals ``run`` config by config (bit for bit when the members share model
 and step parameters; otherwise to rtol 1e-7 on heights and on every
 record column, the EL residual, which sits at roundoff, within its gate
 wherever run's is), member by member, through warm starts that leave the
-barrier domain, warm Newton failures solved cold in the batch, failing
-members (Newton caps, failed Newton directions), and mixed grids and step
-counts."""
+barrier domain (a warm failure with 0 iterations) and warm Newton
+failures, both solved cold in the batch, and mixed grids and step
+counts.  A member that fails cold (a Newton cap, a failed Newton
+direction) ends the march: ``run_many`` raises the first failure in march
+order as ``run`` raises it for that config, and never calls ``run``."""
 
 import copy
 import dataclasses
@@ -154,13 +156,18 @@ def groups(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(groups())
 def test_run_many_equals_run_member_by_member(configs):
-    try:
-        serial = [run(c) for c in configs]
-    except STEP_ERRORS as exc:
-        # a failing member raises run's error, however the group is marched
-        with pytest.raises(type(exc)) as info:
-            run_many(configs)
-        assert str(info.value) == str(exc)
+    serial = []
+    for c in configs:
+        try:
+            serial.append(run(c))
+        except STEP_ERRORS as exc:
+            serial.append(exc)
+    failures = [(type(x), str(x)) for x in serial if isinstance(x, Exception)]
+    if failures:
+        # the batch raises a failing member's error as run raises it for that config
+        with pytest.raises(STEP_ERRORS) as info:
+            batched_only(configs)
+        assert (type(info.value), str(info.value)) in failures
         return
     # the batch marches them all, a member whose Newton fails from its warm
     # start solved cold in it as in run
@@ -302,8 +309,8 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     # the one member with this step size has its prediction at step 4 empty a cell
     odd_h = 3e-5
     configs[1] = member(g, alpha=2.0, h=odd_h, n_steps=6)
-    real = StepState.predicted_flux
-    emptied = []
+    real, real_solve = StepState.predicted_flux, tfilm.step._solve
+    emptied, batch_failures = [], []
 
     def leaving_the_domain(state):
         q = real(state)
@@ -313,11 +320,22 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
             emptied.append(q)
         return q
 
+    def watched(prob, start):
+        try:
+            return real_solve(prob, start)
+        except StepNonconvergenceError as exc:
+            batch_failures.append((exc.member, start.warm, exc.iters))
+            raise
+
     with patch.object(StepState, "predicted_flux", leaving_the_domain):
         serial = [run(c) for c in configs]
         emptied.clear()
-        batched = batched_only(configs)
+        with patch.object(tfilm.step, "_solve", watched):
+            batched = batched_only(configs)
     assert len(emptied) == 1
+    # one warm failure, before any iteration, of that member alone, while
+    # every member started warm
+    assert batch_failures == [(1, [True] * len(configs), 0)]
     for b, ref in zip(batched, serial):
         assert_series_match(b, ref)
         assert np.array_equal(b.column("newton_iters"), ref.column("newton_iters"))
@@ -396,14 +414,13 @@ def test_a_failed_newton_direction_in_one_member_raises_runs_error(failure):
             tfilm.driver._march_batch(configs)
         with pytest.raises(StepNonconvergenceError) as got:
             run_many(configs)
-    # the first iteration fails: in run, in the batch (alone, then in
-    # run_many), where the member's band is not the first in the solve, and
-    # in run_many's rerun
+    # the first iteration fails: in run, then in the batch (alone, then in
+    # run_many), where the member's band is not the first in the solve
     k = forced[1]
-    assert forced == [0, k, k, 0] and k > 0
+    assert forced == [0, k, k] and k > 0
     assert str(want.value).startswith("step 1 (t = 3e-05) failed: Newton direction failed: ")
     # the batch's own error is run's, and so is the one run_many raises
-    assert str(want.value) == f"step 1 (t = 3e-05) failed: {batch.value}"
+    assert str(batch.value) == str(want.value)
     assert str(got.value) == str(want.value)
     for err in (batch.value, got.value):
         assert np.array_equal(err.u_last, want.value.u_last)
@@ -434,6 +451,49 @@ def test_a_failing_member_raises_runs_error():
     assert np.array_equal(got.value.u_last, want.value.u_last)
     assert np.array_equal(got.value.j_last, want.value.j_last)
     assert (got.value.iters, got.value.grad_norm) == (want.value.iters, want.value.grad_norm)
+
+
+def test_the_earliest_cold_failure_of_a_group_is_raised_as_run_raises_it():
+    g = Grid(1.0, 32)
+    configs = family(g, 4, n_steps=6)
+    # member 1 reaches its Newton cap at step 3, member 3 at step 1
+    configs[1] = member(g, alpha=2.0, h=3e-5, n_steps=6, max_newton=6)
+    configs[3] = member(g, alpha=2.0, n_steps=6, tol_grad=1e-15, max_newton=3)
+    want = {}
+    for i in (1, 3):
+        with pytest.raises(StepNonconvergenceError) as info:
+            run(configs[i])
+        want[i] = info.value
+    assert str(want[1]).startswith("step 3 (t = 9e-05) failed: Newton did not reach ")
+    assert str(want[3]).startswith("step 1 (t = 1e-05) failed: Newton did not reach ")
+    # the batch raises member 3's, the first in march order, though member 1
+    # comes first in input order
+    with pytest.raises(StepNonconvergenceError) as got:
+        batched_only(configs)
+    err, ref = got.value, want[3]
+    assert type(err) is type(ref) and str(err) == str(ref)
+    assert np.array_equal(err.u_last, ref.u_last) and np.array_equal(err.j_last, ref.j_last)
+    assert (err.iters, err.grad_norm) == (ref.iters, ref.grad_norm)
+
+
+def test_a_failing_group_does_not_march_the_others_again():
+    g1, g2 = Grid(1.0, 32), Grid(1.0, 40)
+    first = family(g1, 4, n_steps=3)
+    second = family(g2, 3, n_steps=3)
+    second[1] = member(g2, alpha=2.0, n_steps=3, tol_grad=1e-15, max_newton=3)
+    marched = []
+    real_step = tfilm.step.StepBatch.step
+
+    def counted(self, *args):
+        marched.append(self.grid)
+        return real_step(self, *args)
+
+    with patch.object(tfilm.step.StepBatch, "step", counted):
+        with pytest.raises(StepNonconvergenceError) as got:
+            batched_only(first + second)
+    # the first group's three steps, then the second group's failing first step
+    assert marched == [g1] * 3 + [g2]
+    assert str(got.value).startswith("step 1 (t = 1e-05) failed: Newton did not reach ")
 
 
 def test_mixed_grids_are_grouped_and_returned_in_input_order():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfilm.cli
 import tfilm.experiments
 import tfilm.step
 from tfilm.cli import main
@@ -472,7 +473,38 @@ def test_cli_run_too_long_to_record_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tfilm: error: Unable to allocate" in err
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+# a cell of 1e-30 under the barrier: Newton reaches its cap in step 1
+THIN_CELL = dict(MINIMAL, N=8, h=1e-4, T=1e-4, mobility={"kind": "power", "n": 2},
+                 initial={"kind": "values", "values": [1e-30] + [1] * 7})
+
+
+@pytest.mark.parametrize("steps", [dict(h=1e-4, T=1e-4), dict(h=1e-13, T=1.0)],
+                         ids=["newton-cap", "record-too-large"])
+def test_cli_failure_removes_the_empty_directories_it_made(tmp_path, capsys, steps):
+    p = write_json(tmp_path / "sim.json", dict(THIN_CELL, **steps))
+    out = tmp_path / "new" / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert "tfilm: error:" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    # a directory that existed before the run is kept
+    out.mkdir(parents=True)
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_cli_failure_keeps_a_directory_it_made_that_holds_a_file(tmp_path, monkeypatch):
+    def failing_summary(outdir, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tfilm.cli, "write_summary", failing_summary)
+    p = write_json(tmp_path / "sim.json", dict(MINIMAL, N=8, T=2e-4))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert (out / "diagnostics.csv").exists()
+    assert not (out / ".tfilm.lock").exists()
 
 
 @pytest.mark.parametrize("sweep", [[], [2, 0]])

@@ -178,6 +178,33 @@ def test_audit_ede_defect_convergence():
     assert defect(1e-8, 1e-8, 5e-5) < defect(1e-8, 1e-8, 1e-4)
 
 
+# per branch: alpha and the step settings besides h
+EDE_BRANCHES = {
+    "alpha-0.5": (0.5, {}),
+    "alpha-1": (1.0, {}),
+    "alpha-2": (2.0, {"eps0": 1e-3, "eps_min": 1e-9}),
+}
+
+
+@pytest.mark.parametrize("alpha,extra", EDE_BRANCHES.values(), ids=EDE_BRANCHES.keys())
+def test_energy_dissipation_equality_defect_is_first_order_in_h(alpha, extra):
+    # the one-step slack is minus a Bregman distance of the convex energy,
+    # O(h^2) per step, so the balance over [t1, T] misses equality by O(h)
+    t1, T = 0.002, 0.008
+    model = ModelParams(alpha=alpha, mobility=power_mobility(2.0), potential=zero_potential(),
+                        sigma=0.01)
+    slacks = []
+    for h in (4e-4, 2e-4, 1e-4, 5e-5):
+        cfg = RunConfig(grid=Grid(1.0, 64), model=model,
+                        step=StepParams(h=h, tol_grad=1e-9, **extra), T=T,
+                        initial=InitialDataSpec("cosine", M=1.0, amplitude=0.3, mode=1))
+        report = audit_ede(run(cfg), round(t1 / h), cfg.n_steps)
+        assert report.ok, h
+        slacks.append(report.slack)
+    orders = [np.log2(a / b) for a, b in zip(slacks, slacks[1:])]
+    assert all(0.9 <= order <= 1.25 for order in orders), orders
+
+
 def test_audit_ede_index_errors():
     cfg = simple_config()
     s = run(cfg)
