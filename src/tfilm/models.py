@@ -322,6 +322,47 @@ class ModifiedPotential:
         d2[low] = d2_low
         return d1, d2
 
+    def with_derivatives(self, s):
+        """(G_sigma(s), G_sigma'(s), G_sigma''(s)) of the float array s,
+        finding the cells below 2*sigma once; each is ``g_sigma``'s or
+        ``derivatives``' bit for bit.
+
+        Where all three vanish identically (a base whose coefficients are
+        0, and no cell below 2*sigma) each is the scalar 0.0, not an array
+        of zeros.
+        """
+        base = self.base
+        if self.has_barrier:
+            two_sigma = 2.0 * self.sigma
+            low = s < two_sigma
+            if low.any():
+                capped = np.maximum(s, two_sigma)
+                v0, v1, v2 = base.g(capped), base.dg(capped), base.d2g(capped)
+                sl = s[low]
+                sigma, sigma_sq, g0, g1, g2, a_phi, b_phi, c_phi = (
+                    _on(v, low) for v in (self.sigma, self.sigma_sq, self.g0, self.g1,
+                                          self.g2, self.a_phi, self.b_phi, self.c_phi))
+                d = sl - 2.0 * sigma
+                glue = sl > 0
+                sg = np.where(glue, sl, 1.0)
+                with np.errstate(divide="ignore", over="ignore"):
+                    vals = (g0 + g1 * d + 0.5 * g2 * d * d
+                            + (sigma_sq / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
+                vals[sl <= 0] = INFINITE_ENERGY
+                d1 = g1 + g2 * d
+                d2 = np.broadcast_to(g2, sl.shape).copy()
+                sigma_sq, a_phi, b_phi = (_on(v, glue) for v in (sigma_sq, a_phi, b_phi))
+                sg = sl[glue]
+                with np.errstate(divide="ignore", over="ignore"):
+                    d1[glue] += -2.0 * sigma_sq / sg**3 + 2.0 * a_phi * sg + b_phi
+                    d2[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
+                v0[low], v1[low], v2[low] = vals, d1, d2
+                return v0, v1, v2
+        a, A = base.a, base.A
+        if not (isinstance(a, np.ndarray) or isinstance(A, np.ndarray)) and a == 0.0 == A:
+            return 0.0, 0.0, 0.0
+        return base.g(s), base.dg(s), base.d2g(s)
+
     def dg_sigma(self, s):
         """G_sigma'(s) on s > 0."""
         return self.derivatives(s)[0]

@@ -24,10 +24,16 @@ The barrier in G_sigma keeps iterates positive: a line-search trial
 outside the domain has infinite energy, so the line search backtracks
 from it.
 
-Each accepted iterate's energy, chemical potential and barrier
-curvature G_sigma'' are evaluated once and carried: the curvature into
-the next Hessian, the rest into ``StepResult``.  ``reduced_objective``
-and ``el_residual`` are the standalone reference evaluations.
+Each Newton iterate (the start and every line-search trial) is evaluated
+once: its energy, chemical potential mu and barrier curvature G_sigma''
+come from one pass, which takes the gradient of the height once and
+finds the cells below 2*sigma once.  An accepted trial carries them: the
+curvature into the next Hessian, the energy into ``StepResult``, and the
+last pass's grad mu into the Euler-Lagrange defect.  Where G_sigma
+vanishes identically (every base potential zero, the paper's G = 0, and
+no cell below 2*sigma), G_sigma'' is the scalar 0.0 and no array of
+zeros is built, integrated or added.  ``reduced_objective`` and
+``el_residual`` are the standalone reference evaluations.
 
 A Newton iteration keeps its numpy calls few and the arithmetic order of
 the plain formulas, so its results are bit for bit theirs:
@@ -41,8 +47,9 @@ the plain formulas, so its results are bit for bit theirs:
   face buffer built with the step's fixed data (once per run, or per
   step without a ``StepState``), as is the Laplacian inside the
   chemical potential;
-* G_sigma' and G_sigma'' come from one pass of
-  ``ModifiedPotential.derivatives`` over the cells below 2*sigma.
+* G_sigma, G_sigma' and G_sigma'' come from one pass of
+  ``ModifiedPotential.with_derivatives`` over the cells below 2*sigma;
+* the reduced gradient and the Newton bands share q^2 and q^2 + eps^2.
 
 The Newton matrix is SPD by construction: G_sigma and the dissipation
 are convex, and the flux-to-height map is injective with a range
@@ -75,10 +82,10 @@ There is one step and one Newton loop, for B members on one grid:
 ``solve_step`` runs them with B = 1, and a ``StepBatch`` (``run_many``
 marches every group of configs of one grid and one step count with it)
 with its members, in the order given.  A pass evaluates the kernels
-once on all (B, N) rows: the functional with the energy, the chemical potential, the
-reduced gradient and the Newton bands.  The members'
-bands lie side by side in one (3, B, N-1) band storage, so the iterating
-members' bands are one block-diagonal band, solved by one
+once on all (B, N) rows: the reduced gradient, the Newton bands and,
+per line-search trial, the one evaluation and the functional.  The
+members' bands lie side by side in one (3, B, N-1) band storage, so the
+iterating members' bands are one block-diagonal band, solved by one
 ``solveh_banded`` call; a band that is not positive definite is reported
 for its member with that member's own minor.  The step's masses and
 height ranges are taken once on all rows.  Every decision of a member
@@ -113,6 +120,7 @@ import numpy as np
 
 from .grid import divergence, integrate, zero_flux
 from .models import (
+    INFINITE_ENERGY,
     EnergyBreakdown,
     ModifiedPotential,
     energy,
@@ -267,41 +275,20 @@ class StepCheckError(RuntimeError):
         self.member = member
 
 
-# --- smoothed p-power and its derivatives scaled by alpha/(alpha+1) --------
+# --- the step functional ----------------------------------------------------
 
-def _psi_eps(s, p, eps, eps_p=None):
-    """(s^2 + eps^2)^(p/2) - eps^p; equals |s|^p at eps = 0.  eps_p is
-    eps^p, given for a column of eps as powers taken on Python floats."""
-    if eps_p is None:
-        eps_p = eps**p
-    return (s * s + eps * eps) ** (0.5 * p) - eps_p
+def _functional(scale, p, eps_p, w, r, e):
+    """Step functional values of B members from the energy breakdown e of
+    their heights: e.total plus scale * sum w psi_eps(q), with psi_eps(q) =
+    (q^2 + eps^2)^(p/2) - eps^p the smoothed p-power (|q|^p at eps = 0).
 
-
-def _psi_tilde(s, p, eps):
-    """alpha/(alpha+1) * psi_eps'(s) = s (s^2 + eps^2)^((p-2)/2)."""
-    return s * (s * s + eps * eps) ** (0.5 * (p - 2.0))
-
-
-def _psi_tilde_prime(s, p, eps):
-    s2 = s * s
-    q = s2 + eps * eps
-    return q ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps * eps)
-
-
-def _functional(g, mp, scale, p, eps, w, q, u, e=None, eps_p=None):
-    """(step functional, energy of u) at interior fluxes q and u = u* - h div(q).
-
-    w = m(u*)^(-1/alpha) on interior faces and scale = h alpha/(alpha+1) dx.
-    A known energy e of u is reused, so that only the dissipation term is
-    added; the infinite energy sentinel carries through the sum.  B
-    members take q (B, N-1), u (B, N), p, eps and eps_p as scalars or
-    (B, 1) columns and scale as a list, and give a list of B values, the
-    sums taken on Python floats.
+    w = m(u*)^(-1/alpha) on interior faces, scale = h alpha/(alpha+1) dx
+    (a list), r = q^2 + eps^2 and eps_p = eps^p; p, eps_p scalars or (B, 1)
+    columns.  The sums are taken on Python floats; the infinite energy
+    sentinel carries through them.
     """
-    if e is None:
-        e = energy(g, u, mp)
-    dissipation = np.add.reduce(w * _psi_eps(q, p, eps, eps_p), axis=-1).tolist()
-    return [t + s * d for t, s, d in zip(e.total, scale, dissipation)], e
+    dissipation = np.add.reduce(w * (r ** (0.5 * p) - eps_p), axis=-1).tolist()
+    return [t + s * d for t, s, d in zip(e.total, scale, dissipation)]
 
 
 def _dissipation_scale(g, model, h):
@@ -321,8 +308,8 @@ def reduced_objective(g, j, u_star, model, step, eps):
     u = u_star - step.h * divergence(g, j)
     w = m_int ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
-    return _functional(g, model.modified, [_dissipation_scale(g, model, step.h)],
-                       model.p, eps, w, q[None], u[None])[0][0]
+    return _functional([_dissipation_scale(g, model, step.h)], model.p, eps**model.p, w,
+                       q * q + eps * eps, energy(g, u[None], model.modified))[0]
 
 
 class _NotPositiveDefinite(np.linalg.LinAlgError):
@@ -378,12 +365,43 @@ def _chemical_potential(g, u, mp, pad):
     return dg - lap, d2g
 
 
-def _el_defect(g, q, mu, m_int, alpha, alphas):
+def _evaluate(g, u, mp, pad):
+    """(energy breakdown of lists, mu, G_sigma'') of the rows of u, in one
+    pass, each as ``energy`` and ``_chemical_potential`` give it bit for bit.
+
+    The gradient of u is taken once, into the interior of the zero-ended
+    face buffer pad: the Dirichlet sums are taken over the whole buffer,
+    and the Laplacian in mu is its difference.  G_sigma, G_sigma' and
+    G_sigma'' come from one ``ModifiedPotential.with_derivatives``; where
+    they vanish identically (G = 0 above 2*sigma and no cell below it)
+    G_sigma'' is the scalar 0.0, and no zero array is integrated or added.
+    """
+    dx = g.dx
+    grad = pad[:, 1:-1]
+    np.subtract(u[:, 1:], u[:, :-1], out=grad)
+    grad /= dx
+    dirichlet = [0.5 * s * dx for s in np.add.reduce(pad * pad, axis=-1).tolist()]
+    lap = pad[:, 1:] - pad[:, :-1]
+    lap /= dx
+    pot, dg, d2g = mp.with_derivatives(u)
+    if isinstance(pot, float):
+        potential = [pot] * len(u)
+    else:
+        potential = (np.add.reduce(pot, axis=-1) * dx).tolist()
+        for i, value in enumerate(potential):
+            # a finite sum has no infinite term, so only a non-finite one is searched
+            if not math.isfinite(value) and np.isinf(pot[i]).any():
+                potential[i] = INFINITE_ENERGY
+    total = [d + v for d, v in zip(dirichlet, potential)]
+    return EnergyBreakdown(dirichlet, potential, total), np.subtract(dg, lap, out=lap), d2g
+
+
+def _el_defect(g, q, dmu, m_int, alpha, alphas):
     """Face-weighted l^(alpha+1) norms of q - m Psi(-grad mu) on the
-    interior faces of B members: rows of q, mu and m_int, alpha a scalar
-    or a (B, 1) column, and alphas each member's, for the roots taken on
-    Python floats."""
-    r = q - m_int * psi(alpha, -(mu[..., 1:] - mu[..., :-1]) / g.dx)
+    interior faces of B members: rows of q, of grad mu (dmu) and of m_int,
+    alpha a scalar or a (B, 1) column, and alphas each member's, for the
+    roots taken on Python floats."""
+    r = q - m_int * psi(alpha, -dmu)
     sums = (np.abs(r) ** (alpha + 1.0)).sum(axis=-1).tolist()
     return [(g.dx * s) ** (1.0 / (a + 1.0)) for s, a in zip(sums, alphas)]
 
@@ -402,15 +420,20 @@ def _height(g, u_star, h, q, pad):
     return u_star - _flux_change(pad, q, h, g.dx)
 
 
-def _reduced_gradient(dx, mu, w, q, p, eps):
-    """The reduced gradient divided by h dx: grad mu + w psi_eps'(q) alpha/(alpha+1)."""
-    return (mu[..., 1:] - mu[..., :-1]) / dx + w * _psi_tilde(q, p, eps)
+def _reduced_gradient(dx, mu, w, q, r, p):
+    """(the reduced gradient divided by h dx, grad mu): grad mu + w
+    alpha/(alpha+1) psi_eps'(q) = grad mu + w q r^((p-2)/2), r = q^2 + eps^2."""
+    dmu = mu[..., 1:] - mu[..., :-1]
+    dmu /= dx
+    return dmu + w * (q * r ** (0.5 * (p - 2.0))), dmu
 
 
-def _newton_bands(dx, lap_diag, ao, h, w, d2g, q, p, eps):
+def _newton_bands(dx, lap_diag, ao, h, w, d2g, s2, r, eps2, p):
     """(diagonal, first off-diagonal) of the Newton matrix in the
     interior-face index: the energy block h^2 D^T H_E D (pentadiagonal,
-    its outer band set once per run) plus the dissipation diagonal."""
+    its outer band set once per run) plus the dissipation diagonal h dx w
+    alpha/(alpha+1) psi_eps''(q), from s2 = q^2, r = q^2 + eps^2 and eps2 =
+    eps^2."""
     ad = dx * (lap_diag + d2g)
     d0 = ad[..., :-1] - 2.0 * ao
     d0 += ad[..., 1:]
@@ -418,7 +441,7 @@ def _newton_bands(dx, lap_diag, ao, h, w, d2g, q, p, eps):
     d1 = ao - ad[..., 1:-1]
     d1 += ao
     d1 /= dx**2
-    d0 = h * h * d0 + h * dx * w * _psi_tilde_prime(q, p, eps)
+    d0 = h * h * d0 + h * dx * w * (r ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps2))
     d1 *= h * h
     return d0, d1
 
@@ -531,23 +554,22 @@ class _Problem:
         """The step from the rows of u_star, with the interior face
         mobilities m_int and energies e_before of u*: each member not in
         cold starts from its state's predicted flux at eps_min if it has
-        one, else cold, from zero flux down its eps ladder."""
+        one, else cold, from zero flux down its eps ladder.  The first
+        heights are evaluated once, a cold member's being its u*."""
         g = self.grid
         q = np.zeros((len(states), g.N - 1))
-        predicted = [None if i in cold else s.predicted_flux() for i, s in enumerate(states)]
-        warm = [x is not None for x in predicted]
-        if any(warm):
-            for i, x in enumerate(predicted):
-                if x is not None:
-                    q[i] = x
-            u = _height(g, u_star, self.h, q, self.pad)
-            e = energy(g, u, self.potential)
-        else:
-            # from zero flux the height is u_star bit for bit, and so is its energy
-            u, e = u_star.copy(), EnergyBreakdown(*map(list, zip(*e_before)))
+        warm = []
+        for i, s in enumerate(states):
+            x = None if i in cold else s.predicted_flux()
+            warm.append(x is not None)
+            if x is not None:
+                q[i] = x
+        # from zero flux a cold member's row is its row of u_star bit for bit
+        u = _height(g, u_star, self.h, q, self.pad)
+        e, mu, d2g = _evaluate(g, u, self.potential, self.pad)
         ladders = [[sp.eps_min] if ok else lad
                    for ok, sp, lad in zip(warm, self.steps, self.ladders)]
-        return _Start(u_star, m_int, m_int ** (-1.0 / self.alpha), e_before, q, u, e,
+        return _Start(u_star, m_int, m_int ** (-1.0 / self.alpha), e_before, q, u, e, mu, d2g,
                       ladders, warm)
 
     def results(self, states, start, sol):
@@ -557,7 +579,7 @@ class _Problem:
         and the height ranges are taken once on all rows."""
         g, u = self.grid, sol.u
         flux = [g.dx * s for s in (start.w * np.abs(sol.q) ** self.p).sum(axis=-1).tolist()]
-        el = _el_defect(g, sol.q, sol.mu, start.m_int, self.alpha, self.alpha_each)
+        el = _el_defect(g, sol.q, sol.dmu, start.m_int, self.alpha, self.alpha_each)
         mass_star, mass = integrate(g, start.u_star).tolist(), integrate(g, u).tolist()
         lows, highs = u.min(axis=-1).tolist(), u.max(axis=-1).tolist()
         js = np.zeros((len(u), g.N + 1))
@@ -592,6 +614,8 @@ class _Start(NamedTuple):
     q: np.ndarray            # (B, N-1) first interior fluxes
     u: np.ndarray            # u_star - h div(q)
     energy: tuple            # EnergyBreakdown of lists, of u
+    mu: np.ndarray           # chemical potential of u
+    d2g: object              # G_sigma''(u): rows, or the scalar 0.0 where it vanishes
     ladders: list            # each member's eps levels
     warm: list               # whether each member starts from its prediction
 
@@ -603,7 +627,8 @@ class _Iterate(NamedTuple):
     u: np.ndarray            # u_star - h div(q)
     energy: tuple            # EnergyBreakdown of lists, of u
     mu: np.ndarray           # chemical potential of u
-    d2g: np.ndarray          # G_sigma''(u), the barrier's Hessian diagonal
+    d2g: object              # G_sigma''(u), as in _Start
+    dmu: np.ndarray          # grad mu, taken by the last pass
     f: list                  # step functional of each member at its eps
     iters: list              # Newton iterations of each member
 
@@ -661,13 +686,12 @@ def _solve(prob, start):
     g, dx, h, p, mp, pad = prob.grid, prob.grid.dx, prob.h, prob.p, prob.potential, prob.pad
     scale, caps = prob.scale, prob.caps
     u_star, w, ladders = start.u_star, start.w, start.ladders
-    q, u, e = start.q, start.u, start.energy
+    q, u, e, mu, d2g = start.q, start.u, start.energy, start.mu, start.d2g
     B = len(q)
     for i, total in enumerate(e.total):
         if not math.isfinite(total):
             raise _failure("the start leaves the barrier domain (infinite energy)",
                            i, q, u, [None] * B, [0] * B)
-    mu, d2g = _chemical_potential(g, u, mp, pad)
     level, it, iters, done = [0] * B, [0] * B, [0] * B, [False] * B
     f, eps, tol = [0.0] * B, [0.0] * B, [0.0] * B
     norms, slope = [0.0] * B, [0.0] * B
@@ -694,15 +718,19 @@ def _solve(prob, start):
                 it[i] = 0
             # done members ride along at any eps
             eps_col = scalar_or_column(eps, active)
+            eps2 = eps_col * eps_col
             eps_p = scalar_or_column([x**y for x, y in zip(eps, prob.p_each)], active)
             # a new level keeps the energy, mu and G_sigma'' and re-adds
             # only the dissipation
-            level_f = _functional(g, mp, scale, p, eps_col, w, q, u, e, eps_p)[0]
+            level_f = _functional(scale, p, eps_p, w, q * q + eps2, e)
             for i in entering:
                 f[i] = level_f[i]
             entering.clear()
 
-        g_scaled = _reduced_gradient(dx, mu, w, q, p, eps_col)
+        # q^2 and q^2 + eps^2, shared by the gradient and the Newton bands
+        s2 = q * q
+        r = s2 + eps2
+        g_scaled, dmu = _reduced_gradient(dx, mu, w, q, r, p)
         squares = np.add.reduce(g_scaled * g_scaled, axis=-1).tolist()
         go = []
         for i in active:
@@ -725,7 +753,7 @@ def _solve(prob, start):
                 go.append(i)
         if go:
             grad_raw = h * dx * g_scaled
-            d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, q, p, eps_col)
+            d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, s2, r, eps2, p)
             ab = prob.ab
             ab[2] = d0
             ab[1, :, 1:] = d1
@@ -760,7 +788,8 @@ def _solve(prob, start):
             for _ in range(_MAX_HALVINGS):
                 q_try = q + t * delta
                 u_try = _height(g, u_star, h, q_try, pad)
-                f_try, e_try = _functional(g, mp, scale, p, eps_col, w, q_try, u_try, None, eps_p)
+                e_try, mu_try, d2g_try = _evaluate(g, u_try, mp, pad)
+                f_try = _functional(scale, p, eps_p, w, q_try * q_try + eps2, e_try)
                 took, rest = [], []
                 for i in pending:
                     fi = f_try[i]
@@ -774,11 +803,16 @@ def _solve(prob, start):
                 pending = rest
                 if not rest:
                     # every other row rode along, so each row is its member's iterate
-                    q, u, e = q_try, u_try, e_try
+                    q, u, e, mu, d2g = q_try, u_try, e_try, mu_try, d2g_try
                     break
                 if took:
                     # an accepted member rides along the remaining halvings
                     q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
+                    mu[took] = mu_try[took]
+                    if not (isinstance(d2g, float) and isinstance(d2g_try, float)):
+                        # rows of G_sigma'', where either may be the scalar 0.0
+                        d2g = np.broadcast_to(d2g, u.shape).copy()
+                        d2g[took] = np.broadcast_to(d2g_try, u.shape)[took]
                     for a, b in zip(e, e_try):
                         for i in took:
                             a[i] = b[i]
@@ -789,12 +823,11 @@ def _solve(prob, start):
                                    f"{tol[i]:g}; tol_grad is below the roundoff floor of "
                                    "this problem", i, q, u, norms, it)
                 level_done(i)  # stalled while polishing an already-converged iterate
-            if stepped:
-                mu, d2g = _chemical_potential(g, u, mp, pad)
-                for i in stepped:
-                    it[i] += 1
+            for i in stepped:
+                it[i] += 1
         active = [i for i in active if not done[i]]
-    return _Iterate(q, u, e, mu, d2g, f, iters)
+    # no member stepped in the last pass, so its grad mu is the solution's
+    return _Iterate(q, u, e, mu, d2g, dmu, f, iters)
 
 
 def solve_step(g, u_star, model, step, state=None):
@@ -870,5 +903,6 @@ def el_residual(g, res, u_star, model):
     """
     mu, _ = _chemical_potential(g, res.u_next, model.modified, zero_flux(g))
     m_faces = mobility_face(model.mobility, u_star, g)
-    return _el_defect(g, res.j[None, 1:-1], mu[None], m_faces[None, 1:-1], model.alpha,
+    dmu = (mu[1:] - mu[:-1]) / g.dx
+    return _el_defect(g, res.j[None, 1:-1], dmu[None], m_faces[None, 1:-1], model.alpha,
                       [model.alpha])[0]

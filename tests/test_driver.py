@@ -376,9 +376,9 @@ def test_a_line_search_trial_past_the_singularity_is_backtracked(monkeypatch, al
     infinite = []
 
     def counted(*args, **kwargs):
-        values, e = real(*args, **kwargs)
+        values = real(*args, **kwargs)
         infinite.extend(v for v in values if v == np.inf)
-        return values, e
+        return values
 
     monkeypatch.setattr(tfilm.step, "_functional", counted)
     droplet = InitialDataSpec("cos_bumps", background=2.0 * sigma, amplitude=1.0, width=0.2,
@@ -422,16 +422,31 @@ def test_predicted_start_outside_the_barrier_domain_is_solved_cold(monkeypatch):
 
 
 def test_run_never_evaluates_the_energy_of_u_star_again(monkeypatch):
-    evaluated = []
-    for module in (tfilm.driver, tfilm.step):
-        def counted(g, u, mp, real=module.energy):
-            evaluated.extend(np.array(u, ndmin=2))  # the rows of a stack of heights
-            return real(g, u, mp)
+    # u_0's energy is taken by each RunConfig
+    other_start = InitialDataSpec("cosine", M=1.0, amplitude=0.3, mode=2)
+    configs = [simple_config(alpha=2.0, h=1e-5, T=1e-4),
+               simple_config(alpha=0.5, h=1e-5, T=1e-4, initial=other_start)]
+    evaluated, other = [], []
 
-        monkeypatch.setattr(module, "energy", counted)
-    cfg = simple_config(alpha=2.0, h=1e-5, T=1e-4)
-    series = run(cfg)
-    # each height is evaluated once: u_0 by its RunConfig, u_k as the
-    # accepted iterate of step k
-    for k, u in series.snapshots.items():
-        assert sum(np.array_equal(u, v) for v in evaluated) == 1, k
+    def counted(g, u, mp, pad, real=tfilm.step._evaluate):
+        evaluated.extend(u.copy())  # the rows of a stack of heights, as evaluated
+        return real(g, u, mp, pad)
+
+    def uncalled(name, real):
+        def call(*args, **kwargs):
+            other.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tfilm.step, "_evaluate", counted)
+    for module, name in ((tfilm.driver, "energy"), (tfilm.step, "energy"),
+                         (tfilm.step, "_chemical_potential")):
+        monkeypatch.setattr(module, name, uncalled(name, getattr(module, name)))
+    # each height is evaluated once, by the step's one evaluation: u_0 at the
+    # (cold) first step, u_k as the accepted iterate of step k
+    for series in [run(c) for c in configs]:
+        for k, u in series.snapshots.items():
+            assert sum(np.array_equal(u, v) for v in evaluated) == 1, k
+    # a batch evaluates all rows of each trial, so only the other calls are counted
+    run_many(configs)
+    assert other == []

@@ -11,6 +11,7 @@ bands side by side, the one-pass barrier terms, the carried mu and
 G_sigma'') equal the references they replace."""
 
 import math
+import warnings
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -109,8 +110,10 @@ def test_newton_iterate_carries_its_mu_and_curvature(case):
 
     with patch.object(tfilm.step, "_solve", recording):
         solve_step(g, u, model, sp)
-    # the one-member stack of the solved iterate
-    (v,), (mu,), (d2g,) = solved[-1].u, solved[-1].mu, solved[-1].d2g
+    # the one-member stack of the solved iterate; G_sigma'' is the scalar 0.0
+    # where it vanishes
+    sol = solved[-1]
+    (v,), (mu,), (d2g,) = sol.u, sol.mu, np.broadcast_to(sol.d2g, sol.u.shape)
     assert np.array_equal(np.stack([mu, d2g]),
                           np.stack([-laplacian_neumann(g, v) + mp.dg_sigma(v), mp.d2g_sigma(v)]))
 
@@ -191,6 +194,35 @@ def test_predicted_run_matches_the_previous_flux_chain(case, branch, data):
     assert np.max(np.abs(mass - mass[0])) <= 1e-13 * mass[0]
     assert np.all(series.column("ede_slack")[1:] >= -cfg.tol_audit)
     assert np.all(series.column("el_residual")[1:] <= cfg.el_bound)
+
+
+@SETTINGS
+@given(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(["zero", "quadratic"]), st.booleans(),
+       st.integers(16, 40), st.integers(0, 2**32 - 1))
+def test_a_mirrored_start_gives_the_mirrored_run(alpha, kind, glue, N, seed):
+    # x -> L - x maps the scheme onto itself: each cell, face and power is
+    # mirrored exactly (a - b = -(b - a) in floating point), and only the
+    # order of the sums and of the band factorisation differs.  Newton takes
+    # the same decisions and corrects a rounded direction at its next
+    # iteration, so a step keeps a few ulps of max|u| of fresh rounding, and
+    # the energy-stable scheme does not amplify what earlier steps left:
+    # 16 ulps per step bounds it.
+    rng = np.random.default_rng(seed)
+    sigma = 0.01
+    g = Grid(1.0, N)
+    x = g.cell_centers()
+    u = 1.0 + sum(rng.uniform(-1.0, 1.0) * np.cos(k * np.pi * x) / k for k in range(1, 5))
+    u = u - u.min() + 2.0 * sigma * (rng.uniform(0.5, 0.9) if glue else rng.uniform(2.0, 20.0))
+    model = ModelParams(alpha=alpha, mobility=power_mobility(2.0), sigma=sigma,
+                        potential=POTENTIALS[kind](rng.random()))
+    runs = [run(RunConfig(grid=g, model=model, step=StepParams(h=1e-5, tol_grad=1e-8),
+                          T=6e-5, initial=InitialDataSpec("values", values=tuple(v))))
+            for v in (u, u[::-1])]
+    assert np.array_equal(runs[0].column("newton_iters"), runs[1].column("newton_iters"))
+    scale = float(np.max(np.abs(u)))
+    for k, v in runs[0].snapshots.items():
+        gap = float(np.max(np.abs(runs[1].snapshots[k][::-1] - v)))
+        assert gap <= 16 * k * np.finfo(float).eps * scale, (k, gap / scale)
 
 
 @SETTINGS
@@ -343,13 +375,14 @@ def test_a_shear_thickening_newton_band_factorises_unshifted(alpha, N, n, h, low
     m_int = prob.checked(u, [energy(g, u[0], model.modified)])
     w = m_int ** (-1.0 / alpha)
     q = np.zeros((1, N - 1))
-    mu, d2g = tfilm.step._chemical_potential(g, u, prob.potential, prob.pad)
-    d0, d1 = tfilm.step._newton_bands(g.dx, prob.lap_diag, prob.ao, h, w, d2g, q, model.p,
-                                      sp.eps_min)
+    _, mu, d2g = tfilm.step._evaluate(g, u, prob.potential, prob.pad)
+    s2, eps2 = q * q, sp.eps_min * sp.eps_min
+    d0, d1 = tfilm.step._newton_bands(g.dx, prob.lap_diag, prob.ao, h, w, d2g, s2, s2 + eps2,
+                                      eps2, model.p)
     ab = prob.ab
     ab[2] = d0
     ab[1, :, 1:] = d1
-    grad = h * g.dx * tfilm.step._reduced_gradient(g.dx, mu, w, q, model.p, sp.eps_min)
+    grad = h * g.dx * tfilm.step._reduced_gradient(g.dx, mu, w, q, s2 + eps2, model.p)[0]
     x = solveh_banded(ab, -grad)
     assert float(grad[0] @ x[0]) < 0.0
 
@@ -421,6 +454,63 @@ def test_one_pass_barrier_terms_match_the_formulas(kind, c, sigma, fractions):
     got = np.stack([mp.g_sigma(s), *mp.derivatives(s)])
     ref = np.stack([ref_g_sigma(mp, s), ref_dg_sigma(mp, s), ref_d2g_sigma(mp, s)])
     assert np.array_equal(got, ref)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def evaluation_stacks(draw):
+    """(grid, the members' G_sigma, (B, N) heights, whether G_sigma is zero
+    on every row): each member a zero, quadratic or strong-singular base,
+    with or without a barrier, and each row above 2 sigma, reaching into
+    the glue (0 < u < 2 sigma) or holding a non-positive cell.  A flat
+    stack has zero bases only and every row above its 2 sigma."""
+    B, N = draw(st.integers(1, 4)), draw(st.integers(4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.random() < 0.3
+    mps, rows, zero = [], [], True
+    for _ in range(B):
+        kind = "zero" if flat else rng.choice(sorted(POTENTIALS))
+        sigma = None if rng.random() < 0.3 else 0.005 + 0.2 * rng.random()
+        mps.append(ModifiedPotential(POTENTIALS[kind](rng.random()), sigma))
+        two_sigma = 2.0 * (sigma or 0.2)
+        u = two_sigma * (1.0 + 4.0 * rng.random(N))
+        row = "above" if flat else rng.choice(["above", "glue", "non-positive"])
+        cells = rng.choice(N, size=rng.integers(1, N + 1), replace=False)
+        if row == "glue":
+            u[cells] = two_sigma * rng.uniform(1e-3, 1.0, len(cells))
+        elif row == "non-positive":
+            u[cells[0]] = rng.choice([0.0, -0.0, -1e-3, -1.0])
+        rows.append(u)
+        zero = zero and mps[-1].base.a == 0.0 == mps[-1].base.A and not (
+            sigma is not None and (u < two_sigma).any())
+    return Grid(1.0, N), mps, np.array(rows), zero
+
+
+@SETTINGS
+@given(evaluation_stacks(), st.integers(0, 2**32 - 1))
+def test_one_evaluation_equals_energy_and_chemical_potential(stack, seed):
+    g, mps, u, zero = stack
+    mp = ModifiedPotential.stack(mps)
+    pad = np.zeros((len(u), g.N + 1))
+    pad[:, 1:-1] = np.random.default_rng(seed).random((len(u), g.N - 1))  # a reused buffer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, mu, d2g = tfilm.step._evaluate(g, u, mp, pad)
+    ref_mu, ref_d2g = tfilm.step._chemical_potential(g, u, mp, np.zeros((len(u), g.N + 1)))
+    for got, want in zip(e, energy(g, u, mp)):
+        assert same_bits(got, want)
+    assert same_bits(mu, ref_mu)
+    # G_sigma'' is the scalar 0.0 exactly where G_sigma vanishes on every row
+    assert isinstance(d2g, float) == zero
+    assert same_bits(np.broadcast_to(d2g, u.shape), ref_d2g)
+    assert same_bits(np.broadcast_to(d2g, u.shape), mp.derivatives(u)[1])
+    for i, own in enumerate(mps):
+        if own.has_barrier and (u[i] <= 0.0).any():
+            assert e.total[i] == e.potential[i] == INFINITE_ENERGY
 
 
 # ---------------------------------------------------------------------------

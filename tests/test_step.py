@@ -8,6 +8,7 @@ import tfilm.step
 from tfilm.driver import InitialDataSpec, RunConfig, run
 from tfilm.grid import Grid, divergence, integrate, laplacian_neumann, zero_flux
 from tfilm.models import (
+    EnergyBreakdown,
     ModelParams,
     constant_mobility,
     energy,
@@ -22,8 +23,8 @@ from tfilm.step import (
     StepNonconvergenceError,
     StepParams,
     StepState,
-    _psi_eps,
-    _psi_tilde,
+    _functional,
+    _reduced_gradient,
     el_residual,
     reduced_objective,
     solve_step,
@@ -74,7 +75,10 @@ def test_smoothed_power_close_to_power():
     s = rng.standard_normal(200) * 5.0
     for p in (1.2, 1.5, 2.0):
         for eps in (1e-2, 1e-5):
-            gap = np.abs(_psi_eps(s, p, eps) - np.abs(s) ** p)
+            # the dissipation term of the step functional, one value per row
+            psi_eps = _functional([1.0] * len(s), p, eps**p, 1.0, (s * s + eps * eps)[:, None],
+                                  EnergyBreakdown(None, None, [0.0] * len(s)))
+            gap = np.abs(np.array(psi_eps) - np.abs(s) ** p)
             assert np.all(gap <= eps**p * (1.0 + 1e-12))
 
 
@@ -102,7 +106,8 @@ def test_gradient_matches_finite_differences():
     uu = u - sp.h * divergence(g, j)
     mu = -laplacian_neumann(g, uu) + mp.dg_sigma(uu)
     w = mobility_face(model.mobility, u, g)[1:-1] ** (-1.0 / model.alpha)
-    grad = sp.h * g.dx * (np.diff(mu) / g.dx + w * _psi_tilde(j[1:-1], model.p, eps))
+    q = j[1:-1]
+    grad = sp.h * g.dx * _reduced_gradient(g.dx, mu, w, q, q * q + eps * eps, model.p)[0]
 
     for _ in range(5):
         d = zero_flux(g)
