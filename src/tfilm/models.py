@@ -7,11 +7,19 @@ every iterate of the implicit step strictly positive without explicit
 constraints.  ``ModifiedPotential(base, sigma)`` is the one way to build
 G_sigma: it checks sigma and derives the glue and Taylor data itself.
 A ``ModelParams`` builds its G_sigma once, at construction, and carries
-it as ``model.modified``.
+it as ``model.modified``.  ``ModifiedPotential.with_derivatives`` is the
+one copy of the glue and Taylor formulas; ``g_sigma``, ``dg_sigma`` and
+``d2g_sigma`` are its projections.
+
+``evaluate`` is the one evaluation of the discrete energy E_sigma, its
+first variation mu = -lap(u) + G_sigma'(u) and the curvature G_sigma'',
+all three from one pass over a stack of heights; the implicit step calls
+it on every Newton iterate, and ``energy`` is its breakdown.
 
 Infinite energy is a value, not an error: it is reported through the
-``INFINITE_ENERGY`` sentinel (IEEE +inf assigned directly, never reached
-by overflowing arithmetic), which compares correctly against any finite
+``INFINITE_ENERGY`` sentinel (IEEE +inf, assigned on the non-positive
+cells under a barrier, and reached on a positive cell so thin that
+sigma^2/s^2 overflows), which compares correctly against any finite
 energy.
 """
 
@@ -21,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-from .grid import gradient, integrate
 
 __all__ = [
     "INFINITE_ENERGY",
@@ -39,6 +45,7 @@ __all__ = [
     "mobility_face",
     "psi",
     "EnergyBreakdown",
+    "evaluate",
     "energy",
 ]
 
@@ -266,70 +273,17 @@ class ModifiedPotential:
     def has_barrier(self):
         return self.sigma is not None
 
-    def g_sigma(self, s):
-        """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
-        s = np.asarray(s, dtype=float)
-        if not self.has_barrier:
-            return self.base.g(s)
-        two_sigma = 2.0 * self.sigma
-        low = s < two_sigma
-        if not low.any():
-            return self.base.g(s)
-        out = self.base.g(np.maximum(s, two_sigma))
-        sl = s[low]
-        sigma, sigma_sq, g0, g1, g2, a_phi, b_phi, c_phi = (
-            _on(v, low) for v in (self.sigma, self.sigma_sq, self.g0, self.g1, self.g2,
-                                  self.a_phi, self.b_phi, self.c_phi))
-        d = sl - 2.0 * sigma
-        sg = np.where(sl > 0, sl, 1.0)
-        # the base's Taylor polynomial at 2*sigma plus the glue phi; a
-        # positive height so thin that sigma^2/s^2 overflows gives +inf
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = (g0 + g1 * d + 0.5 * g2 * d * d
-                    + (sigma_sq / sg**2 + a_phi * sg**2 + b_phi * sg + c_phi))
-        vals[sl <= 0] = INFINITE_ENERGY
-        out[low] = vals
-        return out
-
-    def derivatives(self, s):
-        """(G_sigma'(s), G_sigma''(s)) on s > 0, in one pass over the glue cells.
-
-        Below 2*sigma the base is replaced by its Taylor polynomial; the
-        glue derivatives are added where moreover s > 0.
-        """
-        s = np.asarray(s, dtype=float)
-        if not self.has_barrier:
-            return self.base.dg(s), self.base.d2g(s)
-        two_sigma = 2.0 * self.sigma
-        low = s < two_sigma
-        if not low.any():
-            return self.base.dg(s), self.base.d2g(s)
-        capped = np.maximum(s, two_sigma)
-        d1, d2 = self.base.dg(capped), self.base.d2g(capped)
-        sl = s[low]
-        sigma, g1, g2 = (_on(v, low) for v in (self.sigma, self.g1, self.g2))
-        d1_low = g1 + g2 * (sl - 2.0 * sigma)
-        d2_low = np.broadcast_to(g2, sl.shape).copy()
-        glue = sl > 0
-        sigma_sq, a_phi, b_phi = (_on(_on(v, low), glue)
-                                  for v in (self.sigma_sq, self.a_phi, self.b_phi))
-        sg = sl[glue]
-        # a height whose powers underflow gives infinite derivatives
-        with np.errstate(divide="ignore", over="ignore"):
-            d1_low[glue] += -2.0 * sigma_sq / sg**3 + 2.0 * a_phi * sg + b_phi
-            d2_low[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
-        d1[low] = d1_low
-        d2[low] = d2_low
-        return d1, d2
-
     def with_derivatives(self, s):
         """(G_sigma(s), G_sigma'(s), G_sigma''(s)) of the float array s,
-        finding the cells below 2*sigma once; each is ``g_sigma``'s or
-        ``derivatives``' bit for bit.
+        finding the cells below 2*sigma once: the one evaluation of the
+        glue and of the base's Taylor polynomial.
 
-        Where all three vanish identically (a base whose coefficients are
-        0, and no cell below 2*sigma) each is the scalar 0.0, not an array
-        of zeros.
+        Below 2*sigma the base is replaced by its Taylor polynomial at
+        2*sigma and the glue is added where moreover s > 0; G_sigma is
+        +inf (sentinel) on the cells s <= 0.  A positive height whose
+        powers underflow gives infinite values.  Where all three vanish
+        identically (a base whose coefficients are 0, and no cell below
+        2*sigma) each is the scalar 0.0, not an array of zeros.
         """
         base = self.base
         if self.has_barrier:
@@ -363,13 +317,23 @@ class ModifiedPotential:
             return 0.0, 0.0, 0.0
         return base.g(s), base.dg(s), base.d2g(s)
 
+    def _term(self, s, k):
+        """The k-th of ``with_derivatives``, always a float array of s's shape."""
+        s = np.asarray(s, dtype=float)
+        value = self.with_derivatives(s)[k]
+        return np.zeros(s.shape) if isinstance(value, float) else value
+
+    def g_sigma(self, s):
+        """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
+        return self._term(s, 0)
+
     def dg_sigma(self, s):
         """G_sigma'(s) on s > 0."""
-        return self.derivatives(s)[0]
+        return self._term(s, 1)
 
     def d2g_sigma(self, s):
         """G_sigma''(s) on s > 0."""
-        return self.derivatives(s)[1]
+        return self._term(s, 2)
 
 
 def scalar_or_column(values, rows=None):
@@ -475,8 +439,43 @@ class EnergyBreakdown(NamedTuple):
     total: float
 
 
+def evaluate(g, u, mp, pad):
+    """(energy breakdown of lists, mu, G_sigma'') of the (B, N) rows of u
+    under mp, in one pass: the one evaluation of E_sigma, of its first
+    variation mu = -lap(u) + G_sigma'(u) and of the barrier curvature.
+
+    The gradient of u is taken once, into the interior of the zero-ended
+    face buffer pad (B, N+1): the Dirichlet sums are taken over the whole
+    buffer, and the Laplacian in mu is its difference.  G_sigma, G_sigma'
+    and G_sigma'' come from one ``ModifiedPotential.with_derivatives``;
+    where they vanish identically (G = 0 above 2*sigma and no cell below
+    it) G_sigma'' is the scalar 0.0, and no zero array is integrated or
+    added.  A row's values do not depend on the rows beside it: its sums
+    run along its own cells and are finished on Python floats.
+    """
+    dx = g.dx
+    grad = pad[:, 1:-1]
+    np.subtract(u[:, 1:], u[:, :-1], out=grad)
+    grad /= dx
+    dirichlet = [0.5 * s * dx for s in np.add.reduce(pad * pad, axis=-1).tolist()]
+    lap = pad[:, 1:] - pad[:, :-1]
+    lap /= dx
+    pot, dg, d2g = mp.with_derivatives(u)
+    if isinstance(pot, float):
+        potential = [pot] * len(u)
+    else:
+        potential = (np.add.reduce(pot, axis=-1) * dx).tolist()
+        for i, value in enumerate(potential):
+            # a finite sum has no infinite term, so only a non-finite one is searched
+            if not math.isfinite(value) and np.isinf(pot[i]).any():
+                potential[i] = INFINITE_ENERGY
+    total = [d + v for d, v in zip(dirichlet, potential)]
+    return EnergyBreakdown(dirichlet, potential, total), np.subtract(dg, lap, out=lap), d2g
+
+
 def energy(g, u, mp):
-    """Discrete energy: 0.5 * int |grad u|^2 + int G_sigma(u).
+    """Discrete energy: 0.5 * int |grad u|^2 + int G_sigma(u), the
+    breakdown of ``evaluate``.
 
     Returns the infinite sentinel in `total` (and `potential`) whenever
     the barrier is active and some cell is non-positive.  A stack of
@@ -487,13 +486,6 @@ def energy(g, u, mp):
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         return EnergyBreakdown(*(v[0] for v in energy(g, u[None], mp)))
-    du = gradient(g, u)
-    # the scalar arithmetic of each row on Python floats
-    dirichlet = [0.5 * s * g.dx for s in np.add.reduce(du * du, axis=-1).tolist()]
-    pot_vals = mp.g_sigma(u)  # +inf on the non-positive cells under a barrier
-    potential = integrate(g, pot_vals).tolist()
-    for i, value in enumerate(potential):
-        # a finite sum has no infinite term, so only a non-finite one is searched
-        if not math.isfinite(value) and np.isinf(pot_vals[i]).any():
-            potential[i] = INFINITE_ENERGY
-    return EnergyBreakdown(dirichlet, potential, [d + v for d, v in zip(dirichlet, potential)])
+    if u.ndim != 2 or u.shape[-1] != g.N:
+        raise ValueError(f"heights must have {g.N} cells on the last axis, got shape {u.shape}")
+    return evaluate(g, u, mp, np.zeros((len(u), g.N + 1)))[0]

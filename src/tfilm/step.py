@@ -25,15 +25,18 @@ outside the domain has infinite energy, so the line search backtracks
 from it.
 
 Each Newton iterate (the start and every line-search trial) is evaluated
-once: its energy, chemical potential mu and barrier curvature G_sigma''
-come from one pass, which takes the gradient of the height once and
-finds the cells below 2*sigma once.  An accepted trial carries them: the
-curvature into the next Hessian, the energy into ``StepResult``, and the
-last pass's grad mu into the Euler-Lagrange defect.  Where G_sigma
-vanishes identically (every base potential zero, the paper's G = 0, and
-no cell below 2*sigma), G_sigma'' is the scalar 0.0 and no array of
-zeros is built, integrated or added.  ``reduced_objective`` and
-``el_residual`` are the standalone reference evaluations.
+once, by ``models.evaluate``, the one evaluation of E_sigma: its energy,
+chemical potential mu and barrier curvature G_sigma'' come from one
+pass, which takes the gradient of the height once and finds the cells
+below 2*sigma once.  An accepted trial carries them: the curvature into
+the next Hessian, the energy into ``StepResult``, and the last pass's
+grad mu into the Euler-Lagrange defect.  When the halvings of a line
+search run out after some members accepted a trial, the carried heights
+are evaluated once more.  Where G_sigma vanishes identically (every base
+potential zero, the paper's G = 0, and no cell below 2*sigma), G_sigma''
+is the scalar 0.0 and no array of zeros is built, integrated or added.
+``reduced_objective`` and ``el_residual`` recompute from scratch through
+the same evaluation.
 
 A Newton iteration keeps its numpy calls few and the arithmetic order of
 the plain formulas, so its results are bit for bit theirs:
@@ -48,7 +51,8 @@ the plain formulas, so its results are bit for bit theirs:
   step without a ``StepState``), as is the Laplacian inside the
   chemical potential;
 * G_sigma, G_sigma' and G_sigma'' come from one pass of
-  ``ModifiedPotential.with_derivatives`` over the cells below 2*sigma;
+  ``ModifiedPotential.with_derivatives``, the one copy of the glue and
+  the base's Taylor data, over the cells below 2*sigma;
 * the reduced gradient and the Newton bands share q^2 and q^2 + eps^2.
 
 The Newton matrix is SPD by construction: G_sigma and the dissipation
@@ -118,9 +122,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import divergence, integrate, zero_flux
+from .grid import divergence, integrate
 from .models import (
-    INFINITE_ENERGY,
     EnergyBreakdown,
     ModifiedPotential,
     energy,
@@ -128,6 +131,7 @@ from .models import (
     psi,
     scalar_or_column,
 )
+from .models import evaluate as _evaluate
 
 __all__ = [
     "StepParams",
@@ -347,53 +351,6 @@ def solveh_banded(ab, b):
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
     return x.reshape(b.shape)
-
-
-def _chemical_potential(g, u, mp, pad):
-    """(mu, G_sigma''(u)) with mu = -lap(u) + G_sigma'(u).
-
-    pad is a face buffer with zero boundary entries (one row per member
-    for a stack of heights); the gradient of u is written into its
-    interior, so the Laplacian is its difference.
-    """
-    grad = pad[..., 1:-1]
-    np.subtract(u[..., 1:], u[..., :-1], out=grad)
-    grad /= g.dx
-    lap = pad[..., 1:] - pad[..., :-1]
-    lap /= g.dx
-    dg, d2g = mp.derivatives(u)
-    return dg - lap, d2g
-
-
-def _evaluate(g, u, mp, pad):
-    """(energy breakdown of lists, mu, G_sigma'') of the rows of u, in one
-    pass, each as ``energy`` and ``_chemical_potential`` give it bit for bit.
-
-    The gradient of u is taken once, into the interior of the zero-ended
-    face buffer pad: the Dirichlet sums are taken over the whole buffer,
-    and the Laplacian in mu is its difference.  G_sigma, G_sigma' and
-    G_sigma'' come from one ``ModifiedPotential.with_derivatives``; where
-    they vanish identically (G = 0 above 2*sigma and no cell below it)
-    G_sigma'' is the scalar 0.0, and no zero array is integrated or added.
-    """
-    dx = g.dx
-    grad = pad[:, 1:-1]
-    np.subtract(u[:, 1:], u[:, :-1], out=grad)
-    grad /= dx
-    dirichlet = [0.5 * s * dx for s in np.add.reduce(pad * pad, axis=-1).tolist()]
-    lap = pad[:, 1:] - pad[:, :-1]
-    lap /= dx
-    pot, dg, d2g = mp.with_derivatives(u)
-    if isinstance(pot, float):
-        potential = [pot] * len(u)
-    else:
-        potential = (np.add.reduce(pot, axis=-1) * dx).tolist()
-        for i, value in enumerate(potential):
-            # a finite sum has no infinite term, so only a non-finite one is searched
-            if not math.isfinite(value) and np.isinf(pot[i]).any():
-                potential[i] = INFINITE_ENERGY
-    total = [d + v for d, v in zip(dirichlet, potential)]
-    return EnergyBreakdown(dirichlet, potential, total), np.subtract(dg, lap, out=lap), d2g
 
 
 def _el_defect(g, q, dmu, m_int, alpha, alphas):
@@ -808,15 +765,13 @@ def _solve(prob, start):
                 if took:
                     # an accepted member rides along the remaining halvings
                     q[took], u[took], delta[took] = q_try[took], u_try[took], 0.0
-                    mu[took] = mu_try[took]
-                    if not (isinstance(d2g, float) and isinstance(d2g_try, float)):
-                        # rows of G_sigma'', where either may be the scalar 0.0
-                        d2g = np.broadcast_to(d2g, u.shape).copy()
-                        d2g[took] = np.broadcast_to(d2g_try, u.shape)[took]
-                    for a, b in zip(e, e_try):
-                        for i in took:
-                            a[i] = b[i]
                 t *= 0.5
+            else:
+                if stepped:
+                    # the rows accepted before the halvings ran out come from
+                    # different trials; a row's evaluation does not depend on
+                    # the others, so evaluating them together gives its own
+                    e, mu, d2g = _evaluate(g, u, mp, pad)
             for i in pending:
                 if norms[i] > tol[i]:
                     raise _failure(f"line search stalled at grad norm {norms[i]:.3e} > tol "
@@ -899,10 +854,11 @@ def el_residual(g, res, u_star, model):
     convergence it sits at the level tol_grad + eps_min^(p-1) up to a
     reported constant, because the reduced gradient is exactly this
     relation passed through the smoothed power.  This recomputes from
-    scratch what solve_step reports from its carried state.
+    scratch, through the step's one evaluation, what solve_step reports
+    from its carried state.
     """
-    mu, _ = _chemical_potential(g, res.u_next, model.modified, zero_flux(g))
+    _, mu, _ = _evaluate(g, res.u_next[None], model.modified, np.zeros((1, g.N + 1)))
     m_faces = mobility_face(model.mobility, u_star, g)
-    dmu = (mu[1:] - mu[:-1]) / g.dx
-    return _el_defect(g, res.j[None, 1:-1], dmu[None], m_faces[None, 1:-1], model.alpha,
+    dmu = (mu[:, 1:] - mu[:, :-1]) / g.dx
+    return _el_defect(g, res.j[None, 1:-1], dmu, m_faces[None, 1:-1], model.alpha,
                       [model.alpha])[0]

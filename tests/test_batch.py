@@ -306,6 +306,55 @@ def test_a_pass_solves_the_iterating_members_and_leaves_the_other_rows_alone():
     assert any(0 < solved < active for solved, active in checked)
 
 
+def test_rows_accepted_before_the_halvings_run_out_carry_their_own_evaluation():
+    # two members polish a first iterate already under tol; member 1's trials
+    # are rejected until the halvings run out, so it stalls while polishing
+    # beside member 0, which accepted the first trial.  The energy, mu and
+    # G_sigma'' carried out of that line search, and on to the solution, are
+    # those of a fresh evaluation of the accepted heights, bit for bit
+    g = Grid(1.0, 16)
+    x = g.cell_centers()
+    model = ModelParams(alpha=1.0, mobility=power_mobility(2.0),
+                        potential=strong_singular_potential(1e-3), sigma=0.05)
+    sp = StepParams(h=1e-3, tol_grad=1e-4)
+    u_star = 1.0 + 1e-7 * np.cos(np.pi * np.array([x, 2.0 * x]))
+    batch = tfilm.step.StepBatch(g, [model, model], [sp, sp],
+                                 [energy(g, row, model.modified) for row in u_star])
+    real_functional, real_solve = tfilm.step._functional, tfilm.step._solve
+    calls, solutions = [], []
+
+    def rejecting(*args):
+        values = real_functional(*args)
+        calls.append(values[1])
+        if len(calls) > 1:  # the first call enters the eps level, the others are trials
+            values[1] = np.inf
+        return values
+
+    def solved(prob, start):
+        solutions.append(real_solve(prob, start))
+        return solutions[-1]
+
+    with patch.object(tfilm.step, "_functional", rejecting), \
+            patch.object(tfilm.step, "_solve", solved), \
+            patch.object(tfilm.step, "_MAX_HALVINGS", 3):
+        results = batch.step(u_star)
+    (sol,) = solutions
+    # the level's value, then one line search of 3 trials (member 1's first
+    # one lowered its value, so only the hook rejected it); member 0 then
+    # converged
+    assert len(calls) == 4 and calls[1] < calls[0]
+    assert sol.iters == [1, 0] == [r.newton_iters for r in results]
+    assert not np.array_equal(sol.u[0], u_star[0])
+    assert np.array_equal(sol.u[1], u_star[1])
+    e, mu, d2g = tfilm.step._evaluate(g, sol.u, batch.problem.potential,
+                                      np.zeros((2, g.N + 1)))
+    for got, want in zip(sol.energy, e):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert sol.mu.tobytes() == mu.tobytes()
+    assert sol.d2g.tobytes() == d2g.tobytes()
+    assert sol.dmu.tobytes() == ((mu[:, 1:] - mu[:, :-1]) / g.dx).tobytes()
+
+
 def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     g = Grid(1.0, 32)
     configs = family(g, 4, n_steps=6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tfilm.driver
+import tfilm.models
 import tfilm.step
 from tfilm.driver import (
     InitialDataSpec,
@@ -440,7 +441,7 @@ def test_run_never_evaluates_the_energy_of_u_star_again(monkeypatch):
 
     monkeypatch.setattr(tfilm.step, "_evaluate", counted)
     for module, name in ((tfilm.driver, "energy"), (tfilm.step, "energy"),
-                         (tfilm.step, "_chemical_potential")):
+                         (tfilm.models, "evaluate")):
         monkeypatch.setattr(module, name, uncalled(name, getattr(module, name)))
     # each height is evaluated once, by the step's one evaluation: u_0 at the
     # (cold) first step, u_k as the accepted iterate of step k

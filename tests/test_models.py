@@ -177,7 +177,7 @@ def test_a_positive_height_whose_powers_underflow_gives_an_infinite_barrier(s, g
     mp = ModifiedPotential(zero_potential(), 0.01)
     cells = np.array([s, 1.0])
     assert mp.g_sigma(cells)[0] == pytest.approx(g, rel=1e-12)
-    d1, d2 = mp.derivatives(cells)
+    d1, d2 = mp.dg_sigma(cells), mp.d2g_sigma(cells)
     assert d1[0] == pytest.approx(dg, rel=1e-12)
     assert d2[0] == math.inf
     assert (mp.g_sigma(cells)[1], d1[1], d2[1]) == (0.0, 0.0, 0.0)
@@ -405,9 +405,10 @@ def test_potential_stack_rows_equal_their_members(case):
     mps, u = case
     g = Grid(1.0, u.shape[1])
     stack = ModifiedPotential.stack(mps)
-    values, (d1, d2), stacked_energy = stack.g_sigma(u), stack.derivatives(u), energy(g, u, stack)
+    values, d1, d2 = stack.g_sigma(u), stack.dg_sigma(u), stack.d2g_sigma(u)
+    stacked_energy = energy(g, u, stack)
     for i, mp in enumerate(mps):
-        own = (mp.g_sigma(u[i]), *mp.derivatives(u[i]))
+        own = (mp.g_sigma(u[i]), mp.dg_sigma(u[i]), mp.d2g_sigma(u[i]))
         for got, want in zip((values[i], d1[i], d2[i]), own):
             assert got.tobytes() == want.tobytes(), i
         assert tuple(field[i] for field in stacked_energy) == energy(g, u[i], mp)
