@@ -11,10 +11,14 @@ The slack is allowed to dip below zero only by the audit tolerance
 eps_min^p * |domain| + 10 * tol_grad (smoothing bias plus the gradient
 stopping error); anything worse raises.
 
-``run`` marches one config.  ``run_many`` marches each group of configs
-that share a grid and a step count as one ``StepBatch``, with the same
-per-member checks, warm-to-cold rescue, records and step errors as
-``run``.
+One loop, ``_march``, marches every run: it sets up the series, takes
+the members' step once per step, records and audits each member, and
+raises a step error with the failing member's step index.  ``run`` gives
+it one config stepped by ``solve_step``; ``run_many`` gives it each
+group of configs that share a grid and a step count, stepped as one
+``StepBatch``, with the same per-member checks, warm-to-cold rescue,
+records and step errors as ``run``.  ``sigma_continuation`` marches its
+sigmas, which share a grid and a step count, as one such batch.
 """
 
 import copy
@@ -146,6 +150,9 @@ class RunConfig:
         if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
         u0 = self.initial.build(self.grid)
+        bad = np.flatnonzero(~np.isfinite(u0))
+        if bad.size:
+            raise ValueError(f"initial height must be finite, got {u0[bad[0]]} in cell {bad[0]}")
         # the solver squares gradients of this scale (its roundoff floor is
         # eps_machine times it); a product, since float ** raises on overflow
         g = self.grid
@@ -264,6 +271,26 @@ def _record(series, k, res):
     return u
 
 
+def _march(cfgs, step):
+    """The series of configs that share a grid and a step count, marched
+    from their initial heights: the one march loop.
+
+    step(u) takes the list of the members' current heights and returns
+    their StepResults.  Each step is audited and recorded by ``_record``;
+    a step error is raised with the failing member's step index and time
+    (``_step_failed``), its payload kept."""
+    series = [_new_series(c) for c in cfgs]
+    u = [c.u0 for c in cfgs]
+    for k in range(1, cfgs[0].n_steps + 1):
+        try:
+            results = step(u)
+        except (StepNonconvergenceError, StepCheckError) as exc:
+            raise _step_failed(exc, k, cfgs[exc.member].step.h) from exc
+        for i, res in enumerate(results):
+            u[i] = _record(series[i], k, res)
+    return series
+
+
 def run(cfg):
     """March the scheme from the configured initial height.
 
@@ -276,33 +303,18 @@ def run(cfg):
     index.
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
-    series = _new_series(cfg)
-    u = cfg.u0
     state = StepState(g, sp.h, cfg.e0)
-    for k in range(1, cfg.n_steps + 1):
-        try:
-            res = solve_step(g, u, model, sp, state=state)
-        except (StepNonconvergenceError, StepCheckError) as exc:
-            raise _step_failed(exc, k, sp.h) from exc
-        u = _record(series, k, res)
-    return series
+    # solve_step is looked up in this module at each step, where a tracer
+    # may have replaced it
+    return _march([cfg], lambda u: [solve_step(g, u[0], model, sp, state=state)])[0]
 
 
 def _march_batch(cfgs):
     """The series of configs that share a grid and a step count, marched
-    as one StepBatch.  A step error is raised as ``run`` raises it for the
-    failing member's config."""
+    as one StepBatch."""
     batch = StepBatch(cfgs[0].grid, [c.model for c in cfgs], [c.step for c in cfgs],
                       [c.e0 for c in cfgs])
-    series = [_new_series(c) for c in cfgs]
-    u = [c.u0 for c in cfgs]
-    for k in range(1, cfgs[0].n_steps + 1):
-        try:
-            results = batch.step(np.stack(u))
-        except (StepNonconvergenceError, StepCheckError) as exc:
-            raise _step_failed(exc, k, cfgs[exc.member].step.h) from exc
-        u = [_record(s, k, res) for s, res in zip(series, results)]
-    return series
+    return _march(cfgs, lambda u: batch.step(np.stack(u)))
 
 
 def run_many(configs, threads=None):
@@ -316,7 +328,8 @@ def run_many(configs, threads=None):
     order (groups in the order of their first config, then steps; within
     a step, the first one the batch meets) is raised as ``run`` raises it
     for the failing config: its type, its ``step k (t = ...) failed:``
-    message and its payload.  Nothing is marched again.
+    message and its payload, whose ``member`` is the config's index in
+    its group.  Nothing is marched again.
 
     ``threads`` is accepted for existing callers and ignored: a thread pool
     ran slower than a serial loop, because a step is Python-bound.
@@ -388,36 +401,38 @@ class ContinuationReport:
 def sigma_continuation(u0_nonneg, sigmas, cfg):
     """Run the scheme for a decreasing barrier sequence.
 
-    Each sigma lifts the non-negative datum to u0 + 2*sigma (strictly
-    positive, >= 2*sigma, so the barrier leaves the initial energy
-    untouched), runs the scheme, and checks the limit inequality with
-    the unmodified energy: potential evaluated through the base G on
-    cells with height >= 2*sigma.
+    Each sigma lifts the finite, non-negative datum to u0 + 2*sigma
+    (strictly positive, >= 2*sigma, so the barrier leaves the initial
+    energy untouched) and checks the limit inequality with the
+    unmodified energy: potential evaluated through the base G on cells
+    with height >= 2*sigma.  The sigmas share cfg's grid and step count,
+    so ``run_many`` marches them as one batch.  A step error is raised
+    with ``sigma=<s>: `` before ``run``'s message; it is the first in
+    march order (by step, then by sigma), not the first by sigma.
     """
     u0_nonneg = np.asarray(u0_nonneg, dtype=float)
-    if np.any(u0_nonneg < 0):
-        raise ValueError("base initial datum must be non-negative")
+    if not np.all(np.isfinite(u0_nonneg) & (u0_nonneg >= 0)):
+        raise ValueError("base initial datum must be finite and non-negative")
     sigmas = tuple(float(s) for s in sigmas)
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     g, h = cfg.grid, cfg.step.h
     base_mp = ModifiedPotential(cfg.model.potential, None)
 
-    all_series = []
+    configs = [replace(cfg, model=replace(cfg.model, sigma=s),
+                       initial=InitialDataSpec("values", values=tuple(u0_nonneg + 2.0 * s)))
+               for s in sigmas]
+    try:
+        all_series = run_many(configs)
+    except (StepNonconvergenceError, StepCheckError) as exc:
+        # the configs share (grid, n_steps): one group, indexed as sigmas
+        raise _prefixed(exc, f"sigma={sigmas[exc.member]:g}: ") from exc
+
     min_heights = []
     edi_slacks = []
-    for s in sigmas:
-        u0 = u0_nonneg + 2.0 * s
-        model = replace(cfg.model, sigma=s)
-        c = replace(cfg, model=model, initial=InitialDataSpec("values", values=tuple(u0)))
-        try:
-            series = run(c)
-        except (StepNonconvergenceError, StepCheckError) as exc:
-            raise _prefixed(exc, f"sigma={s:g}: ") from exc
-        all_series.append(series)
+    for s, series in zip(sigmas, all_series):
         min_heights.append(float(np.min(series.column("min_u"))))
-
-        e0 = energy(g, u0, base_mp).total
+        e0 = energy(g, series.config.u0, base_mp).total
         # the Dirichlet term does not depend on the potential, so the
         # record's is the unmodified energy's; row 0 carries no dissipation.
         # The t = 0 slack is 0 by construction (u0 >= 2 sigma in every cell,

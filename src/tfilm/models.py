@@ -141,36 +141,53 @@ class PotentialSpec:
                 raise ValueError(f"{self.kind} potential needs a finite {name} >= 0, "
                                  f"got {value!r}")
 
-    def _derivative(self, s, k):
-        """G^(k)(s), k = 0, 1 or 2, on s > 0 (0 elsewhere), with a and A
-        scalars or, in a stack, (B, 1) columns.  A zero scalar drops its
-        term, and the A term skips the rows with A = 0, so that no 0/0
-        arises where s^(k+2) underflows."""
-        s = np.asarray(s, dtype=float)
+    def with_derivatives(self, s):
+        """(G(s), G'(s), G''(s)) on s > 0 (0 elsewhere), in one pass, with a
+        and A scalars or, in a stack, (B, 1) columns.  Where a and A are both
+        the scalar 0 each is the scalar 0.0, not an array of zeros.  A zero
+        scalar drops its term, and the A term skips the rows with A = 0, so
+        that no 0/0 arises where a power of s underflows; it is added to the
+        a term, if any, never to 0.0, so an underflowing -2A/s^3 keeps its
+        sign."""
         a, A = self.a, self.A
         quad = isinstance(a, np.ndarray) or a != 0.0
         sing = isinstance(A, np.ndarray) or A != 0.0
         if not (quad or sing):
-            return np.zeros(s.shape)
+            return 0.0, 0.0, 0.0
+        s = np.asarray(s, dtype=float)
         pos = s > 0
-        out = (0.5 * a * s * s if k == 0 else a * s if k == 1 else a) if quad else None
+        out = (0.5 * a * s * s, a * s, a) if quad else None
         if sing:
             with np.errstate(over="ignore", divide="ignore"):
-                den = np.where(pos, s, 1.0) ** (k + 2)
-                term = np.divide((A, -2.0 * A, 6.0 * A)[k], den, out=np.zeros(den.shape),
-                                 where=A != 0.0)
-            out = term if out is None else out + term
-        return np.where(pos, out, 0.0)
+                sp = np.where(pos, s, 1.0)
+                terms = tuple(np.divide(c, sp ** k, out=np.zeros(s.shape), where=A != 0.0)
+                              for c, k in ((A, 2), (-2.0 * A, 3), (6.0 * A, 4)))
+            out = terms if out is None else tuple(v + t for v, t in zip(out, terms))
+        return tuple(np.where(pos, v, 0.0) for v in out)
 
     def g(self, s):
-        return self._derivative(s, 0)
+        return _projection(self, s, 0)
 
     def dg(self, s):
         """G'(s); valid on s > 0 (0 returned elsewhere)."""
-        return self._derivative(s, 1)
+        return _projection(self, s, 1)
 
     def d2g(self, s):
-        return self._derivative(s, 2)
+        return _projection(self, s, 2)
+
+
+def _projection(potential, s, k):
+    """The k-th of potential.with_derivatives(s), always a float array of
+    s's shape: G, G', G'' of a ``PotentialSpec`` and G_sigma, G_sigma',
+    G_sigma'' of a ``ModifiedPotential``."""
+    s = np.asarray(s, dtype=float)
+    return _dense(potential.with_derivatives(s)[k], s.shape)
+
+
+def _dense(value, shape):
+    """A value of a with_derivatives triple as a float array: the scalar 0.0
+    of a potential that vanishes identically as zeros of the given shape."""
+    return np.zeros(shape) if isinstance(value, float) else value
 
 
 def zero_potential():
@@ -290,8 +307,8 @@ class ModifiedPotential:
             two_sigma = 2.0 * self.sigma
             low = s < two_sigma
             if low.any():
-                capped = np.maximum(s, two_sigma)
-                v0, v1, v2 = base.g(capped), base.dg(capped), base.d2g(capped)
+                v0, v1, v2 = (_dense(v, s.shape) for v in base.with_derivatives(
+                    np.maximum(s, two_sigma)))
                 sl = s[low]
                 sigma, sigma_sq, g0, g1, g2, a_phi, b_phi, c_phi = (
                     _on(v, low) for v in (self.sigma, self.sigma_sq, self.g0, self.g1,
@@ -312,28 +329,19 @@ class ModifiedPotential:
                     d2[glue] += 6.0 * sigma_sq / sg**4 + 2.0 * a_phi
                 v0[low], v1[low], v2[low] = vals, d1, d2
                 return v0, v1, v2
-        a, A = base.a, base.A
-        if not (isinstance(a, np.ndarray) or isinstance(A, np.ndarray)) and a == 0.0 == A:
-            return 0.0, 0.0, 0.0
-        return base.g(s), base.dg(s), base.d2g(s)
-
-    def _term(self, s, k):
-        """The k-th of ``with_derivatives``, always a float array of s's shape."""
-        s = np.asarray(s, dtype=float)
-        value = self.with_derivatives(s)[k]
-        return np.zeros(s.shape) if isinstance(value, float) else value
+        return base.with_derivatives(s)
 
     def g_sigma(self, s):
         """G_sigma(s); +inf (sentinel) for s <= 0 when a barrier is set."""
-        return self._term(s, 0)
+        return _projection(self, s, 0)
 
     def dg_sigma(self, s):
         """G_sigma'(s) on s > 0."""
-        return self._term(s, 1)
+        return _projection(self, s, 1)
 
     def d2g_sigma(self, s):
         """G_sigma''(s) on s > 0."""
-        return self._term(s, 2)
+        return _projection(self, s, 2)
 
 
 def scalar_or_column(values, rows=None):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,9 @@ def test_step_error_keeps_its_payload_through_added_context(monkeypatch, error):
     def failing_step(*args, **kwargs):
         raise error
 
+    # run steps through driver.solve_step, sigma_continuation through the batch
     monkeypatch.setattr(tfilm.driver, "solve_step", failing_step)
+    monkeypatch.setattr(tfilm.step.StepBatch, "step", failing_step)
     cfg = simple_config()  # h = 1e-5
     for call, message in [
         (lambda: run(cfg), "step 1 (t = 1e-05) failed: boom"),
@@ -230,6 +234,22 @@ def test_run_config_builds_and_checks_its_initial_height():
     assert simple_config(sigma=None, initial=InitialDataSpec("cosine", M=0.1, amplitude=0.5))
 
 
+@pytest.mark.parametrize("initial, message", [
+    (InitialDataSpec("values", values=(1.0,) * 3 + (float("nan"),) + (1.0,) * 44),
+     "initial height must be finite, got nan in cell 3"),
+    (InitialDataSpec("values", values=(1.0,) * 47 + (-float("inf"),)),
+     "initial height must be finite, got -inf in cell 47"),
+    (InitialDataSpec("constant", M=float("nan")), "initial height must be finite, got nan in cell 0"),
+    (InitialDataSpec("cosine", M=float("inf"), amplitude=0.2),
+     "initial height must be finite, got inf in cell 0"),
+], ids=["values-nan", "values-minus-inf", "M-nan", "M-inf"])
+def test_run_config_refuses_a_non_finite_initial_height(initial, message):
+    # refused before the gradient-scale rule, which read nan for these
+    with pytest.raises(ValueError) as info:
+        simple_config(initial=initial)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("every", [2.5, 2.0, 0, True])
 def test_run_config_refuses_a_snapshot_spacing_that_is_not_a_positive_integer(every):
     # record_every=2.5 would snapshot at k = 5, 10
@@ -283,6 +303,25 @@ def test_continuation_reports_the_limit_edi_margin():
     assert all(s > 0.0 for s in rep.limit_edi_min_slack)
 
 
+@pytest.mark.parametrize("alpha, n", [(0.5, 2.0), (1.0, 2.0), (2.0, 2.0), (1.0, 1.0)])
+def test_continuation_limit_where_the_barrier_acts(alpha, n):
+    # a droplet on a dry substrate thins into the barrier zone below 2 sigma
+    # for every sigma, on every rheology branch; criterion 10's parabola
+    # never gets there
+    template = _continuation_template(N=128, T=1e-3, record_every=1)
+    template = replace(template, model=replace(template.model, alpha=alpha,
+                                               mobility=power_mobility(n)))
+    droplet = InitialDataSpec("cos_bumps", background=0.0, amplitude=1.0, width=0.2,
+                              centers=(0.5,))
+    rep = sigma_continuation(droplet.build(template.grid), [1e-2, 5e-3, 2.5e-3, 1.25e-3],
+                             template)
+    for sigma, series in zip(rep.sigmas, rep.series):
+        assert series.column("min_u")[1:].min() / sigma < 2.0
+    assert all(mh > 0.0 for mh in rep.min_heights)
+    assert all(s >= -rep.tol_audit for s in rep.limit_edi_min_slack)
+    assert all(b < a for a, b in zip(rep.sup_distances, rep.sup_distances[1:]))
+
+
 def test_continuation_single_sigma_degenerate():
     g = Grid(1.0, 64)
     u0 = parabola_profile(g, 1.0)
@@ -298,6 +337,11 @@ def test_continuation_validation():
         sigma_continuation(u0, [1e-3, 1e-2], _continuation_template())
     with pytest.raises(ValueError):
         sigma_continuation(u0 - 1.0, [1e-2], _continuation_template())
+    for bad in (float("nan"), float("inf")):
+        u_bad = u0.copy()
+        u_bad[5] = bad
+        with pytest.raises(ValueError, match="base initial datum must be finite and non-negative"):
+            sigma_continuation(u_bad, [1e-2], _continuation_template())
 
 
 # ---------------------------------------------------------------------------

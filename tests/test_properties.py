@@ -30,6 +30,7 @@ from tfilm.driver import (
     audit_ede,
     holder_quotient,
     run,
+    run_many,
     sigma_continuation,
 )
 from tfilm.grid import Grid, divergence, gradient, integrate, laplacian_neumann, zero_flux
@@ -607,12 +608,13 @@ def test_limit_edi_slack_matches_row_loop(n_steps, record_every, factor):
 
     # The true slacks of this run are positive; an inflated dissipation
     # column drives them below zero, the case the limit-EDI gate is for.
-    def inflated_run(c):
-        series = run(c)
-        series.diagnostics["diss_strong"] *= factor
-        return series
+    def inflated_run_many(configs):
+        all_series = run_many(configs)
+        for series in all_series:
+            series.diagnostics["diss_strong"] *= factor
+        return all_series
 
-    with patch.object(tfilm.driver, "run", inflated_run):
+    with patch.object(tfilm.driver, "run_many", inflated_run_many):
         report = sigma_continuation(u0, [0.05, 0.02], cfg)
     for sigma, series, slack in zip(report.sigmas, report.series,
                                     report.limit_edi_min_slack):

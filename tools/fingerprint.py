@@ -2,7 +2,7 @@
 
     python3 tools/fingerprint.py [--seeds 0 3 5 7211] [--against REV]
 
-For each seed, runs five config sets and hashes what they produce:
+For each seed, runs six config sets and hashes what they produce:
 
 * ``march``: the march_nonnewtonian configs of the benchmark, through
   ``run`` (config by config, the Newton loop on one member);
@@ -28,7 +28,13 @@ For each seed, runs five config sets and hashes what they produce:
   At N=128 the alpha=0.5 member breaks the EL gate on some steps
   (finding B, ROADMAP item 2), so this script would exit 1 on every
   tree and compare nothing; ``tests/test_driver.py`` keeps that case as
-  an expected failure instead.
+  an expected failure instead;
+* ``continuation``: ``sigma_continuation`` of the same droplet on the
+  dry substrate (background 0) at N=64, mobility u^2 and no potential,
+  for alpha 1 and then 2, each over the sigmas s, s/2 and s/4 (one
+  ``run_many`` batch); the seed jitters s.  The hash also covers each
+  report's sup distances, limit-EDI slacks and minimum heights.  At
+  these alphas and N every member passes the EL gate.
 
 It also hashes one transport set:
 
@@ -132,16 +138,41 @@ def barrier(seed, n_steps=100):
         for alpha in (0.5, 1.0, 2.0)]
 
 
+def continuation(seed, n_steps=100):
+    """The ContinuationReport of each alpha, 1 then 2."""
+    rng = np.random.default_rng(seed)
+    sigma = 1e-2 * float(rng.uniform(0.8, 1.2))
+    h = 1e-5
+    g = Grid(1.0, 64)
+    droplet = driver.InitialDataSpec("cos_bumps", background=0.0, amplitude=1.0, width=0.2,
+                                     centers=(0.5,)).build(g)
+    reports = []
+    for alpha in (1.0, 2.0):
+        # sigma_continuation replaces the template's sigma and initial data
+        template = driver.RunConfig(
+            grid=g, step=StepParams(h=h, tol_grad=1e-8), T=n_steps * h,
+            model=ModelParams(alpha=alpha, mobility=power_mobility(2.0),
+                              potential=zero_potential(), sigma=sigma))
+        reports.append(driver.sigma_continuation(droplet, (sigma, sigma / 2, sigma / 4),
+                                                 template))
+    return reports
+
+
 def runs(seed, workdir):
-    """(name, series) of each config set, in the order of the docstring."""
+    """(name, series, numbers) of each config set, in the order of the
+    docstring; numbers are the floats a set reports besides its series."""
     march = workloads.build("march_nonnewtonian", seed, "full", workdir).configs
-    yield "march", [driver.run(c) for c in march]
+    yield "march", [driver.run(c) for c in march], ()
     family = workloads.build("family_sweep", seed, "full", workdir).configs
-    yield "family", driver.run_many(family)
-    yield "liftoff", driver.run_many(liftoff(seed))
-    yield "liftrun", [driver.run(c) for c in liftoff(seed)]
-    yield "mixed", driver.run_many(mixed(seed))
-    yield "barrier", driver.run_many(barrier(seed))
+    yield "family", driver.run_many(family), ()
+    yield "liftoff", driver.run_many(liftoff(seed)), ()
+    yield "liftrun", [driver.run(c) for c in liftoff(seed)], ()
+    yield "mixed", driver.run_many(mixed(seed)), ()
+    yield "barrier", driver.run_many(barrier(seed)), ()
+    reports = continuation(seed)
+    yield ("continuation", [s for r in reports for s in r.series],
+           [x for r in reports
+            for x in (*r.sup_distances, *r.limit_edi_min_slack, *r.min_heights)])
 
 
 def transport(seed, workdir):
@@ -152,8 +183,8 @@ def transport(seed, workdir):
     return hashlib.sha256(text.encode()).hexdigest(), work.check(reports).errors
 
 
-def digest(series_list):
-    sha = hashlib.sha256()
+def digest(series_list, numbers=()):
+    sha = hashlib.sha256(" ".join(map(float.hex, numbers)).encode())
     for s in series_list:
         sha.update(s.diagnostics.tobytes())
         for t in sorted(s.snapshots):
@@ -168,9 +199,9 @@ def hashes(seeds):
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
             shas = {}
-            for name, series in runs(seed, workdir):
+            for name, series, numbers in runs(seed, workdir):
                 errors = workloads.check_runs(series).errors
-                shas[name] = digest(series)
+                shas[name] = digest(series, numbers)
                 if name == "liftrun" and shas[name] != shas["liftoff"]:
                     errors.append("run_many's lift-off family differs from run's")
                 if name == "barrier":
@@ -216,7 +247,7 @@ def main(argv=None):
             print(f"{args.against}: {line}")
         failed = status != 0
     for name, seed, sha, errors in hashes(args.seeds):
-        line = f"{name:>8} seed {seed:>5} {sha}"
+        line = f"{name:>12} seed {seed:>5} {sha}"
         if args.against is not None:
             rev_sha = theirs.get((name, seed), "-")
             line += f" {rev_sha}" + ("" if rev_sha == sha else "  differs")
