@@ -109,8 +109,9 @@ class InitialDataSpec:
             x = g.cell_centers()
             u = np.full(g.N, self.background)
             for c in self.centers or ():
-                y = np.clip(np.abs(x - c) / self.width, 0.0, 1.0)
-                u += self.amplitude * np.cos(0.5 * np.pi * y) ** 2
+                # exactly 0 outside the bump, where cos(pi/2)^2 would leave 3.7e-33
+                y = np.abs(x - c) / self.width
+                u += np.where(y < 1.0, self.amplitude * np.cos(0.5 * np.pi * y) ** 2, 0.0)
             return u
         if self.kind == "values":
             vals = np.asarray(self.values, dtype=float)

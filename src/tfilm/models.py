@@ -14,7 +14,10 @@ one copy of the glue and Taylor formulas; ``g_sigma``, ``dg_sigma`` and
 ``evaluate`` is the one evaluation of the discrete energy E_sigma, its
 first variation mu = -lap(u) + G_sigma'(u) and the curvature G_sigma'',
 all three from one pass over a stack of heights; the implicit step calls
-it on every Newton iterate, and ``energy`` is its breakdown.
+it on every Newton iterate, and ``energy`` is its breakdown.  Where
+G_sigma'' is constant on each row it is not built as an array: it is the
+base's coefficient a, a scalar or a (B, 1) column (the scalar 0.0 for
+G = 0), and the projections ``d2g`` and ``d2g_sigma`` broadcast it.
 
 Infinite energy is a value, not an error: it is reported through the
 ``INFINITE_ENERGY`` sentinel (IEEE +inf, assigned on the non-positive
@@ -143,12 +146,14 @@ class PotentialSpec:
 
     def with_derivatives(self, s):
         """(G(s), G'(s), G''(s)) on s > 0 (0 elsewhere), in one pass, with a
-        and A scalars or, in a stack, (B, 1) columns.  Where a and A are both
-        the scalar 0 each is the scalar 0.0, not an array of zeros.  A zero
-        scalar drops its term, and the A term skips the rows with A = 0, so
-        that no 0/0 arises where a power of s underflows; it is added to the
-        a term, if any, never to 0.0, so an underflowing -2A/s^3 keeps its
-        sign."""
+        and A scalars or, in a stack, (B, 1) columns.  Where G'' is constant
+        on each row it is not built as an array: where a and A are both the
+        scalar 0 each of the three is the scalar 0.0, and where A is the
+        scalar 0 and every cell is positive G'' is a itself (a scalar, or a
+        column).  A zero scalar drops its term, and the A term skips the rows
+        with A = 0, so that no 0/0 arises where a power of s underflows; it
+        is added to the a term, if any, never to 0.0, so an underflowing
+        -2A/s^3 keeps its sign."""
         a, A = self.a, self.A
         quad = isinstance(a, np.ndarray) or a != 0.0
         sing = isinstance(A, np.ndarray) or A != 0.0
@@ -157,6 +162,8 @@ class PotentialSpec:
         s = np.asarray(s, dtype=float)
         pos = s > 0
         out = (0.5 * a * s * s, a * s, a) if quad else None
+        if not sing and pos.all():
+            return out
         if sing:
             with np.errstate(over="ignore", divide="ignore"):
                 sp = np.where(pos, s, 1.0)
@@ -185,9 +192,10 @@ def _projection(potential, s, k):
 
 
 def _dense(value, shape):
-    """A value of a with_derivatives triple as a float array: the scalar 0.0
-    of a potential that vanishes identically as zeros of the given shape."""
-    return np.zeros(shape) if isinstance(value, float) else value
+    """A value of a with_derivatives triple as a float array of the given
+    shape: a scalar or a column, constant along each row, broadcast into a
+    fresh array, which the caller may write."""
+    return value if np.shape(value) == shape else np.full(shape, value, dtype=float)
 
 
 def zero_potential():
@@ -298,9 +306,10 @@ class ModifiedPotential:
         Below 2*sigma the base is replaced by its Taylor polynomial at
         2*sigma and the glue is added where moreover s > 0; G_sigma is
         +inf (sentinel) on the cells s <= 0.  A positive height whose
-        powers underflow gives infinite values.  Where all three vanish
-        identically (a base whose coefficients are 0, and no cell below
-        2*sigma) each is the scalar 0.0, not an array of zeros.
+        powers underflow gives infinite values.  Where no cell lies below
+        2*sigma the triple is the base's, so G_sigma'' is a scalar or a
+        column where it is constant on each row (see
+        ``PotentialSpec.with_derivatives``).
         """
         base = self.base
         if self.has_barrier:
@@ -456,10 +465,11 @@ def evaluate(g, u, mp, pad):
     face buffer pad (B, N+1): the Dirichlet sums are taken over the whole
     buffer, and the Laplacian in mu is its difference.  G_sigma, G_sigma'
     and G_sigma'' come from one ``ModifiedPotential.with_derivatives``;
-    where they vanish identically (G = 0 above 2*sigma and no cell below
-    it) G_sigma'' is the scalar 0.0, and no zero array is integrated or
-    added.  A row's values do not depend on the rows beside it: its sums
-    run along its own cells and are finished on Python floats.
+    where they vanish identically (G = 0 and no cell below 2*sigma) G_sigma
+    and G_sigma' are the scalar 0.0, and no zero array is integrated or
+    added; where G_sigma'' is constant on each row it is a scalar or a
+    (B, 1) column.  A row's values do not depend on the rows beside it:
+    its sums run along its own cells and are finished on Python floats.
     """
     dx = g.dx
     grad = pad[:, 1:-1]

@@ -32,9 +32,10 @@ below 2*sigma once.  An accepted trial carries them: the curvature into
 the next Hessian, the energy into ``StepResult``, and the last pass's
 grad mu into the Euler-Lagrange defect.  When the halvings of a line
 search run out after some members accepted a trial, the carried heights
-are evaluated once more.  Where G_sigma vanishes identically (every base
-potential zero, the paper's G = 0, and no cell below 2*sigma), G_sigma''
-is the scalar 0.0 and no array of zeros is built, integrated or added.
+are evaluated once more.  Where G_sigma'' is constant on each row (a
+zero or quadratic base a s^2/2, no cell below 2*sigma, and every cell
+positive unless a = 0) it is a itself, a scalar or a (B, 1) column: the
+scalar 0.0 in the paper's G = 0 setting.  No array of copies is built.
 ``reduced_objective`` and ``el_residual`` recompute from scratch through
 the same evaluation.
 
@@ -53,7 +54,17 @@ the plain formulas, so its results are bit for bit theirs:
 * G_sigma, G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.with_derivatives``, the one copy of the glue and
   the base's Taylor data, over the cells below 2*sigma;
-* the reduced gradient and the Newton bands share q^2 and q^2 + eps^2.
+* the energy block h^2 D^T (-Delta_h + G_sigma'') D of the Newton matrix
+  is built once per run at the curvature a where no member has a
+  singular term, and a pass whose G_sigma'' is a scalar or a column
+  takes it; a pass whose G_sigma'' has rows (the barrier zone, a
+  singular G) builds its block from them with the same ``_energy_bands``;
+  the dissipation diagonal is added into the band storage;
+* the functional, the reduced gradient and the Newton bands share q^2
+  and q^2 + eps^2, taken at a level's entry and at each trial and
+  carried with the accepted iterate;
+* the right-hand side -h dx grad is negated once, and each slope's sign
+  is flipped on its Python float (negation is exact).
 
 The Newton matrix is SPD by construction: G_sigma and the dissipation
 are convex, and the flux-to-height map is injective with a range
@@ -385,12 +396,12 @@ def _reduced_gradient(dx, mu, w, q, r, p):
     return dmu + w * (q * r ** (0.5 * (p - 2.0))), dmu
 
 
-def _newton_bands(dx, lap_diag, ao, h, w, d2g, s2, r, eps2, p):
-    """(diagonal, first off-diagonal) of the Newton matrix in the
-    interior-face index: the energy block h^2 D^T H_E D (pentadiagonal,
-    its outer band set once per run) plus the dissipation diagonal h dx w
-    alpha/(alpha+1) psi_eps''(q), from s2 = q^2, r = q^2 + eps^2 and eps2 =
-    eps^2."""
+def _energy_bands(dx, lap_diag, ao, h, d2g):
+    """(diagonal, first off-diagonal) of the energy block h^2 D^T H_E D of
+    the Newton matrix in the interior-face index, H_E = -Delta_h +
+    G_sigma'' (pentadiagonal, its outer band set once per run), from the
+    rows of G_sigma'' or its value constant on each row (a scalar or a
+    column)."""
     ad = dx * (lap_diag + d2g)
     d0 = ad[..., :-1] - 2.0 * ao
     d0 += ad[..., 1:]
@@ -398,9 +409,17 @@ def _newton_bands(dx, lap_diag, ao, h, w, d2g, s2, r, eps2, p):
     d1 = ao - ad[..., 1:-1]
     d1 += ao
     d1 /= dx**2
-    d0 = h * h * d0 + h * dx * w * (r ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps2))
     d1 *= h * h
-    return d0, d1
+    return h * h * d0, d1
+
+
+def _newton_bands(ab, energy_bands, dx, h, w, s2, r, eps2, p):
+    """Write the Newton matrix into the band storage ab (3, B, N-1): the
+    energy block plus the dissipation diagonal h dx w alpha/(alpha+1)
+    psi_eps''(q), from s2 = q^2, r = q^2 + eps^2 and eps2 = eps^2."""
+    d0, d1 = energy_bands
+    np.add(d0, h * dx * w * (r ** (0.5 * (p - 4.0)) * ((p - 1.0) * s2 + eps2)), out=ab[2])
+    ab[1, :, 1:] = d1
 
 
 def _granularity(f):
@@ -435,7 +454,10 @@ class _Problem:
     Besides them: the members of each mobility, the cold eps ladders, the
     -Delta_h bands, the Newton band storage (3, B, N-1), in which the
     members' bands lie side by side as one block-diagonal band, and the
-    zero-ended face buffer (B, N+1).
+    zero-ended face buffer (B, N+1).  Where no member has a singular term
+    (A = 0), a G_sigma'' that ``evaluate`` gives as a scalar or a column is
+    the members' a, so the energy block at that curvature
+    (``energy_bands``) is built here once; it is None otherwise.
     """
 
     def __init__(self, g, models, steps):
@@ -465,6 +487,10 @@ class _Problem:
         for i, sp in enumerate(steps):
             self.ab[0, i, 2:] = sp.h * sp.h * (-self.ao / dx**2)
         self.pad = np.zeros((B, g.N + 1))
+        base = self.potential.base
+        singular = isinstance(base.A, np.ndarray) or base.A != 0.0
+        self.energy_bands = None if singular else _energy_bands(dx, self.lap_diag, self.ao,
+                                                                self.h, base.a)
 
     def checked(self, u_star, e_before):
         """The interior face mobilities of the rows of u_star, after the
@@ -572,7 +598,8 @@ class _Start(NamedTuple):
     u: np.ndarray            # u_star - h div(q)
     energy: tuple            # EnergyBreakdown of lists, of u
     mu: np.ndarray           # chemical potential of u
-    d2g: object              # G_sigma''(u): rows, or the scalar 0.0 where it vanishes
+    d2g: object              # G_sigma''(u): rows, or a scalar or column where
+                             # it is constant on each row (``evaluate``)
     ladders: list            # each member's eps levels
     warm: list               # whether each member starts from its prediction
 
@@ -677,16 +704,16 @@ def _solve(prob, start):
             eps_col = scalar_or_column(eps, active)
             eps2 = eps_col * eps_col
             eps_p = scalar_or_column([x**y for x, y in zip(eps, prob.p_each)], active)
-            # a new level keeps the energy, mu and G_sigma'' and re-adds
-            # only the dissipation
-            level_f = _functional(scale, p, eps_p, w, q * q + eps2, e)
+            # a new level keeps the energy, mu and G_sigma'' and re-adds only
+            # the dissipation; q^2 and q^2 + eps^2, shared by the functional,
+            # the gradient and the Newton bands, are carried until q changes
+            s2 = q * q
+            r = s2 + eps2
+            level_f = _functional(scale, p, eps_p, w, r, e)
             for i in entering:
                 f[i] = level_f[i]
             entering.clear()
 
-        # q^2 and q^2 + eps^2, shared by the gradient and the Newton bands
-        s2 = q * q
-        r = s2 + eps2
         g_scaled, dmu = _reduced_gradient(dx, mu, w, q, r, p)
         squares = np.add.reduce(g_scaled * g_scaled, axis=-1).tolist()
         go = []
@@ -709,21 +736,27 @@ def _solve(prob, start):
             else:
                 go.append(i)
         if go:
-            grad_raw = h * dx * g_scaled
-            d0, d1 = _newton_bands(dx, prob.lap_diag, prob.ao, h, w, d2g, s2, r, eps2, p)
+            # minus the reduced gradient times h dx; negation is exact, so the
+            # slopes are minus rhs @ x bit for bit
+            rhs = -(h * dx) * g_scaled
+            # the energy block of a curvature constant on each row is the one
+            # built for the run (G_sigma'' is then a's own value)
+            energy_bands = prob.energy_bands
+            if energy_bands is None or isinstance(d2g, np.ndarray) and d2g.shape[1] > 1:
+                energy_bands = _energy_bands(dx, prob.lap_diag, prob.ao, h, d2g)
             ab = prob.ab
-            ab[2] = d0
-            ab[1, :, 1:] = d1
-            if len(go) < B:  # the iterating members' bands and gradients
-                ab, grad_raw = ab[:, go], grad_raw[go]
+            _newton_bands(ab, energy_bands, dx, h, w, s2, r, eps2, p)
+            if len(go) < B:  # the iterating members' bands and right-hand sides
+                ab, rhs = ab[:, go], rhs[go]
             # one solve of the block-diagonal band of the iterating members
             try:
-                x = solveh_banded(ab, -grad_raw)
+                x = solveh_banded(ab, rhs)
             except _NotPositiveDefinite as exc:
                 raise direction_failed(exc, go[exc.block]) from exc
             # each slope is a row @ column product, which numpy takes as np.dot does
-            slopes = (grad_raw[:, None] @ x[..., None]).ravel().tolist()
+            slopes = (rhs[:, None] @ x[..., None]).ravel().tolist()
             for i, dd in zip(go, slopes):
+                dd = -dd
                 if not dd < 0.0:
                     raise direction_failed(f"not a descent direction (slope {dd:.3e})", i)
                 slope[i] = dd
@@ -743,10 +776,12 @@ def _solve(prob, start):
             t = 1.0
             pending, stepped = go, []
             for _ in range(_MAX_HALVINGS):
-                q_try = q + t * delta
+                q_try = q + delta if t == 1.0 else q + t * delta
                 u_try = _height(g, u_star, h, q_try, pad)
                 e_try, mu_try, d2g_try = _evaluate(g, u_try, mp, pad)
-                f_try = _functional(scale, p, eps_p, w, q_try * q_try + eps2, e_try)
+                s2_try = q_try * q_try
+                r_try = s2_try + eps2
+                f_try = _functional(scale, p, eps_p, w, r_try, e_try)
                 took, rest = [], []
                 for i in pending:
                     fi = f_try[i]
@@ -761,6 +796,7 @@ def _solve(prob, start):
                 if not rest:
                     # every other row rode along, so each row is its member's iterate
                     q, u, e, mu, d2g = q_try, u_try, e_try, mu_try, d2g_try
+                    s2, r = s2_try, r_try
                     break
                 if took:
                     # an accepted member rides along the remaining halvings
@@ -772,6 +808,8 @@ def _solve(prob, start):
                     # different trials; a row's evaluation does not depend on
                     # the others, so evaluating them together gives its own
                     e, mu, d2g = _evaluate(g, u, mp, pad)
+                    s2 = q * q
+                    r = s2 + eps2
             for i in pending:
                 if norms[i] > tol[i]:
                     raise _failure(f"line search stalled at grad norm {norms[i]:.3e} > tol "

@@ -113,6 +113,22 @@ def test_cos_bumps_width_must_be_positive(width):
     InitialDataSpec("cos_bumps", background=0.5, width=width)
 
 
+def test_cos_bumps_is_exactly_zero_outside_its_bumps():
+    # cos(pi/2)^2 is 3.7e-33, not 0: a bump adds exactly 0 outside its
+    # support, so a droplet on the background 0 lies on a dry substrate,
+    # which a barrier refuses as infinite energy
+    g = Grid(1.0, 64)
+    droplet = InitialDataSpec("cos_bumps", background=0.0, amplitude=1.0, width=0.2,
+                              centers=(0.5,))
+    u = droplet.build(g)
+    outside = np.abs(g.cell_centers() - 0.5) >= 0.2
+    assert outside.any() and (u[outside] == 0.0).all() and (u[~outside] > 0.0).all()
+    model = ModelParams(alpha=1.0, mobility=power_mobility(2.0), potential=zero_potential(),
+                        sigma=0.01)
+    with pytest.raises(ValueError, match="infinite energy"):
+        RunConfig(grid=g, model=model, step=StepParams(h=1e-5), T=1e-5, initial=droplet)
+
+
 STEP_ERRORS = [
     StepNonconvergenceError("boom", u_last=np.ones(3), j_last=np.zeros(2), grad_norm=0.5,
                             iters=7),

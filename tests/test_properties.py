@@ -378,14 +378,99 @@ def test_a_shear_thickening_newton_band_factorises_unshifted(alpha, N, n, h, low
     q = np.zeros((1, N - 1))
     _, mu, d2g = tfilm.step._evaluate(g, u, prob.potential, prob.pad)
     s2, eps2 = q * q, sp.eps_min * sp.eps_min
-    d0, d1 = tfilm.step._newton_bands(g.dx, prob.lap_diag, prob.ao, h, w, d2g, s2, s2 + eps2,
-                                      eps2, model.p)
+    bands = tfilm.step._energy_bands(g.dx, prob.lap_diag, prob.ao, h, d2g)
     ab = prob.ab
-    ab[2] = d0
-    ab[1, :, 1:] = d1
+    tfilm.step._newton_bands(ab, bands, g.dx, h, w, s2, s2 + eps2, eps2, model.p)
     grad = h * g.dx * tfilm.step._reduced_gradient(g.dx, mu, w, q, s2 + eps2, model.p)[0]
     x = solveh_banded(ab, -grad)
     assert float(grad[0] @ x[0]) < 0.0
+
+
+@st.composite
+def constant_curvature_stacks(draw):
+    """(grid, models, steps, (B, N) heights): members with a zero or
+    quadratic base, whose coefficients a and step sizes h are each shared
+    (a scalar) or not (a column), with or without a barrier, every height
+    above its 2 sigma."""
+    B, N = draw(st.integers(1, 4)), draw(st.integers(4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.sampled_from([0.0, 1.5])) * np.ones(B)
+    if draw(st.booleans()):
+        a = np.where(rng.random(B) < 0.3, 0.0, rng.uniform(0.1, 3.0, B))
+    h = draw(st.sampled_from([1e-6, 1e-3])) * (rng.uniform(1.0, 2.0, B)
+                                               if draw(st.booleans()) else np.ones(B))
+    sigma = draw(st.sampled_from([None, 0.01, 0.1]))
+    models = [ModelParams(alpha=float(rng.choice([0.5, 1.0, 2.0])),
+                          mobility=power_mobility(2.0),
+                          potential=quadratic_potential(c) if c else zero_potential(),
+                          sigma=sigma) for c in a]
+    u = 2.0 * (sigma or 0.05) * (1.0 + 4.0 * rng.random((B, N)))
+    return Grid(1.0, N), models, [StepParams(h=float(x)) for x in h], u
+
+
+@SETTINGS
+@given(constant_curvature_stacks(), st.integers(0, 2**32 - 1))
+def test_the_run_energy_block_equals_the_bands_of_the_dense_curvature(stack, seed):
+    # where G_sigma'' is a's own value on every row (a scalar or a column),
+    # the Newton bands from the energy block built once for the run equal,
+    # byte for byte, those built from G_sigma'' as dense rows, also over a
+    # band storage that a barrier-zone pass left behind
+    g, models, steps, u = stack
+    prob = tfilm.step._Problem(g, models, steps)
+    _, _, d2g = tfilm.step._evaluate(g, u, prob.potential, prob.pad)
+    assert np.ndim(d2g) == 0 or np.shape(d2g) == (len(u), 1)
+    rng = np.random.default_rng(seed)
+    B, n = len(u), g.N - 1
+    w, q, eps2 = 0.5 + rng.random((B, n)), rng.standard_normal((B, n)), 1e-6
+    args = (g.dx, prob.h, w, q * q, q * q + eps2, eps2, prob.p)
+    cached, dense = prob.ab.copy(), prob.ab.copy()
+    cached[2], cached[1, :, 1:] = rng.random((B, n)), rng.random((B, n - 1))
+    tfilm.step._newton_bands(cached, prob.energy_bands, *args)
+    rows = np.broadcast_to(d2g, u.shape).copy()
+    tfilm.step._newton_bands(
+        dense, tfilm.step._energy_bands(g.dx, prob.lap_diag, prob.ao, prob.h, rows), *args)
+    assert cached.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("alpha, N, lift", [(2.0, 16, 1.3), (0.5, 32, 1.2)])
+def test_a_step_into_the_barrier_zone_and_out_equals_it_without_the_run_energy_block(
+        alpha, N, lift):
+    # the Newton iterates of the step enter the glue below 2 sigma, where a
+    # pass builds the energy block from the rows of G_sigma'', and leave it
+    # again, where the block built for the run is taken; the step equals, bit
+    # for bit, the step that builds every energy block from the rows
+    sigma, h = 0.01, 3e-3
+    g = Grid(1.0, N)
+    x = g.cell_centers()
+    u = 2.0 * sigma * lift + np.maximum(0.0, np.cos(np.pi * (x - 0.5) / 0.4)) ** 2
+    model = ModelParams(alpha=alpha, mobility=power_mobility(2.0),
+                        potential=quadratic_potential(1.0), sigma=sigma)
+    sp = StepParams(h=h, tol_grad=1e-8)
+    real = tfilm.step._newton_bands
+
+    def solved(run_block):
+        prob = tfilm.step._Problem(g, [model], [sp])
+        state = StepState(g, h, energy(g, u, model.modified))
+        state.problem = prob
+        taken = []
+
+        def recording(ab, bands, *args):
+            taken.append("run" if bands is prob.energy_bands else "rows")
+            return real(ab, bands, *args)
+
+        with patch.object(tfilm.step, "_newton_bands", recording), \
+                patch.object(prob, "energy_bands", prob.energy_bands if run_block else None):
+            res = solve_step(g, u, model, sp, state=state)
+        return res, taken
+
+    (res, taken), (ref, ref_taken) = solved(True), solved(False)
+    # the run's block, then the rows' in the barrier zone, then the run's again
+    assert taken[0] == taken[-1] == "run" and "rows" in taken
+    assert set(ref_taken) == {"rows"} and len(ref_taken) == len(taken)
+    assert res.u_next.tobytes() == ref.u_next.tobytes()
+    assert res.j.tobytes() == ref.j.tobytes()
+    assert (res.newton_iters, res.energy_after, res.el_residual_norm) == (
+        ref.newton_iters, ref.energy_after, ref.el_residual_norm)
 
 
 # G_sigma, G_sigma' and G_sigma'' as three separate passes (the formulas the
@@ -465,10 +550,11 @@ def same_bits(a, b):
 @st.composite
 def evaluation_stacks(draw):
     """(grid, the members' G_sigma, (B, N) heights, whether G_sigma is zero
-    on every row): each member a zero, quadratic or strong-singular base,
-    with or without a barrier, and each row above 2 sigma, reaching into
-    the glue (0 < u < 2 sigma) or holding a non-positive cell.  A flat
-    stack has zero bases only and every row above its 2 sigma."""
+    on every row, whether G_sigma'' is a's own value on every row): each
+    member a zero, quadratic or strong-singular base, with or without a
+    barrier, and each row above 2 sigma, reaching into the glue (0 < u <
+    2 sigma) or holding a non-positive cell.  A flat stack has zero bases
+    only and every row above its 2 sigma."""
     B, N = draw(st.integers(1, 4)), draw(st.integers(4, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     flat = rng.random() < 0.3
@@ -488,7 +574,13 @@ def evaluation_stacks(draw):
         rows.append(u)
         zero = zero and mps[-1].base.a == 0.0 == mps[-1].base.A and not (
             sigma is not None and (u < two_sigma).any())
-    return Grid(1.0, N), mps, np.array(rows), zero
+    u = np.array(rows)
+    # no singular term, no cell in the glue, and a = 0 or every cell positive
+    constant = (all(mp.base.A == 0.0 for mp in mps)
+                and not any(mp.has_barrier and (row < 2.0 * mp.sigma).any()
+                            for mp, row in zip(mps, u))
+                and (all(mp.base.a == 0.0 for mp in mps) or (u > 0.0).all()))
+    return Grid(1.0, N), mps, u, zero, constant
 
 
 @SETTINGS
@@ -496,15 +588,17 @@ def evaluation_stacks(draw):
 def test_one_evaluation_equals_energy_and_chemical_potential(stack, seed):
     # each row of the one evaluation of a stack equals, bit for bit, its
     # member's energy and mu from the grid operators and the formula oracles
-    g, mps, u, zero = stack
+    g, mps, u, zero, constant = stack
     mp = ModifiedPotential.stack(mps)
     pad = np.zeros((len(u), g.N + 1))
     pad[:, 1:-1] = np.random.default_rng(seed).random((len(u), g.N - 1))  # a reused buffer
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         e, mu, d2g = tfilm.step._evaluate(g, u, mp, pad)
-    # G_sigma'' is the scalar 0.0 exactly where G_sigma vanishes on every row
-    assert isinstance(d2g, float) == zero
+    # G_sigma'' is a scalar or a (B, 1) column exactly where it is a's own
+    # value on every row, and the scalar 0.0 exactly where G_sigma vanishes
+    assert (np.ndim(d2g) == 0 or np.shape(d2g) == (len(u), 1)) == constant
+    assert (isinstance(d2g, float) and d2g == 0.0) == zero
     d2g = np.broadcast_to(d2g, u.shape)
     for i, own in enumerate(mps):
         du = gradient(g, u[i])

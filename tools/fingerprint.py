@@ -2,7 +2,7 @@
 
     python3 tools/fingerprint.py [--seeds 0 3 5 7211] [--against REV]
 
-For each seed, runs six config sets and hashes what they produce:
+For each seed, runs seven config sets and hashes what they produce:
 
 * ``march``: the march_nonnewtonian configs of the benchmark, through
   ``run`` (config by config, the Newton loop on one member);
@@ -34,7 +34,15 @@ For each seed, runs six config sets and hashes what they produce:
   for alpha 1 and then 2, each over the sigmas s, s/2 and s/4 (one
   ``run_many`` batch); the seed jitters s.  The hash also covers each
   report's sup distances, limit-EDI slacks and minimum heights.  At
-  these alphas and N every member passes the EL gate.
+  these alphas and N every member passes the EL gate;
+* ``quadratic``: three N=64 films through ``run`` (config by config),
+  alpha 0.5, 1 and 2, each the droplet above on the background 3 sigma
+  with mobility u^2 and a quadratic potential a s^2/2; the seed jitters
+  a and sigma.  Above 2 sigma G_sigma'' is the scalar a, so a Newton pass
+  takes the energy block built once for the run; the alpha=2 film thins
+  into the barrier zone, where a pass builds the block from the rows of
+  G_sigma'', and takes the run's block again on leaving it.  The script
+  exits 1 if no film dips below 2 sigma.
 
 It also hashes one transport set:
 
@@ -138,6 +146,20 @@ def barrier(seed, n_steps=100):
         for alpha in (0.5, 1.0, 2.0)]
 
 
+def quadratic(seed, n_steps=100):
+    rng = np.random.default_rng(seed)
+    sigma = 1e-2 * float(rng.uniform(0.8, 1.2))
+    a = float(rng.uniform(0.5, 2.0))
+    h = 1e-5
+    droplet = driver.InitialDataSpec("cos_bumps", background=3.0 * sigma, amplitude=1.0,
+                                     width=0.2, centers=(0.5,))
+    return [workloads.check_roundoff_floor(driver.RunConfig(
+        grid=Grid(1.0, 64), step=StepParams(h=h, tol_grad=1e-8), T=n_steps * h,
+        model=ModelParams(alpha=alpha, mobility=power_mobility(2.0),
+                          potential=quadratic_potential(a), sigma=sigma), initial=droplet))
+        for alpha in (0.5, 1.0, 2.0)]
+
+
 def continuation(seed, n_steps=100):
     """The ContinuationReport of each alpha, 1 then 2."""
     rng = np.random.default_rng(seed)
@@ -173,6 +195,7 @@ def runs(seed, workdir):
     yield ("continuation", [s for r in reports for s in r.series],
            [x for r in reports
             for x in (*r.sup_distances, *r.limit_edi_min_slack, *r.min_heights)])
+    yield "quadratic", [driver.run(c) for c in quadratic(seed)], ()
 
 
 def transport(seed, workdir):
@@ -193,6 +216,11 @@ def digest(series_list, numbers=()):
     return sha.hexdigest()
 
 
+def dips(series):
+    """Whether the height of a run under a barrier dips below 2 sigma."""
+    return series.column("min_u")[1:].min() < 2.0 * series.config.model.sigma
+
+
 def hashes(seeds):
     """(name, seed, sha256, gate errors) of each set and seed, in the order
     of the docstring."""
@@ -206,8 +234,9 @@ def hashes(seeds):
                     errors.append("run_many's lift-off family differs from run's")
                 if name == "barrier":
                     errors += [f"alpha={s.config.model.alpha:g} never dips below 2 sigma"
-                               for s in series
-                               if not s.column("min_u")[1:].min() < 2.0 * s.config.model.sigma]
+                               for s in series if not dips(s)]
+                if name == "quadratic" and not any(map(dips, series)):
+                    errors.append("no film dips below 2 sigma")
                 yield name, seed, shas[name], errors
             yield ("transport", seed, *transport(seed, workdir))
 
