@@ -37,11 +37,11 @@ from .models import (
     zero_potential,
 )
 from .step import (
+    StepBatch,
     StepCheckError,
     StepNonconvergenceError,
     StepParams,
     StepResult,
-    StepState,
     el_residual,
     reduced_objective,
     solve_step,

@@ -6,7 +6,11 @@ Commands: simulate, sweep-liftoff, dissipation-bound, bb-action, rates,
 audit-ede, point-lemma.  The config is checked against the command's
 schema in `io.COMMAND_SCHEMAS` before anything runs, and the command
 takes the checked values; point-lemma takes its random seed from the
-config key "seed".  Exit code 0 means every audit in the command's
+config key "seed".  A command writes its artifacts and returns the
+entries of its summary and its verdict; ``main`` writes `summary.json`
+from them, with the command's name as "command".  simulate, audit-ede
+and rates run their config and compute their report before they write
+any artifact.  Exit code 0 means every audit in the command's
 report passed, 2 means some audit failed (reports are still written),
 1 means the command errored out; a failed command removes the output
 directory if it made it and left it empty.  A directory locked by
@@ -17,6 +21,7 @@ recorded holder is no longer running, never one held by a live process.
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +44,7 @@ from .step import StepNonconvergenceError
 __all__ = ["main"]
 
 
-def _simulate_audits(series):
+def _simulate_report(series):
     cfg = series.config
     mass = series.column("mass")
     mass_scale = max(abs(mass[0]),
@@ -51,64 +56,50 @@ def _simulate_audits(series):
     el_bound = cfg.el_bound
     el_ok = bool(np.all(series.column("el_residual")[1:] <= el_bound))
     return {
-        "mass_conserved": mass_ok,
-        "ede_per_step": slack_ok,
-        "energy_monotone": mono_ok,
-        "el_residual_bounded": el_ok,
-        "el_residual_bound": el_bound,
-    }
+        "tolerances": {"tol_audit": cfg.tol_audit},
+        "audits": {
+            "mass_conserved": mass_ok,
+            "ede_per_step": slack_ok,
+            "energy_monotone": mono_ok,
+            "el_residual_bounded": el_ok,
+            "el_residual_bound": el_bound,
+        },
+    }, mass_ok and slack_ok and mono_ok and el_ok
+
+
+def _run_and_write(cfg, outdir, report):
+    """Run cfg, take report(series), its summary entries and verdict, and
+    only then write the series; the entries gain the config's echo."""
+    series = run(cfg)
+    entries, ok = report(series)
+    write_timeseries(series, outdir)
+    return {"config": echo_config(cfg), **entries}, ok
 
 
 def _cmd_simulate(cfg, outdir):
-    series = run(cfg)
-    write_timeseries(series, outdir)
-    audits = _simulate_audits(series)
-    write_summary(outdir, {
-        "command": "simulate",
-        "config": echo_config(cfg),
-        "tolerances": {"tol_audit": cfg.tol_audit},
-        "audits": audits,
-    })
-    return all(v for k, v in audits.items() if isinstance(v, bool))
+    return _run_and_write(cfg, outdir, _simulate_report)
 
 
 def _cmd_audit_ede(values, outdir):
-    cfg = values["cfg"]
-    series = run(cfg)
-    report = audit_ede(series, values["s_idx"], values["t_idx"])
-    write_timeseries(series, outdir)
-    write_summary(outdir, {
-        "command": "audit-ede",
-        "config": echo_config(cfg),
-        "audit": {
-            "s_idx": report.s_idx,
-            "t_idx": report.t_idx,
-            "slack": report.slack,
-            "equality_defect": report.equality_defect,
-            "tol": report.tol,
-            "ok": report.ok,
-        },
-    })
-    return report.ok
+    def report(series):
+        audit = audit_ede(series, values["s_idx"], values["t_idx"])
+        return {"audit": asdict(audit)}, audit.ok
+
+    return _run_and_write(values["cfg"], outdir, report)
 
 
 def _cmd_rates(values, outdir):
-    cfg = values["cfg"]
-    series = run(cfg)
-    report = ex.rate_fit(series, cfg.model.alpha, tol_extinct=values["tol_extinct"])
-    write_timeseries(series, outdir)
-    write_summary(outdir, {
-        "command": "rates",
-        "config": echo_config(cfg),
-        "rates": {
-            "classification": report.classification,
-            "rate": None if math.isnan(report.rate) else report.rate,
-            "r_squared": report.r_squared,
-            "t_star": None if math.isinf(report.t_star) else report.t_star,
-            "note": report.note,
-        },
-    })
-    return report.classification != "inconclusive"
+    def report(series):
+        fit = ex.rate_fit(series, values["cfg"].model.alpha, tol_extinct=values["tol_extinct"])
+        return {"rates": {
+            "classification": fit.classification,
+            "rate": None if math.isnan(fit.rate) else fit.rate,
+            "r_squared": fit.r_squared,
+            "t_star": None if math.isinf(fit.t_star) else fit.t_star,
+            "note": fit.note,
+        }}, fit.classification != "inconclusive"
+
+    return _run_and_write(values["cfg"], outdir, report)
 
 
 def _cmd_sweep_liftoff(values, outdir):
@@ -118,8 +109,7 @@ def _cmd_sweep_liftoff(values, outdir):
                for d, t, e in zip(report.deltas, report.t_half, report.energies)])
     for i, (times, min_u) in enumerate(report.min_u_trajectories):
         write_csv(outdir / f"minu_delta{i}.csv", "t,min_u", zip(times, min_u))
-    write_summary(outdir, {
-        "command": "sweep-liftoff",
+    return {
         "deltas": list(report.deltas),
         "sigma": report.sigma,
         "t_half": [None if t is None else t for t in report.t_half],
@@ -132,24 +122,21 @@ def _cmd_sweep_liftoff(values, outdir):
             "uniform": report.uniform_ok,
             "energy_ordering": report.ordering_ok,
         },
-    })
-    return report.all_reached and report.uniform_ok and report.ordering_ok
+    }, report.all_reached and report.uniform_ok and report.ordering_ok
 
 
 def _cmd_dissipation_bound(values, outdir):
     report = ex.dissipation_scaling_fit(**values)
     write_csv(outdir / "dissipation.csv", "delta,D,f_lower",
               zip(report.deltas, report.values, report.lower_bound))
-    write_summary(outdir, {
-        "command": "dissipation-bound",
+    return {
         "slope": report.slope,
         "target": report.target,
         "c_fit": report.c_fit,
         "n_cells": report.n_cells,
         "audits": {"slope_within_tol": report.slope_ok,
                    "lower_bound_positive": report.c_fit > 0.0},
-    })
-    return report.slope_ok and report.c_fit > 0.0
+    }, report.slope_ok and report.c_fit > 0.0
 
 
 def _cmd_bb_action(values, outdir):
@@ -158,8 +145,7 @@ def _cmd_bb_action(values, outdir):
               [(M, a, s[0], s[1], s[2])
                for M, a, s in zip(report.M_values, report.actions, report.stage_actions)])
     ok = report.strictly_decreasing if report.degeneracy_expected else True
-    write_summary(outdir, {
-        "command": "bb-action",
+    return {
         "eta": report.eta,
         "M_values": list(report.M_values),
         "actions": list(report.actions),
@@ -167,8 +153,7 @@ def _cmd_bb_action(values, outdir):
         "degeneracy_expected": report.degeneracy_expected,
         "audits": {"monotone_decreasing": report.strictly_decreasing,
                    "ok": ok},
-    })
-    return ok
+    }, ok
 
 
 def _cmd_point_lemma(values, outdir):
@@ -189,13 +174,11 @@ def _cmd_point_lemma(values, outdir):
     write_csv(outdir / "point_lemma.csv",
               "trial,found,x0,grad,curv_product,required_grad,required_curv,tol_fd",
               rows)
-    write_summary(outdir, {
-        "command": "point-lemma",
+    return {
         "profiles": values["profiles"],
         "found": sum(r[1] for r in rows),
         "audits": {"all_found": all_found},
-    })
-    return all_found
+    }, all_found
 
 
 _COMMANDS = {
@@ -227,7 +210,8 @@ def main(argv=None):
     try:
         values = parse(parse_config_file(args.config), COMMAND_SCHEMAS[args.command])
         with DirectoryLock(outdir, break_stale=args.break_lock):
-            ok = _COMMANDS[args.command](values, outdir)
+            entries, ok = _COMMANDS[args.command](values, outdir)
+            write_summary(outdir, {"command": args.command, **entries})
     except (ConfigError, StepNonconvergenceError, EnergyAuditError,
             RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"tfilm: error: {exc}", file=sys.stderr)

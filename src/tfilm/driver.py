@@ -13,12 +13,13 @@ stopping error); anything worse raises.
 
 One loop, ``_march``, marches every run: it sets up the series, takes
 the members' step once per step, records and audits each member, and
-raises a step error with the failing member's step index.  ``run`` gives
-it one config stepped by ``solve_step``; ``run_many`` gives it each
-group of configs that share a grid and a step count, stepped as one
-``StepBatch``, with the same per-member checks, warm-to-cold rescue,
-records and step errors as ``run``.  ``sigma_continuation`` marches its
-sigmas, which share a grid and a step count, as one such batch.
+raises a step error with the failing member's step index.  Every march
+steps a ``StepBatch``: ``run`` gives it one config, whose one-member
+batch it steps through ``solve_step``; ``run_many`` gives it each group
+of configs that share a grid and a step count, stepped as one batch,
+with the same per-member checks, warm-to-cold rescue, records and step
+errors as ``run``.  ``sigma_continuation`` marches its sigmas, which
+share a grid and a step count, as one such batch.
 """
 
 import copy
@@ -30,15 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, integrate
-from .models import EnergyBreakdown, ModelParams, ModifiedPotential, energy
-from .step import (
-    StepBatch,
-    StepCheckError,
-    StepNonconvergenceError,
-    StepParams,
-    StepState,
-    solve_step,
-)
+from .models import EnergyBreakdown, ModelParams, energy
+from .step import StepBatch, StepCheckError, StepNonconvergenceError, StepParams, solve_step
 
 __all__ = [
     "InitialDataSpec",
@@ -296,18 +290,19 @@ def run(cfg):
     """March the scheme from the configured initial height.
 
     Diagnostics are recorded every step; snapshots every
-    ``record_every`` steps (plus the initial and final states).  One
-    ``StepState`` carries the step's fixed data, the energy of the current
-    height and the last fluxes through the run, so each step after the
-    first is warm-started from the flux extrapolated in time.  Solver
+    ``record_every`` steps (plus the initial and final states).  A
+    one-member ``StepBatch``, built as ``_march_batch`` builds one,
+    carries the step's fixed data, the energy of the current height and
+    the last fluxes through the run, so each step after the first is
+    warm-started from the flux extrapolated in time.  Solver
     nonconvergence and failed step checks propagate with the failing step
     index.
     """
     g, model, sp = cfg.grid, cfg.model, cfg.step
-    state = StepState(g, sp.h, cfg.e0)
+    batch = StepBatch(g, [model], [sp], [cfg.e0])
     # solve_step is looked up in this module at each step, where a tracer
     # may have replaced it
-    return _march([cfg], lambda u: [solve_step(g, u[0], model, sp, state=state)])[0]
+    return _march([cfg], lambda u: [solve_step(g, u[0], model, sp, state=batch)])[0]
 
 
 def _march_batch(cfgs):
@@ -418,8 +413,6 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     g, h = cfg.grid, cfg.step.h
-    base_mp = ModifiedPotential(cfg.model.potential, None)
-
     configs = [replace(cfg, model=replace(cfg.model, sigma=s),
                        initial=InitialDataSpec("values", values=tuple(u0_nonneg + 2.0 * s)))
                for s in sigmas]
@@ -433,7 +426,9 @@ def sigma_continuation(u0_nonneg, sigmas, cfg):
     edi_slacks = []
     for s, series in zip(sigmas, all_series):
         min_heights.append(float(np.min(series.column("min_u"))))
-        e0 = energy(g, series.config.u0, base_mp).total
+        # u0 >= 2 sigma in every cell, where G_sigma is the base G, so the
+        # config's energy of u0 is the unmodified one
+        e0 = series.config.e0.total
         # the Dirichlet term does not depend on the potential, so the
         # record's is the unmodified energy's; row 0 carries no dissipation.
         # The t = 0 slack is 0 by construction (u0 >= 2 sigma in every cell,

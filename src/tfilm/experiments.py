@@ -254,7 +254,8 @@ def dissipation_inputs(deltas, M, n, alpha, g):
 
     Refuses, with a ValueError, an n or alpha that ``_check_exponents``
     refuses, fewer than 4 deltas, a span of less than two decades, a
-    delta outside (0, M/2), deltas that do not strictly decrease, a grid
+    delta outside (0, M/2) or above 1/2 (the widest bump that ``build_w_l``
+    fits on the unit interval), deltas that do not strictly decrease, a grid
     other than the unit interval, and a grid with N < 32/min(delta), too
     coarse to resolve the narrowest bump.
     """
@@ -264,6 +265,9 @@ def dissipation_inputs(deltas, M, n, alpha, g):
         raise ValueError("need at least 4 deltas for the slope fit")
     if any(not 0.0 < d < 0.5 * M for d in deltas):
         raise ValueError("each delta must lie in (0, M/2)")
+    if max(deltas) > 0.5:
+        raise ValueError(f"each delta must be at most 1/2, the half-width of the widest "
+                         f"bump on the unit interval; got delta={max(deltas)!r}")
     if max(deltas) / min(deltas) < 100.0:
         raise ValueError("deltas must span at least two decades")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):

@@ -48,9 +48,8 @@ the plain formulas, so its results are bit for bit theirs:
   input, LinAlgError when the matrix is not positive definite; the first
   solve loads scipy's LAPACK extension module alone, never scipy.linalg;
 * a height is u* - h (diff(j) / dx) of the zero-padded flux, taken in a
-  face buffer built with the step's fixed data (once per run, or per
-  step without a ``StepState``), as is the Laplacian inside the
-  chemical potential;
+  face buffer built with the step's fixed data (once per ``StepBatch``),
+  as is the Laplacian inside the chemical potential;
 * G_sigma, G_sigma' and G_sigma'' come from one pass of
   ``ModifiedPotential.with_derivatives``, the one copy of the glue and
   the base's Taylor data, over the cells below 2*sigma;
@@ -73,16 +72,17 @@ has one failure rule: a matrix that dpbsv finds not positive definite,
 or a direction whose slope against the gradient is not negative, raises
 ``StepNonconvergenceError`` like the Newton cap does.
 
-A step is warm-started from the flux that its ``StepState`` predicts.
-``run`` carries one state from step to step: the energy of the height
-the next step starts from (the previous step's ``energy_after``), the
-last three accepted fluxes, and the step's fixed data (parameters, band
-storage and buffers, built at its first step).  The prediction is the
-flux extrapolated in time, quadratic through the last three, 3 j_k - 3
-j_{k-1} + j_{k-2} (linear through two, the last flux alone after one
-step): the step minimisers change smoothly in time, so the prediction
-starts Newton closer to the next one than the previous flux does.  A
-``solve_step`` without a state builds a fresh one, which has no flux to
+A ``StepBatch`` owns what a run carries from step to step: the step's
+fixed data (parameters, band storage and buffers, built with it) and,
+per member, a ``StepState``: the energy of the height the next step
+starts from (the previous step's ``energy_after``) and the last three
+accepted fluxes.  A step is warm-started from the flux that the state
+predicts: the flux extrapolated in time, quadratic through the last
+three, 3 j_k - 3 j_{k-1} + j_{k-2} (linear through two, the last flux
+alone after one step).  The step minimisers change smoothly in time, so
+the prediction starts Newton closer to the next one than the previous
+flux does.  ``run`` steps a one-member batch through ``solve_step``; a
+``solve_step`` without one builds a fresh one, which has no flux to
 predict from.
 
 The warm start skips the eps ladder and solves at eps_min directly,
@@ -93,10 +93,10 @@ warm start is solved cold: zero flux down the full ladder, and its
 the barrier domain is such a failure, with 0 iterations, so there is one
 warm-to-cold rule.
 
-There is one step and one Newton loop, for B members on one grid:
-``solve_step`` runs them with B = 1, and a ``StepBatch`` (``run_many``
-marches every group of configs of one grid and one step count with it)
-with its members, in the order given.  A pass evaluates the kernels
+There is one step and one Newton loop, for the B members of a
+``StepBatch`` on one grid, in the order given: ``solve_step`` steps a
+one-member batch, and ``run_many`` marches every group of configs of
+one grid and one step count as one batch.  A pass evaluates the kernels
 once on all (B, N) rows: the reduced gradient, the Newton bands and,
 per line-search trial, the one evaluation and the functional.  The
 members' bands lie side by side in one (3, B, N-1) band storage, so the
@@ -147,7 +147,6 @@ from .models import evaluate as _evaluate
 __all__ = [
     "StepParams",
     "StepResult",
-    "StepState",
     "StepBatch",
     "StepNonconvergenceError",
     "StepCheckError",
@@ -618,21 +617,16 @@ class _Iterate(NamedTuple):
 
 
 class StepState:
-    """What a run carries from one step into the next.
-
-    Built once per run for its grid g and step size h, from the energy
-    breakdown of the initial height.  ``solve_step(..., state=state)``
-    takes the energy of u* and the predicted warm start from it, builds
-    the step's fixed data (``problem``) at its first step and keeps it,
-    and on success records the step's flux and energy_after, so the state
-    always describes the height the next step starts from.
+    """What a member carries from one step into the next: the energy of
+    the height its next step starts from (the last step's energy_after)
+    and its last three accepted interior fluxes.  ``_Problem.step`` takes
+    the energy of u* and the predicted warm start from it and, on
+    success, records the step's flux and energy_after in it.
     """
 
-    def __init__(self, g, h, energy_star):
-        self.grid, self.h = g, h
+    def __init__(self, energy_star):
         self.energy_star = energy_star
         self.fluxes = deque(maxlen=3)  # accepted interior fluxes, oldest first
-        self.problem = None
 
     def predicted_flux(self):
         """The next interior flux extrapolated in time from the kept ones:
@@ -831,46 +825,47 @@ def solve_step(g, u_star, model, step, state=None):
     value of the feasible pair (u_star, 0), which is the one-step weak
     energy-dissipation inequality.
 
-    With a run's ``StepState`` (for this g and step.h, describing u_star)
-    its energy of u_star and fixed data are used instead of being built
-    again, Newton starts from its predicted flux, and the solved step is
-    recorded in it.  Without one, a fresh state is built, which has no
-    flux to predict from.  A warm start is solved at eps_min directly.  If
-    Newton fails from it (at once, with 0 iterations, if it leaves the
-    barrier domain), the step is solved cold: from zero flux down the
-    full eps ladder.  ``newton_iters`` then also counts the iterations of
-    the failed warm attempt.
+    ``state`` is a run's one-member ``StepBatch``, built for g, model and
+    step (equal ones will do) and describing u_star; another is refused
+    with a ValueError.  Its energy of u_star and fixed data are used
+    instead of being built again, Newton starts from its predicted flux,
+    and the solved step is recorded in it.  Without one, a fresh batch is
+    built, which has no flux to predict from.  A warm start is solved at
+    eps_min directly.  If Newton fails from it (at once, with 0
+    iterations, if it leaves the barrier domain), the step is solved
+    cold: from zero flux down the full eps ladder.  ``newton_iters`` then
+    also counts the iterations of the failed warm attempt.
     """
     u_star = np.asarray(u_star, dtype=float)
     if state is None:
-        state = StepState(g, step.h, energy(g, u_star, model.modified))
-    elif state.grid != g or state.h != step.h:
-        raise ValueError("the step state belongs to another grid or step size")
-    prob = state.problem
-    if prob is None or prob.models[0] is not model or prob.steps[0] is not step:
-        prob = state.problem = _Problem(g, [model], [step])
-    return prob.step([state], u_star[None])[0]
+        state = StepBatch(g, [model], [step], [energy(g, u_star, model.modified)])
+    elif (state.grid, state.problem.steps, state.problem.models) != (g, (step,), (model,)):
+        raise ValueError("the step batch belongs to another grid or step size, "
+                         "model or Newton parameters")
+    return state.problem.step(state.states, u_star[None])[0]
 
 
 class StepBatch:
-    """Members that share a grid, stepped together as ``solve_step(...,
-    state=...)`` steps each, by the same step and Newton loop.
+    """Members that share a grid, stepped together by the one step and
+    Newton loop: the owner of the step's fixed data (``problem``, built
+    here) and of each member's ``StepState``.  ``run`` steps a one-member
+    batch through ``solve_step``.
 
-    Each member keeps its own ``StepState`` (so its predicted warm start)
-    and walks its own eps ladder, and a member that fails from its warm
-    start (one outside the barrier domain fails at once) is solved cold.
-    The members' parameters are held as in a one-member step where they
-    share them, so a member matches ``run`` bit for bit when the batch
-    shares its model and step parameters, and to roundoff otherwise.
-    Members come in any order and are returned in it.  A cold failure
-    raises ``solve_step``'s error, which names the failing member as
-    ``member``, and leaves the batch unusable.
+    Each member walks its own eps ladder from its own predicted warm
+    start, and a member that fails from it (one outside the barrier
+    domain fails at once) is solved cold.  The members' parameters are
+    held as in a one-member step where they share them, so a member
+    matches ``run`` bit for bit when the batch shares its model and step
+    parameters, and to roundoff otherwise.  Members come in any order and
+    are returned in it.  A cold failure raises ``solve_step``'s error,
+    which names the failing member as ``member``, and leaves the batch
+    unusable.
     """
 
     def __init__(self, g, models, steps, energies):
         self.grid = g
         self.problem = _Problem(g, models, steps)
-        self.states = [StepState(g, sp.h, e) for sp, e in zip(steps, energies)]
+        self.states = [StepState(e) for e in energies]
 
     def step(self, u_stars):
         """Solve one step of every member from its current height, one row

@@ -35,7 +35,13 @@ from tfilm.models import (
     strong_singular_potential,
     zero_potential,
 )
-from tfilm.step import StepCheckError, StepNonconvergenceError, StepParams, StepState
+from tfilm.step import (
+    StepBatch,
+    StepCheckError,
+    StepNonconvergenceError,
+    StepParams,
+    StepState,
+)
 
 RTOL = 1e-7
 STEP_ERRORS = (StepNonconvergenceError, StepCheckError, EnergyAuditError)
@@ -105,6 +111,19 @@ def run_each(configs):
     with patch.object(tfilm.step, "_solve", watched):
         serial = [run(c) for c in configs]
     return serial, len(warm_failures)
+
+
+def states_of_step_size(h):
+    """A list that collects the StepStates of the members of step size h of
+    every StepBatch built under the patch returned with it."""
+    states = []
+    real = StepBatch.__init__
+
+    def init(batch, g, models, steps, energies):
+        real(batch, g, models, steps, energies)
+        states.extend(s for s, sp in zip(batch.states, steps) if sp.h == h)
+
+    return states, patch.object(StepBatch, "__init__", init)
 
 
 def batched_only(configs):
@@ -363,12 +382,13 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
     configs[1] = member(g, alpha=2.0, h=odd_h, n_steps=6)
     real, real_solve = StepState.predicted_flux, tfilm.step._solve
     emptied, batch_failures = [], []
+    odd, noting = states_of_step_size(odd_h)
 
     def leaving_the_domain(state):
         q = real(state)
-        if state.h == odd_h and len(state.fluxes) == 3 and not emptied:
+        if state in odd and len(state.fluxes) == 3 and not emptied:
             q = q.copy()
-            q[15] = 1.0 / state.h  # empties cell 15 far below zero
+            q[15] = 1.0 / odd_h  # empties cell 15 far below zero
             emptied.append(q)
         return q
 
@@ -379,7 +399,7 @@ def test_a_warm_start_leaving_the_domain_falls_back_cold_in_the_batch():
             batch_failures.append((exc.member, start.warm, exc.iters))
             raise
 
-    with patch.object(StepState, "predicted_flux", leaving_the_domain):
+    with noting, patch.object(StepState, "predicted_flux", leaving_the_domain):
         serial = [run(c) for c in configs]
         emptied.clear()
         with patch.object(tfilm.step, "_solve", watched):
@@ -407,10 +427,11 @@ def test_a_warm_newton_failure_is_solved_cold_in_the_batch():
     configs[1] = member(g, alpha=2.0, h=odd_h, n_steps=6, max_newton=14)
     real_predict, real_solve = StepState.predicted_flux, tfilm.step._solve
     batch_failures = []
+    odd, noting = states_of_step_size(odd_h)
 
     def off_course(state):
         q = real_predict(state)
-        if state.h == odd_h and len(state.fluxes) == 3:
+        if state in odd and len(state.fluxes) == 3:
             q = q + 50.0 * np.sin(np.arange(g.N - 1))
         return q
 
@@ -421,7 +442,7 @@ def test_a_warm_newton_failure_is_solved_cold_in_the_batch():
             batch_failures.append((exc.member, start.warm[exc.member]))
             raise
 
-    with patch.object(StepState, "predicted_flux", off_course):
+    with noting, patch.object(StepState, "predicted_flux", off_course):
         serial, warm_failures = run_each(configs)
         with patch.object(tfilm.step, "_solve", watched):
             out = batched_only(configs)

@@ -700,6 +700,12 @@ REFUSED_BEFORE_THE_LOCK = {
     "dissipation-zero-delta": ("dissipation-bound",
                                dict(DISSIPATION, deltas=[0.1, 0.01, 1e-3, 0.0]),
                                "each delta must lie in (0, M/2)"),
+    # M = 3 admits deltas below M/2 = 1.5, but a bump of half-width delta fits
+    # on the unit interval only for delta <= 1/2
+    "dissipation-wide-delta": ("dissipation-bound",
+                               {"N": 3600, "M": 3, "n": 2, "alpha": 1,
+                                "deltas": [0.9, 0.3, 0.05, 0.009]},
+                               "each delta must be at most 1/2"),
     "dissipation-resolution": ("dissipation-bound", dict(DISSIPATION, N=1000),
                                "grid too coarse to resolve the bump"),
     "max-newton": ("simulate", dict(MINIMAL, max_newton=-1), "max_newton must be an integer >= 0"),

@@ -19,6 +19,7 @@ from tfilm.driver import (
 from tfilm.grid import Grid, divergence, zero_flux
 from tfilm.models import (
     ModelParams,
+    ModifiedPotential,
     constant_mobility,
     energy,
     power_mobility,
@@ -308,6 +309,23 @@ def test_continuation_touching_parabola_stays_positive():
     rep = sigma_continuation(u0, [1e-2, 5e-3], _continuation_template())
     assert all(mh > 0.0 for mh in rep.min_heights)
     assert rep.mass_drifts == (2e-2, 1e-2)
+
+
+def test_continuation_evaluates_each_sigma_energy_once(monkeypatch):
+    # u0 = datum + 2 sigma >= 2 sigma in every cell, where G_sigma is the base
+    # G, so the config's energy of u0 is the unmodified energy the limit
+    # inequality starts from; the config is the one evaluation per sigma
+    template = _continuation_template()
+    template = replace(template, model=replace(template.model, potential=quadratic_potential(3.0)))
+    sigmas = [1e-2, 5e-3, 2.5e-3]
+    real, calls = tfilm.driver.energy, []
+    monkeypatch.setattr(tfilm.driver, "energy", lambda *args: calls.append(args) or real(*args))
+    rep = sigma_continuation(parabola_profile(template.grid, 1.0), sigmas, template)
+    assert len(calls) == len(sigmas)
+    base = ModifiedPotential(template.model.potential, None)
+    for series in rep.series:
+        cfg = series.config
+        assert cfg.e0.total == real(cfg.grid, cfg.u0, base).total
 
 
 def test_continuation_reports_the_limit_edi_margin():

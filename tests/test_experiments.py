@@ -140,6 +140,18 @@ def test_dissipation_input_validation():
         dissipation_scaling_fit([0.6, 0.05, 0.005, 0.0009], 1.0, 2.0, 1.0, g)  # > M/2
 
 
+def test_dissipation_inputs_refuse_a_delta_wider_than_the_unit_interval():
+    # M = 3 admits deltas below M/2 = 1.5, but the bump w_l of half-width
+    # l = delta fits on the unit interval only for delta <= 1/2
+    g = Grid(1.0, 3600)
+    with pytest.raises(ValueError, match=r"each delta must be at most 1/2.*delta=0\.9"):
+        dissipation_inputs([0.9, 0.3, 0.05, 0.009], 3.0, 2.0, 1.0, g)
+    g = Grid(1.0, 8000)
+    deltas = (0.5, 0.3, 0.05, 0.004)
+    assert dissipation_inputs(deltas, 3.0, 2.0, 1.0, g) == deltas
+    assert tfilm.experiments.build_w_l(0.5, g).values.shape == (g.N,)
+
+
 # exponents that are not positive and finite, or whose dissipation
 # exponent (alpha + 1)/alpha overflows
 BAD_EXPONENTS = [(n, 1.0, "n must be positive") for n in (0.0, -1.0, math.inf, math.nan)] + [

@@ -45,9 +45,9 @@ from tfilm.models import (
     zero_potential,
 )
 from tfilm.step import (
+    StepBatch,
     StepNonconvergenceError,
     StepParams,
-    StepState,
     el_residual,
     solve_step,
     solveh_banded,
@@ -135,12 +135,13 @@ def test_run_energy_columns_match_snapshots(case, record_every):
 
 
 def holding(g, u, model, sp, j=None):
-    """A run state at height u whose predicted flux is the face field j
-    (none if j is None)."""
-    state = StepState(g, sp.h, energy(g, u, model.modified))
+    """A run's one-member batch at height u whose predicted flux is the
+    face field j (none if j is None)."""
+    batch = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
     if j is not None:
+        state = batch.states[0]
         state.record(j[1:-1].copy(), state.energy_star)
-    return state
+    return batch
 
 
 def edi_slack(res, sp):
@@ -449,9 +450,8 @@ def test_a_step_into_the_barrier_zone_and_out_equals_it_without_the_run_energy_b
     real = tfilm.step._newton_bands
 
     def solved(run_block):
-        prob = tfilm.step._Problem(g, [model], [sp])
-        state = StepState(g, h, energy(g, u, model.modified))
-        state.problem = prob
+        state = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
+        prob = state.problem
         taken = []
 
         def recording(ab, bands, *args):

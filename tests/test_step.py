@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from tfilm.models import (
     zero_potential,
 )
 from tfilm.step import (
+    StepBatch,
     StepCheckError,
     StepNonconvergenceError,
     StepParams,
@@ -37,10 +39,12 @@ def barrier_model(alpha=1.0, n=2.0, sigma=0.05, pot=None):
 
 
 def holding(g, u, model, sp, j):
-    """A run state at height u whose predicted flux is the face field j."""
-    state = StepState(g, sp.h, energy(g, u, model.modified))
+    """A run's one-member batch at height u whose predicted flux is the
+    face field j."""
+    batch = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
+    state = batch.states[0]
     state.record(j[1:-1].copy(), state.energy_star)
-    return state
+    return batch
 
 
 def test_reduced_objective_zero_flux_is_energy():
@@ -305,7 +309,7 @@ def test_comparison_check_raises_typed_error():
     # a comparison value one unit below the true energy of u_star, carried
     # by a fresh state (no flux to predict from, so the step starts cold)
     e = energy(g, u, model.modified)
-    state = StepState(g, sp.h, e._replace(total=e.total - 1.0))
+    state = StepBatch(g, [model], [sp], [e._replace(total=e.total - 1.0)])
     with pytest.raises(StepCheckError, match="zero-flux comparison"):
         solve_step(g, u, model, sp, state=state)
 
@@ -439,7 +443,7 @@ def test_every_newton_iteration_solves_through_the_wrapper(monkeypatch, alpha, n
 
 def test_predictor_extrapolates_a_quadratic_flux_sequence():
     g = Grid(1.0, 16)
-    state = StepState(g, 1e-4, energy(g, np.ones(16), barrier_model().modified))
+    state = StepState(energy(g, np.ones(16), barrier_model().modified))
     rng = np.random.default_rng(10)
     a, b, c = rng.standard_normal((3, 15))
 
@@ -460,23 +464,61 @@ def test_a_state_of_another_grid_or_step_size_is_refused():
     g = Grid(1.0, 16)
     u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
     model, sp = barrier_model(), StepParams(h=1e-4)
-    state = StepState(g, sp.h, energy(g, u, model.modified))
+    state = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
     with pytest.raises(ValueError, match="another grid or step size"):
         solve_step(g, u, model, StepParams(h=2e-4), state=state)
     with pytest.raises(ValueError, match="another grid or step size"):
         solve_step(Grid(2.0, 16), u, model, sp, state=state)
 
 
+def test_a_batch_of_another_model_or_step_parameters_is_refused():
+    # a batch carries its members' energy of u*: stepped with another model,
+    # it would report that energy as energy_before and audit the EDI against it
+    g = Grid(1.0, 16)
+    u = 1.0 + 0.1 * np.cos(np.pi * g.cell_centers())
+    model = barrier_model(pot=quadratic_potential(5.0))
+    sp = StepParams(h=1e-4)
+    batch = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
+    pair = StepBatch(g, [model, model], [sp, sp], [energy(g, u, model.modified)] * 2)
+    for state, other, other_sp in [
+            (batch, barrier_model(pot=quadratic_potential(1.0)), sp),
+            (batch, barrier_model(alpha=2.0, pot=quadratic_potential(5.0)), sp),
+            (batch, model, StepParams(h=1e-4, tol_grad=1e-8)),
+            (pair, model, sp)]:
+        with pytest.raises(ValueError, match="model or Newton parameters"):
+            solve_step(g, u, other, other_sp, state=state)
+    assert not batch.states[0].fluxes
+
+
+def test_an_equal_model_reuses_the_batch_problem(monkeypatch):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    model, sp = barrier_model(alpha=2.0), StepParams(h=1e-4, tol_grad=1e-8)
+    batch, ref = (StepBatch(g, [model], [sp], [energy(g, u, model.modified)]) for _ in range(2))
+    problem, built = batch.problem, []
+    real = tfilm.step._Problem
+    monkeypatch.setattr(tfilm.step, "_Problem", lambda *args: built.append(args) or real(*args))
+    v, w = u, u
+    for _ in range(3):
+        # an equal but distinct model and step parameters at every step
+        res = solve_step(g, v, dataclasses.replace(model), dataclasses.replace(sp), state=batch)
+        want = solve_step(g, w, model, sp, state=ref)
+        assert res.u_next.tobytes() == want.u_next.tobytes()
+        v, w = res.u_next, want.u_next
+    assert batch.problem is problem and not built
+
+
 def test_step_with_state_records_its_flux_and_energy():
     g = Grid(1.0, 32)
     u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
     model, sp = barrier_model(alpha=2.0), StepParams(h=1e-4, tol_grad=1e-8)
-    state = StepState(g, sp.h, energy(g, u, model.modified))
-    res = solve_step(g, u, model, sp, state=state)
+    batch = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
+    res = solve_step(g, u, model, sp, state=batch)
     one_shot = solve_step(g, u, model, sp)
     # the first step of a state has no flux to predict from, so it is the cold step
     assert np.array_equal(res.u_next, one_shot.u_next)
     assert res.energy_before == one_shot.energy_before
+    (state,) = batch.states
     assert state.energy_star == res.energy_after
     assert np.array_equal(state.fluxes[-1], res.j[1:-1])
 
