@@ -249,8 +249,10 @@ def _new_series(cfg):
     return TimeSeries(config=cfg, diagnostics=rec, snapshots={0: cfg.u0.copy()})
 
 
-def _record(series, k, res):
-    """Audit step k's one-step EDI and record it; returns the new height."""
+def _record(series, record, k, res):
+    """Audit step k's one-step EDI and record it in record, the plain
+    ndarray view of the series' record array (item assignment on the record
+    array itself costs more); returns the new height."""
     cfg = series.config
     # energy_before is the state's carried energy: the last energy_after
     slack = (res.energy_before.total - res.energy_after.total
@@ -260,7 +262,7 @@ def _record(series, k, res):
             f"step {k}: EDI slack {slack:.3e} below -{cfg.tol_audit:.3e}"
         )
     u = res.u_next
-    series.diagnostics[k] = _diag_row(k * cfg.step.h, res, slack)
+    record[k] = _diag_row(k * cfg.step.h, res, slack)
     if k % cfg.record_every == 0 or k == cfg.n_steps:
         series.snapshots[k] = u.copy()
     return u
@@ -275,6 +277,7 @@ def _march(cfgs, step):
     a step error is raised with the failing member's step index and time
     (``_step_failed``), its payload kept."""
     series = [_new_series(c) for c in cfgs]
+    records = [s.diagnostics.view(np.ndarray) for s in series]
     u = [c.u0 for c in cfgs]
     for k in range(1, cfgs[0].n_steps + 1):
         try:
@@ -282,7 +285,7 @@ def _march(cfgs, step):
         except (StepNonconvergenceError, StepCheckError) as exc:
             raise _step_failed(exc, k, cfgs[exc.member].step.h) from exc
         for i, res in enumerate(results):
-            u[i] = _record(series[i], k, res)
+            u[i] = _record(series[i], records[i], k, res)
     return series
 
 

@@ -468,11 +468,11 @@ def _lump_to_atoms(g, dens, z):
 
 
 # Cap, in bytes, on every float64 or int64 temporary of the transport path:
-# substeps are processed in chunks of at most this size whatever N is (the
-# widest arrays are a chunk's (rows, N + 1) face heights and face mobility
-# and, in the move stage, its (rows, 2P) ball ends), and the few arrays of one
-# chunk stay within a core's L2 cache.  Every substep row is computed alone, so the cap
-# moves no result.
+# substeps are processed in chunks whose rows are sized for a (rows, N + 1)
+# array, wider than a chunk's (rows, N) midpoints and (rows, N - 1) face
+# heights and face mobility, or for the move stage's (rows, 2P) ball ends,
+# whatever N is, and the few arrays of one chunk stay within a core's L2
+# cache.  Every substep row is computed alone, so the cap moves no result.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -545,8 +545,8 @@ def _place_balls(g, centers, weights, radius, out=None):
 def _path_work(g, rows):
     """The buffers of ``_path_action`` for chunks of `rows` substeps: the
     states (rows + 1, N), the midpoints and then du/dt (rows, N), and the
-    face heights (rows, N + 1)."""
-    return np.empty((rows + 1, g.N)), np.empty((rows, g.N)), np.empty((rows, g.N + 1))
+    interior face heights (rows, N - 1)."""
+    return np.empty((rows + 1, g.N)), np.empty((rows, g.N)), np.empty((rows, g.N - 1))
 
 
 def _path_action(g, mob, p, alpha, fill, s_grid, duration, work):
@@ -560,7 +560,8 @@ def _path_action(g, mob, p, alpha, fill, s_grid, duration, work):
     of the chunk before.  The flux of each substep comes from the
     continuity equation by a cumulative sum, so every interpolated pair
     satisfies the discrete flow equation exactly, and the integrand
-    |j|^p / m(u)^(1/alpha) is taken at the substep midpoint.
+    |j|^p / m(u)^(1/alpha) is taken at the substep midpoint, on the N - 1
+    interior faces (the flux is zero on the boundary faces).
 
     The integrand is formed in place, in du/dt's buffer, with the
     operations of ``np.abs(-cumsum((ub - ua) / dt) * dx) ** p / m **
@@ -598,7 +599,7 @@ def _path_action(g, mob, p, alpha, fill, s_grid, duration, work):
         j *= g.dx
         np.abs(j, out=j)
         j **= p
-        j /= m_faces[:, 1:-1]
+        j /= m_faces
         del m_faces  # freed before the next chunk's fill allocates
         for r in np.sum(j, axis=1).tolist():
             total += weight * r

@@ -422,25 +422,19 @@ class ModelParams:
 # operations
 
 def mobility_face(m, u, g, out=None):
-    """Mobility sampled on faces from the previous-time height.
-
-    Interior face f: m of the arithmetic mean of the two neighbour
-    cells.  Boundary faces carry m of the adjacent cell; the flux is
-    pinned to zero there so the value never enters the dynamics.  A
-    stack of heights (..., N) gives faces (..., N + 1).  The face heights
-    are written into one (..., N + 1) float array, `out` if given (a
-    buffer the caller reuses), on which m is evaluated once; m's result
-    is returned.
+    """Mobility on the N - 1 interior faces, sampled from the
+    previous-time height: m of the arithmetic mean of the two neighbour
+    cells.  The boundary faces carry none, since the flux is pinned to
+    zero there.  A stack of heights (..., N) gives faces (..., N - 1).
+    The face heights are written into one (..., N - 1) float array, `out`
+    if given (a buffer the caller reuses), on which m is evaluated once;
+    m's result is returned.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (g.N,):
         raise ValueError(f"heights must have {g.N} cells on the last axis, got shape {u.shape}")
-    faces = np.empty(u.shape[:-1] + (g.N + 1,)) if out is None else out
-    inner = faces[..., 1:-1]
-    np.add(u[..., :-1], u[..., 1:], out=inner)
-    inner *= 0.5
-    faces[..., 0] = u[..., 0]
-    faces[..., -1] = u[..., -1]
+    faces = np.add(u[..., :-1], u[..., 1:], out=out)
+    faces *= 0.5
     return m(faces)
 
 

@@ -278,9 +278,11 @@ class StepNonconvergenceError(RuntimeError):
 
 
 class StepCheckError(RuntimeError):
-    """A solved step broke mass conservation or the zero-flux comparison;
-    carries the offending iterate and, as ``member``, the failing member's
-    index in a batch (0 for one)."""
+    """A solved step broke mass conservation or the zero-flux comparison,
+    or a step was asked from a u* whose mobility vanishes on an interior
+    face; carries the offending iterate (that u* for a vanishing
+    mobility) and, as ``member``, the failing member's index in a batch (0
+    for one)."""
 
     def __init__(self, message, u_last=None, j_last=None, member=0):
         super().__init__(message)
@@ -316,14 +318,14 @@ def reduced_objective(g, j, u_star, model, step, eps):
     infinite sentinel when the barrier is active and u has a
     non-positive cell.
     """
-    u_star = np.asarray(u_star, dtype=float)
-    m_int = _Problem(g, [model], [step]).checked(u_star[None],
-                                                  [energy(g, u_star, model.modified)])
+    u_star = np.asarray(u_star, dtype=float)[None]
+    m_int = _checked(mobility_face(model.mobility, u_star, g), u_star,
+                     [energy(g, u_star[0], model.modified)])
     u = u_star - step.h * divergence(g, j)
     w = m_int ** (-1.0 / model.alpha)
     q = np.asarray(j, dtype=float)[1:-1]
     return _functional([_dissipation_scale(g, model, step.h)], model.p, eps**model.p, w,
-                       q * q + eps * eps, energy(g, u[None], model.modified))[0]
+                       q * q + eps * eps, energy(g, u, model.modified))[0]
 
 
 class _NotPositiveDefinite(np.linalg.LinAlgError):
@@ -367,8 +369,9 @@ def _el_defect(g, q, dmu, m_int, alpha, alphas):
     """Face-weighted l^(alpha+1) norms of q - m Psi(-grad mu) on the
     interior faces of B members: rows of q, of grad mu (dmu) and of m_int,
     alpha a scalar or a (B, 1) column, and alphas each member's, for the
-    roots taken on Python floats."""
-    r = q - m_int * psi(alpha, -dmu)
+    roots taken on Python floats.  Psi is odd, so the defect is taken as
+    q + m Psi(grad mu), which is the same bit for bit."""
+    r = q + m_int * psi(alpha, dmu)
     sums = (np.abs(r) ** (alpha + 1.0)).sum(axis=-1).tolist()
     return [(g.dx * s) ** (1.0 / (a + 1.0)) for s, a in zip(sums, alphas)]
 
@@ -444,6 +447,21 @@ def _cold_ladder(model, step):
     return ladder
 
 
+def _checked(m_int, u_star, e_before):
+    """The interior face mobilities m_int of the rows of u_star, after the
+    preconditions of a step from them: a finite energy e_before of each
+    row, else a ValueError, and positive mobility on every interior face,
+    else a StepCheckError that names the first member without it and
+    carries its u*."""
+    if not all(math.isfinite(e.total) for e in e_before):
+        raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
+    if (m_int <= 0.0).any():
+        i = int(np.nonzero(m_int <= 0.0)[0][0])
+        raise StepCheckError("mobility vanishes on an interior face; step is ill-posed",
+                             u_last=u_star[i].copy(), member=i)
+    return m_int
+
+
 class _Problem:
     """What stays fixed for B members on one grid through a run.
 
@@ -452,11 +470,14 @@ class _Problem:
     scales are a list), G_sigma among them (``ModifiedPotential.stack``).
     Besides them: the members of each mobility, the cold eps ladders, the
     -Delta_h bands, the Newton band storage (3, B, N-1), in which the
-    members' bands lie side by side as one block-diagonal band, and the
-    zero-ended face buffer (B, N+1).  Where no member has a singular term
-    (A = 0), a G_sigma'' that ``evaluate`` gives as a scalar or a column is
-    the members' a, so the energy block at that curvature
-    (``energy_bands``) is built here once; it is None otherwise.
+    members' bands lie side by side as one block-diagonal band, the
+    buffer (B, N-1) of u*'s interior face heights, in which ``checked``
+    takes the face mobility of all rows in one call where the members
+    share one mobility, and the zero-ended face buffer (B, N+1).  Where
+    no member has a singular term (A = 0), a G_sigma'' that ``evaluate``
+    gives as a scalar or a column is the members' a, so the energy block
+    at that curvature (``energy_bands``) is built here once; it is None
+    otherwise.
     """
 
     def __init__(self, g, models, steps):
@@ -485,6 +506,7 @@ class _Problem:
         self.ab = np.zeros((3, B, g.N - 1))
         for i, sp in enumerate(steps):
             self.ab[0, i, 2:] = sp.h * sp.h * (-self.ao / dx**2)
+        self.faces = np.empty((B, g.N - 1))
         self.pad = np.zeros((B, g.N + 1))
         base = self.potential.base
         singular = isinstance(base.A, np.ndarray) or base.A != 0.0
@@ -493,17 +515,16 @@ class _Problem:
 
     def checked(self, u_star, e_before):
         """The interior face mobilities of the rows of u_star, after the
-        preconditions of a step from them: positive mobility on every
-        interior face and a finite energy e_before of each row."""
+        preconditions of a step from them (``_checked``).  Members that
+        share one mobility take it in one call on all rows."""
         g = self.grid
-        m_int = np.empty((len(u_star), g.N - 1))
-        for mob, rows in self.mobilities:
-            m_int[rows] = mobility_face(mob, u_star[rows], g)[:, 1:-1]
-        if (m_int <= 0.0).any():
-            raise ValueError("mobility vanishes on an interior face; step is ill-posed")
-        if not all(math.isfinite(e.total) for e in e_before):
-            raise ValueError("u_star has infinite energy (non-positive cell under the barrier)")
-        return m_int
+        if len(self.mobilities) == 1:
+            m_int = mobility_face(self.mobilities[0][0], u_star, g, out=self.faces)
+        else:
+            m_int = np.empty((len(u_star), g.N - 1))
+            for mob, rows in self.mobilities:
+                m_int[rows] = mobility_face(mob, u_star[rows], g)
+        return _checked(m_int, u_star, e_before)
 
     def step(self, states, u_star):
         """The members' StepResults of one step from the rows of u_star,
@@ -562,7 +583,11 @@ class _Problem:
         g, u = self.grid, sol.u
         flux = [g.dx * s for s in (start.w * np.abs(sol.q) ** self.p).sum(axis=-1).tolist()]
         el = _el_defect(g, sol.q, sol.dmu, start.m_int, self.alpha, self.alpha_each)
-        mass_star, mass = integrate(g, start.u_star).tolist(), integrate(g, u).tolist()
+        # u*'s mass is the one the step before took for its u_next
+        mass_star = [s.mass for s in states]
+        if None in mass_star:
+            mass_star = integrate(g, start.u_star).tolist()
+        mass = integrate(g, u).tolist()
         lows, highs = u.min(axis=-1).tolist(), u.max(axis=-1).tolist()
         js = np.zeros((len(u), g.N + 1))
         js[:, 1:-1] = sol.q
@@ -578,7 +603,7 @@ class _Problem:
                 raise StepCheckError("step objective exceeds the zero-flux comparison value",
                                      u_last=u[i], j_last=q, member=i)
             e_after = EnergyBreakdown(*e_after)
-            state.record(q, e_after)
+            state.record(q, e_after, mass[i])
             out.append(StepResult(u_next=u[i], j=js[i], newton_iters=sol.iters[i],
                                   el_residual_norm=el[i], energy_before=e_before,
                                   energy_after=e_after, dissipation_flux_term=flux[i],
@@ -617,15 +642,19 @@ class _Iterate(NamedTuple):
 
 
 class StepState:
-    """What a member carries from one step into the next: the energy of
-    the height its next step starts from (the last step's energy_after)
-    and its last three accepted interior fluxes.  ``_Problem.step`` takes
-    the energy of u* and the predicted warm start from it and, on
-    success, records the step's flux and energy_after in it.
+    """What a member carries from one step into the next: the energy and
+    the mass of the height its next step starts from (the last step's
+    energy_after and the mass its check took for u_next) and its last
+    three accepted interior fluxes.  ``_Problem.step`` takes the energy of
+    u*, its mass and the predicted warm start from it and, on success,
+    records the step's flux, energy_after and mass in it.  A state that
+    has no mass (a fresh one, or one recorded without) has u* integrated
+    by the step.
     """
 
     def __init__(self, energy_star):
         self.energy_star = energy_star
+        self.mass = None
         self.fluxes = deque(maxlen=3)  # accepted interior fluxes, oldest first
 
     def predicted_flux(self):
@@ -639,9 +668,10 @@ class StepState:
             return 2.0 * f[1] - f[0]
         return f[0] if f else None
 
-    def record(self, q, energy_after):
+    def record(self, q, energy_after, mass=None):
         self.fluxes.append(q)
         self.energy_star = energy_after
+        self.mass = mass
 
 
 def _failure(message, i, q, u, norms, it):
@@ -893,5 +923,4 @@ def el_residual(g, res, u_star, model):
     _, mu, _ = _evaluate(g, res.u_next[None], model.modified, np.zeros((1, g.N + 1)))
     m_faces = mobility_face(model.mobility, u_star, g)
     dmu = (mu[:, 1:] - mu[:, :-1]) / g.dx
-    return _el_defect(g, res.j[None, 1:-1], dmu, m_faces[None, 1:-1], model.alpha,
-                      [model.alpha])[0]
+    return _el_defect(g, res.j[None, 1:-1], dmu, m_faces[None], model.alpha, [model.alpha])[0]

@@ -668,11 +668,12 @@ def test_a_batch_step_takes_each_mass_once_and_records_what_it_checked():
             patch.object(tfilm.driver, "integrate", integrated), \
             patch.object(tfilm.step.StepBatch, "step", stepped):
         out = batched_only(configs)
-    # one mass per initial height, then per step those of u* and of u_next,
-    # each taken once on all rows
+    # one mass per initial height, then those of u* and of u_next at step 1
+    # and of u_next at each later step, whose u* has the mass the step before
+    # took; each taken once on all rows
     B = len(configs)
     assert len(results) == 3
-    assert masses == [(g.N,)] * B + [(B, g.N)] * 2 * len(results)
+    assert masses == [(g.N,)] * B + [(B, g.N)] * (len(results) + 1)
     for k, step_results in enumerate(results, start=1):
         for res in step_results:
             # the member's series is the one whose height after step k is res's

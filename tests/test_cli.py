@@ -495,6 +495,26 @@ def test_cli_failure_removes_the_empty_directories_it_made(tmp_path, capsys, ste
     assert list(out.iterdir()) == []
 
 
+# without a barrier a film can reach a non-positive cell, where the face
+# mobility of an interior face vanishes
+DRYING_DROP = {"N": 32, "T": 0.05, "h": 1e-4, "alpha": 1, "mobility": {"kind": "power", "n": 1},
+               "potential": "zero", "sigma": None,
+               "initial": {"kind": "cos_bumps", "background": 1e-3, "amplitude": 1,
+                           "width": 0.2, "centers": [0.5]}}
+
+
+@pytest.mark.parametrize("background, step", [(1e-3, "step 2 (t = 0.0002)"),
+                                              (0, "step 1 (t = 0.0001)")])
+def test_cli_vanishing_face_mobility_names_its_step(tmp_path, capsys, background, step):
+    cfg = dict(DRYING_DROP, initial=dict(DRYING_DROP["initial"], background=background))
+    p = write_json(tmp_path / "sim.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"tfilm: error: {step} failed: mobility vanishes on an "
+                                       "interior face; step is ill-posed\n")
+    assert not out.exists()
+
+
 def test_cli_failure_keeps_a_directory_it_made_that_holds_a_file(tmp_path, monkeypatch):
     def failing_summary(outdir, data):
         raise OSError("disk full")

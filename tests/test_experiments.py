@@ -479,7 +479,7 @@ def path_action_plain(g, mob, p, alpha, states, duration):
     dt = duration / (len(states) - 1)
     ua, ub = states[:-1], states[1:]
     j = -np.cumsum(((ub - ua) / dt)[:, :-1], axis=1) * g.dx
-    m_faces = mobility_face(mob, 0.5 * (ua + ub), g)[:, 1:-1]
+    m_faces = mobility_face(mob, 0.5 * (ua + ub), g)
     total = 0.0
     for r in np.sum(np.abs(j) ** p / m_faces ** (1.0 / alpha), axis=1):
         total += dt * g.dx * float(r)

@@ -63,7 +63,7 @@ def test_mobility_face_of_stacked_heights_is_row_wise():
     u = np.random.default_rng(1).uniform(-0.2, 1.5, (3, 16))
     for m in (power_mobility(2.0), navier_slip_mobility(1.0, 0.7), constant_mobility()):
         faces = mobility_face(m, u, g)
-        assert faces.shape == (3, 17)
+        assert faces.shape == (3, 15)
         for row, f in zip(u, faces):
             assert np.array_equal(f, mobility_face(m, row, g))
 
@@ -72,11 +72,10 @@ def test_mobility_face_into_a_buffer_is_the_fresh_evaluation_bit_for_bit():
     g = Grid(1.0, 16)
     u = np.random.default_rng(3).uniform(-0.2, 1.5, (3, 16))
     for m in (power_mobility(2.0), navier_slip_mobility(1.0, 0.7), constant_mobility()):
-        out = np.full((3, 17), np.nan)
+        out = np.full((3, 15), np.nan)
         assert np.array_equal(mobility_face(m, u, g, out=out), mobility_face(m, u, g))
-        # the buffer holds the face heights
-        assert np.array_equal(out[:, 1:-1], 0.5 * (u[:, :-1] + u[:, 1:]))
-        assert np.array_equal(out[:, [0, -1]], u[:, [0, -1]])
+        # the buffer holds the interior face heights
+        assert np.array_equal(out, 0.5 * (u[:, :-1] + u[:, 1:]))
 
 
 def test_mobility_face_evaluates_the_mobility_once():
@@ -89,12 +88,24 @@ def test_mobility_face_evaluates_the_mobility_once():
 
     u = np.random.default_rng(2).uniform(0.1, 1.0, (2, 8))
     faces = mobility_face(m, u, g)
-    assert calls == [(2, 9)]
-    assert np.array_equal(faces[:, 0], u[:, 0] ** 2)
-    assert np.array_equal(faces[:, -1], u[:, -1] ** 2)
-    assert np.array_equal(faces[:, 1:-1], (0.5 * (u[:, :-1] + u[:, 1:])) ** 2)
+    assert calls == [(2, 7)]
+    assert np.array_equal(faces, (0.5 * (u[:, :-1] + u[:, 1:])) ** 2)
     with pytest.raises(ValueError, match="8 cells"):
         mobility_face(m, u[:, :7], g)
+
+
+def test_mobility_face_is_m_of_the_interior_face_means_bit_for_bit():
+    # the boundary faces carry no mobility: the flux is zero there
+    g = Grid(1.0, 16)
+    rng = np.random.default_rng(4)
+    for u in (rng.uniform(-0.2, 1.5, 16), rng.uniform(-0.2, 1.5, (2, 3, 16))):
+        for m in (power_mobility(2.5), navier_slip_mobility(1.0, 0.7), constant_mobility()):
+            want = m(0.5 * (u[..., :-1] + u[..., 1:]))
+            faces = mobility_face(m, u, g)
+            assert faces.shape == u.shape[:-1] + (15,)
+            assert np.array_equal(faces, want)
+            out = np.full(u.shape[:-1] + (15,), np.nan)
+            assert np.array_equal(mobility_face(m, u, g, out=out), want)
 
 
 MOBILITIES = [power_mobility(2.0), power_mobility(1.0), power_mobility(0.7),

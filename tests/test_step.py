@@ -67,7 +67,7 @@ def test_reduced_objective_quadratic_case():
     sp = StepParams(h=2e-4)
     j = zero_flux(g)
     j[1:-1] = rng.standard_normal(15)
-    w = mobility_face(model.mobility, u, g)[1:-1] ** -1.0
+    w = mobility_face(model.mobility, u, g) ** -1.0
     expected = energy(g, u - sp.h * divergence(g, j), model.modified).total \
         + sp.h * 0.5 * g.dx * np.sum(w * j[1:-1] ** 2)
     assert reduced_objective(g, j, u, model, sp, eps=0.0) == pytest.approx(expected, rel=1e-13)
@@ -96,6 +96,24 @@ def test_reduced_objective_infinite_past_barrier():
     assert not np.isfinite(reduced_objective(g, j, u, model, sp, eps=1e-6))
 
 
+def test_reduced_objective_builds_no_problem_and_keeps_the_step_refusals(monkeypatch):
+    def built(*args):
+        raise AssertionError("reduced_objective built the step's fixed data")
+
+    monkeypatch.setattr(tfilm.step, "_Problem", built)
+    g = Grid(1.0, 16)
+    sp = StepParams(h=1e-4)
+    u = np.full(16, 1.0)
+    assert reduced_objective(g, zero_flux(g), u, barrier_model(), sp, eps=1e-6) == \
+        energy(g, u, barrier_model().modified).total
+    u[5] = -2.0
+    dry = ModelParams(1.0, power_mobility(2.0), zero_potential(), None)
+    with pytest.raises(StepCheckError, match="mobility vanishes"):
+        reduced_objective(g, zero_flux(g), u, dry, sp, eps=1e-6)
+    with pytest.raises(ValueError, match="infinite energy"):
+        reduced_objective(g, zero_flux(g), u, barrier_model(), sp, eps=1e-6)
+
+
 def test_gradient_matches_finite_differences():
     g = Grid(1.0, 48)
     rng = np.random.default_rng(3)
@@ -109,7 +127,7 @@ def test_gradient_matches_finite_differences():
     mp = model.modified
     uu = u - sp.h * divergence(g, j)
     mu = -laplacian_neumann(g, uu) + mp.dg_sigma(uu)
-    w = mobility_face(model.mobility, u, g)[1:-1] ** (-1.0 / model.alpha)
+    w = mobility_face(model.mobility, u, g) ** (-1.0 / model.alpha)
     q = j[1:-1]
     grad = sp.h * g.dx * _reduced_gradient(g.dx, mu, w, q, q * q + eps * eps, model.p)[0]
 
@@ -181,7 +199,7 @@ def test_dissipation_terms_agree():
     for alpha in (0.5, 2.0):
         model = barrier_model(alpha=alpha)
         res = solve_step(g, u, model, StepParams(h=1e-5))
-        m = mobility_face(model.mobility, u, g)[1:-1]
+        m = mobility_face(model.mobility, u, g)
         xi = psi(1.0 / alpha, res.j[1:-1] / m)
         strong = g.dx * float(np.sum(m * np.abs(xi) ** (alpha + 1.0)))
         assert strong == pytest.approx(res.dissipation_flux_term, rel=1e-10, abs=1e-12)
@@ -229,11 +247,59 @@ def test_preconditions():
     # degenerate mobility at a face
     u = np.full(16, 1.0)
     u[5] = -2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(StepCheckError, match="mobility vanishes") as info:
         solve_step(g, u, ModelParams(1.0, power_mobility(2.0), zero_potential(), None), sp)
+    assert np.array_equal(info.value.u_last, u)
     # infinite starting energy under the barrier
     with pytest.raises(ValueError):
         solve_step(g, u, barrier_model(), sp)
+
+
+@pytest.mark.parametrize("n_other", [2.0, 1.0], ids=["one-mobility", "two-mobilities"])
+def test_a_vanishing_face_mobility_is_a_check_error_of_its_member(n_other):
+    g = Grid(1.0, 16)
+    sp = StepParams(h=1e-4)
+    models = [ModelParams(1.0, power_mobility(n), zero_potential(), None) for n in (n_other, 2.0)]
+    good = np.full(16, 1.0)
+    bad = good.copy()
+    bad[5] = -2.0
+    batch = StepBatch(g, models, [sp] * 2,
+                      [energy(g, u, m.modified) for u, m in zip((good, bad), models)])
+    with pytest.raises(StepCheckError, match="mobility vanishes on an interior face") as info:
+        batch.step([good, bad])
+    assert info.value.member == 1
+    assert np.array_equal(info.value.u_last, bad)
+
+
+def test_a_state_without_a_mass_has_its_u_star_integrated(monkeypatch):
+    g = Grid(1.0, 32)
+    u = 1.0 + 0.3 * np.cos(np.pi * g.cell_centers())
+    model, sp = barrier_model(), StepParams(h=1e-4)
+    batch = StepBatch(g, [model], [sp], [energy(g, u, model.modified)])
+    state = batch.states[0]
+    taken, real = [], tfilm.step.integrate
+
+    def integrated(g, f):
+        taken.append(np.array(f))
+        return real(g, f)
+
+    monkeypatch.setattr(tfilm.step, "integrate", integrated)
+    # a fresh state has no mass: u* and u_next are integrated
+    res = solve_step(g, u, model, sp, state=batch)
+    assert len(taken) == 2 and np.array_equal(taken[0], u[None])
+    assert state.mass == res.mass
+    # the next step takes u*'s mass from the state
+    taken.clear()
+    res = solve_step(g, res.u_next, model, sp, state=batch)
+    assert len(taken) == 1 and np.array_equal(taken[0], res.u_next[None])
+    # a state recorded without a mass integrates u* again
+    state.record(state.fluxes[-1], state.energy_star)
+    assert state.mass is None
+    taken.clear()
+    u_star = res.u_next
+    res = solve_step(g, u_star, model, sp, state=batch)
+    assert len(taken) == 2 and np.array_equal(taken[0], u_star[None])
+    assert state.mass == res.mass
 
 
 def test_nonconvergence_error_carries_state():
